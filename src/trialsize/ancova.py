@@ -137,7 +137,7 @@ def ancova_power_exact(
     crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
     base_ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / s.sigma_sq
     if s.q == 0:
-        value = dist._f_sf(crit_sq, 1.0, f, base_ncp)
+        value = dist._f_sf(crit_sq, f, base_ncp)
         return PowerEstimate(value=value, method="integral_exact", n_used=n)
 
     mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
@@ -146,7 +146,7 @@ def ancova_power_exact(
     def fn(w: np.ndarray) -> np.ndarray:
         ups = np.exp(w)
         inflation = 1.0 + s.q * ups / mixture.f2
-        tails = dist._f_sf_ncp_grid(crit_sq, 1.0, f, base_ncp / inflation)
+        tails = dist._f_sf(crit_sq, f, base_ncp / inflation)
         dens = np.exp(mixture.log_density(ups) + w)
         return tails * dens
 
@@ -169,7 +169,7 @@ def ancova_power_approx(
     ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / (
         s.sigma_sq * (1.0 + s.q / (n - s.q - 3.0))
     )
-    value = dist._f_sf(crit_sq, 1.0, f, ncp)
+    value = dist._f_sf(crit_sq, f, ncp)
     return PowerEstimate(value=value, method="approx", n_used=n)
 
 
@@ -186,7 +186,7 @@ def ancova_power_asymptotic_t(
     f = n - s.q_star
     crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
     ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / s.sigma_sq
-    value = dist._f_sf(crit_sq, 1.0, f, ncp)
+    value = dist._f_sf(crit_sq, f, ncp)
     return PowerEstimate(value=value, method="approx", n_used=n)
 
 
@@ -217,8 +217,9 @@ def ancova_size_chain(
     zsum = dist.normal_quantile(1.0 - alpha / 2.0) + dist.normal_quantile(power)
     n_asy = zsum**2 * s.sigma_sq / (s.gamma0 * s.gamma1 * s.effect**2)
 
-    disc = (n_asy + q + 3.0) ** 2 - 12.0 * n_asy
-    assert disc > 0.0, "quadratic-size discriminant must be positive"
+    # (n_asy + q + 3)^2 - 12 n_asy, written as a sum of squares so that it
+    # cannot round below zero
+    disc = (n_asy + q - 3.0) ** 2 + 12.0 * q
     n_quad = 0.5 * ((n_asy + q + 3.0) + math.sqrt(disc))
 
     if n_asy <= 2.0:

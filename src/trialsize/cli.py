@@ -37,12 +37,24 @@ from .equivalence import (
     equiv_size_symmetric,
     ts_unequal_equiv_power,
 )
-from .errors import BracketError, ConvergenceError, DomainError, InsufficientDataError
+from .errors import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    InsufficientDataError,
+    SimulationFailureError,
+)
 from .mmrm import MmrmDesign, mmrm_equiv_power, mmrm_power, mmrm_power_approx, mmrm_size_chain
 from .simulate import simulate_power
 from .tables import TABLE_NUMBERS, build_table
 
-_NUMERIC_ERRORS = (DomainError, BracketError, ConvergenceError, InsufficientDataError, RuntimeError)
+_NUMERIC_ERRORS = (
+    DomainError,
+    BracketError,
+    ConvergenceError,
+    InsufficientDataError,
+    SimulationFailureError,
+)
 
 
 def _fail(message: str, code: int) -> int:

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from scipy import stats
+
 from . import dist
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import BracketError, DomainError
@@ -145,7 +147,7 @@ def power_two_sided(
         raise DomainError(f"n must exceed the kernel minimum {k.min_n}, got {n}")
     f = k.df_at(n)
     crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    value = dist._f_sf(crit * crit, 1.0, f, _noncentrality_sq(k, n))
+    value = dist._f_sf(crit * crit, f, _noncentrality_sq(k, n))
     return PowerEstimate(value=value, method="exact_two_sided", n_used=n)
 
 
@@ -162,11 +164,7 @@ def power_one_sided_approx(
     f = k.df_at(n)
     lam = abs(k.effect) * math.sqrt(n / k.v)
     crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    value = float(
-        dist._nct_upper_tail_grid(
-            crit, f, lam, settings.nct_tol, settings.tail_mass
-        )[0]
-    )
+    value = float(stats.nct.sf(crit, f, lam))
     return PowerEstimate(value=value, method="one_sided_approx", n_used=n)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 
 from . import dist
 from .core import PowerEstimate, TestKernel
@@ -224,7 +224,7 @@ def moser_exact_power(
         v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
         crit = special.stdtrit(f_u, 1.0 - alpha / 2.0)
         h = crit * np.sqrt(v_u / base)
-        tails = dist._nct_upper_tail_grid(h, fxi, lam, settings.nct_tol, settings.tail_mass)
+        tails = stats.nct.sf(h, fxi, lam)
         dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
         return tails * dens
 

@@ -2,18 +2,18 @@
 adaptive quadrature and bracketed root finding.
 
 Everything downstream (power formulas, sample-size inversion, equivalence
-integrals) is built on the routines in this module.  The noncentral t CDF is
-computed from its defining mixture representation
+integrals) is built on the routines in this module.  Every noncentral tail is
+``scipy.stats.nct.sf``: the t CDF by reflection, Pr[t(f, lam) <= x] =
+Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
+tails.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
+returns NaN on part of the (f, lam, x) range the power formulas reach.
 
-    Pr[t(f, lam) <= x] = E_xi[ Phi(x*sqrt(xi) - lam) ],   xi ~ chi2_f / f,
-
-by adaptive quadrature over the weight density, truncated where the tail mass
-of xi drops below ``NumericSettings.tail_mass``.  This single quadrature engine
-handles fractional degrees of freedom and large noncentrality uniformly.
-
-Integrands passed to :func:`integrate` are evaluated on numpy arrays of
-abscissae and may return either a vector (one value per point) or a matrix
-(one row per point) when several integrals share the same weight function.
+:func:`integrate` remains for the conditional integrals that have no library
+form (the equivalence integral conditioned on the variance, the Welch integral
+over the variance ratio and the covariate-imbalance mixture).  Integrands
+passed to it are evaluated on numpy arrays of abscissae and may return either
+a vector (one value per point) or a matrix (one row per point) when several
+integrals share the same weight function.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -34,7 +34,6 @@ __all__ = [
     "normal_quantile",
     "t_cdf",
     "t_quantile",
-    "f_cdf",
     "scaled_chi2_density",
     "f_density",
     "integrate",
@@ -48,7 +47,6 @@ class NumericSettings:
 
     tail_mass        truncation mass for chi-square weight densities
     outer_tail_mass  truncation mass for F-law outer integrals
-    nct_tol          absolute tolerance of the noncentral t CDF quadrature
     power_tol        tolerance of single-integral power formulas
     double_tol       total budget for nested double integrals
     root_tol         bracket width at which find_root stops
@@ -57,7 +55,6 @@ class NumericSettings:
 
     tail_mass: float = 1e-12
     outer_tail_mass: float = 1e-10
-    nct_tol: float = 1e-10
     power_tol: float = 1e-8
     double_tol: float = 1e-7
     root_tol: float = 1e-9
@@ -68,9 +65,6 @@ class NumericSettings:
 
 
 DEFAULT_SETTINGS = NumericSettings()
-
-# Beyond this many standard deviations the normal CDF is 0/1 to < 1e-16.
-_PHI_SATURATION = 9.0
 
 
 def _check_df(f: float, name: str = "df") -> float:
@@ -280,29 +274,6 @@ def find_root(
     )
 
 
-def _nct_mixture(
-    x: float, f: float, lam: float, tol: float, tail_mass: float
-) -> float:
-    """Noncentral t CDF from the chi-square mixture, by log-domain quadrature."""
-    lo = _chi2_over_f_quantile(tail_mass, f)
-    hi = _chi2_over_f_quantile(1.0 - tail_mass, f)
-    # The argument x*sqrt(xi) - lam is monotone in xi; skip the quadrature when
-    # Phi saturates over the whole truncated window.
-    args = (x * math.sqrt(lo) - lam, x * math.sqrt(hi) - lam)
-    if min(args) > _PHI_SATURATION:
-        return 1.0
-    if max(args) < -_PHI_SATURATION:
-        return 0.0
-
-    def fn(v: np.ndarray) -> np.ndarray:
-        xi = np.exp(v)
-        weight = np.exp(_log_scaled_chi2_density(xi, f) + v)
-        return special.ndtr(x * np.sqrt(xi) - lam) * weight
-
-    val = integrate(fn, math.log(lo), math.log(hi), tol)
-    return min(1.0, max(0.0, val))
-
-
 def t_cdf(
     x: float,
     f: float,
@@ -311,8 +282,9 @@ def t_cdf(
 ) -> float:
     """CDF of the t distribution with ``f`` d.f. and noncentrality ``lam``.
 
-    ``f`` may be fractional.  ``lam == 0`` falls back to the central CDF;
-    non-finite ``x`` is handled as the corresponding limit.
+    ``f`` may be fractional.  Computed as the reflected upper tail
+    Pr[t(f, -lam) > -x], which keeps the precision of small lower tails;
+    non-finite ``x`` gives the limits 0 and 1.
     """
     f = _check_df(f)
     lam = float(lam)
@@ -321,91 +293,7 @@ def t_cdf(
     x = float(x)
     if math.isnan(x):
         raise DomainError("t_cdf: x must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    if lam == 0.0:
-        return float(special.stdtr(f, x))
-    return _nct_mixture(x, f, lam, settings.nct_tol, settings.tail_mass)
-
-
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _GL_NODES:
-        _GL_NODES[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_NODES[m]
-
-
-def _chi2_mixture_grid(
-    kernel: Callable[[np.ndarray], np.ndarray],
-    f: float,
-    tol: float,
-    tail_mass: float,
-) -> np.ndarray:
-    """E_xi[kernel(xi)] over xi ~ chi2_f/f for a vector-valued kernel.
-
-    ``kernel`` maps a vector of xi values to a (len(xi), m) matrix.  The
-    expectation is taken by Gauss-Legendre quadrature in log(xi) over the
-    truncated window, doubling the node count until the estimate moves by
-    less than ``tol``.
-    """
-    lo = math.log(_chi2_over_f_quantile(tail_mass, f))
-    hi = math.log(_chi2_over_f_quantile(1.0 - tail_mass, f))
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    prev = None
-    for m in (64, 128, 256, 512, 1024, 2048):
-        x, w = _gauss_legendre(m)
-        v = half * x + mid
-        xi = np.exp(v)
-        weight = np.exp(_log_scaled_chi2_density(xi, f) + v) * (w * half)
-        vals = weight @ kernel(xi)
-        if prev is not None and np.max(np.abs(vals - prev)) <= tol:
-            return vals
-        prev = vals
-    raise ConvergenceError(
-        "chi-square mixture quadrature did not converge", best_estimate=prev
-    )
-
-
-def _nct_upper_tail_grid(
-    thresholds: np.ndarray,
-    f: float,
-    lam: float,
-    tol: float,
-    tail_mass: float,
-) -> np.ndarray:
-    """Pr[t(f, lam) > c_i] for an array of thresholds, one shared quadrature.
-
-    Uses Pr[t > c] = E_xi[Phi(lam - c*sqrt(xi))] over xi ~ chi2_f/f.
-    """
-    c = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    vals = _chi2_mixture_grid(
-        lambda xi: special.ndtr(lam - np.sqrt(xi)[:, None] * c[None, :]),
-        f,
-        tol,
-        tail_mass,
-    )
-    return np.clip(vals, 0.0, 1.0)
-
-
-def _nct_cdf_ncp_grid(
-    threshold: float,
-    f: float,
-    lams: np.ndarray,
-    tol: float,
-    tail_mass: float,
-) -> np.ndarray:
-    """Pr[t(f, lam_i) <= c] for an array of noncentralities, shared quadrature."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    vals = _chi2_mixture_grid(
-        lambda xi: special.ndtr(threshold * np.sqrt(xi)[:, None] - lams[None, :]),
-        f,
-        tol,
-        tail_mass,
-    )
-    return np.clip(vals, 0.0, 1.0)
+    return float(stats.nct.sf(-x, f, -lam))
 
 
 def t_quantile(
@@ -417,73 +305,12 @@ def t_quantile(
     return float(special.stdtrit(f, p))
 
 
-def _poisson_weights(half_lam: float) -> np.ndarray:
-    """Poisson(half_lam) pmf on 0..K with K chosen so the tail mass < 1e-15."""
-    k_max = int(half_lam + 10.0 * math.sqrt(half_lam + 1.0) + 30.0)
-    k = np.arange(k_max + 1)
-    with np.errstate(divide="ignore"):
-        logw = -half_lam + k * np.log(half_lam) - special.gammaln(k + 1.0)
-    logw[0] = -half_lam
-    return np.exp(logw)
+def _f_sf(x: float, f: float, lam_sq):
+    """Upper tail Pr[F(1, f, lam_sq) > x] = Pr[|t(f, lam)| > sqrt(x)], lam^2 = lam_sq.
 
-
-def f_cdf(
-    x: float,
-    f1: float,
-    f2: float,
-    lam: float = 0.0,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> float:
-    """CDF of the F distribution with (f1, f2) d.f. and noncentrality lam >= 0.
-
-    Central case via the regularized incomplete beta function; noncentral case
-    via the Poisson-weighted beta series.  Returns 0 for x <= 0.
+    The power of the two-sided t test at critical value sqrt(x).  Vectorised
+    over ``lam_sq``: an array gives one tail per entry.
     """
-    f1 = _check_df(f1, "f1")
-    f2 = _check_df(f2, "f2")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError("f_cdf: noncentrality must be finite and >= 0")
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("f_cdf: x must not be NaN")
-    if x <= 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    xb = f1 * x / (f1 * x + f2)
-    if lam == 0.0:
-        return float(special.betainc(0.5 * f1, 0.5 * f2, xb))
-    w = _poisson_weights(0.5 * lam)
-    k = np.arange(w.size)
-    terms = special.betainc(0.5 * f1 + k, 0.5 * f2, xb)
-    return float(min(1.0, np.dot(w, terms) + (1.0 - w.sum())))
-
-
-def _f_sf_ncp_grid(x: float, f1: float, f2: float, lams: np.ndarray) -> np.ndarray:
-    """Pr[F(f1, f2, lam_i) > x] for an array of noncentralities, shared series."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if x <= 0.0:
-        return np.ones_like(lams)
-    half = 0.5 * lams
-    k_max = int(half.max() + 10.0 * math.sqrt(half.max() + 1.0) + 30.0)
-    k = np.arange(k_max + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = -half[:, None] + k[None, :] * np.log(half[:, None]) - special.gammaln(k + 1.0)
-    logw[:, 0] = -half
-    w = np.exp(logw)
-    terms = special.betainc(0.5 * f2, 0.5 * f1 + k, f2 / (f1 * x + f2))
-    return np.minimum(1.0, w @ terms + (1.0 - w.sum(axis=1)))
-
-
-def _f_sf(x: float, f1: float, f2: float, lam: float = 0.0) -> float:
-    """Upper tail Pr[F(f1, f2, lam) > x], accurate when the tail is small."""
-    if x <= 0.0:
-        return 1.0
-    xb_c = f2 / (f1 * x + f2)
-    if lam == 0.0:
-        return float(special.betainc(0.5 * f2, 0.5 * f1, xb_c))
-    w = _poisson_weights(0.5 * lam)
-    k = np.arange(w.size)
-    terms = special.betainc(0.5 * f2, 0.5 * f1 + k, xb_c)
-    return float(min(1.0, np.dot(w, terms) + (1.0 - w.sum())))
+    lam = np.sqrt(lam_sq)
+    tails = stats.nct.sf(math.sqrt(x), f, np.multiply.outer((1.0, -1.0), lam)).sum(axis=0)
+    return float(tails) if tails.ndim == 0 else tails

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 
 from . import core, dist
 from .ancova import AncovaSpec
@@ -121,6 +121,16 @@ def _check_containment(m: Margins, tau1: float) -> None:
             f"true effect {tau1} must lie strictly inside the margins "
             f"({m.lower}, {m.upper})"
         )
+
+
+def _upper_tail(x, f: float, lam):
+    """Pr[t(f, lam) > x], elementwise in ``x`` and ``lam``.
+
+    A one-sided margin puts ``lam`` at +-inf, where ``nct.sf`` is NaN; the
+    tail is then exactly 1 (lam = +inf) or 0 (lam = -inf).
+    """
+    lam = np.asarray(lam, dtype=float)
+    return np.where(np.isinf(lam), lam > 0.0, stats.nct.sf(x, f, lam))
 
 
 def _phillips_integral(
@@ -374,12 +384,9 @@ def ancova_equiv_power(
         ups = np.exp(w)
         dens = np.exp(mixture.log_density(ups) + w)
         se = np.sqrt(s.sigma_sq * vx_of(ups))
-        up = dist._nct_cdf_ncp_grid(
-            crit, f, (m.upper - s.tau1) / se, settings.nct_tol, settings.tail_mass
-        )
-        low = dist._nct_cdf_ncp_grid(
-            crit, f, (s.tau1 - m.lower) / se, settings.nct_tol, settings.tail_mass
-        )
+        # Pr[t(f, lam) <= crit] = Pr[t(f, -lam) > -crit]
+        up = _upper_tail(-crit, f, (s.tau1 - m.upper) / se)
+        low = _upper_tail(-crit, f, (m.lower - s.tau1) / se)
         return (1.0 - up - low) * dens
 
     value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)
@@ -448,8 +455,8 @@ def ts_unequal_equiv_power(
         dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
         h = h_of(u)
         # 1 - Pr[t < h; ncp A] - Pr[t < h; ncp B] written with upper tails
-        tail_a = dist._nct_upper_tail_grid(h, fxi, a_up, settings.nct_tol, settings.tail_mass)
-        tail_b = dist._nct_upper_tail_grid(h, fxi, b_up, settings.nct_tol, settings.tail_mass)
+        tail_a = _upper_tail(h, fxi, a_up)
+        tail_b = _upper_tail(h, fxi, b_up)
         return (tail_a + tail_b - 1.0) * dens
 
     value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)

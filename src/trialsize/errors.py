@@ -20,6 +20,11 @@ class ConvergenceError(RuntimeError):
         self.best_estimate = best_estimate
 
 
+class SimulationFailureError(RuntimeError):
+    """Too many simulated replicates failed analysis for the rejection rate
+    to be trusted."""
+
+
 class DecompositionError(ValueError):
     """A matrix factorization failed (e.g. input not positive definite)."""
 

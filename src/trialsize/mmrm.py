@@ -305,7 +305,7 @@ def mmrm_power(
     core._check_alpha_power(alpha)
     der = mmrm_derived(d, n)
     crit_sq = dist.t_quantile(1.0 - alpha / 2.0, der.f, settings) ** 2
-    value = dist._f_sf(crit_sq, 1.0, der.f, d.effect**2 / der.v_tau_star)
+    value = dist._f_sf(crit_sq, der.f, d.effect**2 / der.v_tau_star)
     return PowerEstimate(value=value, method="exact_two_sided", n_used=n)
 
 
@@ -320,7 +320,7 @@ def mmrm_power_approx(
     core._check_alpha_power(alpha)
     der = mmrm_derived(d, n)
     crit_sq = dist.t_quantile(1.0 - alpha / 2.0, der.f_o, settings) ** 2
-    value = dist._f_sf(crit_sq, 1.0, der.f_o, d.effect**2 / der.v_tau)
+    value = dist._f_sf(crit_sq, der.f_o, d.effect**2 / der.v_tau)
     return PowerEstimate(value=value, method="approx", n_used=n)
 
 

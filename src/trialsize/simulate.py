@@ -35,7 +35,7 @@ from scipy import special
 from .ancova import AncovaSpec
 from .designs import CrossoverSpec, OneSampleSpec, TwoSampleSpec
 from .equivalence import Margins
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, SimulationFailureError
 from .mmrm import MmrmDesign, ldl_decompose
 
 __all__ = [
@@ -924,7 +924,7 @@ def simulate_power(
     elapsed = time.perf_counter() - start
 
     if fail > _FAILURE_CAP * reps:
-        raise RuntimeError(
+        raise SimulationFailureError(
             f"{fail} of {reps} replicates failed analysis (> {_FAILURE_CAP:.2%}); "
             "excluding them would bias the estimate"
         )

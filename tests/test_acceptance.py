@@ -367,7 +367,7 @@ class TestCriterion6:
             c = rng.uniform(0.1, 4.0)
             f = rng.uniform(1.0, 80.0)
             lam = rng.uniform(0.0, 5.0)
-            lhs = dist._f_sf(c * c, 1.0, f, lam * lam)
+            lhs = dist._f_sf(c * c, f, lam * lam)
             rhs = (1.0 - dist.t_cdf(c, f, lam)) + dist.t_cdf(-c, f, lam)
             worst = max(worst, abs(lhs - rhs))
         for p in np.linspace(0.001, 0.999, 21):

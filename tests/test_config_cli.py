@@ -179,6 +179,27 @@ class TestCli:
         assert code == 1
         assert "DomainError" in err
 
+    def test_simulation_failure_cap_exit_one(self, capsys, tmp_path):
+        doc = {
+            "family": "mmrm",
+            "objective": "superiority",
+            "alpha": 0.05,
+            "target_power": 0.9,
+            "design": {
+                "covariance": {"structure": "cs", "size": 2, "variance": 1.0, "covariance": 0.5},
+                "retention": [[1.0, 0.3], [1.0, 0.3]],
+                "gamma0": 0.5,
+                "q": 0,
+                "tau_p1": 1.0,
+            },
+            "simulation": {"replicates": 200, "seed": 5},
+        }
+        path = write_design(tmp_path, doc)
+        code, out, err = run_cli(capsys, "simulate", "--design", path, "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert "SimulationFailureError" in err
+
     def test_simulate_smoke(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BASE_TWO_SAMPLE))
         doc["simulation"] = {"replicates": 2000, "seed": 5}

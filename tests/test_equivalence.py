@@ -200,6 +200,18 @@ class TestAncovaEquivalence:
             ap = ancova_equiv_power(s, m, n, 0.05, exact=False).value
             assert ex >= ap - 1e-9
 
+    def test_approx_one_sided_margin_is_far_margin_limit(self):
+        # an infinite margin contributes a tail of exactly 0, the limit of a
+        # margin moved far away
+        s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
+        one_sided = Margins(lower=-0.8, upper=math.inf, kind="noninferiority")
+        far = Margins.equivalence(-0.8, 1e3)
+        for n in (16, 40):
+            a = ancova_equiv_power(s, one_sided, n, 0.05, exact=False).value
+            b = ancova_equiv_power(s, far, n, 0.05, exact=False).value
+            assert math.isfinite(a)
+            assert abs(a - b) < 1e-12
+
     def test_monte_carlo_concordance(self):
         from trialsize.simulate import ScenarioSpec, simulate_power
 

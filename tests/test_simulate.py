@@ -9,7 +9,7 @@ import pytest
 import trialsize as ts
 from trialsize import simulate as sim
 from trialsize.equivalence import Margins
-from trialsize.errors import DomainError, InsufficientDataError
+from trialsize.errors import DomainError, InsufficientDataError, SimulationFailureError
 from trialsize.simulate import (
     FactorSpec,
     ScenarioSpec,
@@ -269,12 +269,23 @@ class TestCalibration:
         assert abs(rep.power_hat - exact) <= 3.0 * rep.std_error
 
     def test_failure_threshold_guard(self):
-        # a two-subject-per-level design cannot fail analysis; build a
-        # degenerate scenario instead by forcing a tiny cap
+        # a healthy design records no failures and passes the 0.1% cap
         spec = ts.TwoSampleSpec(0.0, 0.5, 1.0, 1.0, 0.5, equal_variance=True)
         sc = ScenarioSpec(design=spec, seed=57)
         report = simulate_power(sc, (5, 5), 0.05, Margins.superiority(), replicates=500)
         assert report.failures == 0
+        # four per arm with 30% retention at the last visit: most replicates
+        # keep too few completers to fit the last visit's regression
+        d = ts.MmrmDesign(
+            sigma=np.array([[1.0, 0.5], [0.5, 1.0]]),
+            retention=((1.0, 0.3), (1.0, 0.3)),
+            gamma0=0.5,
+            q=0,
+            tau_p1=1.0,
+        )
+        sc = ScenarioSpec(design=d, seed=5)
+        with pytest.raises(SimulationFailureError, match="failed analysis"):
+            simulate_power(sc, (4, 4), 0.05, Margins.superiority(), replicates=200)
 
 
 class TestScenarioValidation:
