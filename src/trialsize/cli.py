@@ -160,7 +160,7 @@ def _size_rows(cfg: DesignConfig, alpha: float, power: float, rounding: str):
             power_fn = lambda n: moser_exact_power(d, k.tau0, n, alpha).value
         else:
             power_fn = lambda n: core.power_two_sided(k, n, alpha).value
-    hint = rows[-1][1].fractional
+    hint = dict(rows)["g2"].fractional
     rows.append(
         (
             "inversion",

@@ -17,6 +17,7 @@ same five sample-size methods apply:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -271,27 +272,33 @@ def size_invert(
 ) -> SizeEstimate:
     """Smallest real n with ``power_fn(n) == target`` (to ``size_tol``).
 
-    ``power_fn`` must be nondecreasing in n past ``min_n``.  The initial
-    bracket is [min_n + 0.5, max(10 * bracket_hint, 1e3)], expanded
-    geometrically up to n = 1e7 before giving up.
+    ``power_fn`` must be nondecreasing in n past ``min_n``.  The bracket
+    starts at [bracket_hint - 2, bracket_hint + 2]; a noniterative size such
+    as g2 is usually within a fraction of a unit of the root.  A side without
+    a sign change is widened geometrically (the width grows fourfold per
+    step), downwards to ``min_n + 0.5`` and upwards to n = 1e7, before
+    giving up.  Each n is evaluated once.
     """
     if not (0.0 < target < 1.0):
         raise DomainError(f"target power must lie in (0, 1), got {target}")
-    lo = min_n + 0.5
-    hi = max(10.0 * bracket_hint, 1e3)
-    p_lo = power_fn(lo)
-    if p_lo >= target:
-        raise BracketError(
-            f"power {p_lo:.6f} at the bracket start n={lo} already meets the target "
-            f"{target}; no admissible crossing to resolve"
-        )
-    while power_fn(hi) < target:
-        hi *= 4.0
-        if hi > _SIZE_CAP:
+    power_at = functools.cache(power_fn)
+    floor = min_n + 0.5
+    lo = max(floor, bracket_hint - 2.0)
+    hi = max(lo, bracket_hint) + 2.0
+    while (p_lo := power_at(lo)) >= target:
+        if lo == floor:
+            raise BracketError(
+                f"power {p_lo:.6f} at the bracket start n={lo} already meets the target "
+                f"{target}; no admissible crossing to resolve"
+            )
+        lo, hi = max(floor, lo - 4.0 * (hi - lo)), lo
+    while power_at(hi) < target:
+        if hi >= _SIZE_CAP:
             raise BracketError(
                 f"target power {target} not reachable below the size cap {_SIZE_CAP:.0e}"
             )
-    root = dist.find_root(lambda n: power_fn(n) - target, lo, hi, settings.size_tol, settings)
+        lo, hi = hi, min(_SIZE_CAP, hi + 4.0 * (hi - lo))
+    root = dist.find_root(lambda n: power_at(n) - target, lo, hi, settings.size_tol, settings)
     total, per_group = rounded_sizes(root, allocation, rounding)
     return SizeEstimate(
         fractional=root,

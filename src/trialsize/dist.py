@@ -8,22 +8,28 @@ Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
 tails.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
 returns NaN on part of the (f, lam, x) range the power formulas reach.
 
-:func:`integrate` remains for the conditional integrals that have no library
-form (the equivalence integral conditioned on the variance, the Welch integral
-over the variance ratio and the covariate-imbalance mixture).  Integrands
+:func:`integrate` remains for the outer conditional integrals that have no
+library form (the Welch integral over the variance ratio, the covariate-imbalance
+mixture and the outer layer of the nested equivalence integrals).  Integrands
 passed to it are evaluated on numpy arrays of abscissae and may return either
 a vector (one value per point) or a matrix (one row per point) when several
-integrals share the same weight function.
+integrals share the same weight function.  The inner equivalence integral over
+the variance scale is not adaptive: it is a fixed composite Gauss-Legendre rule
+on panels between quantiles of chi2_f / f (``equivalence._phillips_integral``),
+evaluated for a whole batch of outer abscissae at once.
+
+:func:`find_root` is ``scipy.optimize.brentq`` behind the package's errors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -49,7 +55,6 @@ class NumericSettings:
     outer_tail_mass  truncation mass for F-law outer integrals
     power_tol        tolerance of single-integral power formulas
     double_tol       total budget for nested double integrals
-    root_tol         bracket width at which find_root stops
     size_tol         resolution (in n) of sample-size inversion
     """
 
@@ -57,7 +62,6 @@ class NumericSettings:
     outer_tail_mass: float = 1e-10
     power_tol: float = 1e-8
     double_tol: float = 1e-7
-    root_tol: float = 1e-9
     size_tol: float = 1e-6
     max_root_iter: int = 200
     max_quad_levels: int = 48
@@ -130,9 +134,9 @@ def _log_f_density(u: np.ndarray, f1: float, f2: float) -> np.ndarray:
     )
 
 
-def _chi2_over_f_quantile(p: float, f: float) -> float:
-    """Quantile of chi2_f / f."""
-    return float(2.0 * special.gammaincinv(0.5 * f, p) / f)
+def _chi2_over_f_quantile(p, f: float):
+    """Quantile of chi2_f / f, elementwise in ``p``."""
+    return 2.0 * special.gammaincinv(0.5 * f, p) / f
 
 
 def _f_quantile(p: float, f1: float, f2: float) -> float:
@@ -232,46 +236,35 @@ def find_root(
     tol: float,
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """Root of ``fn`` on [lo, hi] by bisection with secant acceleration.
+    """Root of ``fn`` on [lo, hi] by Brent's method (``scipy.optimize.brentq``).
 
-    Requires a sign change over the bracket.  Alternating bisection steps
-    guarantee the bracket halves at least every other iteration, so the
-    iteration cap (default 200) is never binding for continuous functions.
-    Fully deterministic.
+    Requires a sign change over the bracket; an endpoint where ``fn`` is zero
+    is returned as is.  Each abscissa is evaluated once.  Stops when the root
+    is resolved to ``tol``; raises :class:`ConvergenceError` with the last
+    iterate attached after ``settings.max_root_iter`` iterations.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise DomainError(f"find_root: need lo < hi, got [{lo}, {hi}]")
+    fn = functools.cache(fn)
     fa, fb = float(fn(lo)), float(fn(hi))
     if fa == 0.0:
         return lo
     if fb == 0.0:
         return hi
-    if fa * fb > 0.0:
+    if not fa * fb < 0.0:
         raise BracketError(
             f"find_root: no sign change on [{lo}, {hi}] (f(lo)={fa:.6g}, f(hi)={fb:.6g})"
         )
-    a, b = lo, hi
-    for it in range(settings.max_root_iter):
-        width = b - a
-        if width <= tol:
-            return 0.5 * (a + b)
-        x = math.nan
-        if it % 2 == 0 and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-        if not (a + 1e-3 * width <= x <= b - 1e-3 * width):
-            x = a + 0.5 * width
-        fx = float(fn(x))
-        if fx == 0.0:
-            return x
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    raise ConvergenceError(
-        f"find_root: no convergence to width {tol} in {settings.max_root_iter} iterations",
-        best_estimate=0.5 * (a + b),
+    root, info = optimize.brentq(
+        fn, lo, hi, xtol=tol, maxiter=settings.max_root_iter, full_output=True, disp=False
     )
+    if not info.converged:
+        raise ConvergenceError(
+            f"find_root: no convergence to width {tol} in {settings.max_root_iter} iterations",
+            best_estimate=root,
+        )
+    return root
 
 
 def t_cdf(

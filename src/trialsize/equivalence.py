@@ -133,34 +133,40 @@ def _upper_tail(x, f: float, lam):
     return np.where(np.isinf(lam), lam > 0.0, stats.nct.sf(x, f, lam))
 
 
-def _phillips_integral(
-    a_up: float,
-    b_low: float,
-    scale: float,
-    f: float,
-    settings: NumericSettings,
-    tol: float | None = None,
-) -> float:
+# Inner panel edges of _phillips_integral as probabilities of chi2_f / f
+# (settings.tail_mass and its mirror close them), and the rule on each panel.
+_PANEL_PROBS = (
+    1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
+)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     """Core equivalence integral conditioned on the variance-scale chi-square.
 
     Integrates Phi(a_up - scale*sqrt(xi)) - Phi(b_low + scale*sqrt(xi)) over
     xi ~ chi2_f/f, restricted to the region where the integrand is positive
-    (xi below ((a_up - b_low)/(2*scale))^2).
+    (xi below ((a_up - b_low)/(2*scale))^2).  Broadcasts over ``a_up``,
+    ``b_low`` and ``scale``: an array gives one integral per entry.
+
+    The rule is fixed: 16 Gauss-Legendre nodes in log xi on each panel
+    between the quantiles of chi2_f/f at ``_PANEL_PROBS``, bounded by
+    ``settings.tail_mass`` and its mirror, with the edges clipped per entry
+    at the positivity cutoff.
     """
+    a_up, b_low, scale = (x[..., None] for x in np.broadcast_arrays(a_up, b_low, scale))
+    edges = dist._chi2_over_f_quantile(
+        np.array((settings.tail_mass, *_PANEL_PROBS, 1.0 - settings.tail_mass)), f
+    )
     cutoff = ((a_up - b_low) / (2.0 * scale)) ** 2
-    lo = dist._chi2_over_f_quantile(settings.tail_mass, f)
-    hi = min(cutoff, dist._chi2_over_f_quantile(1.0 - settings.tail_mass, f))
-    if not hi > lo:
-        return 0.0
-
-    def fn(v: np.ndarray) -> np.ndarray:
-        xi = np.exp(v)
-        root = scale * np.sqrt(xi)
-        weight = np.exp(dist._log_scaled_chi2_density(xi, f) + v)
-        return (special.ndtr(a_up - root) - special.ndtr(b_low + root)) * weight
-
-    val = dist.integrate(fn, math.log(lo), math.log(hi), tol or settings.power_tol, settings)
-    return min(1.0, max(0.0, val))
+    log_edges = np.log(np.maximum(edges[0], np.minimum(edges, cutoff)))
+    half = 0.5 * np.diff(log_edges)[..., None]
+    v = 0.5 * (log_edges[..., 1:] + log_edges[..., :-1])[..., None] + half * _GL_NODES
+    root = scale[..., None] * np.exp(0.5 * v)
+    weight = np.exp(dist._log_scaled_chi2_density(np.exp(v), f) + v)
+    inner = special.ndtr(a_up[..., None] - root) - special.ndtr(b_low[..., None] + root)
+    val = np.clip((half * inner * weight * _GL_WEIGHTS).sum(axis=(-2, -1)), 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def equiv_power_exact(
@@ -332,17 +338,6 @@ def ancova_equiv_power(
     f = n - s.q_star
     crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
 
-    def conditional_exact(vx: float) -> float:
-        se = math.sqrt(s.sigma_sq * vx)
-        return _phillips_integral(
-            (m.upper - s.tau1) / se,
-            (m.lower - s.tau1) / se,
-            crit,
-            f,
-            settings,
-            tol=settings.double_tol,
-        )
-
     if s.q == 0:
         vx0 = 1.0 / (n * s.gamma0 * s.gamma1)
         if exact:
@@ -372,7 +367,10 @@ def ancova_equiv_power(
         def fn(w: np.ndarray) -> np.ndarray:
             ups = np.exp(w)
             dens = np.exp(mixture.log_density(ups) + w)
-            inner = np.array([conditional_exact(v) for v in vx_of(ups)])
+            se = np.sqrt(s.sigma_sq * vx_of(ups))
+            inner = _phillips_integral(
+                (m.upper - s.tau1) / se, (m.lower - s.tau1) / se, crit, f, settings
+            )
             return inner * dens
 
         value = dist.integrate(fn, math.log(lo), math.log(hi), settings.double_tol, settings)
@@ -435,13 +433,7 @@ def ts_unequal_equiv_power(
         def fn(w: np.ndarray) -> np.ndarray:
             u = np.exp(w)
             dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
-            inner = np.array(
-                [
-                    _phillips_integral(a_up, b_low, h, fxi, settings, tol=settings.double_tol)
-                    for h in h_of(u)
-                ]
-            )
-            return inner * dens
+            return _phillips_integral(a_up, b_low, h_of(u), fxi, settings) * dens
 
         value = dist.integrate(fn, math.log(lo), math.log(hi), settings.double_tol, settings)
         return PowerEstimate(

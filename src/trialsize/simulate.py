@@ -827,7 +827,13 @@ def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs, alpha, objective, tau0):
             m_safe = np.where(ok[:, None, None], m_mat, np.eye(j)[None, :, :])
             inv_hist[j] = np.linalg.inv(m_safe)
 
-    u_hat = np.tile(np.eye(p), (count, 1, 1))
+    # The variance and d.f. only for the replicates the batched fit handles;
+    # the others, whose sigma_sq may be inf or NaN, go to the fallback fit.
+    sigma_sq, v_xj, m_j, tau_under, beta_hat = (
+        x[ok] for x in (sigma_sq, v_xj, m_j, tau_under, beta_hat)
+    )
+    inv_hist = [h if h is None else h[ok] for h in inv_hist]
+    u_hat = np.tile(np.eye(p), (len(m_j), 1, 1))
     for j in range(1, p):
         u_hat[:, j, :j] = -beta_hat[:, j, :j]
     l_hat = np.linalg.inv(u_hat)
@@ -836,7 +842,7 @@ def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs, alpha, objective, tau0):
 
     a = lp * sigma_sq * v_xj
     kr = np.einsum("rj,rj->r", lp**2 * sigma_sq, v_xj)
-    a_quad_sum = np.zeros(count)
+    a_quad_sum = np.zeros(len(m_j))
     for j in range(1, p):
         kr += (
             2.0
@@ -854,9 +860,9 @@ def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs, alpha, objective, tau0):
     denom = 2.0 * a_quad_sum + np.sum(lp**2 * a**2 / (m_j - qs), axis=1)
     sat = np.einsum("rj,rj->r", lp**2 * sigma_sq, v_xj) ** 2 / denom
 
-    est[ok] = tau_hat[ok]
-    se[ok] = np.sqrt(kr[ok])
-    df[ok] = sat[ok]
+    est[ok] = tau_hat
+    se[ok] = np.sqrt(kr)
+    df[ok] = sat
 
     failures = 0
     for r in np.nonzero(~ok)[0]:

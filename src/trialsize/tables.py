@@ -79,7 +79,7 @@ def _table1() -> tuple[list[str], list[dict]]:
                 power_fn = lambda n: core.power_two_sided(k, n, a).value
             else:
                 power_fn = lambda n: moser_exact_power(cfg.design, 0.0, n, a).value
-            hint = core.size_normal(k, a, p).fractional
+            hint = core.size_g2(k, a, p).fractional
             inv = core.size_invert(power_fn, p, hint, k.min_n, k.allocation, a)
             per_arm = _ceil_half(inv.fractional)
             rows.append(

@@ -124,6 +124,13 @@ class TestCli:
         values = [line.split()[1] for line in out.strip().splitlines()[1:]]
         assert values == ["125.58", "127.50", "127.53", "127.59", "127.53"]
 
+    def test_power_unequal_variance_equivalence_exits_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "power", "--design", str(fixture_path("table5_m_10")), "--n", "80"
+        )
+        assert code == 0, err
+        assert out.splitlines()[1].split() == ["exact", "58.80"]
+
     def test_power_null_emits_alpha(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BASE_TWO_SAMPLE))
         doc["design"]["mu1"] = 0.0

@@ -160,6 +160,27 @@ class TestInversion:
         )
         assert abs(core.power_two_sided(k, est.fractional, ALPHA).value - POWER) < 1e-6
 
+    def test_bracket_widens_from_far_hints(self):
+        k = equal_kernel(0.5)
+        power_fn = lambda n: core.power_two_sided(k, n, ALPHA).value
+        roots = [
+            core.size_invert(power_fn, POWER, hint, k.min_n).fractional
+            for hint in (1.0, 127.5, 5e3)
+        ]
+        assert abs(roots[1] - 127.53) < 5e-3
+        assert max(roots) - min(roots) < 1e-5
+
+    def test_g2_seed_needs_few_power_evaluations(self):
+        k = equal_kernel(0.5)
+        seen = []
+
+        def power_fn(n):
+            seen.append(n)
+            return core.power_two_sided(k, n, ALPHA).value
+
+        core.size_invert(power_fn, POWER, core.size_g2(k, ALPHA, POWER).fractional, k.min_n)
+        assert len(seen) == len(set(seen)) <= 12
+
     def test_degenerate_target_rejected(self):
         k = equal_kernel(1.0)
         with pytest.raises(BracketError):

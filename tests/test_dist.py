@@ -278,9 +278,29 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             dist.find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
+        with pytest.raises(BracketError):
+            dist.find_root(lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, 1e-9)
 
     def test_endpoint_roots(self):
         assert dist.find_root(lambda x: x, 0.0, 1.0, 1e-9) == 0.0
+        assert dist.find_root(lambda x: x - 1.0, 0.0, 1.0, 1e-9) == 1.0
+
+    def test_iteration_cap_carries_estimate(self):
+        capped = dist.NumericSettings(max_root_iter=2)
+        with pytest.raises(ConvergenceError) as err:
+            dist.find_root(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-14, capped)
+        assert 0.0 <= err.value.best_estimate <= 2.0
+
+    def test_each_abscissa_evaluated_once(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return math.exp(x) - 3.0
+
+        root = dist.find_root(fn, 0.0, 2.0, 1e-12)
+        assert abs(root - math.log(3.0)) < 1e-11
+        assert len(seen) == len(set(seen))
 
 
 class TestProperties:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from trialsize import core, designs
 from trialsize.designs import CrossoverSpec, TwoSampleSpec
+from trialsize.dist import DEFAULT_SETTINGS
 from trialsize.equivalence import (
     BE_LIMITS,
     Margins,
@@ -16,10 +18,13 @@ from trialsize.equivalence import (
     equiv_power_exact,
     equiv_size_bounds,
     equiv_size_symmetric,
+    _phillips_integral,
     ts_unequal_equiv_power,
 )
 from trialsize.ancova import AncovaSpec
+from trialsize.config import load_design
 from trialsize.errors import DomainError
+from trialsize.tables import fixture_path
 
 BE_MARGIN = math.log(1.25)
 
@@ -53,6 +58,49 @@ class TestMargins:
         assert alpha == 0.1
         assert abs(m.upper - math.log(1.25)) < 5e-5
         assert m.lower == -m.upper
+
+
+def phillips_oracle(a: float, b: float, c: float, f: float) -> float:
+    """E[max(0, Phi(a - c sqrt(xi)) - Phi(b + c sqrt(xi)))], xi ~ chi2_f / f, by
+    scipy quad over the probability p = Pr[chi2_f / f <= xi]."""
+    top = min(1.0, special.gammainc(0.5 * f, 0.5 * f * ((a - b) / (2.0 * c)) ** 2))
+
+    def h(p):
+        r = c * math.sqrt(2.0 * special.gammaincinv(0.5 * f, p) / f)
+        return special.ndtr(a - r) - special.ndtr(b + r)
+
+    points = [p for p in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9) if p < top]
+    return integrate.quad(h, 0.0, top, points=points, limit=500, epsabs=1e-13, epsrel=1e-12)[0]
+
+
+class TestPhillipsIntegral:
+    CASES = [
+        (3.0, -3.0, 1.96),
+        (5.0, -1.0, 2.5),
+        (1.0, -1.0, 1.2),
+        (8.0, -8.0, 4.0),
+        (0.3, -0.3, 1.9),
+        (math.inf, -2.0, 1.96),
+        (4.0, -math.inf, 1.7),
+    ]
+
+    @pytest.mark.parametrize("f", [0.5, 1.0, 2.0, 5.0, 30.0, 1000.0, 5000.0])
+    def test_matches_quad_oracle(self, f):
+        for a, b, c in self.CASES:
+            value = _phillips_integral(a, b, c, f, DEFAULT_SETTINGS)
+            assert abs(value - phillips_oracle(a, b, c, f)) <= 1e-9, (a, b, c, f)
+
+    def test_array_arguments_match_scalar_calls(self):
+        a_up = np.array([[2.0], [4.0], [math.inf]])
+        scales = np.array([0.5, 1.0, 1.96, 3.0, 10.0])
+        batch = _phillips_integral(a_up, -3.0, scales, 12.0, DEFAULT_SETTINGS)
+        assert batch.shape == (3, 5)
+        for i, j in np.ndindex(batch.shape):
+            single = _phillips_integral(a_up[i, 0], -3.0, scales[j], 12.0, DEFAULT_SETTINGS)
+            assert abs(batch[i, j] - single) <= 1e-15
+
+    def test_empty_positivity_region_is_zero(self):
+        assert _phillips_integral(0.5, 0.5, 1.96, 10.0, DEFAULT_SETTINGS) == 0.0
 
 
 class TestExactEquivalencePower:
@@ -244,6 +292,21 @@ class TestUnequalVarianceEquivalence:
             a = ts_unequal_equiv_power(spec, m, n, 0.05, exact=False).value
             b = designs.moser_exact_power(spec, 0.0, n, 0.05).value
             assert abs(a - b) < 1e-8
+
+    @pytest.mark.parametrize(
+        "fixture,n,expected",
+        [
+            ("table5_m_10", 73, 0.51074069),
+            ("table5_m_10", 80, 0.58801505),
+            ("table5_m_15", 66, 0.93010422),
+        ],
+    )
+    def test_exact_matches_nested_quad_oracle(self, fixture, n, expected):
+        # expected: nested scipy quad oracle.  At these sizes a noisy inner
+        # integral stalls the outer adaptive quadrature at its refinement cap.
+        cfg = load_design(fixture_path(fixture))
+        value = ts_unequal_equiv_power(cfg.design, cfg.margins, n, cfg.alpha, exact=True).value
+        assert abs(value - expected) <= DEFAULT_SETTINGS.double_tol
 
     def test_exact_one_sided_margin_matches_welch_power(self):
         spec = TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)

@@ -8,8 +8,10 @@ import pytest
 
 import trialsize as ts
 from trialsize import simulate as sim
+from trialsize.config import load_design
 from trialsize.equivalence import Margins
 from trialsize.errors import DomainError, InsufficientDataError, SimulationFailureError
+from trialsize.tables import fixture_path
 from trialsize.simulate import (
     FactorSpec,
     ScenarioSpec,
@@ -286,6 +288,12 @@ class TestCalibration:
         sc = ScenarioSpec(design=d, seed=5)
         with pytest.raises(SimulationFailureError, match="failed analysis"):
             simulate_power(sc, (4, 4), 0.05, Margins.superiority(), replicates=200)
+        # four visits at seven and six per arm: replicates short of completers
+        # have an inf or NaN sigma_sq, which the batched variance and d.f. of
+        # the others must not touch (a RuntimeWarning fails the test)
+        cfg = load_design(fixture_path("table3_cs_q3_m08"))
+        with pytest.raises(SimulationFailureError, match="failed analysis"):
+            simulate_power(cfg.scenario, (7, 6), 0.05, Margins.superiority(), replicates=300, seed=9)
 
 
 class TestScenarioValidation:
