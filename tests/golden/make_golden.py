@@ -1,8 +1,11 @@
 """Record the CLI golden file ``tests/golden/cli.txt``.
 
 The file holds the CSV output of ``reproduce-table 1..6``, of
-``size --format csv`` for every shipped fixture, and of ``power --format csv``
-at every rounded total that ``size`` printed for that fixture.  Each block
+``size --format csv`` for every shipped fixture, of ``power --format csv``
+at every rounded total that ``size`` printed for that fixture, and of
+``simulate --reps 1000 --format csv`` at the rounded total of the fixture's
+``inversion`` row (default seed), which pins the simulator's rejection and
+failure counts, fallback fits included.  Each block
 starts with a ``$ `` line giving the command (fixtures by name) and its exit
 status; ``tests/test_golden.py`` reruns every block and compares the bytes.
 
@@ -50,10 +53,13 @@ def commands():
         command = f"size --design {name} --format csv"
         code, text = run(command)
         yield command, code, text
-        totals = sorted({int(r["rounded_total"]) for r in csv.DictReader(io.StringIO(text))})
-        for total in totals:
+        rows = list(csv.DictReader(io.StringIO(text)))
+        for total in sorted({int(r["rounded_total"]) for r in rows}):
             command = f"power --design {name} --n {total} --format csv"
             yield (command, *run(command))
+        (total,) = (r["rounded_total"] for r in rows if r["method"] == "inversion")
+        command = f"simulate --design {name} --n {total} --reps 1000 --format csv"
+        yield (command, *run(command))
 
 
 def main() -> int:

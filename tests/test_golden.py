@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output against the recorded golden file.
 
 ``tests/golden/cli.txt`` holds ``reproduce-table 1..6``, ``size`` for every
-fixture and ``power`` at every rounded total that ``size`` printed; see
+fixture, ``power`` at every rounded total that ``size`` printed and
+``simulate`` at the total of the ``inversion`` row; see
 ``tests/golden/make_golden.py`` for how it is recorded.
 """
 
@@ -32,8 +33,11 @@ BLOCKS = golden_blocks()
 def test_golden_covers_every_fixture_and_table():
     commands = [c for c, _, _ in BLOCKS]
     assert sum(c.startswith("reproduce-table") for c in commands) == 6
+    names = make_golden.fixture_names()
     sized = {c.split()[2] for c in commands if c.startswith("size")}
-    assert sized == set(make_golden.fixture_names())
+    assert sized == set(names)
+    simulated = sorted(c.split()[2] for c in commands if c.startswith("simulate"))
+    assert simulated == names
 
 
 @pytest.mark.parametrize("command,code,text", BLOCKS, ids=[c for c, _, _ in BLOCKS])
