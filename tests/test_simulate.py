@@ -9,6 +9,7 @@ import pytest
 import trialsize as ts
 from trialsize import simulate as sim
 from trialsize.config import load_design
+from trialsize.designs import CrossoverSpec, OneSampleSpec
 from trialsize.equivalence import Margins
 from trialsize.errors import DomainError, InsufficientDataError, SimulationFailureError
 from trialsize.tables import fixture_path
@@ -150,6 +151,48 @@ class TestAnalyzeMmrm:
         with pytest.raises(InsufficientDataError):
             analyze_mmrm(y, g, None)
 
+    def test_pruned_fit_matches_lstsq_on_kept_columns(self):
+        # a two-level factor whose level 1 has no visit-2 completers: its
+        # indicator is all zero at visit 2, so only strict=False can fit,
+        # by dropping that column there and keeping it at visit 1
+        rng = np.random.default_rng(6)
+        n = 12
+        g = np.repeat([0.0, 1.0], 6)
+        d = np.zeros(n)
+        d[[0, 1, 6, 7]] = 1.0
+        y = rng.standard_normal((n, 2)) + np.outer(g, [0.5, 1.0])
+        y[d == 1.0, 1] = np.nan
+        with pytest.raises(DomainError, match="visit 2"):
+            analyze_mmrm(y, g, d, strict=True)
+        fit = analyze_mmrm(y, g, d, strict=False)
+
+        x1 = np.column_stack([np.ones(n), d, g])
+        th1 = np.linalg.lstsq(x1, y[:, 0], rcond=None)[0]
+        r1 = y[:, 0] - x1 @ th1
+        s1 = r1 @ r1 / (n - 3)
+        v1 = np.linalg.inv(x1.T @ x1)[-1, -1]
+        keep = d == 0.0
+        m = int(keep.sum())
+        x2 = np.column_stack([np.ones(m), g[keep]])
+        z2 = np.column_stack([x2, y[keep, 0]])
+        th2 = np.linalg.lstsq(z2, y[keep, 1], rcond=None)[0]
+        r2 = y[keep, 1] - z2 @ th2
+        s2 = r2 @ r2 / (m - 2)
+        inv_x2 = np.linalg.inv(x2.T @ x2)
+        v2 = inv_x2[-1, -1]
+        l21 = th2[2]
+        tau_hat = l21 * th1[2] + th2[1]
+        kr = l21**2 * s1 * v1 + s2 * v2 + 2.0 * s2 * (v2 - v1) / (m - 2)
+        yh = y[keep, 0:1]
+        m_mat = yh.T @ yh - (yh.T @ x2) @ inv_x2 @ (x2.T @ yh)
+        a1, a2 = l21 * s1 * v1, s2 * v2
+        a_quad = s2 * a1**2 / m_mat[0, 0]
+        denom = 2.0 * a_quad + l21**2 * a1**2 / (n - 3) + a2**2 / (m - 2)
+        sat = (l21**2 * s1 * v1 + s2 * v2) ** 2 / denom
+        assert abs(fit.tau_hat - tau_hat) < 1e-10
+        assert abs(fit.kr_variance - kr) < 1e-10
+        assert abs(fit.satterthwaite_df - sat) < 1e-10
+
     def test_estimates_recover_truth(self):
         # consistency: average last-visit effect estimate near the generating value
         rng = np.random.default_rng(5)
@@ -193,6 +236,43 @@ class TestDeterminism:
             ScenarioSpec(design=spec, seed=2), (20, 20), 0.05, Margins.superiority(), replicates=3000
         )
         assert a.rejections != b.rejections
+
+
+# (rejections, failures) recorded for engines no shipped fixture reaches: the
+# one-sample engine, both crossover analyses under a period effect, and an
+# ANCOVA whose three-level factor often leaves a level empty at 6 per arm
+# (1438 of the 5000 replicates go to the pruned fallback fit).
+ENGINE_PINS = {
+    "one_sample": (OneSampleSpec(mu=0.6, tau0=0.0, sigma_sq=1.0), {}, (15,), (2920, 0)),
+    "crossover_period_in_analysis": (
+        CrossoverSpec(0.0, 0.5, 0.6, period_effect_in_analysis=True),
+        {"period_effect": 0.3},
+        (7, 6),
+        (2823, 0),
+    ),
+    "crossover_period_ignored": (
+        CrossoverSpec(0.0, 0.5, 0.6, period_effect_in_analysis=False),
+        {"period_effect": 0.3},
+        (7, 6),
+        (2755, 0),
+    ),
+    "ancova_three_level_factor": (
+        ts.AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, q=3),
+        {
+            "baseline_effect": 0.5,
+            "factor": FactorSpec(probs=(0.6, 0.3, 0.1), effects=(0.0, 0.4, -0.4)),
+        },
+        (6, 6),
+        (1253, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("design,generator,n_per_group,counts", ENGINE_PINS.values(), ids=ENGINE_PINS)
+def test_engine_counts_pinned(design, generator, n_per_group, counts):
+    sc = ScenarioSpec(design=design, seed=11, **generator)
+    report = simulate_power(sc, n_per_group, 0.05, Margins.superiority(), replicates=5000)
+    assert (report.rejections, report.failures) == counts
 
 
 class TestBatchedMatchesScalar:
