@@ -13,14 +13,19 @@ order within a replicate is fixed per design family:
 Analyses mirror the estimators the power formulas target: pooled and Welch
 t tests, least-squares covariate adjustment, and the factored per-visit
 regressions with the small-sample variance estimate and Satterthwaite
-degrees of freedom for repeated measures.  Replicates whose design matrix is
-collinear (e.g. an empty factor level in a tiny trial) are fitted with the
-redundant covariate columns dropped, matching standard generalized-inverse
-practice; genuinely unanalyzable replicates (too few completers at a visit
-to fit its regression) are counted as recorded failures and excluded from
-the denominator.  The run aborts if failures exceed 0.1% of replicates:
-beyond that, exclusion could bias the estimate by a nontrivial fraction of
-its Monte Carlo standard error.
+degrees of freedom for repeated measures.  ``simulate_power`` runs every
+design family through one loop: a per-family engine draws and analyses a
+chunk of replicates in batch, and the loop refits, one at a time, the
+replicates the batched fit cannot handle, then applies the decision rule.
+Each analysis has one fit, ``analyze_ancova`` or ``analyze_mmrm``.  A
+replicate whose design matrix is collinear (e.g. an empty factor level in a
+tiny trial) is fitted again by the same code with the redundant covariate
+columns dropped, matching standard generalized-inverse practice; genuinely
+unanalyzable replicates (too few completers at a visit to fit its
+regression) are counted as recorded failures and excluded from the
+denominator.  The run aborts if failures exceed 0.1% of replicates: beyond
+that, exclusion could bias the estimate by a nontrivial fraction of its
+Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -104,20 +109,17 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.replicates < 0:
-            raise DomainError("replicate count must be >= 1 (or 0 for the default)")
+            raise DomainError("replicate count must be nonnegative (0 selects the family default)")
         dummies = self.factor.n_dummies if self.factor is not None else 0
-        if isinstance(self.design, AncovaSpec):
-            q_implied = (0 if self.baseline_effect is None else 1) + dummies
+        if isinstance(self.design, (AncovaSpec, MmrmDesign)):
+            mmrm = isinstance(self.design, MmrmDesign)
+            baseline = self.visit_baseline_effects if mmrm else self.baseline_effect
+            q_implied = (0 if baseline is None else 1) + dummies
             if q_implied != self.design.q:
                 raise DomainError(
                     f"generator implies q={q_implied} covariates but the design has q={self.design.q}"
                 )
         if isinstance(self.design, MmrmDesign):
-            q_implied = (0 if self.visit_baseline_effects is None else 1) + dummies
-            if q_implied != self.design.q:
-                raise DomainError(
-                    f"generator implies q={q_implied} covariates but the design has q={self.design.q}"
-                )
             p = self.design.p
             if self.visit_intercepts is not None and len(self.visit_intercepts) != p:
                 raise DomainError("visit_intercepts must have one entry per visit")
@@ -235,11 +237,15 @@ def analyze_ancova(
     if eig[0] <= _RANK_TOL * eig[-1]:
         if strict:
             raise DomainError("covariate matrix is singular (collinear columns)")
-        return _ancova_pruned(y, xm)
+        xm = xm[:, _prune_keep(xm)]
+        gram = xm.T @ xm
+        eig = np.linalg.eigvalsh(gram)
+        if eig[0] <= _RANK_TOL * eig[-1]:
+            raise DomainError("treatment effect is confounded; no analyzable fit")
     inv = np.linalg.inv(gram)
     beta = inv @ (xm.T @ y)
     resid = y - xm @ beta
-    df = n - k
+    df = n - xm.shape[1]
     sigma_sq = float(resid @ resid) / df
     return AncovaFit(
         tau_hat=float(beta[-1]),
@@ -267,30 +273,6 @@ def _prune_keep(xm: np.ndarray) -> list[int]:
     return [0] + keep_mid + [k - 1]
 
 
-def _ancova_pruned(y: np.ndarray, xm: np.ndarray) -> AncovaFit:
-    """Rank-reduced fit: drop covariate columns that are linearly redundant."""
-    n, k = xm.shape
-    keep = _prune_keep(xm)
-    sub = xm[:, keep]
-    gram = sub.T @ sub
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= _RANK_TOL * eig[-1]:
-        raise DomainError("treatment effect is confounded; no analyzable fit")
-    inv = np.linalg.inv(gram)
-    beta = inv @ (sub.T @ y)
-    resid = y - sub @ beta
-    df = n - len(keep)
-    if df <= 0:
-        raise InsufficientDataError("no residual degrees of freedom after pruning")
-    sigma_sq = float(resid @ resid) / df
-    return AncovaFit(
-        tau_hat=float(beta[-1]),
-        sigma_hat_sq=sigma_sq,
-        v_x=float(inv[-1, -1]),
-        df=float(df),
-    )
-
-
 def analyze_mmrm(
     y: np.ndarray,
     treatment: np.ndarray,
@@ -302,7 +284,11 @@ def analyze_mmrm(
     ``y`` is (n, p) with NaN marking missed visits; the missingness pattern
     must be monotone (once missing, missing at all later visits).  Returns
     the last-visit treatment effect, its small-sample variance estimate and
-    Satterthwaite degrees of freedom.
+    Satterthwaite degrees of freedom.  ``strict=True`` raises on a singular
+    visit regression; with ``strict=False`` the fit is redone from the first
+    visit with each visit's redundant covariate columns dropped (used for
+    rare replicates where a factor level is empty among the subjects
+    retained at some visit), and parameter counts follow the per-visit ranks.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -319,12 +305,21 @@ def analyze_mmrm(
         xpart = np.column_stack([np.ones(n), x, g])
     else:
         xpart = np.column_stack([np.ones(n), g])
-    qs = xpart.shape[1]
+    return _fit_mmrm(y, xpart, observed, strict, prune=False)
 
+
+def _fit_mmrm(
+    y: np.ndarray, xpart: np.ndarray, observed: np.ndarray, strict: bool, prune: bool
+) -> MmrmFit:
+    """The per-visit regressions on each visit's kept covariate columns: all
+    of ``xpart``, or with ``prune`` the columns ``_prune_keep`` retains among
+    that visit's subjects."""
+    p = y.shape[1]
     theta: list[np.ndarray] = []
     sigma_sq = np.zeros(p)
     v_xj = np.zeros(p)
     m_j = np.zeros(p)
+    rank_x = np.zeros(p, dtype=int)
     beta_hat = np.zeros((p, p))
     inv_gram_hist = []
 
@@ -332,26 +327,31 @@ def analyze_mmrm(
         mask = observed[:, j]
         m = int(mask.sum())
         m_j[j] = m
-        k_j = qs + j
-        if m <= k_j:
+        x_only = xpart[mask]
+        if prune:
+            x_only = x_only[:, _prune_keep(x_only)]
+        r = x_only.shape[1]
+        rank_x[j] = r
+        if m <= r + j:
             raise InsufficientDataError(
-                f"visit {j + 1}: {m} retained subjects cannot support {k_j} parameters"
+                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
             )
-        z = np.column_stack([xpart[mask], y[mask, :j]]) if j else xpart[mask]
+        z = np.column_stack([x_only, y[mask, :j]]) if j else x_only
         yy = y[mask, j]
         gram = z.T @ z
         eig = np.linalg.eigvalsh(gram)
         if eig[0] <= _RANK_TOL * eig[-1]:
+            if prune:
+                raise DomainError(f"visit {j + 1}: design matrix not analyzable")
             if strict:
                 raise DomainError(f"visit {j + 1}: singular design matrix")
-            return _mmrm_pruned(y, xpart, observed)
+            return _fit_mmrm(y, xpart, observed, strict, prune=True)
         inv = np.linalg.inv(gram)
         th = inv @ (z.T @ yy)
         resid = yy - z @ th
-        sigma_sq[j] = float(resid @ resid) / (m - qs)
+        sigma_sq[j] = float(resid @ resid) / (m - r)
         theta.append(th)
-        beta_hat[j, :j] = th[k_j - j :] if j else []
-        x_only = xpart[mask]
+        beta_hat[j, :j] = th[r:] if j else []
         gram_x = x_only.T @ x_only
         inv_x = np.linalg.inv(gram_x)
         v_xj[j] = float(inv_x[-1, -1])
@@ -367,96 +367,10 @@ def analyze_mmrm(
         u_hat[j, :j] = -beta_hat[j, :j]
     l_hat = np.linalg.inv(u_hat)
     lp = l_hat[-1, :]
-    tau_under = np.array([theta[j][qs - 1] for j in range(p)])
-    tau_hat = float(np.dot(lp, tau_under))
-
-    a = lp * sigma_sq * v_xj
-    kr = float(np.dot(lp**2 * sigma_sq, v_xj))
-    for j in range(1, p):
-        kr += 2.0 * lp[j] ** 2 * sigma_sq[j] * float(np.sum(v_xj[j] - v_xj[:j])) / (
-            m_j[j] - qs
-        )
-    a_quad = np.zeros(p)
-    for j in range(1, p):
-        av = l_hat[:j, :j] @ a[:j]
-        a_quad[j] = lp[j] ** 2 * sigma_sq[j] * float(av @ inv_gram_hist[j] @ av)
-    denom = 2.0 * a_quad.sum() + float(np.sum(lp**2 * a**2 / (m_j - qs)))
-    sat_df = float(np.dot(lp**2 * sigma_sq, v_xj)) ** 2 / denom
-
-    return MmrmFit(
-        theta=tuple(theta),
-        sigma_hat_sq=sigma_sq,
-        l_hat=l_hat,
-        tau_hat=tau_hat,
-        kr_variance=kr,
-        satterthwaite_df=sat_df,
-        v_xj=v_xj,
-        m_j=m_j,
-        a_j=a,
-        a_quad=a_quad,
-    )
-
-
-def _mmrm_pruned(y: np.ndarray, xpart: np.ndarray, observed: np.ndarray) -> MmrmFit:
-    """Fallback fit with per-visit pruning of collinear covariate columns.
-
-    Used for rare replicates where a factor level is empty among the
-    subjects retained at some visit.  Effective parameter counts follow the
-    per-visit ranks.
-    """
-    n, p = y.shape
-    theta: list[np.ndarray] = []
-    sigma_sq = np.zeros(p)
-    v_xj = np.zeros(p)
-    m_j = np.zeros(p)
-    rank_x = np.zeros(p, dtype=int)
-    beta_hat = np.zeros((p, p))
-    inv_gram_hist = []
-    k_full = xpart.shape[1]
-
-    for j in range(p):
-        mask = observed[:, j]
-        m = int(mask.sum())
-        m_j[j] = m
-        x_only = xpart[mask]
-        keep = _prune_keep(x_only)
-        x_red = x_only[:, keep]
-        r = len(keep)
-        rank_x[j] = r
-        if m <= r + j:
-            raise InsufficientDataError(
-                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
-            )
-        z = np.column_stack([x_red, y[mask, :j]]) if j else x_red
-        gram = z.T @ z
-        eig = np.linalg.eigvalsh(gram)
-        if eig[0] <= _RANK_TOL * eig[-1]:
-            raise DomainError(f"visit {j + 1}: design matrix not analyzable")
-        inv = np.linalg.inv(gram)
-        yy = y[mask, j]
-        th = inv @ (z.T @ yy)
-        resid = yy - z @ th
-        sigma_sq[j] = float(resid @ resid) / (m - r)
-        theta.append(th)
-        beta_hat[j, :j] = th[r:] if j else []
-        gram_x = x_red.T @ x_red
-        inv_x = np.linalg.inv(gram_x)
-        v_xj[j] = float(inv_x[-1, -1])
-        if j:
-            yhist = y[mask, :j]
-            m_mat = yhist.T @ yhist - (yhist.T @ x_red) @ inv_x @ (x_red.T @ yhist)
-            inv_gram_hist.append(np.linalg.inv(m_mat))
-        else:
-            inv_gram_hist.append(None)
-
-    u_hat = np.eye(p)
-    for j in range(1, p):
-        u_hat[j, :j] = -beta_hat[j, :j]
-    l_hat = np.linalg.inv(u_hat)
-    lp = l_hat[-1, :]
     # treatment coefficient sits last in the retained covariate block
     tau_under = np.array([theta[j][rank_x[j] - 1] for j in range(p)])
     tau_hat = float(np.dot(lp, tau_under))
+
     a = lp * sigma_sq * v_xj
     kr = float(np.dot(lp**2 * sigma_sq, v_xj))
     for j in range(1, p):
@@ -469,6 +383,7 @@ def _mmrm_pruned(y: np.ndarray, xpart: np.ndarray, observed: np.ndarray) -> Mmrm
         a_quad[j] = lp[j] ** 2 * sigma_sq[j] * float(av @ inv_gram_hist[j] @ av)
     denom = 2.0 * a_quad.sum() + float(np.sum(lp**2 * a**2 / (m_j - rank_x)))
     sat_df = float(np.dot(lp**2 * sigma_sq, v_xj)) ** 2 / denom
+
     return MmrmFit(
         theta=tuple(theta),
         sigma_hat_sq=sigma_sq,
@@ -513,84 +428,58 @@ def _covariate_columns(
     return cols, xb, fac_eff
 
 
-def _simulate_one_sample(
-    design: OneSampleSpec,
-    n_per_group,
-    alpha: float,
-    objective: Margins,
-    tau0: float,
-    replicates: int,
-    seed: int,
-):
+# Each engine draws and analyses one chunk of replicates, ``start`` onward and
+# at most up to ``stop``, and returns (est, se, df, refits): refits lists
+# (replicate, fallback fit, its arguments) for replicates the batched fit
+# could not handle.
+
+
+def _simulate_one_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
+    design = sc.design
     n = int(n_per_group[0])
     if n < 2:
         raise DomainError("need at least two subjects")
     sd = math.sqrt(design.sigma_sq)
-    rejections = 0
-    done = 0
-    while done < replicates:
-        count = min(_CHUNK, replicates - done)
-        y = np.empty((count, n))
-        for r in range(count):
-            y[r] = design.mu + sd * _substream(seed, done + r).standard_normal(n)
-        est = y.mean(axis=1)
-        se = np.sqrt(y.var(axis=1, ddof=1) / n)
-        df = np.full(count, float(n - 1))
-        rejections += int(_decide(est, se, df, alpha, objective, tau0).sum())
-        done += count
-    return rejections, 0
+    count = min(_CHUNK, stop - start)
+    y = np.empty((count, n))
+    for r in range(count):
+        y[r] = design.mu + sd * _substream(seed, start + r).standard_normal(n)
+    est = y.mean(axis=1)
+    se = np.sqrt(y.var(axis=1, ddof=1) / n)
+    df = np.full(count, float(n - 1))
+    return est, se, df, []
 
 
-def _simulate_two_sample(
-    design: TwoSampleSpec,
-    n_per_group,
-    alpha: float,
-    objective: Margins,
-    tau0: float,
-    replicates: int,
-    seed: int,
-):
+def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
+    design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
     if min(n0, n1) < 2:
         raise DomainError("need at least two subjects per group")
     sd0, sd1 = math.sqrt(design.sigma0_sq), math.sqrt(design.sigma1_sq)
-    rejections = 0
-    done = 0
-    while done < replicates:
-        count = min(_CHUNK, replicates - done)
-        y0 = np.empty((count, n0))
-        y1 = np.empty((count, n1))
-        for r in range(count):
-            z = _substream(seed, done + r).standard_normal(n0 + n1)
-            y0[r] = design.mu0 + sd0 * z[:n0]
-            y1[r] = design.mu1 + sd1 * z[n0:]
-        m0, m1 = y0.mean(axis=1), y1.mean(axis=1)
-        v0 = y0.var(axis=1, ddof=1)
-        v1 = y1.var(axis=1, ddof=1)
-        est = m1 - m0
-        if design.equal_variance:
-            pooled = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
-            se = np.sqrt(pooled * (1.0 / n0 + 1.0 / n1))
-            df = np.full(count, float(n0 + n1 - 2))
-        else:
-            a0, a1 = v0 / n0, v1 / n1
-            se = np.sqrt(a0 + a1)
-            df = (a0 + a1) ** 2 / (a0**2 / (n0 - 1) + a1**2 / (n1 - 1))
-        rejections += int(_decide(est, se, df, alpha, objective, tau0).sum())
-        done += count
-    return rejections, 0
+    count = min(_CHUNK, stop - start)
+    y0 = np.empty((count, n0))
+    y1 = np.empty((count, n1))
+    for r in range(count):
+        z = _substream(seed, start + r).standard_normal(n0 + n1)
+        y0[r] = design.mu0 + sd0 * z[:n0]
+        y1[r] = design.mu1 + sd1 * z[n0:]
+    m0, m1 = y0.mean(axis=1), y1.mean(axis=1)
+    v0 = y0.var(axis=1, ddof=1)
+    v1 = y1.var(axis=1, ddof=1)
+    est = m1 - m0
+    if design.equal_variance:
+        pooled = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
+        se = np.sqrt(pooled * (1.0 / n0 + 1.0 / n1))
+        df = np.full(count, float(n0 + n1 - 2))
+    else:
+        a0, a1 = v0 / n0, v1 / n1
+        se = np.sqrt(a0 + a1)
+        df = (a0 + a1) ** 2 / (a0**2 / (n0 - 1) + a1**2 / (n1 - 1))
+    return est, se, df, []
 
 
-def _simulate_crossover(
-    design: CrossoverSpec,
-    sc: ScenarioSpec,
-    n_per_group,
-    alpha: float,
-    objective: Margins,
-    tau0: float,
-    replicates: int,
-    seed: int,
-):
+def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
+    design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
     n = n0 + n1
     if min(n0, n1) < 2:
@@ -598,42 +487,41 @@ def _simulate_crossover(
     effect = design.mu_star_b - design.mu_star_a
     sd = math.sqrt(design.sigma_d_sq)
     delta = sc.period_effect
-    rejections = 0
-    done = 0
-    while done < replicates:
-        count = min(_CHUNK, replicates - done)
-        d0 = np.empty((count, n0))
-        d1 = np.empty((count, n1))
-        for r in range(count):
-            z = _substream(seed, done + r).standard_normal(n)
-            d0[r] = (effect + delta) + sd * z[:n0]
-            d1[r] = (effect - delta) + sd * z[n0:]
-        if design.period_effect_in_analysis:
-            est = 0.5 * (d0.mean(axis=1) + d1.mean(axis=1))
-            ss = d0.var(axis=1, ddof=1) * (n0 - 1) + d1.var(axis=1, ddof=1) * (n1 - 1)
-            sig_d = ss / (n - 2)
-            se = np.sqrt(n * sig_d / (4.0 * n0 * n1))
-            df = np.full(count, float(n - 2))
-        else:
-            allv = np.concatenate([d0, d1], axis=1)
-            est = allv.mean(axis=1)
-            se = np.sqrt(allv.var(axis=1, ddof=1) / n)
-            df = np.full(count, float(n - 1))
-        rejections += int(_decide(est, se, df, alpha, objective, tau0).sum())
-        done += count
-    return rejections, 0
+    count = min(_CHUNK, stop - start)
+    d0 = np.empty((count, n0))
+    d1 = np.empty((count, n1))
+    for r in range(count):
+        z = _substream(seed, start + r).standard_normal(n)
+        d0[r] = (effect + delta) + sd * z[:n0]
+        d1[r] = (effect - delta) + sd * z[n0:]
+    if design.period_effect_in_analysis:
+        est = 0.5 * (d0.mean(axis=1) + d1.mean(axis=1))
+        ss = d0.var(axis=1, ddof=1) * (n0 - 1) + d1.var(axis=1, ddof=1) * (n1 - 1)
+        sig_d = ss / (n - 2)
+        se = np.sqrt(n * sig_d / (4.0 * n0 * n1))
+        df = np.full(count, float(n - 2))
+    else:
+        allv = np.concatenate([d0, d1], axis=1)
+        est = allv.mean(axis=1)
+        se = np.sqrt(allv.var(axis=1, ddof=1) / n)
+        df = np.full(count, float(n - 1))
+    return est, se, df, []
 
 
-def _simulate_ancova(
-    design: AncovaSpec,
-    sc: ScenarioSpec,
-    n_per_group,
-    alpha: float,
-    objective: Margins,
-    tau0: float,
-    replicates: int,
-    seed: int,
-):
+def _ancova_test(y, g, x):
+    """Estimate, standard error and d.f. of one replicate's fallback fit."""
+    fit = analyze_ancova(y, g, x, strict=False)
+    return fit.tau_hat, math.sqrt(fit.sigma_hat_sq * fit.v_x), fit.df
+
+
+def _mmrm_test(y, g, x):
+    """Estimate, standard error and d.f. of one replicate's fallback fit."""
+    fit = analyze_mmrm(y, g, x, strict=False)
+    return fit.tau_hat, math.sqrt(fit.kr_variance), fit.satterthwaite_df
+
+
+def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
+    design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
     n = n0 + n1
     k = design.q + 2
@@ -642,67 +530,44 @@ def _simulate_ancova(
     g = np.concatenate([np.zeros(n0), np.ones(n1)])
     sd = math.sqrt(design.sigma_sq)
     tau_gen = design.tau1
-    rejections = 0
-    failures = 0
-    done = 0
-    while done < replicates:
-        count = min(_CHUNK, replicates - done)
-        xmat = np.empty((count, n, k))
-        yall = np.empty((count, n))
-        xmat[:, :, 0] = 1.0
-        xmat[:, :, -1] = g
-        for r in range(count):
-            rng = _substream(seed, done + r)
-            cols, xb, fac_eff = _covariate_columns(
-                sc, rng, n, sc.baseline_effect is not None
-            )
-            eps = rng.standard_normal(n)
-            for c, col in enumerate(cols):
-                xmat[r, :, 1 + c] = col
-            mean = sc.intercept + fac_eff + tau_gen * g
-            if xb is not None:
-                mean = mean + sc.baseline_effect * xb
-            yall[r] = mean + sd * eps
-        gram = np.einsum("rik,ril->rkl", xmat, xmat)
-        eig = np.linalg.eigvalsh(gram)
-        ok = eig[:, 0] > _RANK_TOL * eig[:, -1]
-        est = np.empty(count)
-        se = np.empty(count)
-        df = np.empty(count)
-        if ok.any():
-            inv = np.linalg.inv(gram[ok])
-            xty = np.einsum("rik,ri->rk", xmat[ok], yall[ok])
-            beta = np.einsum("rkl,rl->rk", inv, xty)
-            resid = yall[ok] - np.einsum("rik,rk->ri", xmat[ok], beta)
-            sig = np.einsum("ri,ri->r", resid, resid) / (n - k)
-            est[ok] = beta[:, -1]
-            se[ok] = np.sqrt(sig * inv[:, -1, -1])
-            df[ok] = float(n - k)
-        for r in np.nonzero(~ok)[0]:
-            try:
-                fit = analyze_ancova(yall[r], g, xmat[r, :, 1:-1], strict=False)
-                est[r], se[r] = fit.tau_hat, math.sqrt(fit.sigma_hat_sq * fit.v_x)
-                df[r] = fit.df
-            except (DomainError, InsufficientDataError):
-                est[r], se[r], df[r] = np.nan, 1.0, 10.0
-                failures += 1
-        dec = _decide(est, se, df, alpha, objective, tau0)
-        dec[np.isnan(est)] = False
-        rejections += int(dec.sum())
-        done += count
-    return rejections, failures
+    count = min(_CHUNK, stop - start)
+    xmat = np.empty((count, n, k))
+    yall = np.empty((count, n))
+    xmat[:, :, 0] = 1.0
+    xmat[:, :, -1] = g
+    for r in range(count):
+        rng = _substream(seed, start + r)
+        cols, xb, fac_eff = _covariate_columns(
+            sc, rng, n, sc.baseline_effect is not None
+        )
+        eps = rng.standard_normal(n)
+        for c, col in enumerate(cols):
+            xmat[r, :, 1 + c] = col
+        mean = sc.intercept + fac_eff + tau_gen * g
+        if xb is not None:
+            mean = mean + sc.baseline_effect * xb
+        yall[r] = mean + sd * eps
+    gram = np.einsum("rik,ril->rkl", xmat, xmat)
+    eig = np.linalg.eigvalsh(gram)
+    ok = eig[:, 0] > _RANK_TOL * eig[:, -1]
+    est = np.empty(count)
+    se = np.empty(count)
+    df = np.empty(count)
+    if ok.any():
+        inv = np.linalg.inv(gram[ok])
+        xty = np.einsum("rik,ri->rk", xmat[ok], yall[ok])
+        beta = np.einsum("rkl,rl->rk", inv, xty)
+        resid = yall[ok] - np.einsum("rik,rk->ri", xmat[ok], beta)
+        sig = np.einsum("ri,ri->r", resid, resid) / (n - k)
+        est[ok] = beta[:, -1]
+        se[ok] = np.sqrt(sig * inv[:, -1, -1])
+        df[ok] = float(n - k)
+    refits = [(r, _ancova_test, (yall[r], g, xmat[r, :, 1:-1])) for r in np.nonzero(~ok)[0]]
+    return est, se, df, refits
 
 
-def _simulate_mmrm(
-    design: MmrmDesign,
-    sc: ScenarioSpec,
-    n_per_group,
-    alpha: float,
-    objective: Margins,
-    tau0: float,
-    replicates: int,
-    seed: int,
-):
+def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
+    design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
     n = n0 + n1
     p = design.p
@@ -735,40 +600,38 @@ def _simulate_mmrm(
     chunk = max(128, min(2048, int(1e6 / (n * p))))
     has_baseline = sc.visit_baseline_effects is not None
     visit_idx = np.arange(1, p + 1)
-    rejections = 0
-    failures = 0
-    done = 0
-    while done < replicates:
-        count = min(chunk, replicates - done)
-        yall = np.empty((count, n, p))
-        xcov = np.empty((count, n, qs - 2)) if qs > 2 else None
-        wobs = np.empty((count, n, p))
-        for r in range(count):
-            rng = _substream(seed, done + r)
-            cols, xb, fac_eff = _covariate_columns(sc, rng, n, has_baseline)
-            u = rng.random(n)
-            z = rng.standard_normal((n, p))
-            last = np.empty(n, dtype=np.int64)
-            last[:n0] = np.searchsorted(cum0, u[:n0], side="right")
-            last[n0:] = np.searchsorted(cum1, u[n0:], side="right")
-            mean = vis_int[None, :] + fac_eff[:, None] + np.outer(g, vis_tau)
-            if xb is not None:
-                mean = mean + np.outer(xb, vis_bl)
-            yall[r] = mean + z @ chol.T
-            wobs[r] = (visit_idx[None, :] <= last[:, None]).astype(float)
-            if xcov is not None:
-                for c, col in enumerate(cols):
-                    xcov[r, :, c] = col
-        rej, fail = _analyze_mmrm_chunk(
-            yall, wobs, xcov, g, qs, alpha, objective, tau0
-        )
-        rejections += rej
-        failures += fail
-        done += count
-    return rejections, failures
+    count = min(chunk, stop - start)
+    yall = np.empty((count, n, p))
+    xcov = np.empty((count, n, qs - 2)) if qs > 2 else None
+    wobs = np.empty((count, n, p))
+    for r in range(count):
+        rng = _substream(seed, start + r)
+        cols, xb, fac_eff = _covariate_columns(sc, rng, n, has_baseline)
+        u = rng.random(n)
+        z = rng.standard_normal((n, p))
+        last = np.empty(n, dtype=np.int64)
+        last[:n0] = np.searchsorted(cum0, u[:n0], side="right")
+        last[n0:] = np.searchsorted(cum1, u[n0:], side="right")
+        mean = vis_int[None, :] + fac_eff[:, None] + np.outer(g, vis_tau)
+        if xb is not None:
+            mean = mean + np.outer(xb, vis_bl)
+        yall[r] = mean + z @ chol.T
+        wobs[r] = (visit_idx[None, :] <= last[:, None]).astype(float)
+        if xcov is not None:
+            for c, col in enumerate(cols):
+                xcov[r, :, c] = col
+    est, se, df, ok = _analyze_mmrm_chunk(yall, wobs, xcov, g, qs)
+    refits = [
+        (r, _mmrm_test, (np.where(wobs[r] > 0, yall[r], np.nan), g, None if xcov is None else xcov[r]))
+        for r in np.nonzero(~ok)[0]
+    ]
+    return est, se, df, refits
 
 
-def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs, alpha, objective, tau0):
+def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs):
+    """Batched factored regressions of one chunk: (est, se, df, ok), where
+    ``ok`` marks the replicates this fit handles; the others need the
+    fallback fit and their est, se and df are unset."""
     count, n, p = yall.shape
     xpart = np.empty((count, n, qs))
     xpart[:, :, 0] = 1.0
@@ -864,20 +727,7 @@ def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs, alpha, objective, tau0):
     se[ok] = np.sqrt(kr)
     df[ok] = sat
 
-    failures = 0
-    for r in np.nonzero(~ok)[0]:
-        yr = np.where(wobs[r] > 0, yall[r], np.nan)
-        try:
-            fit = analyze_mmrm(yr, g, xcov[r] if xcov is not None else None, strict=False)
-            est[r] = fit.tau_hat
-            se[r] = math.sqrt(fit.kr_variance)
-            df[r] = fit.satterthwaite_df
-        except (DomainError, InsufficientDataError, np.linalg.LinAlgError):
-            est[r], se[r], df[r] = np.nan, 1.0, 10.0
-            failures += 1
-    dec = _decide(est, se, df, alpha, objective, tau0)
-    dec[np.isnan(est)] = False
-    return int(dec.sum()), failures
+    return est, se, df, ok
 
 
 def simulate_power(
@@ -905,28 +755,30 @@ def simulate_power(
 
     start = time.perf_counter()
     design = sc.design
-    if isinstance(design, OneSampleSpec):
-        rej, fail = _simulate_one_sample(
-            design, n_per_group, alpha, objective, tau0, reps, rng_seed
-        )
-    elif isinstance(design, TwoSampleSpec):
-        rej, fail = _simulate_two_sample(
-            design, n_per_group, alpha, objective, tau0, reps, rng_seed
-        )
-    elif isinstance(design, CrossoverSpec):
-        rej, fail = _simulate_crossover(
-            design, sc, n_per_group, alpha, objective, tau0, reps, rng_seed
-        )
-    elif isinstance(design, AncovaSpec):
-        rej, fail = _simulate_ancova(
-            design, sc, n_per_group, alpha, objective, tau0, reps, rng_seed
-        )
-    elif isinstance(design, MmrmDesign):
-        rej, fail = _simulate_mmrm(
-            design, sc, n_per_group, alpha, objective, tau0, reps, rng_seed
-        )
-    else:
+    # built per call, so that a wrapper set on a module attribute (a profiler,
+    # say) sees every chunk
+    engine = {
+        OneSampleSpec: _simulate_one_sample,
+        TwoSampleSpec: _simulate_two_sample,
+        CrossoverSpec: _simulate_crossover,
+        AncovaSpec: _simulate_ancova,
+        MmrmDesign: _simulate_mmrm,
+    }.get(type(design))
+    if engine is None:
         raise DomainError(f"unsupported design type {type(design).__name__}")
+    rej = fail = done = 0
+    while done < reps:
+        est, se, df, refits = engine(sc, n_per_group, rng_seed, done, reps)
+        for r, refit, args in refits:
+            try:
+                est[r], se[r], df[r] = refit(*args)
+            except (DomainError, InsufficientDataError, np.linalg.LinAlgError):
+                est[r], se[r], df[r] = np.nan, 1.0, 10.0
+                fail += 1
+        dec = _decide(est, se, df, alpha, objective, tau0)
+        dec[np.isnan(est)] = False
+        rej += int(dec.sum())
+        done += est.size
     elapsed = time.perf_counter() - start
 
     if fail > _FAILURE_CAP * reps:

@@ -316,20 +316,14 @@ class TestBatchedMatchesScalar:
             yall[r] = mean + z @ chol.T
             wobs[r] = (np.arange(1, 5)[None, :] <= last[:, None]).astype(float)
             xcov[r, :, 0] = xb
-        rej, fails = sim._analyze_mmrm_chunk(
-            yall, wobs, xcov, g, 3, 0.05, Margins.superiority(), 0.0
-        )
-        assert fails == 0
-        # scalar reference decisions
-        from scipy.special import stdtrit
-
-        rej_ref = 0
+        est, se, df, ok = sim._analyze_mmrm_chunk(yall, wobs, xcov, g, 3)
+        assert ok.all()
         for r in range(count):
             yr = np.where(wobs[r] > 0, yall[r], np.nan)
             fit = analyze_mmrm(yr, g, xcov[r])
-            crit = stdtrit(fit.satterthwaite_df, 0.975)
-            rej_ref += int(abs(fit.tau_hat) / math.sqrt(fit.kr_variance) > crit)
-        assert rej == rej_ref
+            assert est[r] == pytest.approx(fit.tau_hat, rel=1e-9)
+            assert se[r] == pytest.approx(math.sqrt(fit.kr_variance), rel=1e-9)
+            assert df[r] == pytest.approx(fit.satterthwaite_df, rel=1e-9)
 
 
 class TestCalibration:
@@ -377,10 +371,25 @@ class TestCalibration:
 
 
 class TestScenarioValidation:
-    def test_covariate_count_mismatch(self):
-        a = ts.AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
-        with pytest.raises(DomainError, match="q=2"):
-            ScenarioSpec(design=a, baseline_effect=0.5)
+    @pytest.mark.parametrize(
+        "design,generator",
+        [
+            (ts.AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2), {"baseline_effect": 0.5}),
+            (
+                ts.MmrmDesign(sigma=UN, retention=RET, gamma0=0.5, q=2, tau_p1=-4.0),
+                {"visit_baseline_effects": (0.7, 0.7, 0.6, 0.7)},
+            ),
+        ],
+        ids=["ancova", "mmrm"],
+    )
+    def test_covariate_count_mismatch(self, design, generator):
+        with pytest.raises(DomainError, match="implies q=1 covariates but the design has q=2"):
+            ScenarioSpec(design=design, **generator)
+
+    def test_negative_replicates(self):
+        spec = ts.TwoSampleSpec(0.0, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError, match="nonnegative.*0 selects the family default"):
+            ScenarioSpec(design=spec, replicates=-1)
 
     def test_factor_probabilities(self):
         with pytest.raises(DomainError):
