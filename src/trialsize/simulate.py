@@ -621,10 +621,10 @@ def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: i
             for c, col in enumerate(cols):
                 xcov[r, :, c] = col
     est, se, df, ok = _analyze_mmrm_chunk(yall, wobs, xcov, g, qs)
-    refits = [
-        (r, _mmrm_test, (np.where(wobs[r] > 0, yall[r], np.nan), g, None if xcov is None else xcov[r]))
-        for r in np.nonzero(~ok)[0]
-    ]
+    refits = []
+    for r in np.nonzero(~ok)[0]:
+        yr = np.where(wobs[r] > 0, yall[r], np.nan)
+        refits.append((r, _mmrm_test, (yr, g, None if xcov is None else xcov[r])))
     return est, se, df, refits
 
 
