@@ -19,6 +19,10 @@ on panels between quantiles of chi2_f / f (``equivalence._phillips_integral``),
 evaluated for a whole batch of outer abscissae at once.
 
 :func:`find_root` is ``scipy.optimize.brentq`` behind the package's errors.
+
+:func:`t_quantile`, :func:`t_cdf` and ``_f_sf`` broadcast over numpy arrays
+in every argument (one scipy call for the whole array, whose per-call
+overhead dwarfs the per-element cost) and return a float for scalar input.
 """
 
 from __future__ import annotations
@@ -71,18 +75,40 @@ class NumericSettings:
 DEFAULT_SETTINGS = NumericSettings()
 
 
-def _check_df(f: float, name: str = "df") -> float:
+def _check_df(f, name: str = "df"):
+    """``f`` as a float (or a float array) after checking every entry is a
+    positive finite real."""
+    if not isinstance(f, (float, int)):
+        f = np.asarray(f, dtype=float)
+        bad = ~(np.isfinite(f) & (f > 0.0))
+        if bad.any():
+            f = f[bad].flat[0]
+        elif f.ndim:
+            return f
     f = float(f)
     if not math.isfinite(f) or f <= 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {f!r}")
     return f
 
 
-def _check_prob_open(p: float, name: str = "p") -> float:
+def _check_prob_open(p, name: str = "p"):
+    """``p`` as a float (or a float array) after checking every entry lies in (0, 1)."""
+    if not isinstance(p, (float, int)):
+        p = np.asarray(p, dtype=float)
+        bad = ~((p > 0.0) & (p < 1.0))
+        if bad.any():
+            p = p[bad].flat[0]
+        elif p.ndim:
+            return p
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"{name} must lie strictly in (0, 1), got {p!r}")
     return p
+
+
+def _scalar_or_array(x):
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
 
 
 def normal_cdf(x: float) -> float:
@@ -268,42 +294,47 @@ def find_root(
 
 
 def t_cdf(
-    x: float,
-    f: float,
-    lam: float = 0.0,
+    x,
+    f,
+    lam=0.0,
     settings: NumericSettings = DEFAULT_SETTINGS,
-) -> float:
+):
     """CDF of the t distribution with ``f`` d.f. and noncentrality ``lam``.
 
     ``f`` may be fractional.  Computed as the reflected upper tail
     Pr[t(f, -lam) > -x], which keeps the precision of small lower tails;
-    non-finite ``x`` gives the limits 0 and 1.
+    non-finite ``x`` gives the limits 0 and 1.  Broadcasts over ``x``, ``f``
+    and ``lam``; scalar arguments give a float.
     """
     f = _check_df(f)
-    lam = float(lam)
-    if not math.isfinite(lam):
+    if not np.isfinite(lam).all():
         raise DomainError("t_cdf: noncentrality must be finite")
-    x = float(x)
-    if math.isnan(x):
+    if np.isnan(x).any():
         raise DomainError("t_cdf: x must not be NaN")
-    return float(stats.nct.sf(-x, f, -lam))
+    return _scalar_or_array(stats.nct.sf(np.negative(x), f, np.negative(lam)))
 
 
-def t_quantile(
-    p: float, f: float, settings: NumericSettings = DEFAULT_SETTINGS
-) -> float:
-    """Quantile of the central t(f) distribution; fractional ``f`` supported."""
+def t_quantile(p, f, settings: NumericSettings = DEFAULT_SETTINGS):
+    """Quantile of the central t(f) distribution; fractional ``f`` supported.
+
+    Broadcasts over ``p`` and ``f``; scalar arguments give a float.
+    """
     p = _check_prob_open(p)
     f = _check_df(f)
-    return float(special.stdtrit(f, p))
+    return _scalar_or_array(special.stdtrit(f, p))
 
 
-def _f_sf(x: float, f: float, lam_sq):
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _f_sf(x, f, lam_sq):
     """Upper tail Pr[F(1, f, lam_sq) > x] = Pr[|t(f, lam)| > sqrt(x)], lam^2 = lam_sq.
 
-    The power of the two-sided t test at critical value sqrt(x).  Vectorised
-    over ``lam_sq``: an array gives one tail per entry.
+    The power of the two-sided t test at critical value sqrt(x).  Broadcasts
+    over ``x``, ``f`` and ``lam_sq`` with one ``nct.sf`` call; scalar
+    arguments give a float.
     """
-    lam = np.sqrt(lam_sq)
-    tails = stats.nct.sf(math.sqrt(x), f, np.multiply.outer((1.0, -1.0), lam)).sum(axis=0)
-    return float(tails) if tails.ndim == 0 else tails
+    # the two tails, lam and -lam, on a trailing axis
+    lam = np.sqrt(lam_sq)[..., None] * _SIGNS
+    tails = stats.nct.sf(np.sqrt(x)[..., None], np.asarray(f)[..., None], lam).sum(axis=-1)
+    return _scalar_or_array(tails)

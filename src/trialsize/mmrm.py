@@ -17,6 +17,13 @@ counts that dropout produces in a trial.  Because 1/m is convex in m, the
 count-averaged power sits below the plug-in value in small samples;
 :func:`dropout_averaged_power` computes that average for any of the power
 formulas.
+
+The design-stage quantities and the four power formulas are array
+operations over the visits, and they broadcast over a leading batch axis of
+retention schedules (``MmrmDesign.retention`` as a ``(B, 2, p)`` array): a
+batch costs one t-quantile and one noncentral-t call, and entries where the
+formula is undefined come back NaN instead of raising.  The dropout average
+evaluates its points in such batches.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from . import core, dist
@@ -87,35 +95,66 @@ class LdlFactors:
 
 
 def ldl_decompose(sigma: np.ndarray) -> LdlFactors:
-    """LDL' factorization of a symmetric positive-definite matrix."""
+    """LDL' factorization of a symmetric positive-definite matrix.
+
+    From the Cholesky factor C (LAPACK ``dpotrf``): lam = diag(C)^2 and
+    L = C / diag(C).
+    """
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DomainError(f"covariance must be a square matrix, got shape {s.shape}")
-    if not np.allclose(s, s.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(s).max())):
+    if not np.isfinite(s).all():
+        raise DomainError("covariance matrix must be finite")
+    if not (np.abs(s - s.T) <= 1e-8 * max(1.0, np.abs(s).max())).all():
         raise DomainError("covariance matrix must be symmetric")
-    p = s.shape[0]
-    low = np.eye(p)
-    d = np.zeros(p)
-    for j in range(p):
-        d[j] = s[j, j] - np.dot(low[j, :j] ** 2, d[:j])
-        if d[j] <= 1e-12 * max(1.0, s[j, j]):
-            raise DecompositionError(
-                f"leading minor of order {j + 1} is not positive definite"
-            )
-        for i in range(j + 1, p):
-            low[i, j] = (s[i, j] - np.dot(low[i, :j] * low[j, :j], d[:j])) / d[j]
+    chol, info = lapack.dpotrf(s, lower=1, clean=1)
+    lam = np.diag(chol) ** 2
+    # a positive info is the order of the first leading minor that is not
+    # positive definite; a pivot before it may still fail the relative threshold
+    failing = lam <= 1e-12 * np.maximum(1.0, np.diag(s))
+    if info > 0:
+        failing[info - 1 :] = True
+    if failing.any():
+        raise DecompositionError(
+            f"leading minor of order {np.argmax(failing) + 1} is not positive definite"
+        )
+    low = chol / np.diag(chol)
     u = np.linalg.inv(low)
     beta = -np.tril(u, -1)
-    return LdlFactors(l=low, lam=d, beta=beta)
+    return LdlFactors(l=low, lam=lam, beta=beta)
+
+
+def _check_schedules(r: np.ndarray, batch: bool) -> None:
+    """Retention checks over a (B, 2, p) array of schedules; the first fault,
+    in schedule, arm and visit order, is reported."""
+    outside = ~((r > 0.0) & (r <= 1.0))
+    rises = np.zeros_like(outside)
+    rises[..., 1:] = r[..., 1:] > r[..., :-1] + 1e-12
+    faults = np.argwhere(outside | rises)
+    if faults.size:
+        b, g, j = faults[0]
+        where = f"schedule {b} arm {g}" if batch else f"arm {g}"
+        if outside[b, g, j]:
+            raise DomainError(
+                f"retention must lie in (0, 1]; {where} visit {j + 1} has {float(r[b, g, j])}"
+            )
+        raise DomainError(
+            f"retention must be nonincreasing (monotone dropout); {where} rises at visit {j + 1}"
+        )
 
 
 @dataclass(frozen=True)
 class MmrmDesign:
     """Design inputs: covariance, per-arm retention schedules, allocation,
-    covariate count, and the last-visit treatment effect under H1/H0."""
+    covariate count, and the last-visit treatment effect under H1/H0.
+
+    ``retention`` is one schedule (two per-arm tuples) or a batch of B
+    schedules as a ``(B, 2, p)`` array; the power formulas evaluate a batch
+    entry by entry.
+    """
 
     sigma: np.ndarray
-    retention: tuple[tuple[float, ...], tuple[float, ...]]
+    retention: tuple[tuple[float, ...], tuple[float, ...]] | np.ndarray
     gamma0: float
     q: int
     tau_p1: float
@@ -124,26 +163,25 @@ class MmrmDesign:
     def __post_init__(self):
         sig = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sig)
-        retention = tuple(tuple(float(x) for x in arm) for arm in self.retention)
-        object.__setattr__(self, "retention", retention)
-        if len(retention) != 2:
-            raise DomainError("retention must list two arms (control, experimental)")
         p = sig.shape[0]
-        for g, arm in enumerate(retention):
-            if len(arm) != p:
+        if isinstance(self.retention, np.ndarray) and self.retention.ndim == 3:
+            retention = schedules = self.retention.astype(float)
+            if schedules.shape[1:] != (2, p):
                 raise DomainError(
-                    f"arm {g} retention has {len(arm)} visits, covariance has {p}"
+                    f"a retention batch must have shape (B, 2, {p}), got {schedules.shape}"
                 )
-            for j, pi in enumerate(arm):
-                if not (0.0 < pi <= 1.0):
+        else:
+            retention = tuple(tuple(float(x) for x in arm) for arm in self.retention)
+            if len(retention) != 2:
+                raise DomainError("retention must list two arms (control, experimental)")
+            for g, arm in enumerate(retention):
+                if len(arm) != p:
                     raise DomainError(
-                        f"retention must lie in (0, 1]; arm {g} visit {j + 1} has {pi}"
+                        f"arm {g} retention has {len(arm)} visits, covariance has {p}"
                     )
-                if j > 0 and pi > arm[j - 1] + 1e-12:
-                    raise DomainError(
-                        f"retention must be nonincreasing (monotone dropout); "
-                        f"arm {g} rises at visit {j + 1}"
-                    )
+            schedules = np.array(retention)[None]
+        _check_schedules(schedules, batch=retention is schedules)
+        object.__setattr__(self, "retention", retention)
         if not (0.0 < self.gamma0 < 1.0):
             raise DomainError(f"allocation fraction must lie in (0, 1), got {self.gamma0}")
         if self.q < 0 or self.q != int(self.q):
@@ -164,13 +202,13 @@ class MmrmDesign:
     @property
     def pooled_retention(self) -> np.ndarray:
         r = np.asarray(self.retention, dtype=float)
-        return self.gamma0 * r[0] + self.gamma1 * r[1]
+        return self.gamma0 * r[..., 0, :] + self.gamma1 * r[..., 1, :]
 
     @property
     def varpi(self) -> np.ndarray:
         """Retention-adjusted variance weights: sum_g 1/(gamma_g * pi_gj)."""
         r = np.asarray(self.retention, dtype=float)
-        return 1.0 / (self.gamma0 * r[0]) + 1.0 / (self.gamma1 * r[1])
+        return 1.0 / (self.gamma0 * r[..., 0, :]) + 1.0 / (self.gamma1 * r[..., 1, :])
 
     @property
     def effect(self) -> float:
@@ -179,7 +217,12 @@ class MmrmDesign:
 
 @dataclass(frozen=True)
 class MmrmDerived:
-    """Expected analysis-stage quantities at a given (possibly fractional) n."""
+    """Expected analysis-stage quantities at a given (possibly fractional) n.
+
+    For a batch of retention schedules every field but ``n`` gains a leading
+    batch axis (the scalars become arrays), and entries whose formulas are
+    undefined are NaN.
+    """
 
     n: float
     c_j: np.ndarray
@@ -196,10 +239,16 @@ class MmrmDerived:
     omega_jt: np.ndarray
 
 
-def _asymptotic_unit_variance(d: MmrmDesign, factors: LdlFactors) -> tuple[np.ndarray, float]:
-    lp = factors.l[-1, :]
-    contrib = lp**2 * factors.lam * d.varpi
-    return contrib, float(contrib.sum())
+def _asymptotic_unit_variance(factors: LdlFactors, varpi: np.ndarray):
+    contrib = factors.l[-1, :] ** 2 * factors.lam * varpi
+    return contrib, contrib.sum(axis=-1)
+
+
+def _e_coef(d_coef: np.ndarray, varpi: np.ndarray) -> np.ndarray:
+    """Size-chain coefficients e_j = sum_{t <= j} (d_j - varpi_t d_t / varpi_j),
+    over the last (visit) axis."""
+    terms = d_coef[..., :, None] - varpi[..., None, :] * d_coef[..., None, :] / varpi[..., :, None]
+    return (terms * np.tri(d_coef.shape[-1])).sum(axis=-1)
 
 
 def mmrm_derived(
@@ -208,7 +257,8 @@ def mmrm_derived(
     """Expected variance terms, Satterthwaite d.f. and size-chain coefficients.
 
     Requires n * pooled_retention_j > q* + j at every visit so that all
-    denominators stay positive.
+    denominators stay positive.  A single schedule that breaks this raises
+    :class:`DomainError`; in a batch the entry comes back NaN.
     """
     factors = factors if factors is not None else ldl_decompose(d.sigma)
     p = d.p
@@ -216,78 +266,88 @@ def mmrm_derived(
     pibar = d.pooled_retention
     varpi = d.varpi
     m = n * pibar
-    for j in range(p):
-        if not m[j] > qs + (j + 1):
-            raise DomainError(
-                f"retained count n*pibar = {m[j]:.3f} at visit {j + 1} must exceed "
-                f"q* + visit = {qs + j + 1}"
-            )
+    visit = np.arange(1, p + 1)
+    defined = (m > qs + visit).all(axis=-1)
+    if pibar.ndim == 1 and not defined:
+        j = int(np.argmin(m > qs + visit))
+        raise DomainError(
+            f"retained count n*pibar = {m[j]:.3f} at visit {j + 1} must exceed "
+            f"q* + visit = {qs + j + 1}"
+        )
+    # NaN propagates through every denominator below without a warning
+    m = np.where(defined[..., None], m, np.nan)
+    # earlier[t, j] = 1 for t < j: x @ earlier sums x over the visits before
+    # j, x @ earlier.T over the visits after j
+    earlier = np.tri(p, k=-1).T
 
     lp = factors.l[-1, :]
     lam = factors.lam
-    v_tilde = (varpi / n) * (1.0 + q / (n * pibar - q - 3.0))
+    info = lp**2 * lam
+    v_tilde = (varpi / n) * (1.0 + q / (m - q - 3.0))
+    m_hist = m - qs - visit  # m_j - q* - j (1-based visits)
+    m_free = m - qs
 
-    # omega[j, t] = lam_j / ((m_j - q* - j) * lam_t), t < j (1-based visits)
-    omega = np.zeros((p, p))
-    for j in range(1, p):
-        omega[j, :j] = lam[j] / ((m[j] - qs - (j + 1)) * lam[:j])
+    # omega[j, t] = lam_j / ((m_j - q* - j) * lam_t), t < j
+    omega = lam[:, None] / (m_hist[..., :, None] * lam[None, :]) * earlier.T
 
     # expected squared loading times innovation variance
-    c = np.zeros(p)
-    for j in range(p):
-        later = sum(
-            lp[k] ** 2 * lam[k] / (m[k] - qs - (k + 1)) for k in range(j + 1, p)
-        )
-        c[j] = (1.0 - j / (m[j] - qs)) * (lp[j] ** 2 * lam[j] + later)
+    ratio = info / m_hist
+    c = (1.0 - (visit - 1) / m_free) * (info + ratio @ earlier.T)
 
-    v_tau = float(np.dot(lp**2 * lam, v_tilde))
-    for j in range(1, p):
-        v_tau += lp[j] ** 2 * lam[j] / (m[j] - qs - (j + 1)) * float(
-            np.sum(v_tilde[j] - v_tilde[:j])
-        )
-
-    v_tau_star = float(np.dot(c, v_tilde))
-    for j in range(1, p):
-        v_tau_star += 2.0 * c[j] * float(np.sum(v_tilde[j] - v_tilde[:j])) / (m[j] - qs)
-
-    denom = float(np.sum(c**2 * v_tilde**2 / (m - qs)))
-    for j in range(1, p):
-        denom += 2.0 * c[j] * float(np.sum(c[:j] * v_tilde[:j] ** 2)) / (
-            m[j] - qs - (j + 1)
-        )
-    f = float(np.dot(c, v_tilde)) ** 2 / denom
+    # sum_{t < j} (v_j - v_t)
+    spread = ((v_tilde[..., :, None] - v_tilde[..., None, :]) * earlier.T).sum(axis=-1)
+    v_tau = (info * v_tilde).sum(axis=-1) + (ratio * spread).sum(axis=-1)
+    cv = (c * v_tilde).sum(axis=-1)
+    v_tau_star = cv + (2.0 * c * spread / m_free).sum(axis=-1)
+    denom = (c**2 * v_tilde**2 / m_free).sum(axis=-1) + (
+        2.0 * c * ((c * v_tilde**2) @ earlier) / m_hist
+    ).sum(axis=-1)
+    f = cv**2 / denom
 
     # Fraction of observed information among subjects retained at visit 1:
     # the covariate-inflation factors cancel in the ratio, leaving the
     # retention weights.
-    info = lp**2 * lam
-    rho_o = float(info.sum() * varpi[0] / np.dot(info, varpi))
-    f_o = (m[0] - qs) * rho_o
+    rho_o = info.sum() * varpi[..., 0] / (info * varpi).sum(axis=-1)
+    f_o = m_free[..., 0] * rho_o
 
-    contrib, total = _asymptotic_unit_variance(d, factors)
-    b = contrib / total
-    d_coef = 1.0 + q / (n * pibar - 2.0)
-    e = np.array(
-        [
-            float(np.sum(d_coef[j] - varpi[: j + 1] * d_coef[: j + 1] / varpi[j]))
-            for j in range(p)
-        ]
-    )
+    contrib, total = _asymptotic_unit_variance(factors, varpi)
+    d_coef = 1.0 + q / (m - 2.0)
+    scalar = pibar.ndim == 1
     return MmrmDerived(
         n=n,
         c_j=c,
         v_tilde_xj=v_tilde,
         varpi=varpi,
-        v_tau=v_tau,
-        v_tau_star=v_tau_star,
-        f=f,
-        f_o=f_o,
-        rho_o=rho_o,
-        b_j=b,
+        v_tau=float(v_tau) if scalar else v_tau,
+        v_tau_star=float(v_tau_star) if scalar else v_tau_star,
+        f=float(f) if scalar else f,
+        f_o=float(f_o) if scalar else f_o,
+        rho_o=float(rho_o) if scalar else rho_o,
+        b_j=contrib / total[..., None],
         d_j=d_coef,
-        e_j=e,
+        e_j=_e_coef(d_coef, varpi),
         omega_jt=omega,
     )
+
+
+def _on_defined(fn, df, *args):
+    """``fn(df, *args)`` as a float; for a batch, on the entries where the
+    d.f. is defined (one call), with NaN elsewhere."""
+    if np.ndim(df) == 0:
+        return float(fn(df, *args))
+    ok = ~np.isnan(df)
+    out = np.full(df.shape, np.nan)
+    if ok.any():
+        out[ok] = fn(df[ok], *(a[ok] for a in args))
+    return out
+
+
+def _two_sided_power(d: MmrmDesign, variance, df, alpha: float, settings: NumericSettings):
+    def power(f, v):
+        crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
+        return dist._f_sf(crit_sq, f, d.effect**2 / v)
+
+    return _on_defined(power, df, variance)
 
 
 def mmrm_power(
@@ -300,12 +360,12 @@ def mmrm_power(
     small-sample variance and Satterthwaite d.f.
 
     Evaluated at the expected retained counts n * pooled retention; it does
-    not average over random dropout.
+    not average over random dropout.  For a batch of schedules ``value`` is
+    an array (NaN where the formula is undefined).
     """
     core._check_alpha_power(alpha)
     der = mmrm_derived(d, n)
-    crit_sq = dist.t_quantile(1.0 - alpha / 2.0, der.f, settings) ** 2
-    value = dist._f_sf(crit_sq, der.f, d.effect**2 / der.v_tau_star)
+    value = _two_sided_power(d, der.v_tau_star, der.f, alpha, settings)
     return PowerEstimate(value=value, method="exact_two_sided", n_used=n)
 
 
@@ -316,21 +376,24 @@ def mmrm_power_approx(
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Simplified power using the first-order variance and the observed-information
-    fraction d.f.; only slightly less accurate than :func:`mmrm_power`."""
+    fraction d.f.; only slightly less accurate than :func:`mmrm_power`.
+    Batches as :func:`mmrm_power` does."""
     core._check_alpha_power(alpha)
     der = mmrm_derived(d, n)
-    crit_sq = dist.t_quantile(1.0 - alpha / 2.0, der.f_o, settings) ** 2
-    value = dist._f_sf(crit_sq, der.f_o, d.effect**2 / der.v_tau)
+    value = _two_sided_power(d, der.v_tau, der.f_o, alpha, settings)
     return PowerEstimate(value=value, method="approx", n_used=n)
 
 
-def _equiv_power(d: MmrmDesign, margins, variance: float, df: float, alpha: float,
-                 settings: NumericSettings) -> float:
-    crit = dist.t_quantile(1.0 - alpha / 2.0, df, settings)
-    se = math.sqrt(variance)
-    up = dist.t_cdf(crit, df, (margins.upper - d.tau_p1) / se, settings)
-    lo = dist.t_cdf(crit, df, (d.tau_p1 - margins.lower) / se, settings)
-    return 1.0 - up - lo
+def _equiv_power(d: MmrmDesign, margins, variance, df, alpha: float,
+                 settings: NumericSettings):
+    def power(f, v):
+        crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
+        se = np.sqrt(v)
+        shifts = np.stack([(margins.upper - d.tau_p1) / se, (d.tau_p1 - margins.lower) / se])
+        up, lo = dist.t_cdf(crit, f, shifts, settings)
+        return 1.0 - up - lo
+
+    return _on_defined(power, df, variance)
 
 
 def _check_margins(d: MmrmDesign, margins) -> None:
@@ -435,45 +498,60 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     standard error across independent scramblings is below 1e-4 (0.01
     percentage points) or the cap is reached.  Count patterns at which the
     formula is undefined (too few retained subjects) are left out.
+
+    ``power_at`` is called once with the design itself, for the plug-in
+    value (an undefined design raises there), and otherwise with a batch:
+    a design whose ``retention`` is a ``(B, 2, p)`` array of schedules, for
+    which it returns an array of B powers, NaN where the formula is
+    undefined.  The four MMRM power functions do both.  There is one batch
+    for the finite-difference stencil and one per Sobol round, all
+    scramblings together.
     """
     n_g = tuple(int(v) for v in n_per_group)
     n = sum(n_g)
     d = replace(d, gamma0=n_g[0] / n)
     base = np.asarray(d.retention, dtype=float)
     p = d.p
-    free = [(g, j) for g in range(2) for j in range(p) if base[g, j] < 1.0]
-    cache = {}
+    arm, visit = np.nonzero(base < 1.0)  # the free fractions, arm by arm
+    k = arm.size
 
-    def power(r: np.ndarray) -> float:
-        key = r.tobytes()
-        if key not in cache:
-            cache[key] = power_at(replace(d, retention=tuple(map(tuple, r))), n)
-        return cache[key]
+    def evaluate(schedules: np.ndarray) -> np.ndarray:
+        if not len(schedules):
+            return np.empty(0)
+        return np.asarray(power_at(replace(d, retention=schedules), n), dtype=float)
 
-    def shifted(*moves) -> float:
-        r = base.copy()
-        for a, sign in moves:
-            r[free[a]] += sign * _FD_STEP
-        return power(r)
+    p0 = float(power_at(d, n))
 
-    p0 = power(base)
-    k = len(free)
-    grad = np.zeros(k)
-    hess = np.zeros((k, k))
-    cov = np.zeros((k, k))
-    for a, (g, j) in enumerate(free):
-        up, down = shifted((a, 1)), shifted((a, -1))
-        grad[a] = (up - down) / (2.0 * _FD_STEP)
-        hess[a, a] = (up - 2.0 * p0 + down) / _FD_STEP**2
-        for b, (h, i) in enumerate(free):
-            if h != g:
-                continue
-            cov[a, b] = base[g, max(j, i)] * (1.0 - base[g, min(j, i)]) / n_g[g]
-            if b > a:
-                hess[a, b] = hess[b, a] = (
-                    shifted((a, 1), (b, 1)) - shifted((a, 1), (b, -1))
-                    - shifted((a, -1), (b, 1)) + shifted((a, -1), (b, -1))
-                ) / (4.0 * _FD_STEP**2)
+    # central differences: +step and -step in each free fraction, then the
+    # four corners (++, +-, -+, --) of each pair within an arm
+    a, b = np.array(
+        [(i, j) for i in range(k) for j in range(i + 1, k) if arm[i] == arm[j]], dtype=int
+    ).reshape(-1, 2).T
+    step = _FD_STEP * np.eye(k)
+    moves = np.concatenate([
+        step, -step,
+        step[a] + step[b], step[a] - step[b], -step[a] + step[b], -step[a] - step[b],
+    ])
+    stencil = np.repeat(base[None], len(moves), axis=0)
+    stencil[:, arm, visit] += moves
+    values = evaluate(stencil)
+    if np.isnan(values).any():
+        # the single-schedule call names the visit that leaves the domain
+        power_at(replace(d, retention=tuple(map(tuple, stencil[np.isnan(values)][0]))), n)
+        raise DomainError("the finite-difference stencil leaves the power formula's domain")
+    up, down, corners = values[:k], values[k : 2 * k], values[2 * k :].reshape(4, -1)
+    grad = (up - down) / (2.0 * _FD_STEP)
+    hess = np.diag((up - 2.0 * p0 + down) / _FD_STEP**2)
+    hess[a, b] = hess[b, a] = (
+        corners[0] - corners[1] - corners[2] + corners[3]
+    ) / (4.0 * _FD_STEP**2)
+    late, early = np.maximum.outer(visit, visit), np.minimum.outer(visit, visit)
+    cov = np.where(
+        arm[:, None] == arm[None, :],
+        base[arm[:, None], late] * (1.0 - base[arm[:, None], early])
+        / np.asarray(n_g, dtype=float)[arm][:, None],
+        0.0,
+    )
     expansion = 0.5 * float(np.sum(hess * cov))
 
     # conditional retention probabilities pi_gj / pi_g,j-1
@@ -486,22 +564,25 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     counts = np.zeros(_SCRAMBLES)
     batch, drawn = 16, 0
     while True:
-        for s, sampler in enumerate(samplers):
-            u = sampler.random(batch).reshape(batch, 2, p)
-            retained = np.empty((batch, 2, p))
-            for g in range(2):
-                c = np.full(batch, float(n_g[g]))
-                for j in range(p):
-                    c = stats.binom.ppf(u[:, g, j], c, step_prob[g, j])
-                    retained[:, g, j] = c / n_g[g]
-            for r in retained:
-                try:
-                    value = power(r)
-                except DomainError:
-                    continue
-                delta = np.array([r[f] - base[f] for f in free])
-                sums[s] += value - (p0 + grad @ delta + 0.5 * delta @ hess @ delta)
-                counts[s] += 1
+        u = np.stack([sampler.random(batch) for sampler in samplers])
+        u = u.reshape(_SCRAMBLES, batch, 2, p)
+        retained = np.empty_like(u)
+        for g in range(2):
+            c = np.full((_SCRAMBLES, batch), float(n_g[g]))
+            for j in range(p):
+                c = stats.binom.ppf(u[..., g, j], c, step_prob[g, j])
+                retained[..., g, j] = c / n_g[g]
+        retained = retained.reshape(-1, 2, p)
+        scramble = np.repeat(np.arange(_SCRAMBLES), batch)
+        # a zero retained count is no schedule; an undefined formula is NaN
+        kept = np.all(retained > 0.0, axis=(1, 2))
+        retained, scramble = retained[kept], scramble[kept]
+        values = evaluate(retained)
+        ok = ~np.isnan(values)
+        delta = retained[ok][:, arm, visit] - base[arm, visit]
+        model = p0 + delta @ grad + 0.5 * np.einsum("mi,ij,mj->m", delta, hess, delta)
+        sums += np.bincount(scramble[ok], weights=values[ok] - model, minlength=_SCRAMBLES)
+        counts += np.bincount(scramble[ok], minlength=_SCRAMBLES)
         drawn += batch
         means = sums / counts
         std_error = float(np.std(means, ddof=1) / math.sqrt(_SCRAMBLES))
@@ -535,7 +616,8 @@ def mmrm_size_chain(
     factors = ldl_decompose(d.sigma)
     pibar = d.pooled_retention
     varpi = d.varpi
-    contrib, unit_var = _asymptotic_unit_variance(d, factors)
+    contrib, unit_var = _asymptotic_unit_variance(factors, varpi)
+    unit_var = float(unit_var)
     b = contrib / unit_var
     q, qs, p = d.q, d.q_star, d.p
 
@@ -563,11 +645,8 @@ def mmrm_size_chain(
 
     def corrected(base: float) -> float:
         dj = 1.0 + q / (base * pibar - 2.0)
-        total = 0.0
-        for j in range(p):
-            ej = float(np.sum(dj[j] - varpi[: j + 1] * dj[: j + 1] / varpi[j]))
-            total += b[j] * (dj[j] + ej / (base * pibar[j] - j))
-        return base * total
+        ej = _e_coef(dj, varpi)
+        return base * float(np.sum(b * (dj + ej / (base * pibar - np.arange(p)))))
 
     if not np.all(n_a * pibar > 2.0):
         raise DomainError(f"normal-approximation size {n_a:.3f} too small to correct")

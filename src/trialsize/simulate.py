@@ -748,7 +748,10 @@ def simulate_power(
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     reps = int(replicates if replicates is not None else (sc.replicates or sc.default_replicates()))
     if reps < 1:
-        raise DomainError("replicate count must be >= 1")
+        raise DomainError(
+            "replicate count must be >= 1 (None selects the scenario's count; "
+            "0 is only ScenarioSpec's marker for the family default)"
+        )
     rng_seed = int(seed if seed is not None else sc.seed)
     n_per_group = tuple(int(v) for v in np.atleast_1d(n_per_group))
     tau0 = _null_value(sc, objective)

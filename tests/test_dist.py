@@ -179,6 +179,45 @@ class TestFDistribution:
             assert tail == dist._f_sf(3.1, 17.0, v)
 
 
+class TestBroadcasting:
+    """The t quantile, t CDF and F(1, f) tail take arrays in every argument,
+    with one value per entry; scalar arguments give a float."""
+
+    X = np.array([1.2, 3.5, 0.4, 7.0])
+    F = np.array([3.5, 12.0, 40.25, 200.0])
+    LAM = np.array([0.0, -1.5, 2.25, 6.0])
+
+    def test_scalars_give_floats(self):
+        assert type(dist.t_quantile(0.975, 9.5)) is float
+        assert type(dist.t_cdf(1.0, 9.5, 0.5)) is float
+        assert type(dist._f_sf(4.0, 9.5, 2.0)) is float
+
+    def test_arrays_match_scalar_calls(self):
+        quantiles = dist.t_quantile(0.975, self.F)
+        cdfs = dist.t_cdf(self.X, self.F, self.LAM)
+        tails = dist._f_sf(self.X, self.F, self.LAM**2)
+        for i in range(len(self.F)):
+            assert quantiles[i] == dist.t_quantile(0.975, self.F[i])
+            assert cdfs[i] == dist.t_cdf(self.X[i], self.F[i], self.LAM[i])
+            assert tails[i] == dist._f_sf(self.X[i], self.F[i], self.LAM[i] ** 2)
+
+    def test_scalar_noncentrality_against_array_arguments(self):
+        # a lower-rank noncentrality broadcasts against x and f
+        tails = dist._f_sf(self.X[:2], self.F[:2], 9.0)
+        assert tails.shape == (2,)
+        assert tails[1] == dist._f_sf(self.X[1], self.F[1], 9.0)
+
+    def test_checks_every_entry(self):
+        with pytest.raises(DomainError, match="df must be a positive finite real, got -1.0"):
+            dist.t_quantile(0.975, np.array([3.0, -1.0]))
+        with pytest.raises(DomainError, match=r"p must lie strictly in \(0, 1\), got 1.0"):
+            dist.t_quantile(np.array([0.5, 1.0]), 4.0)
+        with pytest.raises(DomainError, match="noncentrality must be finite"):
+            dist.t_cdf(1.0, 4.0, np.array([0.0, np.inf]))
+        with pytest.raises(DomainError, match="must not be NaN"):
+            dist.t_cdf(np.array([1.0, np.nan]), 4.0)
+
+
 class TestDensities:
     def test_scaled_chi2_mode(self):
         f = 10.0

@@ -71,6 +71,15 @@ class TestLdl:
         assert np.max(np.abs(f.l @ np.diag(f.lam) @ f.l.T - sigma)) < 1e-10
 
 
+def test_ldl_names_the_first_failing_minor():
+    # the leading 2 x 2 block is positive definite, the whole matrix is not
+    bad = np.array([[1.0, 0.5, 0.9], [0.5, 1.0, 0.9], [0.9, 0.9, 1.0]])
+    with pytest.raises(DecompositionError, match="order 3"):
+        mmrm.ldl_decompose(bad)
+    with pytest.raises(DomainError, match="finite"):
+        mmrm.ldl_decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 class TestDerived:
     def test_single_visit_full_retention_matches_covariate_adjusted(self):
         d = mmrm.MmrmDesign(
@@ -121,6 +130,54 @@ class TestDerived:
         d = design(EXAMPLE_SIGMA, 3, -12.0)
         with pytest.raises(DomainError, match="visit"):
             mmrm.mmrm_derived(d, 9.0)
+
+
+def _derived_by_visit_loops(d, n):
+    """Reference: the expected variance terms and d.f. written as loops over
+    the visits, one schedule at a time."""
+    fac = mmrm.ldl_decompose(d.sigma)
+    p, q, qs = d.p, d.q, d.q_star
+    pibar, varpi = d.pooled_retention, d.varpi
+    m = n * pibar
+    lp, lam = fac.l[-1, :], fac.lam
+    v_tilde = (varpi / n) * (1.0 + q / (n * pibar - q - 3.0))
+    c = np.zeros(p)
+    for j in range(p):
+        later = sum(lp[k] ** 2 * lam[k] / (m[k] - qs - (k + 1)) for k in range(j + 1, p))
+        c[j] = (1.0 - j / (m[j] - qs)) * (lp[j] ** 2 * lam[j] + later)
+    v_tau = float(np.dot(lp**2 * lam, v_tilde))
+    v_tau_star = float(np.dot(c, v_tilde))
+    denom = float(np.sum(c**2 * v_tilde**2 / (m - qs)))
+    for j in range(1, p):
+        spread = float(np.sum(v_tilde[j] - v_tilde[:j]))
+        v_tau += lp[j] ** 2 * lam[j] / (m[j] - qs - (j + 1)) * spread
+        v_tau_star += 2.0 * c[j] * spread / (m[j] - qs)
+        denom += 2.0 * c[j] * float(np.sum(c[:j] * v_tilde[:j] ** 2)) / (m[j] - qs - (j + 1))
+    info = lp**2 * lam
+    rho_o = float(info.sum() * varpi[0] / np.dot(info, varpi))
+    d_coef = 1.0 + q / (n * pibar - 2.0)
+    e = [float(np.sum(d_coef[j] - varpi[: j + 1] * d_coef[: j + 1] / varpi[j])) for j in range(p)]
+    return {
+        "c_j": c, "v_tilde_xj": v_tilde, "v_tau": v_tau, "v_tau_star": v_tau_star,
+        "f": float(np.dot(c, v_tilde)) ** 2 / denom, "f_o": (m[0] - qs) * rho_o,
+        "rho_o": rho_o, "d_j": d_coef, "e_j": np.array(e),
+    }
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_derived_matches_visit_loops(p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p + 2))
+    rets = np.sort(rng.uniform(0.5, 1.0, size=(2, p)), axis=1)[:, ::-1]
+    d = mmrm.MmrmDesign(
+        sigma=a @ a.T + 0.5 * np.eye(p), retention=(tuple(rets[0]), tuple(rets[1])),
+        gamma0=float(rng.uniform(0.3, 0.7)), q=int(rng.integers(0, 4)), tau_p1=1.0,
+    )
+    n = float(rng.uniform(2.0 * (d.q_star + p + 1), 300.0))
+    der = mmrm.mmrm_derived(d, n)
+    for field, expected in _derived_by_visit_loops(d, n).items():
+        assert np.allclose(getattr(der, field), expected, rtol=1e-12, atol=1e-14), field
 
 
 class TestPower:
@@ -295,6 +352,140 @@ class TestDropoutAverage:
             avg = mmrm.dropout_averaged_power(power_at, cfg.design, (total // 2, total // 2))
             term[total] = avg.value - avg.plug_in
         assert term[52] < term[192] < 0.0
+
+
+class TestBatchedSchedules:
+    """A (B, 2, p) batch of retention schedules, entry by entry."""
+
+    SCHEDULES = np.array([
+        RETENTION,
+        ((1.0, 0.9, 0.8, 0.7), (1.0, 0.95, 0.9, 0.85)),
+        ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)),
+        ((1.0, 0.6, 0.4, 0.3), (1.0, 0.6, 0.4, 0.3)),  # undefined at n = 21
+        ((0.95, 0.8, 0.75, 0.5), (1.0, 0.85, 0.7, 0.55)),
+    ])
+    UNDEFINED = 3
+    MARGINS = Margins.equivalence(-8, 8)
+
+    FORMULAS = {
+        "mmrm_power": (-12.0, lambda d, n: mmrm.mmrm_power(d, n, ALPHA)),
+        "mmrm_power_approx": (-12.0, lambda d, n: mmrm.mmrm_power_approx(d, n, ALPHA)),
+        "mmrm_equiv_power": (
+            0.5, lambda d, n: mmrm.mmrm_equiv_power(d, TestBatchedSchedules.MARGINS, n, ALPHA)
+        ),
+        "mmrm_equiv_power_approx": (
+            0.5,
+            lambda d, n: mmrm.mmrm_equiv_power_approx(d, TestBatchedSchedules.MARGINS, n, ALPHA),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMULAS))
+    def test_batch_matches_scalar_calls(self, name):
+        tau, formula = self.FORMULAS[name]
+        d = design(EXAMPLE_SIGMA, 1, tau)
+        batch = formula(dataclasses.replace(d, retention=self.SCHEDULES), 21).value
+        assert batch.shape == (len(self.SCHEDULES),)
+        for b, schedule in enumerate(self.SCHEDULES):
+            single = dataclasses.replace(d, retention=tuple(map(tuple, schedule)))
+            if b == self.UNDEFINED:
+                assert math.isnan(batch[b])
+                with pytest.raises(DomainError, match="visit 4"):
+                    formula(single, 21)
+            else:
+                value = formula(single, 21).value
+                assert isinstance(value, float)
+                assert abs(batch[b] - value) <= 1e-12
+
+    def test_derived_batch_matches_scalar(self):
+        d = design(EXAMPLE_SIGMA, 2, -4.0)
+        der = mmrm.mmrm_derived(dataclasses.replace(d, retention=self.SCHEDULES), 21)
+        assert np.isnan(der.f[self.UNDEFINED]) and np.isnan(der.c_j[self.UNDEFINED]).all()
+        for b in (0, 1, 2, 4):
+            one = mmrm.mmrm_derived(
+                dataclasses.replace(d, retention=tuple(map(tuple, self.SCHEDULES[b]))), 21
+            )
+            for field in ("v_tau", "v_tau_star", "f", "f_o", "rho_o"):
+                assert abs(getattr(der, field)[b] - getattr(one, field)) <= 1e-12 * abs(
+                    getattr(one, field)
+                )
+            for field in ("c_j", "v_tilde_xj", "b_j", "d_j", "e_j", "omega_jt"):
+                assert np.allclose(getattr(der, field)[b], getattr(one, field), rtol=1e-12, atol=0)
+
+    def test_batch_validation_names_the_schedule(self):
+        bad = self.SCHEDULES.copy()
+        bad[1, 0, 3] = 0.0
+        with pytest.raises(DomainError, match=r"lie in \(0, 1\]; schedule 1 arm 0 visit 4"):
+            design(EXAMPLE_SIGMA, 1, -4.0, retention=bad)
+        bad = self.SCHEDULES.copy()
+        bad[4, 1, 2] = 0.9
+        with pytest.raises(DomainError, match="nonincreasing.*schedule 4 arm 1 rises at visit 3"):
+            design(EXAMPLE_SIGMA, 1, -4.0, retention=bad)
+        with pytest.raises(DomainError, match=r"shape \(B, 2, 4\)"):
+            design(EXAMPLE_SIGMA, 1, -4.0, retention=self.SCHEDULES[:, :, :3])
+
+
+class TestDropoutAverageBatches:
+    # values of the one-call-per-pattern evaluation at criterion 5's
+    # allocations (ceil(n/2), floor(n/2)); the Sobol points are the same, so
+    # only rounding separates it from the batched one
+    PINNED = {
+        "table3_toep_q1_m12": (
+            (10, 9), 0.9112823593184648, 0.9242732930020159, -0.00937234350755075,
+            5.245667023351011e-05,
+        ),
+        "table6_cs_q3_m8": (
+            (28, 27), 0.8997020062517361, 0.9070075813139455, -0.006712790740844387,
+            5.284422228013839e-05,
+        ),
+    }
+
+    @staticmethod
+    def simplified(cfg):
+        if cfg.margins is None:
+            return lambda d, n: mmrm.mmrm_power_approx(d, n, cfg.alpha).value
+        return lambda d, n: mmrm.mmrm_equiv_power_approx(d, cfg.margins, n, cfg.alpha).value
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_criterion5_averages(self, name):
+        per_group, value, plug_in, expansion, std_error = self.PINNED[name]
+        cfg = load_design(fixture_path(name))
+        avg = mmrm.dropout_averaged_power(self.simplified(cfg), cfg.design, per_group)
+        assert abs(avg.value - value) <= 1e-12
+        assert abs(avg.plug_in - plug_in) <= 1e-12
+        assert abs(avg.expansion - expansion) <= 1e-12
+        assert abs(avg.std_error - std_error) <= 1e-12
+
+    def test_one_call_per_sobol_round(self):
+        cfg = load_design(fixture_path("table3_toep_q1_m12"))
+        formula = self.simplified(cfg)
+        sizes = []
+
+        def power_at(d, n):
+            r = np.asarray(d.retention)
+            sizes.append(1 if r.ndim == 2 else len(r))
+            return formula(d, n)
+
+        mmrm.dropout_averaged_power(power_at, cfg.design, (10, 9))
+        # the plug-in value, then the stencil: +-step in each of the six
+        # free fractions and four corners for each of the 3 + 3 pairs
+        assert sizes[:2] == [1, 2 * 6 + 4 * 6]
+        # then one batch per Sobol round of 8 scramblings: 16, 16, 32, ...
+        # points each, up to the cap; zero retained counts are dropped
+        rounds = sizes[2:]
+        assert 1 <= len(rounds) <= 1 + int(math.log2(mmrm._MAX_POINTS // 16))
+        for i, size in enumerate(rounds):
+            assert size <= 8 * 16 * 2 ** max(i - 1, 0)
+
+    def test_full_retention_is_the_plug_in(self):
+        d = design(EXAMPLE_SIGMA, 1, -12.0, retention=((1.0,) * 4, (1.0,) * 4))
+
+        def power_at(dd, n):
+            return mmrm.mmrm_power_approx(dd, n, ALPHA).value
+
+        avg = mmrm.dropout_averaged_power(power_at, d, (10, 10))
+        assert avg.expansion == 0.0
+        assert abs(avg.value - avg.plug_in) <= 1e-15
+        assert avg.plug_in == power_at(d, 20)
 
 
 class TestVarianceInequality:

@@ -391,6 +391,17 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match="nonnegative.*0 selects the family default"):
             ScenarioSpec(design=spec, replicates=-1)
 
+    def test_zero_replicates_in_simulate_power(self):
+        # 0 selects the family default only inside ScenarioSpec; an explicit
+        # count passed to simulate_power must be positive
+        spec = ScenarioSpec(design=ts.TwoSampleSpec(0.0, 0.5, 1.0, 1.0))
+        with pytest.raises(
+            DomainError,
+            match=r"must be >= 1 \(None selects the scenario's count; "
+            r"0 is only ScenarioSpec's marker for the family default\)",
+        ):
+            simulate_power(spec, (10, 10), 0.05, Margins.superiority(), replicates=0)
+
     def test_factor_probabilities(self):
         with pytest.raises(DomainError):
             FactorSpec(probs=(0.5, 0.4), effects=(0.0, 1.0))
