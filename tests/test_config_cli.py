@@ -242,3 +242,57 @@ class TestCli:
                 ("g2", ref[5]),
             ):
                 assert abs(float(row[col]) - float(want)) <= 0.01
+
+
+# One out-of-domain value per case, as a flag and in a design file.  A design
+# file is checked by the schema, which names the field: exit 2.  A flag value
+# reaches the library unchecked, and its DomainError is a numeric failure:
+# exit 1.  The README's exit-status paragraph states this rule.
+DOMAIN_CASES = {
+    "alpha": (
+        ["size"],
+        ["--alpha", "1.5"],
+        lambda doc: doc.update(alpha=1.5),
+        "DomainError: alpha must lie in (0, 1)",
+        "alpha: must lie in (0, 1)",
+    ),
+    "reps": (
+        ["simulate", "--n", "40"],
+        ["--reps", "0"],
+        lambda doc: doc["simulation"].update(replicates=-1),
+        "DomainError: replicate count must be >= 1",
+        "simulation: replicate count must be nonnegative",
+    ),
+    "margins": (
+        ["size"],
+        ["--margins", "1,0"],
+        lambda doc: doc["margins"].update(lower=1.0, upper=0.0),
+        "DomainError: margins must satisfy lower < upper",
+        "margins: margins must satisfy lower < upper",
+    ),
+}
+DOMAIN_FIXTURE = "table5_m_10"  # two-sample equivalence: has alpha, margins and simulation
+
+
+@pytest.mark.parametrize("case", DOMAIN_CASES)
+def test_out_of_domain_flag_exits_one(capsys, case):
+    command, flag, _, flag_error, _ = DOMAIN_CASES[case]
+    path = str(fixture_path(DOMAIN_FIXTURE))
+    code, out, err = run_cli(capsys, command[0], "--design", path, *command[1:], *flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag_error}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", DOMAIN_CASES)
+def test_out_of_domain_design_field_exits_two(capsys, tmp_path, case):
+    command, _, edit, _, file_error = DOMAIN_CASES[case]
+    doc = json.loads(fixture_path(DOMAIN_FIXTURE).read_text())
+    edit(doc)
+    path = write_design(tmp_path, doc)
+    code, out, err = run_cli(capsys, command[0], "--design", path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {file_error}")
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Simulator tests: analysis estimators against closed-form oracles,
-determinism, batched-vs-scalar agreement, and type-I calibration."""
+determinism, the substream reset, batched-vs-scalar agreement, and type-I
+calibration."""
 
 import math
 
@@ -16,7 +17,6 @@ from trialsize.tables import fixture_path
 from trialsize.simulate import (
     FactorSpec,
     ScenarioSpec,
-    _covariate_columns,
     _substream,
     analyze_ancova,
     analyze_mmrm,
@@ -223,7 +223,7 @@ class TestDeterminism:
         spec = ts.TwoSampleSpec(0.0, 0.5, 1.0, 1.0, 0.5, equal_variance=True)
         sc = ScenarioSpec(design=spec, seed=78)
         full = simulate_power(sc, (12, 12), 0.05, Margins.superiority(), replicates=3000)
-        monkeypatch.setattr(sim, "_CHUNK", claim := 257)
+        monkeypatch.setattr(sim, "_CHUNK", 257)
         chunked = simulate_power(sc, (12, 12), 0.05, Margins.superiority(), replicates=3000)
         assert full.rejections == chunked.rejections
 
@@ -275,6 +275,106 @@ def test_engine_counts_pinned(design, generator, n_per_group, counts):
     assert (report.rejections, report.failures) == counts
 
 
+def _fresh_stream(seed, index):
+    """The stream definition itself: a new generator at the replicate's counter."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+
+
+def _mmrm_draws(gen, n, p):
+    """One replicate's draws in the repeated-measures order: baseline normals,
+    factor uniforms, dropout uniforms, visit-error normals."""
+    return [gen.standard_normal(n), gen.random(n), gen.random(n), gen.standard_normal((n, p))]
+
+
+class TestSubstream:
+    SEED = 20240801
+
+    def test_reset_matches_fresh_generator(self):
+        philox = sim._philox(self.SEED)
+        for index in [*range(3000), 2**40 + 5]:
+            got = _mmrm_draws(_substream(philox, index), 23, 4)
+            want = _mmrm_draws(_fresh_stream(self.SEED, index), 23, 4)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), index
+
+    @pytest.mark.parametrize(
+        "leftover",
+        [
+            lambda gen: gen.random(dtype=np.float32),  # buffers a 32-bit half
+            lambda gen: gen.random(2),  # uses two of the four buffered words
+        ],
+        ids=["float32_half", "partial_block"],
+    )
+    def test_reset_after_partial_draw(self, leftover):
+        def check(philox, index):
+            got, want = _substream(philox, index), _fresh_stream(self.SEED, index)
+            for draw in (
+                lambda g: g.random(3, dtype=np.float32),
+                lambda g: g.standard_normal(5),
+                lambda g: g.random(5),
+            ):
+                assert np.array_equal(draw(got), draw(want)), index
+
+        philox = sim._philox(self.SEED)
+        leftover(_substream(philox, 4))
+        check(philox, 5)
+        # a state dict taken mid-stream: its low counter word, buffer position
+        # and buffered half are all stale, and the reset must overwrite each
+        bit_generator, gen, _ = philox
+        leftover(gen)
+        check((bit_generator, gen, bit_generator.state), 2**40 + 5)
+
+
+# One case per engine; at these sizes the ANCOVA and repeated-measures cases
+# send some of replicates 17-39 to the fallback fit.
+_ANCOVA_PIN = ENGINE_PINS["ancova_three_level_factor"]
+CHUNK_CASES = {
+    "one_sample": (
+        "_simulate_one_sample",
+        ScenarioSpec(design=OneSampleSpec(mu=0.6, tau0=0.0, sigma_sq=1.0), seed=12),
+        (15,),
+    ),
+    "two_sample": (
+        "_simulate_two_sample",
+        ScenarioSpec(design=ts.TwoSampleSpec(0.0, 0.5, 1.0, 2.0, 0.5), seed=12),
+        (9, 8),
+    ),
+    "crossover": (
+        "_simulate_crossover",
+        ScenarioSpec(
+            design=CrossoverSpec(0.0, 0.5, 0.6, period_effect_in_analysis=True),
+            seed=12,
+            period_effect=0.3,
+        ),
+        (7, 6),
+    ),
+    "ancova": (
+        "_simulate_ancova",
+        ScenarioSpec(design=_ANCOVA_PIN[0], seed=12, **_ANCOVA_PIN[1]),
+        (6, 6),
+    ),
+    "mmrm": ("_simulate_mmrm", load_design(fixture_path("table3_un_q3_m12")).scenario, (8, 8)),
+}
+
+
+@pytest.mark.parametrize("engine,sc,n_per_group", CHUNK_CASES.values(), ids=CHUNK_CASES)
+def test_replicates_do_not_depend_on_chunk_boundaries(engine, sc, n_per_group):
+    run = getattr(sim, engine)
+    *full, full_refits = run(sc, n_per_group, sc.seed, 0, 40)
+    *tail, tail_refits = run(sc, n_per_group, sc.seed, 17, 40)
+    full_refits = [(r - 17, fit, args) for r, fit, args in full_refits if r >= 17]
+    assert [r for r, _, _ in full_refits] == [r for r, _, _ in tail_refits]
+    if engine in ("_simulate_ancova", "_simulate_mmrm"):
+        assert tail_refits
+    batched = np.ones(23, dtype=bool)
+    batched[[r for r, _, _ in tail_refits]] = False
+    for a, b in zip(full, tail):
+        assert np.array_equal(a[17:][batched], b[batched])
+    for (_, fit_a, args_a), (_, fit_b, args_b) in zip(full_refits, tail_refits):
+        assert fit_a is fit_b
+        for a, b in zip(args_a, args_b):
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+
+
 class TestBatchedMatchesScalar:
     def test_mmrm_engine_agrees_with_single_fits(self):
         d = ts.MmrmDesign(sigma=UN, retention=RET, gamma0=0.5, q=1, tau_p1=-12.0)
@@ -298,9 +398,10 @@ class TestBatchedMatchesScalar:
             arr = np.concatenate([[1.0], np.asarray(arm), [0.0]])
             probs = np.array([1.0 - arr[1]] + [arr[j] - arr[j + 1] for j in range(1, 5)])
             cums.append(np.cumsum(probs))
+        philox = sim._philox(sc.seed)
         for r in range(count):
-            rng = _substream(sc.seed, r)
-            cols, xb, fac_eff = _covariate_columns(sc, rng, n, True)
+            rng = _substream(philox, r)
+            xb = rng.standard_normal(n)  # baseline normals; the scenario has no factor
             u = rng.random(n)
             z = rng.standard_normal((n, 4))
             last = np.empty(n, dtype=int)
