@@ -84,15 +84,6 @@ class ImbalanceMixture:
         if not self.f2 > 0.0:
             raise DomainError(f"need n > q + 1, got second d.f. {self.f2}")
 
-    def support(self, tail_mass: float) -> tuple[float, float]:
-        return (
-            dist._f_quantile(tail_mass, self.q, self.f2),
-            dist._f_quantile(1.0 - tail_mass, self.q, self.f2),
-        )
-
-    def log_density(self, u: np.ndarray) -> np.ndarray:
-        return dist._log_f_density(u, self.q, self.f2)
-
     def variance_factor(self, u: np.ndarray, gamma0: float, n: float) -> np.ndarray:
         """Conditional variance multiplier of the adjusted treatment effect."""
         return (1.0 + self.q * u / self.f2) / (n * gamma0 * (1.0 - gamma0))
@@ -141,16 +132,11 @@ def ancova_power_exact(
         return PowerEstimate(value=value, method="integral_exact", n_used=n)
 
     mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
-    lo, hi = mixture.support(settings.outer_tail_mass)
 
-    def fn(w: np.ndarray) -> np.ndarray:
-        ups = np.exp(w)
-        inflation = 1.0 + s.q * ups / mixture.f2
-        tails = dist._f_sf(crit_sq, f, base_ncp / inflation)
-        dens = np.exp(mixture.log_density(ups) + w)
-        return tails * dens
+    def fn(ups: np.ndarray) -> np.ndarray:
+        return dist._f_sf(crit_sq, f, base_ncp / (1.0 + s.q * ups / mixture.f2))
 
-    value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)
+    value = dist.integrate(fn, s.q, mixture.f2, settings)
     return PowerEstimate(value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n)
 
 

@@ -19,6 +19,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from . import core
 from .ancova import (
     AncovaSpec,
@@ -48,12 +50,15 @@ from .mmrm import MmrmDesign, mmrm_equiv_power, mmrm_power, mmrm_power_approx, m
 from .simulate import simulate_power
 from .tables import TABLE_NUMBERS, build_table
 
+# ArithmeticError: a design value so small or large that float arithmetic
+# overflows or divides by zero, in Python or (under main's errstate) in numpy
 _NUMERIC_ERRORS = (
     DomainError,
     BracketError,
     ConvergenceError,
     InsufficientDataError,
     SimulationFailureError,
+    ArithmeticError,
 )
 
 
@@ -324,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.fn(args)
     except ConfigError as exc:
         return _fail(str(exc), 2)
     except _NUMERIC_ERRORS as exc:

@@ -28,7 +28,7 @@ from .designs import (
     two_sample_unequal_kernel,
 )
 from .equivalence import BE_ALPHA, BE_LIMITS, Margins
-from .errors import DomainError
+from .errors import DecompositionError, DomainError
 from .mmrm import MmrmDesign, ar1, compound_symmetry, toeplitz
 from .simulate import FactorSpec, ScenarioSpec
 
@@ -126,15 +126,19 @@ def _covariance(value, path: str) -> np.ndarray:
         return mat
     if isinstance(value, dict):
         kind = _require(value, "structure", path)
+        if kind in ("cs", "ar1"):
+            size = _integer(_require(value, "size", path), f"{path}.size")
+            if size < 1:
+                raise ConfigError(f"{path}.size: must be at least 1, got {size}")
         if kind == "cs":
             return compound_symmetry(
-                _integer(_require(value, "size", path), f"{path}.size"),
+                size,
                 _number(_require(value, "variance", path), f"{path}.variance"),
                 _number(_require(value, "covariance", path), f"{path}.covariance"),
             )
         if kind == "ar1":
             return ar1(
-                _integer(_require(value, "size", path), f"{path}.size"),
+                size,
                 _number(_require(value, "variance", path), f"{path}.variance"),
                 _number(_require(value, "corr", path), f"{path}.corr"),
             )
@@ -195,25 +199,29 @@ def _design_block(family: str, block: dict, path: str):
         retention = _require(block, "retention", path)
         if not isinstance(retention, list) or len(retention) != 2:
             raise ConfigError(f"{path}.retention: expected two per-arm retention arrays")
-        return MmrmDesign(
-            sigma=_covariance(_require(block, "covariance", path), f"{path}.covariance"),
-            retention=(
-                _numbers(retention[0], f"{path}.retention[0]"),
-                _numbers(retention[1], f"{path}.retention[1]"),
-            ),
-            gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
-            q=_integer(_require(block, "q", path), f"{path}.q"),
-            tau_p1=_number(_require(block, "tau_p1", path), f"{path}.tau_p1"),
-            tau_p0=_number(block.get("tau_p0", 0.0), f"{path}.tau_p0"),
-        )
+        sigma = _covariance(_require(block, "covariance", path), f"{path}.covariance")
+        try:
+            return MmrmDesign(
+                sigma=sigma,
+                retention=(
+                    _numbers(retention[0], f"{path}.retention[0]"),
+                    _numbers(retention[1], f"{path}.retention[1]"),
+                ),
+                gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
+                q=_integer(_require(block, "q", path), f"{path}.q"),
+                tau_p1=_number(_require(block, "tau_p1", path), f"{path}.tau_p1"),
+                tau_p0=_number(block.get("tau_p0", 0.0), f"{path}.tau_p0"),
+            )
+        except DecompositionError as exc:
+            raise ConfigError(f"{path}.covariance: {exc}") from None
     raise ConfigError(f"family: unknown design family {family!r}")
 
 
 def _margins(doc: dict, objective: str, design):
-    if objective == "bioequivalence":
+    if objective == "bioequivalence" and "margins" not in doc:
         half = math.log(BE_LIMITS.ratio_upper)
         return Margins.equivalence(-half, half)
-    if objective == "equivalence":
+    if objective in ("equivalence", "bioequivalence"):
         block = _require(doc, "margins", "$")
         if not isinstance(block, dict):
             raise ConfigError("margins: expected an object with lower/upper")

@@ -277,10 +277,15 @@ def size_invert(
     as g2 is usually within a fraction of a unit of the root.  A side without
     a sign change is widened geometrically (the width grows fourfold per
     step), downwards to ``min_n + 0.5`` and upwards to n = 1e7, before
-    giving up.  Each n is evaluated once.
+    giving up; a hint at or beyond that cap raises at once.  Each n is
+    evaluated once.
     """
     if not (0.0 < target < 1.0):
         raise DomainError(f"target power must lie in (0, 1), got {target}")
+    if not bracket_hint < _SIZE_CAP:
+        raise BracketError(
+            f"noniterative size {bracket_hint:.6g} is not below the size cap {_SIZE_CAP:.0e}"
+        )
     power_at = functools.cache(power_fn)
     floor = min_n + 0.5
     lo = max(floor, bracket_hint - 2.0)

@@ -216,17 +216,11 @@ def moser_exact_power(
     base = s.sigma1_sq / n1 + s.sigma0_sq / n0
     lam = abs(s.mu1 - s.mu0 - tau0) / math.sqrt(base)
     fxi = n - 2.0
-    lo = dist._f_quantile(settings.outer_tail_mass, n1 - 1.0, n0 - 1.0)
-    hi = dist._f_quantile(1.0 - settings.outer_tail_mass, n1 - 1.0, n0 - 1.0)
 
-    def fn(w: np.ndarray) -> np.ndarray:
-        u = np.exp(w)
+    def fn(u: np.ndarray) -> np.ndarray:
         v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
         crit = special.stdtrit(f_u, 1.0 - alpha / 2.0)
-        h = crit * np.sqrt(v_u / base)
-        tails = stats.nct.sf(h, fxi, lam)
-        dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
-        return tails * dens
+        return stats.nct.sf(crit * np.sqrt(v_u / base), fxi, lam)
 
-    value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)
+    value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
     return PowerEstimate(value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n)

@@ -1,5 +1,5 @@
 """Distribution kernel: normal, central/noncentral t and F, scaled chi-square,
-adaptive quadrature and bracketed root finding.
+one fixed quadrature rule and bracketed root finding.
 
 Everything downstream (power formulas, sample-size inversion, equivalence
 integrals) is built on the routines in this module.  Every noncentral tail is
@@ -8,15 +8,16 @@ Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
 tails.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
 returns NaN on part of the (f, lam, x) range the power formulas reach.
 
-:func:`integrate` remains for the outer conditional integrals that have no
-library form (the Welch integral over the variance ratio, the covariate-imbalance
-mixture and the outer layer of the nested equivalence integrals).  Integrands
-passed to it are evaluated on numpy arrays of abscissae and may return either
-a vector (one value per point) or a matrix (one row per point) when several
-integrals share the same weight function.  The inner equivalence integral over
-the variance scale is not adaptive: it is a fixed composite Gauss-Legendre rule
-on panels between quantiles of chi2_f / f (``equivalence._phillips_integral``),
-evaluated for a whole batch of outer abscissae at once.
+Every integral the package computes is an expectation over a weight law, by
+one rule: 16 Gauss-Legendre nodes in the log variable on each panel between
+the law's quantiles at ``_PANEL_PROBS`` (closed by ``settings.tail_mass`` and
+its mirror).  :func:`integrate` applies it to an F(f1, f2) law, for the outer
+conditional integrals that have no library form (the Welch integral over the
+variance ratio, the covariate-imbalance law and the outer layer of the nested
+equivalence integrals).  The inner equivalence integral over the variance
+scale applies it to chi2_f / f, with the edges clipped at the integrand's
+positivity cutoff, for a whole batch of outer abscissae at once
+(``equivalence._phillips_integral``).
 
 :func:`find_root` is ``scipy.optimize.brentq`` behind the package's errors.
 
@@ -55,21 +56,14 @@ __all__ = [
 class NumericSettings:
     """All numeric tolerances used by the package, in one record.
 
-    tail_mass        truncation mass for chi-square weight densities
-    outer_tail_mass  truncation mass for F-law outer integrals
-    power_tol        tolerance of single-integral power formulas
-    double_tol       total budget for nested double integrals
-    size_tol         resolution (in n) of sample-size inversion
+    tail_mass      mass cut from each tail of a quadrature's weight law
+    size_tol       resolution (in n) of sample-size inversion
+    max_root_iter  iteration cap of :func:`find_root`
     """
 
     tail_mass: float = 1e-12
-    outer_tail_mass: float = 1e-10
-    power_tol: float = 1e-8
-    double_tol: float = 1e-7
     size_tol: float = 1e-6
     max_root_iter: int = 200
-    max_quad_levels: int = 48
-    max_quad_intervals: int = 65536
 
 
 DEFAULT_SETTINGS = NumericSettings()
@@ -165,94 +159,61 @@ def _chi2_over_f_quantile(p, f: float):
     return 2.0 * special.gammaincinv(0.5 * f, p) / f
 
 
-def _f_quantile(p: float, f1: float, f2: float) -> float:
-    """Quantile of the central F(f1, f2) law."""
-    w = float(special.betaincinv(0.5 * f1, 0.5 * f2, p))
-    w = min(w, 1.0 - 1e-16)
-    return f2 * w / (f1 * (1.0 - w))
+def _f_quantile(p, f1: float, f2: float):
+    """Quantile of the central F(f1, f2) law, elementwise in ``p``.
+
+    With W ~ Beta(f1/2, f2/2), F = (f2/f1) W/(1 - W).  Where W is above 1/2
+    it is taken as 1 minus the quantile of 1 - W ~ Beta(f2/2, f1/2) at 1 - p,
+    so that a far upper quantile keeps full precision.  Both beta quantiles
+    are floored at 1e-100, which keeps F and the integrands finite at
+    fractional d.f.; the mass cut off is below 1e-24 at d.f. >= 0.5.
+    """
+    w = np.maximum(special.betaincinv(0.5 * f1, 0.5 * f2, p), 1e-100)
+    z = np.maximum(special.betaincinv(0.5 * f2, 0.5 * f1, 1.0 - p), 1e-100)
+    near_one = w > 0.5
+    return f2 * np.where(near_one, 1.0 - z, w) / (f1 * np.where(near_one, z, 1.0 - w))
+
+
+# Panel edges of the fixed quadrature rule as probabilities of its weight law
+# (settings.tail_mass and its mirror close them), and the rule on each panel.
+_PANEL_PROBS = (
+    1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
+)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _panel_probs(settings: NumericSettings) -> np.ndarray:
+    return np.array((settings.tail_mass, *_PANEL_PROBS, 1.0 - settings.tail_mass))
+
+
+def _panel_rule(log_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and weights of 16 Gauss-Legendre nodes on each panel between
+    consecutive ``log_edges`` (last axis), flattened over the panels."""
+    half = 0.5 * np.diff(log_edges)[..., None]
+    v = 0.5 * (log_edges[..., 1:] + log_edges[..., :-1])[..., None] + half * _GL_NODES
+    shape = v.shape[:-2] + (-1,)
+    return v.reshape(shape), (half * _GL_WEIGHTS).reshape(shape)
 
 
 def integrate(
     fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
+    f1: float,
+    f2: float,
     settings: NumericSettings = DEFAULT_SETTINGS,
-):
-    """Adaptive Simpson quadrature of ``fn`` over the finite interval [lo, hi].
+) -> float:
+    """Expectation of ``fn(U)`` for U ~ F(f1, f2), by a fixed rule.
 
-    ``fn`` receives a numpy array of abscissae and must return a vector of
-    values, or a matrix with one row per abscissa to evaluate several
-    integrands that share the interval.  The absolute error is at most ``tol``
-    on smooth integrands (the per-interval budget is split proportionally to
-    interval width).  Raises :class:`ConvergenceError` with the best estimate
-    attached if the refinement cap is hit.
+    16 Gauss-Legendre nodes in log u on each of the 14 panels between the F
+    quantiles at ``settings.tail_mass``, ``_PANEL_PROBS`` and
+    ``1 - settings.tail_mass``; the rule applies the F density and the
+    Jacobian u itself.  ``fn`` is called once, with all 224 abscissae u in
+    one array, and returns one value per abscissa.
     """
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"integrate: need finite lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError("integrate: tol must be positive")
-    total_width = hi - lo
-
-    # Seed with several panels so a ridge between coarse probe points cannot
-    # fool the first convergence estimate.
-    edges = np.linspace(lo, hi, 9)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    first = np.asarray(fn(np.concatenate([a, mid, b[-1:]])), dtype=float)
-    scalar = first.ndim == 1
-    if scalar:
-        first = first[:, None]
-    ncols = first.shape[1]
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        y = np.asarray(fn(x), dtype=float)
-        return y[:, None] if scalar else y
-
-    k = a.size
-    fa = first[:k]
-    fm = first[k : 2 * k]
-    fb = np.vstack([first[1:k], first[2 * k :]])
-    s_est = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
-    total = np.zeros(ncols)
-
-    for _ in range(settings.max_quad_levels):
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        fboth = evaluate(np.concatenate([lm, rm]))
-        flm, frm = fboth[: a.size], fboth[a.size :]
-        h12 = (b - a)[:, None] / 12.0
-        s_left = h12 * (fa + 4.0 * flm + fm)
-        s_right = h12 * (fm + 4.0 * frm + fb)
-        s_two = s_left + s_right
-        err = np.abs(s_two - s_est) / 15.0
-        budget = tol * (b - a) / total_width
-        with np.errstate(invalid="ignore"):
-            done = np.nanmax(err, axis=1) <= budget
-        if done.any():
-            refined = s_two[done] + (s_two[done] - s_est[done]) / 15.0
-            total += refined.sum(axis=0)
-        keep = ~done
-        if not keep.any():
-            return float(total[0]) if scalar else total
-        a, b_old, m_old = a[keep], b[keep], mid[keep]
-        a = np.concatenate([a, m_old])
-        b = np.concatenate([m_old, b_old])
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fa = np.vstack([fa[keep], fm[keep]])
-        fb = np.vstack([fm[keep], fb[keep]])
-        fm = np.vstack([flm[keep], frm[keep]])
-        s_est = np.vstack([s_left[keep], s_right[keep]])
-        if a.size > settings.max_quad_intervals:
-            break
-
-    best = total + s_est.sum(axis=0)
-    raise ConvergenceError(
-        f"integrate: refinement cap reached with {a.size} active intervals",
-        best_estimate=float(best[0]) if scalar else best,
-    )
+    f1 = _check_df(f1, "f1")
+    f2 = _check_df(f2, "f2")
+    v, weights = _panel_rule(np.log(_f_quantile(_panel_probs(settings), f1, f2)))
+    u = np.exp(v)
+    return float(np.dot(weights * np.exp(_log_f_density(u, f1, f2) + v), fn(u)))
 
 
 def find_root(

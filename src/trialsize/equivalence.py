@@ -133,14 +133,6 @@ def _upper_tail(x, f: float, lam):
     return np.where(np.isinf(lam), lam > 0.0, stats.nct.sf(x, f, lam))
 
 
-# Inner panel edges of _phillips_integral as probabilities of chi2_f / f
-# (settings.tail_mass and its mirror close them), and the rule on each panel.
-_PANEL_PROBS = (
-    1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
-)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     """Core equivalence integral conditioned on the variance-scale chi-square.
 
@@ -149,23 +141,18 @@ def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     (xi below ((a_up - b_low)/(2*scale))^2).  Broadcasts over ``a_up``,
     ``b_low`` and ``scale``: an array gives one integral per entry.
 
-    The rule is fixed: 16 Gauss-Legendre nodes in log xi on each panel
-    between the quantiles of chi2_f/f at ``_PANEL_PROBS``, bounded by
-    ``settings.tail_mass`` and its mirror, with the edges clipped per entry
-    at the positivity cutoff.
+    The rule is the one :func:`dist.integrate` uses, on panels between the
+    quantiles of chi2_f/f, with the edges clipped per entry at the
+    positivity cutoff.
     """
     a_up, b_low, scale = (x[..., None] for x in np.broadcast_arrays(a_up, b_low, scale))
-    edges = dist._chi2_over_f_quantile(
-        np.array((settings.tail_mass, *_PANEL_PROBS, 1.0 - settings.tail_mass)), f
-    )
+    edges = dist._chi2_over_f_quantile(dist._panel_probs(settings), f)
     cutoff = ((a_up - b_low) / (2.0 * scale)) ** 2
-    log_edges = np.log(np.maximum(edges[0], np.minimum(edges, cutoff)))
-    half = 0.5 * np.diff(log_edges)[..., None]
-    v = 0.5 * (log_edges[..., 1:] + log_edges[..., :-1])[..., None] + half * _GL_NODES
-    root = scale[..., None] * np.exp(0.5 * v)
-    weight = np.exp(dist._log_scaled_chi2_density(np.exp(v), f) + v)
-    inner = special.ndtr(a_up[..., None] - root) - special.ndtr(b_low[..., None] + root)
-    val = np.clip((half * inner * weight * _GL_WEIGHTS).sum(axis=(-2, -1)), 0.0, 1.0)
+    v, weights = dist._panel_rule(np.log(np.maximum(edges[0], np.minimum(edges, cutoff))))
+    root = scale * np.exp(0.5 * v)
+    weights = weights * np.exp(dist._log_scaled_chi2_density(np.exp(v), f) + v)
+    inner = special.ndtr(a_up - root) - special.ndtr(b_low + root)
+    val = np.clip((inner * weights).sum(axis=-1), 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
@@ -357,37 +344,31 @@ def ancova_equiv_power(
     from .ancova import ImbalanceMixture
 
     mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
-    lo, hi = mixture.support(settings.outer_tail_mass)
 
-    def vx_of(ups: np.ndarray) -> np.ndarray:
-        return mixture.variance_factor(ups, s.gamma0, n)
+    def se_of(ups: np.ndarray) -> np.ndarray:
+        return np.sqrt(s.sigma_sq * mixture.variance_factor(ups, s.gamma0, n))
 
     if exact:
 
-        def fn(w: np.ndarray) -> np.ndarray:
-            ups = np.exp(w)
-            dens = np.exp(mixture.log_density(ups) + w)
-            se = np.sqrt(s.sigma_sq * vx_of(ups))
-            inner = _phillips_integral(
+        def fn(ups: np.ndarray) -> np.ndarray:
+            se = se_of(ups)
+            return _phillips_integral(
                 (m.upper - s.tau1) / se, (m.lower - s.tau1) / se, crit, f, settings
             )
-            return inner * dens
 
-        value = dist.integrate(fn, math.log(lo), math.log(hi), settings.double_tol, settings)
+        value = dist.integrate(fn, s.q, mixture.f2, settings)
         return PowerEstimate(
             value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n
         )
 
-    def fn(w: np.ndarray) -> np.ndarray:
-        ups = np.exp(w)
-        dens = np.exp(mixture.log_density(ups) + w)
-        se = np.sqrt(s.sigma_sq * vx_of(ups))
+    def fn(ups: np.ndarray) -> np.ndarray:
+        se = se_of(ups)
         # Pr[t(f, lam) <= crit] = Pr[t(f, -lam) > -crit]
         up = _upper_tail(-crit, f, (s.tau1 - m.upper) / se)
         low = _upper_tail(-crit, f, (m.lower - s.tau1) / se)
-        return (1.0 - up - low) * dens
+        return 1.0 - up - low
 
-    value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)
+    value = dist.integrate(fn, s.q, mixture.f2, settings)
     return PowerEstimate(
         value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
     )
@@ -420,8 +401,6 @@ def ts_unequal_equiv_power(
     a_up = (m.upper - tau1) / sqrt_base
     b_low = (m.lower - tau1) / sqrt_base
     fxi = n - 2.0
-    lo = dist._f_quantile(settings.outer_tail_mass, n1 - 1.0, n0 - 1.0)
-    hi = dist._f_quantile(1.0 - settings.outer_tail_mass, n1 - 1.0, n0 - 1.0)
 
     def h_of(u: np.ndarray) -> np.ndarray:
         v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
@@ -430,28 +409,22 @@ def ts_unequal_equiv_power(
 
     if exact:
 
-        def fn(w: np.ndarray) -> np.ndarray:
-            u = np.exp(w)
-            dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
-            return _phillips_integral(a_up, b_low, h_of(u), fxi, settings) * dens
+        def fn(u: np.ndarray) -> np.ndarray:
+            return _phillips_integral(a_up, b_low, h_of(u), fxi, settings)
 
-        value = dist.integrate(fn, math.log(lo), math.log(hi), settings.double_tol, settings)
+        value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
         return PowerEstimate(
             value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n
         )
 
     b_up = (tau1 - m.lower) / sqrt_base
 
-    def fn(w: np.ndarray) -> np.ndarray:
-        u = np.exp(w)
-        dens = np.exp(dist._log_f_density(u, n1 - 1.0, n0 - 1.0) + w)
+    def fn(u: np.ndarray) -> np.ndarray:
         h = h_of(u)
         # 1 - Pr[t < h; ncp A] - Pr[t < h; ncp B] written with upper tails
-        tail_a = _upper_tail(h, fxi, a_up)
-        tail_b = _upper_tail(h, fxi, b_up)
-        return (tail_a + tail_b - 1.0) * dens
+        return _upper_tail(h, fxi, a_up) + _upper_tail(h, fxi, b_up) - 1.0
 
-    value = dist.integrate(fn, math.log(lo), math.log(hi), settings.power_tol, settings)
+    value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
     return PowerEstimate(
         value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
     )

@@ -10,9 +10,9 @@ class BracketError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical routine hit its iteration/depth cap before converging.
+    """``dist.find_root`` hit its iteration cap before converging.
 
-    The best estimate reached so far is attached as ``best_estimate``.
+    The last iterate is attached as ``best_estimate``.
     """
 
     def __init__(self, message: str, best_estimate: float):

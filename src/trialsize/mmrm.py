@@ -29,7 +29,7 @@ evaluates its points in such batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -108,16 +108,15 @@ def ldl_decompose(sigma: np.ndarray) -> LdlFactors:
     if not (np.abs(s - s.T) <= 1e-8 * max(1.0, np.abs(s).max())).all():
         raise DomainError("covariance matrix must be symmetric")
     chol, info = lapack.dpotrf(s, lower=1, clean=1)
-    lam = np.diag(chol) ** 2
     # a positive info is the order of the first leading minor that is not
-    # positive definite; a pivot before it may still fail the relative threshold
-    failing = lam <= 1e-12 * np.maximum(1.0, np.diag(s))
-    if info > 0:
-        failing[info - 1 :] = True
-    if failing.any():
-        raise DecompositionError(
-            f"leading minor of order {np.argmax(failing) + 1} is not positive definite"
-        )
+    # positive definite (the pivots from there on are not computed); a pivot
+    # before it may still fail the relative threshold
+    done = info - 1 if info > 0 else s.shape[0]
+    lam = np.diag(chol)[:done] ** 2
+    failing = np.flatnonzero(lam <= 1e-12 * np.maximum(1.0, np.diag(s)[:done]))
+    if failing.size or info > 0:
+        order = failing[0] + 1 if failing.size else info
+        raise DecompositionError(f"leading minor of order {order} is not positive definite")
     low = chol / np.diag(chol)
     u = np.linalg.inv(low)
     beta = -np.tril(u, -1)
@@ -150,7 +149,9 @@ class MmrmDesign:
 
     ``retention`` is one schedule (two per-arm tuples) or a batch of B
     schedules as a ``(B, 2, p)`` array; the power formulas evaluate a batch
-    entry by entry.
+    entry by entry.  ``factors`` is the LDL factorization of ``sigma``, made
+    once here; a covariance that is not positive definite raises
+    :class:`DecompositionError`.
     """
 
     sigma: np.ndarray
@@ -159,10 +160,12 @@ class MmrmDesign:
     q: int
     tau_p1: float
     tau_p0: float = 0.0
+    factors: LdlFactors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sig)
+        object.__setattr__(self, "factors", ldl_decompose(sig))
         p = sig.shape[0]
         if isinstance(self.retention, np.ndarray) and self.retention.ndim == 3:
             retention = schedules = self.retention.astype(float)
@@ -251,16 +254,13 @@ def _e_coef(d_coef: np.ndarray, varpi: np.ndarray) -> np.ndarray:
     return (terms * np.tri(d_coef.shape[-1])).sum(axis=-1)
 
 
-def mmrm_derived(
-    d: MmrmDesign, n: float, factors: LdlFactors | None = None
-) -> MmrmDerived:
+def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
     """Expected variance terms, Satterthwaite d.f. and size-chain coefficients.
 
     Requires n * pooled_retention_j > q* + j at every visit so that all
     denominators stay positive.  A single schedule that breaks this raises
     :class:`DomainError`; in a batch the entry comes back NaN.
     """
-    factors = factors if factors is not None else ldl_decompose(d.sigma)
     p = d.p
     q, qs = d.q, d.q_star
     pibar = d.pooled_retention
@@ -280,8 +280,8 @@ def mmrm_derived(
     # j, x @ earlier.T over the visits after j
     earlier = np.tri(p, k=-1).T
 
-    lp = factors.l[-1, :]
-    lam = factors.lam
+    lp = d.factors.l[-1, :]
+    lam = d.factors.lam
     info = lp**2 * lam
     v_tilde = (varpi / n) * (1.0 + q / (m - q - 3.0))
     m_hist = m - qs - visit  # m_j - q* - j (1-based visits)
@@ -310,7 +310,7 @@ def mmrm_derived(
     rho_o = info.sum() * varpi[..., 0] / (info * varpi).sum(axis=-1)
     f_o = m_free[..., 0] * rho_o
 
-    contrib, total = _asymptotic_unit_variance(factors, varpi)
+    contrib, total = _asymptotic_unit_variance(d.factors, varpi)
     d_coef = 1.0 + q / (m - 2.0)
     scalar = pibar.ndim == 1
     return MmrmDerived(
@@ -613,10 +613,9 @@ def mmrm_size_chain(
     ``two_step``, ``inversion``.
     """
     core._check_alpha_power(alpha, power)
-    factors = ldl_decompose(d.sigma)
     pibar = d.pooled_retention
     varpi = d.varpi
-    contrib, unit_var = _asymptotic_unit_variance(factors, varpi)
+    contrib, unit_var = _asymptotic_unit_variance(d.factors, varpi)
     unit_var = float(unit_var)
     b = contrib / unit_var
     q, qs, p = d.q, d.q_star, d.p
@@ -652,7 +651,7 @@ def mmrm_size_chain(
         raise DomainError(f"normal-approximation size {n_a:.3f} too small to correct")
     n_tilde = corrected(n_a)
 
-    der = mmrm_derived(d, n_tilde, factors)
+    der = mmrm_derived(d, n_tilde)
     rho = der.f / (n_tilde * pibar[0] - qs)
     g1 = core.g1_total(n_tilde, rho, alpha)
     g2 = core.g2_total(n_tilde, rho, alpha)

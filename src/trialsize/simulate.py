@@ -45,7 +45,7 @@ from .ancova import AncovaSpec
 from .designs import CrossoverSpec, OneSampleSpec, TwoSampleSpec
 from .equivalence import Margins
 from .errors import DomainError, InsufficientDataError, SimulationFailureError
-from .mmrm import MmrmDesign, ldl_decompose
+from .mmrm import MmrmDesign
 
 __all__ = [
     "FactorSpec",
@@ -633,7 +633,7 @@ def _mmrm_trials(sc: ScenarioSpec, n0: int, g, seed: int, start: int, count: int
     freed before the analysis runs."""
     design = sc.design
     n, p, qs = g.size, design.p, design.q_star
-    factors = ldl_decompose(design.sigma)
+    factors = design.factors
     chol = factors.l * np.sqrt(factors.lam)[None, :]
     vis_int = np.asarray(sc.visit_intercepts if sc.visit_intercepts is not None else np.zeros(p))
     vis_tau = np.zeros(p)

@@ -1,8 +1,13 @@
 """Design-file schema and command-line behaviour."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trialsize import cli
 from trialsize.config import ConfigError, load_design, parse_design
@@ -84,6 +89,28 @@ class TestSchema:
         cfg = parse_design(doc)
         assert cfg.alpha == 0.1
         assert abs(cfg.margins.upper - 0.22314355) < 1e-6
+
+    def test_bioequivalence_margins_block(self):
+        doc = {
+            "family": "crossover",
+            "objective": "bioequivalence",
+            "design": {"mu_star_a": 0.0, "mu_star_b": 0.0, "sigma_d_sq": 0.05},
+            "margins": {"lower": -0.3, "upper": 0.25},
+        }
+        margins = parse_design(doc).margins
+        assert (margins.lower, margins.upper, margins.kind) == (-0.3, 0.25, "equivalence")
+        for block in ({"lower": 1.0, "upper": 0.0}, "nonsense", {"lower": -0.2}):
+            with pytest.raises(ConfigError, match="^margins"):
+                parse_design({**doc, "margins": block})
+
+    def test_mmrm_covariance_not_positive_definite(self):
+        doc = json.loads(fixture_path("table3_cs_q1_m04").read_text())
+        doc["design"]["covariance"] = {"structure": "cs", "size": 4, "variance": 1, "covariance": 2}
+        with pytest.raises(ConfigError, match="^design.covariance: leading minor of order 2"):
+            parse_design(doc)
+        doc["design"]["covariance"]["size"] = 0
+        with pytest.raises(ConfigError, match="^design.covariance.size"):
+            parse_design(doc)
 
     def test_mmrm_structures(self):
         for cov in (
@@ -296,3 +323,131 @@ def test_out_of_domain_design_field_exits_two(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith(f"error: {file_error}")
     assert "Traceback" not in err
+
+
+# Design-file fuzzing: each example takes a shipped fixture, applies one
+# mutation and runs one command on it.
+FUZZ_FIXTURES = (
+    "table1_unequal_100",  # two-sample Welch, superiority
+    "table2_q3_100",  # ANCOVA
+    "table3_cs_q1_m04",  # MMRM, superiority
+    "table4_s2_0125",  # crossover, bioequivalence
+    "table5_m_10",  # two-sample, equivalence
+    "table6_ar1_q1_m4",  # MMRM, equivalence
+)
+ODD_NUMBERS = st.one_of(
+    st.sampled_from([0, -1, 2, 0.0, -0.5, 1.0, 1.5, 1e-9, 1e6, -1e6]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | ODD_NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+MARGIN_BLOCKS = st.one_of(
+    st.fixed_dictionaries({"lower": ODD_NUMBERS, "upper": ODD_NUMBERS}),
+    st.dictionaries(st.sampled_from(["lower", "upper", "kind"]), JSON_VALUES, max_size=3),
+    JSON_VALUES,
+)
+COVARIANCES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "structure": st.just("cs"),
+            "variance": st.floats(0.5, 50.0),
+            "covariance": st.floats(-60.0, 60.0),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "structure": st.sampled_from(["cs", "ar1", "toeplitz", "banded"]),
+            "size": st.integers(-1, 5),
+            "variance": ODD_NUMBERS,
+            "covariance": ODD_NUMBERS,
+            "corr": ODD_NUMBERS,
+            "first_row": st.lists(ODD_NUMBERS, max_size=5),
+        }
+    ),
+    st.lists(st.lists(ODD_NUMBERS, max_size=4), max_size=4),
+    JSON_VALUES,
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("margins"), MARGIN_BLOCKS),
+    st.tuples(st.just("covariance"), COVARIANCES),
+    st.tuples(st.just("number"), st.tuples(st.integers(0, 20), ODD_NUMBERS)),
+)
+COMMANDS = st.one_of(
+    st.just(["size"]),
+    st.builds(lambda n: ["power", "--n", str(n)], st.integers(2, 80)),
+    st.builds(lambda n: ["simulate", "--n", str(n), "--reps", "40"], st.integers(2, 80)),
+)
+
+
+def mutate(doc: dict, kind: str, value):
+    """Apply one mutation; return what the schema must say about it: the
+    field an exit-2 message names, or None when any outcome is allowed."""
+    if kind == "margins":
+        doc["margins"] = value
+        if doc.get("objective") not in ("equivalence", "bioequivalence"):
+            return None
+        numbers = isinstance(value, dict) and all(
+            isinstance(value.get(k), (int, float)) and not isinstance(value.get(k), bool)
+            for k in ("lower", "upper")
+        )
+        if numbers and value["lower"] < 0.0 < value["upper"]:
+            return None
+        return "margins"
+    if kind == "covariance":
+        if doc["family"] != "mmrm":
+            return None
+        named = None
+        if isinstance(value, dict) and value.get("structure") == "cs" and "size" not in value:
+            # a compound-symmetry matrix of the fixture's size: its eigenvalues
+            # are variance - covariance and variance + (p - 1) * covariance
+            p = len(doc["design"]["retention"][0])
+            value = {**value, "size": p}
+            variance, covariance = value["variance"], value["covariance"]
+            if min(variance - covariance, variance + (p - 1) * covariance) < -1e-6 * variance:
+                named = "design.covariance"
+        doc["design"]["covariance"] = value
+        return named
+    index, number = value
+    fields = [(doc, k) for k in ("alpha", "target_power") if k in doc]
+    fields += [
+        (doc["design"], k) for k, v in sorted(doc["design"].items()) if isinstance(v, (int, float))
+    ]
+    target, key = fields[index % len(fields)]
+    target[key] = number
+    return None
+
+
+@given(
+    fixture=st.sampled_from(FUZZ_FIXTURES),
+    mutation=MUTATIONS,
+    command=COMMANDS,
+)
+@example("table4_s2_0125", ("margins", "nonsense"), ["size"])
+@example("table4_s2_0125", ("margins", {"lower": 1.0, "upper": 0.0}), ["power", "--n", "20"])
+@example(
+    "table3_cs_q1_m04",
+    ("covariance", {"structure": "cs", "variance": 1.0, "covariance": 2.0}),
+    ["size"],
+)
+@example("table3_cs_q1_m04", ("number", (5, 1e-9)), ["size"])  # tau_p1: size beyond the cap
+@example("table6_ar1_q1_m4", ("number", (2, 1e-158)), ["power", "--n", "14"])  # gamma0: overflow
+@settings(max_examples=60, deadline=None)
+def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
+    doc = json.loads(fixture_path(fixture).read_text())
+    named = mutate(doc, *mutation)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], "--design", str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+    if named is not None:
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {named}")

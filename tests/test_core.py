@@ -192,6 +192,12 @@ class TestInversion:
         with pytest.raises(BracketError):
             core.size_invert(lambda n: 0.2, 0.8, 100.0, 2.0)
 
+    def test_hint_beyond_size_cap(self):
+        # at 1e19, n +- 2 rounds to n: a bracket that never widens
+        for hint in (1e7, 1e19, float("nan")):
+            with pytest.raises(BracketError, match="size cap"):
+                core.size_invert(lambda n: 0.9, 0.8, hint, 2.0)
+
 
 class TestNiMargin:
     def test_sets_null_and_flag(self):

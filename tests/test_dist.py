@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
-from trialsize import dist
+from trialsize import designs, dist
+from trialsize.ancova import AncovaSpec, ancova_power_exact
+from trialsize.designs import TwoSampleSpec, _welch_given_ratio
+from trialsize.equivalence import (
+    Margins,
+    _phillips_integral,
+    ancova_equiv_power,
+    ts_unequal_equiv_power,
+)
 from trialsize.errors import BracketError, ConvergenceError, DomainError
 
 Z_975 = 1.9599639845400545
@@ -227,12 +235,7 @@ class TestDensities:
         assert abs(grid[int(np.argmax(vals))] - mode) < 0.01
 
     def test_scaled_chi2_normalizes(self):
-        f = 7.0
-        lo = dist._chi2_over_f_quantile(1e-12, f)
-        hi = dist._chi2_over_f_quantile(1.0 - 1e-12, f)
-        total = dist.integrate(
-            lambda x: np.array([dist.scaled_chi2_density(v, f) for v in x]), lo, hi, 1e-9
-        )
+        total, _ = integrate.quad(lambda x: dist.scaled_chi2_density(x, 7.0), 0.0, np.inf)
         assert abs(total - 1.0) < 1e-8
 
     def test_scaled_chi2_value(self):
@@ -244,17 +247,13 @@ class TestDensities:
         assert dist.scaled_chi2_density(-1.0, 4.0) == 0.0
 
     def test_f_density_normalizes(self):
-        f1, f2 = 4.0, 9.0
-        lo = dist._f_quantile(1e-12, f1, f2)
-        hi = dist._f_quantile(1.0 - 1e-12, f1, f2)
-        total = dist.integrate(
-            lambda x: np.array([dist.f_density(v, f1, f2) for v in x]), lo, hi, 1e-9
-        )
+        density = lambda x: dist.f_density(x, 4.0, 9.0)
+        total = integrate.quad(density, 0.0, 1.0)[0] + integrate.quad(density, 1.0, np.inf)[0]
         assert abs(total - 1.0) < 1e-8
 
     def test_f_density_median_symmetric(self):
-        below = dist.integrate(
-            lambda x: np.array([dist.f_density(v, 7.0, 7.0) for v in x]), 0.0, 1.0, 1e-13
+        below, _ = integrate.quad(
+            lambda x: dist.f_density(x, 7.0, 7.0), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13
         )
         assert abs(below - 0.5) < 1e-12
 
@@ -266,43 +265,126 @@ class TestDensities:
         assert dist.f_density(0.0, 3.0, 5.0) == 0.0
 
 
+def f_law_expectation(g, f1: float, f2: float) -> float:
+    """E[g(U)] for U ~ F(f1, f2) by scipy.integrate.quad in log u, between
+    scipy's quantiles at 1e-15 and its mirror."""
+    law = stats.f(f1, f2)
+    breaks = [math.log(law.ppf(p)) for p in (0.01, 0.5, 0.99)]
+    val, _ = integrate.quad(
+        lambda w: g(math.exp(w)) * law.pdf(math.exp(w)) * math.exp(w),
+        math.log(law.ppf(1e-15)),
+        math.log(law.isf(1e-15)),
+        points=breaks,
+        limit=500,
+        epsabs=1e-13,
+        epsrel=1e-12,
+    )
+    return val
+
+
+# (sigma1_sq / sigma0_sq, gamma0, n); n = 5 at gamma0 = 0.7 and n = 6 at
+# gamma0 = 0.3 leave one group with 0.5 and 0.8 d.f.
+WELCH_GRID = [
+    (1 / 16, 0.7, 5), (16.0, 0.7, 5), (1 / 16, 0.3, 6), (16.0, 0.3, 6),
+    (1.0, 0.5, 12), (1 / 16, 0.3, 40), (16.0, 0.5, 600),
+]
+# (q, n)
+ANCOVA_GRID = [(1, 5), (1, 10), (3, 7), (10, 14), (10, 40), (3, 600)]
+
+
+def welch_case(kind, ratio, gamma0, n, alpha=0.05):
+    """The library's value and the quad oracle of one Welch-family integral.
+
+    The effect and the margins shrink like 1/sqrt(n), so that no power is
+    trivially 0 or 1."""
+    scale = 1.0 / math.sqrt(n)
+    equiv = kind != "moser"
+    spec = TwoSampleSpec(0.0, (0.5 if equiv else 3.0) * scale, 1.0, ratio, gamma0)
+    margins = Margins.equivalence(-4.0 * scale, 4.0 * scale)
+    n0, n1 = gamma0 * n, (1.0 - gamma0) * n
+    base = ratio / n1 + 1.0 / n0
+    tau1 = spec.mu1 - spec.mu0
+
+    def h(u):
+        v_u, f_u = _welch_given_ratio(u, 1.0, ratio, n0, n1)
+        return stats.t.ppf(1.0 - alpha / 2.0, f_u) * math.sqrt(v_u / base)
+
+    a_up, b_low = (margins.upper - tau1) / math.sqrt(base), (margins.lower - tau1) / math.sqrt(base)
+    if kind == "moser":
+        value = designs.moser_exact_power(spec, 0.0, n, alpha).value
+        g = lambda u: stats.nct.sf(h(u), n - 2.0, tau1 / math.sqrt(base))
+    elif kind == "ts_equiv_exact":
+        value = ts_unequal_equiv_power(spec, margins, n, alpha, exact=True).value
+        g = lambda u: _phillips_integral(a_up, b_low, h(u), n - 2.0, dist.DEFAULT_SETTINGS)
+    else:
+        value = ts_unequal_equiv_power(spec, margins, n, alpha, exact=False).value
+        g = lambda u: stats.nct.sf(h(u), n - 2.0, a_up) + stats.nct.sf(h(u), n - 2.0, -b_low) - 1.0
+    return value, f_law_expectation(g, n1 - 1.0, n0 - 1.0)
+
+
+def ancova_case(kind, q, n, alpha=0.05):
+    """The library's value and the quad oracle of one ANCOVA-family integral."""
+    scale = 1.0 / math.sqrt(n)
+    equiv = kind != "ancova"
+    spec = AncovaSpec((0.5 if equiv else 3.0) * scale, 0.0, 1.0, 0.4, q)
+    margins = Margins.equivalence(-4.0 * scale, 4.0 * scale)
+    f, f2 = n - q - 2.0, n - q - 1.0
+    crit = stats.t.ppf(1.0 - alpha / 2.0, f)
+    se = lambda u: math.sqrt((1.0 + q * u / f2) / (n * 0.4 * 0.6))
+    a_up = lambda u: (margins.upper - spec.tau1) / se(u)
+    b_low = lambda u: (margins.lower - spec.tau1) / se(u)
+    if kind == "ancova":
+        value = ancova_power_exact(spec, n, alpha).value
+        g = lambda u: stats.ncf.sf(crit**2, 1.0, f, (spec.tau1 / se(u)) ** 2)
+    elif kind == "ancova_equiv_exact":
+        value = ancova_equiv_power(spec, margins, n, alpha, exact=True).value
+        g = lambda u: _phillips_integral(a_up(u), b_low(u), crit, f, dist.DEFAULT_SETTINGS)
+    else:
+        value = ancova_equiv_power(spec, margins, n, alpha, exact=False).value
+        g = lambda u: 1.0 - stats.nct.sf(-crit, f, -a_up(u)) - stats.nct.sf(-crit, f, b_low(u))
+    return value, f_law_expectation(g, float(q), f2)
+
+
+OUTER_CASES = [
+    pytest.param(welch_case, (kind, *case), id=f"{kind}-r{case[0]:g}-g{case[1]}-n{case[2]}")
+    for kind in ("moser", "ts_equiv_exact", "ts_equiv_approx")
+    for case in WELCH_GRID
+] + [
+    pytest.param(ancova_case, (kind, *case), id=f"{kind}-q{case[0]}-n{case[1]}")
+    for kind in ("ancova", "ancova_equiv_exact", "ancova_equiv_approx")
+    for case in ANCOVA_GRID
+]
+
+
 class TestIntegrate:
     def test_linear(self):
-        assert abs(dist.integrate(lambda x: x, 0.0, 1.0, 1e-12) - 0.5) < 1e-12
+        # the constant and W = f1 U / (f2 + f1 U) ~ Beta(f1/2, f2/2), linear in W
+        f1, f2 = 4.0, 9.0
+        assert abs(dist.integrate(np.ones_like, f1, f2) - 1.0) < 1e-11
+        mean_w = dist.integrate(lambda u: f1 * u / (f2 + f1 * u), f1, f2)
+        assert abs(mean_w - f1 / (f1 + f2)) < 1e-11
 
-    def test_against_fixed_grid_simpson(self):
-        # equivalence-style integrand vs a dense composite-Simpson oracle
-        f, crit, a_up, b_low = 8.0, 2.306, 4.2, -4.2
+    @pytest.mark.parametrize("case, args", OUTER_CASES)
+    def test_outer_integral_matches_quad(self, case, args):
+        # the exact equivalence forms share the library's inner integral
+        # (held to quad in test_equivalence), so this checks the outer rule
+        value, oracle = case(*args)
+        assert abs(value - oracle) < 1e-9
 
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            dens = np.array([dist.scaled_chi2_density(v, f) for v in x])
-            from scipy.special import ndtr
+    def test_one_call_with_every_abscissa(self):
+        shapes = []
 
-            return (ndtr(a_up - crit * np.sqrt(x)) - ndtr(b_low + crit * np.sqrt(x))) * dens
+        def fn(u):
+            shapes.append(u.shape)
+            return np.ones_like(u)
 
-        lo, hi = 1e-6, 3.3
-        n = 20001
-        xs = np.linspace(lo, hi, n)
-        ys = integrand(xs)
-        h = (hi - lo) / (n - 1)
-        simpson = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-        val = dist.integrate(integrand, lo, hi, 1e-10)
-        assert abs(val - simpson) < 1e-8
+        dist.integrate(fn, 0.5, 3.0)
+        assert shapes == [(224,)]
 
-    def test_matrix_integrand(self):
-        val = dist.integrate(lambda x: np.column_stack([x, x * x]), 0.0, 1.0, 1e-12)
-        assert np.allclose(val, [0.5, 1.0 / 3.0], atol=1e-11)
-
-    def test_nonconvergence_returns_best_estimate(self):
-        fn = lambda x: np.sin(1e6 * x)
-        with pytest.raises(ConvergenceError) as err:
-            dist.integrate(fn, 0.0, 1.0, 1e-14)
-        assert math.isfinite(err.value.best_estimate)
-
-    def test_bad_interval(self):
+    @pytest.mark.parametrize("f1, f2", [(0.0, 5.0), (3.0, -1.0), (math.inf, 5.0), (3.0, math.nan)])
+    def test_bad_df(self, f1, f2):
         with pytest.raises(DomainError):
-            dist.integrate(lambda x: x, 1.0, 0.0, 1e-8)
+            dist.integrate(np.ones_like, f1, f2)
 
 
 class TestFindRoot:

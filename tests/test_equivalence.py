@@ -303,10 +303,10 @@ class TestUnequalVarianceEquivalence:
     )
     def test_exact_matches_nested_quad_oracle(self, fixture, n, expected):
         # expected: nested scipy quad oracle.  At these sizes a noisy inner
-        # integral stalls the outer adaptive quadrature at its refinement cap.
+        # integral once stalled an adaptive outer quadrature at its refinement cap.
         cfg = load_design(fixture_path(fixture))
         value = ts_unequal_equiv_power(cfg.design, cfg.margins, n, cfg.alpha, exact=True).value
-        assert abs(value - expected) <= DEFAULT_SETTINGS.double_tol
+        assert abs(value - expected) <= 1e-7
 
     def test_exact_one_sided_margin_matches_welch_power(self):
         spec = TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)

@@ -78,6 +78,9 @@ def test_ldl_names_the_first_failing_minor():
         mmrm.ldl_decompose(bad)
     with pytest.raises(DomainError, match="finite"):
         mmrm.ldl_decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # the pivots after the failing minor are never squared
+    with pytest.raises(DecompositionError, match="order 2"):
+        mmrm.ldl_decompose(np.array([[1e300, 0.0], [0.0, -1e300]]))
 
 
 class TestDerived:
