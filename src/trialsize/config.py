@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,6 +161,21 @@ def _factor(value, path: str) -> FactorSpec:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _gamma0(block: dict, path: str) -> float:
+    """The control arm's allocation fraction.  The variance factor
+    1/(gamma0 (1 - gamma0)) is squared in the repeated-measures d.f., so a
+    fraction in (0, 1) must leave that square finite."""
+    gamma0 = _number(block.get("gamma0", 0.5), f"{path}.gamma0")
+    if 0.0 < gamma0 < 1.0:
+        factor = 1.0 / (gamma0 * (1.0 - gamma0))
+        if not math.isfinite(factor * factor):
+            raise ConfigError(
+                f"{path}.gamma0: {gamma0!r} is so close to 0 or 1 that "
+                "1/(gamma0 (1 - gamma0)) squared overflows"
+            )
+    return gamma0
+
+
 def _design_block(family: str, block: dict, path: str):
     if family == "one_sample":
         return OneSampleSpec(
@@ -173,7 +189,7 @@ def _design_block(family: str, block: dict, path: str):
             mu1=_number(_require(block, "mu1", path), f"{path}.mu1"),
             sigma0_sq=_number(_require(block, "sigma0_sq", path), f"{path}.sigma0_sq"),
             sigma1_sq=_number(_require(block, "sigma1_sq", path), f"{path}.sigma1_sq"),
-            gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
+            gamma0=_gamma0(block, path),
             equal_variance=_boolean(block.get("equal_variance", False), f"{path}.equal_variance"),
         )
     if family == "crossover":
@@ -181,7 +197,7 @@ def _design_block(family: str, block: dict, path: str):
             mu_star_a=_number(_require(block, "mu_star_a", path), f"{path}.mu_star_a"),
             mu_star_b=_number(_require(block, "mu_star_b", path), f"{path}.mu_star_b"),
             sigma_d_sq=_number(_require(block, "sigma_d_sq", path), f"{path}.sigma_d_sq"),
-            gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
+            gamma0=_gamma0(block, path),
             period_effect_in_analysis=_boolean(
                 block.get("period_effect_in_analysis", True),
                 f"{path}.period_effect_in_analysis",
@@ -192,7 +208,7 @@ def _design_block(family: str, block: dict, path: str):
             tau1=_number(_require(block, "tau1", path), f"{path}.tau1"),
             tau0=_number(block.get("tau0", 0.0), f"{path}.tau0"),
             sigma_sq=_number(_require(block, "sigma_sq", path), f"{path}.sigma_sq"),
-            gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
+            gamma0=_gamma0(block, path),
             q=_integer(_require(block, "q", path), f"{path}.q"),
         )
     if family == "mmrm":
@@ -207,7 +223,7 @@ def _design_block(family: str, block: dict, path: str):
                     _numbers(retention[0], f"{path}.retention[0]"),
                     _numbers(retention[1], f"{path}.retention[1]"),
                 ),
-                gamma0=_number(block.get("gamma0", 0.5), f"{path}.gamma0"),
+                gamma0=_gamma0(block, path),
                 q=_integer(_require(block, "q", path), f"{path}.q"),
                 tau_p1=_number(_require(block, "tau_p1", path), f"{path}.tau_p1"),
                 tau_p0=_number(block.get("tau_p0", 0.0), f"{path}.tau_p0"),
@@ -241,6 +257,27 @@ def _margins(doc: dict, objective: str, design):
     return None
 
 
+# the design field that carries each family's effect under the alternative
+_EFFECT_FIELDS = {
+    "one_sample": "mu",
+    "two_sample": "mu1",
+    "crossover": "mu_star_b",
+    "ancova": "tau1",
+    "mmrm": "tau_p1",
+}
+
+
+def _check_effect(family: str, design) -> None:
+    """A nonzero effect must have a normal square: the size formulas divide
+    by it.  A zero effect (a null or equivalence design) is allowed."""
+    effect = _effect_under_alternative(design)
+    if effect != 0.0 and effect * effect < sys.float_info.min:
+        raise ConfigError(
+            f"design.{_EFFECT_FIELDS[family]}: the effect {effect!r} is so small "
+            "that its square underflows"
+        )
+
+
 def _effect_under_alternative(design) -> float:
     if isinstance(design, OneSampleSpec):
         return design.mu
@@ -272,6 +309,7 @@ def parse_design(doc: dict, source: str = "<memory>") -> DesignConfig:
         design = _design_block(family, block, "design")
     except DomainError as exc:
         raise ConfigError(f"design: {exc}") from None
+    _check_effect(family, design)
 
     alpha_default = BE_ALPHA if objective == "bioequivalence" else 0.05
     alpha = _number(doc.get("alpha", alpha_default), "alpha")

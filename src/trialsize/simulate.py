@@ -19,17 +19,18 @@ t tests, least-squares covariate adjustment, and the factored per-visit
 regressions with the small-sample variance estimate and Satterthwaite
 degrees of freedom for repeated measures.  ``simulate_power`` runs every
 design family through one loop: a per-family engine draws and analyses a
-chunk of replicates in batch, and the loop refits, one at a time, the
-replicates the batched fit cannot handle, then applies the decision rule.
-Each analysis has one fit, ``analyze_ancova`` or ``analyze_mmrm``.  A
-replicate whose design matrix is collinear (e.g. an empty factor level in a
-tiny trial) is fitted again by the same code with the redundant covariate
-columns dropped, matching standard generalized-inverse practice; genuinely
-unanalyzable replicates (too few completers at a visit to fit its
-regression) are counted as recorded failures and excluded from the
-denominator.  The run aborts if failures exceed 0.1% of replicates: beyond
-that, exclusion could bias the estimate by a nontrivial fraction of its
-Monte Carlo standard error.
+chunk of replicates in batch, then the loop applies the decision rule.
+Covariate adjustment is the one-visit case of the repeated-measures fit, and
+both run one least-squares body, ``_fit_visits``: per visit, one sweep of an
+augmented Gram matrix over the whole chunk.  The sweep skips a covariate
+column that adds nothing to the rank (e.g. an empty factor level in a tiny
+trial), which is the generalized-inverse fit on the kept columns, so such a
+replicate stays in the batch.  ``analyze_ancova`` and ``analyze_mmrm`` are
+the same body for one dataset.  Genuinely unanalyzable replicates (too few
+completers at a visit to fit its regression) are counted as recorded
+failures and excluded from the denominator.  The run aborts if failures
+exceed 0.1% of replicates: beyond that, exclusion could bias the estimate by
+a nontrivial fraction of its Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -230,7 +232,184 @@ def _decide(
 
 
 # ---------------------------------------------------------------------------
+# the least-squares fit
+
+
+class _VisitFits(NamedTuple):
+    """The factored regressions of a batch of replicates.
+
+    Per replicate and visit: ``m`` completers, ``rank`` kept covariate
+    columns, ``kept`` which of them (intercept, covariates, treatment) and
+    ``history`` whether every earlier visit's pivot was kept.  ``est``, its
+    variance ``kr`` and ``df`` are NaN where ``ok`` is False.  The fields
+    after ``history`` hold the ``ok`` replicates only; visit j's coefficients
+    on its kept covariate columns and on y_1 .. y_{j-1} are
+    ``coef[:, j, :qs + j]`` at the kept positions.
+    """
+
+    ok: np.ndarray
+    est: np.ndarray
+    kr: np.ndarray
+    df: np.ndarray
+    m: np.ndarray
+    rank: np.ndarray
+    kept: np.ndarray
+    history: np.ndarray
+    coef: np.ndarray
+    sigma_sq: np.ndarray
+    v_xj: np.ndarray
+    l_hat: np.ndarray
+    a: np.ndarray
+    a_quad: np.ndarray
+
+
+def _sweep(s: np.ndarray, k: int, keep: np.ndarray) -> None:
+    """Sweep pivot ``k`` of the symmetric matrices ``s`` (count, K, K) in
+    place, in the replicates ``keep`` marks; the others stay as they are.
+
+    Once the pivots P of a matrix A are swept, s[P, P] is -A_PP^-1, s[P, Q]
+    is A_PP^-1 A_PQ and s[Q, Q] is A_QQ - A_QP A_PP^-1 A_PQ (Goodnight 1979,
+    "A tutorial on the SWEEP operator"; Little and Rubin, *Statistical
+    Analysis with Missing Data*, ch. 7).
+    """
+    d = np.where(keep, s[:, k, k], 1.0)
+    row = np.where(keep[:, None], s[:, k, :] / d[:, None], 0.0)
+    s -= row[:, :, None] * s[:, None, k, :]
+    row[:, k] = -1.0 / d
+    row = np.where(keep[:, None], row, s[:, k, :])
+    s[:, k, :] = row
+    s[:, :, k] = row
+
+
+def _fit_visits(yall, wobs, xcov, g, qs: int) -> _VisitFits:
+    """The factored per-visit regressions of a batch of replicates, with the
+    small-sample variance of the last-visit treatment effect and its
+    Satterthwaite d.f.
+
+    ``yall`` (count, n, p) holds the outcomes, ``wobs`` (count, n, p) is 1 at
+    an observed visit and 0 elsewhere, ``xcov`` (count, n, qs - 2) or None
+    holds the covariates and ``g`` (n,) the treatment.  Visit j's regression
+    is one augmented Gram matrix S_j = A' W_j A, A = [1, x, g, y_1 .. y_j],
+    swept in the order intercept, treatment, covariates, y_1 .. y_{j-1}.  A
+    pivot below ``_RANK_TOL`` times its column's diagonal is skipped.  A
+    skipped covariate pivot drops a column that adds nothing to the rank (an
+    empty factor level), which gives the generalized-inverse fit on the r_j
+    kept columns.  The (g, g) entry then gives v_xj.  After the earlier visits'
+    pivots, y_j's column holds the coefficients and its diagonal the
+    residual sum of squares, on m_j - r_j d.f.  A replicate fails if its
+    treatment or an earlier visit's pivot is skipped, or if m_j <= r_j + j.
+    ANCOVA is the case p = 1.
+    """
+    count, n, p = yall.shape
+    a = np.empty((count, n, qs + p))
+    a[:, :, 0] = 1.0
+    if xcov is not None:
+        a[:, :, 1 : qs - 1] = xcov
+    a[:, :, qs - 1] = g
+    a[:, :, qs:] = yall
+
+    m_j = wobs.sum(axis=1)
+    kept = np.empty((count, p, qs), dtype=bool)
+    history = np.ones((count, p), dtype=bool)
+    coef = np.empty((count, p, qs + p - 1))
+    v_xj = np.empty((count, p))
+    rss = np.empty((count, p))
+    inv_hist = [None] * p
+    for j in range(p):
+        aj = a[:, :, : qs + j + 1]
+        s = np.swapaxes(aj * wobs[:, :, j, None], 1, 2) @ aj
+        diag = np.diagonal(s, axis1=1, axis2=2).copy()
+        for c in (0, qs - 1, *range(1, qs - 1)):
+            kept[:, j, c] = s[:, c, c] > _RANK_TOL * diag[:, c]
+            _sweep(s, c, kept[:, j, c])
+        v_xj[:, j] = -s[:, qs - 1, qs - 1]
+        for c in range(qs, qs + j):
+            keep = s[:, c, c] > _RANK_TOL * diag[:, c]
+            history[:, j] &= keep
+            _sweep(s, c, keep)
+        coef[:, j, : qs + j] = s[:, : qs + j, -1]
+        rss[:, j] = s[:, -1, -1]
+        inv_hist[j] = -s[:, qs : qs + j, qs : qs + j]
+    rank = kept.sum(axis=2)
+    ok = (kept[:, :, qs - 1] & history & (m_j > rank + np.arange(p))).all(axis=1)
+
+    # the variance and d.f. only for the replicates that were fitted
+    coef, v_xj, rss, nu = (x[ok] for x in (coef, v_xj, rss, m_j - rank))
+    sigma_sq = rss / nu
+    u_hat = np.tile(np.eye(p), (len(nu), 1, 1))
+    for j in range(1, p):
+        u_hat[:, j, :j] = -coef[:, j, qs : qs + j]
+    l_hat = np.linalg.inv(u_hat)
+    lp = l_hat[:, -1, :]
+    tau_hat = np.einsum("rj,rj->r", lp, coef[:, :, qs - 1])
+
+    a_j = lp * sigma_sq * v_xj
+    terms = lp**2 * sigma_sq * v_xj
+    kr0 = terms.sum(axis=1)
+    kr = kr0.copy()
+    a_quad = np.zeros((len(nu), p))
+    for j in range(1, p):
+        spread = (v_xj[:, j, None] - v_xj[:, :j]).sum(axis=1)
+        kr += 2.0 * lp[:, j] ** 2 * sigma_sq[:, j] * spread / nu[:, j]
+        av = np.einsum("rtk,rk->rt", l_hat[:, :j, :j], a_j[:, :j])
+        quad = np.einsum("rt,rtu,ru->r", av, inv_hist[j][ok], av)
+        a_quad[:, j] = lp[:, j] ** 2 * sigma_sq[:, j] * quad
+    # Satterthwaite, kr0^2 / (2 sum(a_quad) + sum(terms^2 / nu)), divided
+    # through by kr0^2 / nu_p so that one visit gives m - r exactly
+    w = terms / kr0[:, None]
+    rest = (w[:, :-1] ** 2 / nu[:, :-1]).sum(axis=1) + 2.0 * a_quad.sum(axis=1) / kr0**2
+    sat = nu[:, -1] / (w[:, -1] ** 2 + nu[:, -1] * rest)
+
+    est, kr_all, df = np.full((3, count), np.nan)
+    est[ok], kr_all[ok], df[ok] = tau_hat, kr, sat
+    return _VisitFits(
+        ok, est, kr_all, df, m_j, rank, kept, history, coef, sigma_sq, v_xj, l_hat, a_j, a_quad
+    )
+
+
+def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs):
+    """(est, se, df, ok) of a batch of replicates, NaN where not ``ok``; see
+    ``_fit_visits``."""
+    fits = _fit_visits(yall, wobs, xcov, g, qs)
+    return fits.est, np.sqrt(fits.kr), fits.df, fits.ok
+
+
+# ---------------------------------------------------------------------------
 # single-dataset analyses
+
+
+def _fit_one(y: np.ndarray, g, covariates, strict: bool) -> _VisitFits:
+    """One dataset through ``_fit_visits``; raises where it fails.
+
+    ``y`` is (n, p) with NaN at missed visits.  ``strict`` also raises when a
+    covariate column had to be dropped.
+    """
+    n, p = y.shape
+    g = np.asarray(g, dtype=float)
+    x = None
+    if covariates is not None and np.asarray(covariates).size:
+        x = np.atleast_2d(np.asarray(covariates, dtype=float))
+        if x.shape[0] != n:
+            x = x.T
+    qs = 2 if x is None else x.shape[1] + 2
+    observed = ~np.isnan(y)
+    fits = _fit_visits(
+        np.where(observed, y, 0.0)[None], observed[None].astype(float),
+        None if x is None else x[None], g, qs,
+    )
+    for j in range(p):
+        m, r = int(fits.m[0, j]), int(fits.rank[0, j])
+        if not fits.kept[0, j, qs - 1]:
+            raise DomainError(f"visit {j + 1}: treatment effect is confounded; no analyzable fit")
+        if m <= r + j:
+            raise InsufficientDataError(
+                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
+            )
+        if strict and r < qs:
+            raise DomainError(f"visit {j + 1}: singular design matrix (collinear covariates)")
+        if not fits.history[0, j]:
+            raise DomainError(f"visit {j + 1}: earlier outcomes are collinear; no analyzable fit")
+    return fits
 
 
 def analyze_ancova(
@@ -239,65 +418,21 @@ def analyze_ancova(
     covariates: np.ndarray | None,
     strict: bool = True,
 ) -> AncovaFit:
-    """Least-squares treatment effect adjusted for covariates.
+    """Least-squares treatment effect adjusted for covariates: the
+    repeated-measures fit with one visit.
 
     ``strict=True`` raises on a collinear covariate block; with
     ``strict=False`` redundant columns are dropped (generalized-inverse
     behaviour) and the d.f. reflect the reduced rank.
     """
-    y = np.asarray(y, dtype=float)
-    g = np.asarray(treatment, dtype=float)
-    n = y.size
-    cols = [np.ones(n)]
-    if covariates is not None and np.asarray(covariates).size:
-        x = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if x.shape[0] != n:
-            x = x.T
-        cols.extend(x[:, j] for j in range(x.shape[1]))
-    cols.append(g)
-    xm = np.column_stack(cols)
-    k = xm.shape[1]
-    if n <= k:
-        raise InsufficientDataError(f"need more than {k} observations, got {n}")
-    gram = xm.T @ xm
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= _RANK_TOL * eig[-1]:
-        if strict:
-            raise DomainError("covariate matrix is singular (collinear columns)")
-        xm = xm[:, _prune_keep(xm)]
-        gram = xm.T @ xm
-        eig = np.linalg.eigvalsh(gram)
-        if eig[0] <= _RANK_TOL * eig[-1]:
-            raise DomainError("treatment effect is confounded; no analyzable fit")
-    inv = np.linalg.inv(gram)
-    beta = inv @ (xm.T @ y)
-    resid = y - xm @ beta
-    df = n - xm.shape[1]
-    sigma_sq = float(resid @ resid) / df
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    fits = _fit_one(y, treatment, covariates, strict)
     return AncovaFit(
-        tau_hat=float(beta[-1]),
-        sigma_hat_sq=sigma_sq,
-        v_x=float(inv[-1, -1]),
-        df=float(df),
+        tau_hat=float(fits.est[0]),
+        sigma_hat_sq=float(fits.sigma_sq[0, 0]),
+        v_x=float(fits.v_xj[0, 0]),
+        df=float(fits.df[0]),
     )
-
-
-def _prune_keep(xm: np.ndarray) -> list[int]:
-    """Columns to keep when the design matrix is collinear.
-
-    Intercept (first) and treatment (last) are fitted first; covariate
-    columns are added only while they increase the rank, so an adjuster that
-    aliases the treatment is dropped rather than the treatment itself.
-    """
-    n, k = xm.shape
-    if np.linalg.matrix_rank(xm[:, [0, k - 1]]) < 2:
-        raise DomainError("treatment effect is confounded; no analyzable fit")
-    keep_mid: list[int] = []
-    for j in range(1, k - 1):
-        cand = xm[:, [0] + keep_mid + [j, k - 1]]
-        if np.linalg.matrix_rank(cand) == len(keep_mid) + 3:
-            keep_mid.append(j)
-    return [0] + keep_mid + [k - 1]
 
 
 def analyze_mmrm(
@@ -312,116 +447,33 @@ def analyze_mmrm(
     must be monotone (once missing, missing at all later visits).  Returns
     the last-visit treatment effect, its small-sample variance estimate and
     Satterthwaite degrees of freedom.  ``strict=True`` raises on a singular
-    visit regression; with ``strict=False`` the fit is redone from the first
-    visit with each visit's redundant covariate columns dropped (used for
-    rare replicates where a factor level is empty among the subjects
-    retained at some visit), and parameter counts follow the per-visit ranks.
+    visit regression; with ``strict=False`` each visit drops the covariate
+    columns that add nothing to its rank (a factor level empty among the
+    subjects retained at that visit), and parameter counts follow the
+    per-visit ranks.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise DomainError("y must be an (n, p) matrix of per-visit outcomes")
-    n, p = y.shape
-    g = np.asarray(treatment, dtype=float)
     observed = ~np.isnan(y)
     if np.any(observed[:, 1:] & ~observed[:, :-1]):
         raise DomainError("missingness must be monotone across visits")
-    if covariates is not None and np.asarray(covariates).size:
-        x = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if x.shape[0] != n:
-            x = x.T
-        xpart = np.column_stack([np.ones(n), x, g])
-    else:
-        xpart = np.column_stack([np.ones(n), g])
-    return _fit_mmrm(y, xpart, observed, strict, prune=False)
-
-
-def _fit_mmrm(
-    y: np.ndarray, xpart: np.ndarray, observed: np.ndarray, strict: bool, prune: bool
-) -> MmrmFit:
-    """The per-visit regressions on each visit's kept covariate columns: all
-    of ``xpart``, or with ``prune`` the columns ``_prune_keep`` retains among
-    that visit's subjects."""
-    p = y.shape[1]
-    theta: list[np.ndarray] = []
-    sigma_sq = np.zeros(p)
-    v_xj = np.zeros(p)
-    m_j = np.zeros(p)
-    rank_x = np.zeros(p, dtype=int)
-    beta_hat = np.zeros((p, p))
-    inv_gram_hist = []
-
-    for j in range(p):
-        mask = observed[:, j]
-        m = int(mask.sum())
-        m_j[j] = m
-        x_only = xpart[mask]
-        if prune:
-            x_only = x_only[:, _prune_keep(x_only)]
-        r = x_only.shape[1]
-        rank_x[j] = r
-        if m <= r + j:
-            raise InsufficientDataError(
-                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
-            )
-        z = np.column_stack([x_only, y[mask, :j]]) if j else x_only
-        yy = y[mask, j]
-        gram = z.T @ z
-        eig = np.linalg.eigvalsh(gram)
-        if eig[0] <= _RANK_TOL * eig[-1]:
-            if prune:
-                raise DomainError(f"visit {j + 1}: design matrix not analyzable")
-            if strict:
-                raise DomainError(f"visit {j + 1}: singular design matrix")
-            return _fit_mmrm(y, xpart, observed, strict, prune=True)
-        inv = np.linalg.inv(gram)
-        th = inv @ (z.T @ yy)
-        resid = yy - z @ th
-        sigma_sq[j] = float(resid @ resid) / (m - r)
-        theta.append(th)
-        beta_hat[j, :j] = th[r:] if j else []
-        gram_x = x_only.T @ x_only
-        inv_x = np.linalg.inv(gram_x)
-        v_xj[j] = float(inv_x[-1, -1])
-        if j:
-            yhist = y[mask, :j]
-            m_mat = yhist.T @ yhist - (yhist.T @ x_only) @ inv_x @ (x_only.T @ yhist)
-            inv_gram_hist.append(np.linalg.inv(m_mat))
-        else:
-            inv_gram_hist.append(None)
-
-    u_hat = np.eye(p)
-    for j in range(1, p):
-        u_hat[j, :j] = -beta_hat[j, :j]
-    l_hat = np.linalg.inv(u_hat)
-    lp = l_hat[-1, :]
-    # treatment coefficient sits last in the retained covariate block
-    tau_under = np.array([theta[j][rank_x[j] - 1] for j in range(p)])
-    tau_hat = float(np.dot(lp, tau_under))
-
-    a = lp * sigma_sq * v_xj
-    kr = float(np.dot(lp**2 * sigma_sq, v_xj))
-    for j in range(1, p):
-        kr += 2.0 * lp[j] ** 2 * sigma_sq[j] * float(np.sum(v_xj[j] - v_xj[:j])) / (
-            m_j[j] - rank_x[j]
-        )
-    a_quad = np.zeros(p)
-    for j in range(1, p):
-        av = l_hat[:j, :j] @ a[:j]
-        a_quad[j] = lp[j] ** 2 * sigma_sq[j] * float(av @ inv_gram_hist[j] @ av)
-    denom = 2.0 * a_quad.sum() + float(np.sum(lp**2 * a**2 / (m_j - rank_x)))
-    sat_df = float(np.dot(lp**2 * sigma_sq, v_xj)) ** 2 / denom
-
+    fits = _fit_one(y, treatment, covariates, strict)
+    p, qs = y.shape[1], fits.kept.shape[2]
     return MmrmFit(
-        theta=tuple(theta),
-        sigma_hat_sq=sigma_sq,
-        l_hat=l_hat,
-        tau_hat=tau_hat,
-        kr_variance=kr,
-        satterthwaite_df=sat_df,
-        v_xj=v_xj,
-        m_j=m_j,
-        a_j=a,
-        a_quad=a_quad,
+        theta=tuple(
+            fits.coef[0, j, : qs + j][np.concatenate([fits.kept[0, j], np.ones(j, dtype=bool)])]
+            for j in range(p)
+        ),
+        sigma_hat_sq=fits.sigma_sq[0],
+        l_hat=fits.l_hat[0],
+        tau_hat=float(fits.est[0]),
+        kr_variance=float(fits.kr[0]),
+        satterthwaite_df=float(fits.df[0]),
+        v_xj=fits.v_xj[0],
+        m_j=fits.m[0],
+        a_j=fits.a[0],
+        a_quad=fits.a_quad[0],
     )
 
 
@@ -479,9 +531,8 @@ def _covariates(sc: ScenarioSpec, xb, u, out) -> np.ndarray | float:
 
 
 # Each engine draws and analyses one chunk of replicates, ``start`` onward and
-# at most up to ``stop``, and returns (est, se, df, refits): refits lists
-# (replicate, fallback fit, its arguments) for replicates the batched fit
-# could not handle.  Draws are scaled and shifted in place (``z *= sd;
+# at most up to ``stop``, and returns (est, se, df), est NaN for a replicate
+# whose analysis failed.  Draws are scaled and shifted in place (``z *= sd;
 # z += mu`` is ``mu + sd * z`` bit for bit) to keep the chunk's memory down.
 
 
@@ -497,7 +548,7 @@ def _simulate_one_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, s
     est = y.mean(axis=1)
     se = np.sqrt(y.var(axis=1, ddof=1) / n)
     df = np.full(count, float(n - 1))
-    return est, se, df, []
+    return est, se, df
 
 
 def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -524,7 +575,7 @@ def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, s
         a0, a1 = v0 / n0, v1 / n1
         se = np.sqrt(a0 + a1)
         df = (a0 + a1) ** 2 / (a0**2 / (n0 - 1) + a1**2 / (n1 - 1))
-    return est, se, df, []
+    return est, se, df
 
 
 def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -553,19 +604,7 @@ def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, st
         est = d.mean(axis=1)
         se = np.sqrt(d.var(axis=1, ddof=1) / n)
         df = np.full(count, float(n - 1))
-    return est, se, df, []
-
-
-def _ancova_test(y, g, x):
-    """Estimate, standard error and d.f. of one replicate's fallback fit."""
-    fit = analyze_ancova(y, g, x, strict=False)
-    return fit.tau_hat, math.sqrt(fit.sigma_hat_sq * fit.v_x), fit.df
-
-
-def _mmrm_test(y, g, x):
-    """Estimate, standard error and d.f. of one replicate's fallback fit."""
-    fit = analyze_mmrm(y, g, x, strict=False)
-    return fit.tau_hat, math.sqrt(fit.kr_variance), fit.satterthwaite_df
+    return est, se, df
 
 
 def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -577,37 +616,20 @@ def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop:
         raise InsufficientDataError(f"need more than {k} subjects, got {n}")
     g = np.concatenate([np.zeros(n0), np.ones(n1)])
     count = min(_CHUNK, stop - start)
-    xmat = np.empty((count, n, k))
-    xb, u, yall = _draw(
+    xcov = np.empty((count, n, design.q)) if design.q else None
+    xb, u, y = _draw(
         seed, start, count,
         *_covariate_blocks(sc, n, sc.baseline_effect is not None),
         ("standard_normal", (n,)),
     )
-    xmat[:, :, 0] = 1.0
-    xmat[:, :, -1] = g
-    mean = sc.intercept + _covariates(sc, xb, u, xmat[:, :, 1:-1]) + design.tau1 * g
+    mean = sc.intercept + _covariates(sc, xb, u, xcov) + design.tau1 * g
     if xb is not None:
         mean = mean + sc.baseline_effect * xb
-    yall *= math.sqrt(design.sigma_sq)
-    yall += mean
+    y *= math.sqrt(design.sigma_sq)
+    y += mean
     del xb, u, mean
-    gram = np.einsum("rik,ril->rkl", xmat, xmat)
-    eig = np.linalg.eigvalsh(gram)
-    ok = eig[:, 0] > _RANK_TOL * eig[:, -1]
-    est = np.empty(count)
-    se = np.empty(count)
-    df = np.empty(count)
-    if ok.any():
-        inv = np.linalg.inv(gram[ok])
-        xty = np.einsum("rik,ri->rk", xmat[ok], yall[ok])
-        beta = np.einsum("rkl,rl->rk", inv, xty)
-        resid = yall[ok] - np.einsum("rik,rk->ri", xmat[ok], beta)
-        sig = np.einsum("ri,ri->r", resid, resid) / (n - k)
-        est[ok] = beta[:, -1]
-        se[ok] = np.sqrt(sig * inv[:, -1, -1])
-        df[ok] = float(n - k)
-    refits = [(r, _ancova_test, (yall[r], g, xmat[r, :, 1:-1])) for r in np.nonzero(~ok)[0]]
-    return est, se, df, refits
+    est, se, df, _ = _analyze_mmrm_chunk(y[:, :, None], np.ones((count, n, 1)), xcov, g, k)
+    return est, se, df
 
 
 def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -618,12 +640,8 @@ def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: i
     chunk = max(128, min(2048, int(1e6 / (n * design.p))))
     count = min(chunk, stop - start)
     yall, wobs, xcov = _mmrm_trials(sc, n0, g, seed, start, count)
-    est, se, df, ok = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
-    refits = []
-    for r in np.nonzero(~ok)[0]:
-        yr = np.where(wobs[r] > 0, yall[r], np.nan)
-        refits.append((r, _mmrm_test, (yr, g, None if xcov is None else xcov[r])))
-    return est, se, df, refits
+    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
+    return est, se, df
 
 
 def _mmrm_trials(sc: ScenarioSpec, n0: int, g, seed: int, start: int, count: int):
@@ -679,108 +697,6 @@ def _mmrm_trials(sc: ScenarioSpec, n0: int, g, seed: int, start: int, count: int
     return yall, wobs, xcov
 
 
-def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs):
-    """Batched factored regressions of one chunk: (est, se, df, ok), where
-    ``ok`` marks the replicates this fit handles; the others need the
-    fallback fit and their est, se and df are unset."""
-    count, n, p = yall.shape
-    xpart = np.empty((count, n, qs))
-    xpart[:, :, 0] = 1.0
-    if xcov is not None:
-        xpart[:, :, 1 : qs - 1] = xcov
-    xpart[:, :, -1] = g
-
-    est = np.empty(count)
-    se = np.empty(count)
-    df = np.empty(count)
-    ok = np.ones(count, dtype=bool)
-
-    sigma_sq = np.empty((count, p))
-    v_xj = np.empty((count, p))
-    m_j = np.empty((count, p))
-    tau_under = np.empty((count, p))
-    beta_hat = np.zeros((count, p, p))
-    inv_hist = [None] * p
-
-    for j in range(p):
-        w = wobs[:, :, j]
-        m = w.sum(axis=1)
-        m_j[:, j] = m
-        k_j = qs + j
-        ok &= m > k_j
-        z = np.concatenate([xpart, yall[:, :, :j]], axis=2) if j else xpart
-        zw = z * w[:, :, None]
-        gram = np.einsum("rik,ril->rkl", zw, z)
-        eig = np.linalg.eigvalsh(gram)
-        ok &= eig[:, 0] > _RANK_TOL * eig[:, -1]
-        gram_safe = np.where(ok[:, None, None], gram, np.eye(k_j)[None, :, :])
-        inv = np.linalg.inv(gram_safe)
-        zty = np.einsum("rik,ri->rk", zw, yall[:, :, j])
-        th = np.einsum("rkl,rl->rk", inv, zty)
-        resid = (yall[:, :, j] - np.einsum("rik,rk->ri", z, th)) * np.sqrt(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma_sq[:, j] = np.einsum("ri,ri->r", resid, resid) / (m - qs)
-        tau_under[:, j] = th[:, qs - 1]
-        if j:
-            beta_hat[:, j, :j] = th[:, k_j - j :]
-        xw = xpart * w[:, :, None]
-        gram_x = np.einsum("rik,ril->rkl", xw, xpart)
-        eigx = np.linalg.eigvalsh(gram_x)
-        ok &= eigx[:, 0] > _RANK_TOL * eigx[:, -1]
-        gram_x_safe = np.where(ok[:, None, None], gram_x, np.eye(qs)[None, :, :])
-        inv_x = np.linalg.inv(gram_x_safe)
-        v_xj[:, j] = inv_x[:, -1, -1]
-        if j:
-            yh = yall[:, :, :j]
-            yhw = yh * w[:, :, None]
-            gram_h = np.einsum("rik,ril->rkl", yhw, yh)
-            cross = np.einsum("rik,ril->rkl", yhw, xpart)
-            m_mat = gram_h - cross @ inv_x @ np.swapaxes(cross, 1, 2)
-            eigm = np.linalg.eigvalsh(m_mat)
-            ok &= eigm[:, 0] > _RANK_TOL * np.abs(eigm[:, -1])
-            m_safe = np.where(ok[:, None, None], m_mat, np.eye(j)[None, :, :])
-            inv_hist[j] = np.linalg.inv(m_safe)
-
-    # The variance and d.f. only for the replicates the batched fit handles;
-    # the others, whose sigma_sq may be inf or NaN, go to the fallback fit.
-    sigma_sq, v_xj, m_j, tau_under, beta_hat = (
-        x[ok] for x in (sigma_sq, v_xj, m_j, tau_under, beta_hat)
-    )
-    inv_hist = [h if h is None else h[ok] for h in inv_hist]
-    u_hat = np.tile(np.eye(p), (len(m_j), 1, 1))
-    for j in range(1, p):
-        u_hat[:, j, :j] = -beta_hat[:, j, :j]
-    l_hat = np.linalg.inv(u_hat)
-    lp = l_hat[:, -1, :]
-    tau_hat = np.einsum("rj,rj->r", lp, tau_under)
-
-    a = lp * sigma_sq * v_xj
-    kr = np.einsum("rj,rj->r", lp**2 * sigma_sq, v_xj)
-    a_quad_sum = np.zeros(len(m_j))
-    for j in range(1, p):
-        kr += (
-            2.0
-            * lp[:, j] ** 2
-            * sigma_sq[:, j]
-            * (v_xj[:, j][:, None] - v_xj[:, :j]).sum(axis=1)
-            / (m_j[:, j] - qs)
-        )
-        av = np.einsum("rtk,rk->rt", l_hat[:, :j, :j], a[:, :j])
-        a_quad_sum += (
-            lp[:, j] ** 2
-            * sigma_sq[:, j]
-            * np.einsum("rt,rtu,ru->r", av, inv_hist[j], av)
-        )
-    denom = 2.0 * a_quad_sum + np.sum(lp**2 * a**2 / (m_j - qs), axis=1)
-    sat = np.einsum("rj,rj->r", lp**2 * sigma_sq, v_xj) ** 2 / denom
-
-    est[ok] = tau_hat
-    se[ok] = np.sqrt(kr)
-    df[ok] = sat
-
-    return est, se, df, ok
-
-
 def simulate_power(
     sc: ScenarioSpec,
     n_per_group,
@@ -822,15 +738,11 @@ def simulate_power(
         raise DomainError(f"unsupported design type {type(design).__name__}")
     rej = fail = done = 0
     while done < reps:
-        est, se, df, refits = engine(sc, n_per_group, rng_seed, done, reps)
-        for r, refit, args in refits:
-            try:
-                est[r], se[r], df[r] = refit(*args)
-            except (DomainError, InsufficientDataError, np.linalg.LinAlgError):
-                est[r], se[r], df[r] = np.nan, 1.0, 10.0
-                fail += 1
+        est, se, df = engine(sc, n_per_group, rng_seed, done, reps)
+        failed = np.isnan(est)
+        fail += int(failed.sum())
         dec = _decide(est, se, df, alpha, objective, tau0)
-        dec[np.isnan(est)] = False
+        dec[failed] = False
         rej += int(dec.sum())
         done += est.size
     elapsed = time.perf_counter() - start

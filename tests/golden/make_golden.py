@@ -5,9 +5,10 @@ The file holds the CSV output of ``reproduce-table 1..6``, of
 at every rounded total that ``size`` printed for that fixture, and of
 ``simulate --reps 1000 --format csv`` at the rounded total of the fixture's
 ``inversion`` row (default seed), which pins the simulator's rejection and
-failure counts, fallback fits included.  Each block
-starts with a ``$ `` line giving the command (fixtures by name) and its exit
-status; ``tests/test_golden.py`` reruns every block and compares the bytes.
+failure counts, replicates with a dropped covariate column included.  Each
+block starts with a ``$ `` line giving the command (fixtures by name) and its
+exit status; ``tests/test_golden.py`` reruns every block and compares the
+bytes.
 
 Run from the repository root against the checkout to be recorded:
 

@@ -112,6 +112,29 @@ class TestSchema:
         with pytest.raises(ConfigError, match="^design.covariance.size"):
             parse_design(doc)
 
+    def test_gamma0_whose_variance_factor_overflows(self, tmp_path, capsys):
+        # 1/(gamma0 (1 - gamma0)) is 1e158, whose square overflows
+        doc = json.loads(fixture_path("table3_un_q1_m12").read_text())
+        doc["design"]["gamma0"] = 1e-158
+        code, _, err = run_cli(capsys, "power", "--design", write_design(tmp_path, doc), "--n", "40")
+        assert code == 2
+        assert err.startswith("error: design.gamma0: 1e-158 is so close to 0 or 1")
+        doc["design"]["gamma0"] = 1e-150
+        parse_design(doc)
+
+    def test_effect_whose_square_underflows(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("table1_equal_100").read_text())
+        doc["design"]["mu1"] = 1e-164
+        code, _, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("error: design.mu1: the effect 1e-164 is so small")
+        for mu1 in (1e-160, -1e-160):  # a subnormal square
+            doc["design"]["mu1"] = mu1
+            with pytest.raises(ConfigError, match="^design.mu1"):
+                parse_design(doc)
+        doc["design"]["mu1"] = 0.0  # a null design stays valid
+        parse_design(doc)
+
     def test_mmrm_structures(self):
         for cov in (
             {"structure": "cs", "size": 3, "variance": 2.0, "covariance": 0.5},

@@ -193,6 +193,42 @@ class TestAnalyzeMmrm:
         assert abs(fit.kr_variance - kr) < 1e-10
         assert abs(fit.satterthwaite_df - sat) < 1e-10
 
+    def test_kept_rank_sets_the_parameter_count(self):
+        # a two-level factor with no completers in level 1 at visit 2, where
+        # m = q* + j = 4 subjects remain: without the dropped indicator the
+        # regression has r + j = 3 parameters, so the fit goes ahead
+        rng = np.random.default_rng(7)
+        n = 10
+        g = np.repeat([0.0, 1.0], 5)
+        d = np.array([1.0, 1, 0, 0, 0, 1, 1, 0, 0, 0])
+        y = rng.standard_normal((n, 2)) + np.outer(g, [0.5, 1.0])
+        keep = np.isin(np.arange(n), [3, 4, 8, 9])
+        y[~keep, 1] = np.nan
+        fit = analyze_mmrm(y, g, d, strict=False)
+
+        def lstsq_fit(x, yy, history):
+            z = np.column_stack([x, history])
+            th = np.linalg.lstsq(z, yy, rcond=None)[0]
+            resid = yy - z @ th
+            inv_x = np.linalg.inv(x.T @ x)
+            return th, resid @ resid / (len(yy) - x.shape[1]), inv_x
+
+        x1 = np.column_stack([np.ones(n), d, g])
+        th1, s1, inv_x1 = lstsq_fit(x1, y[:, 0], np.empty((n, 0)))
+        x2 = np.column_stack([np.ones(4), g[keep]])
+        th2, s2, inv_x2 = lstsq_fit(x2, y[keep, 1], y[keep, 0])
+        v1, v2, l21 = inv_x1[-1, -1], inv_x2[-1, -1], th2[2]
+        kr = l21**2 * s1 * v1 + s2 * v2 + 2.0 * s2 * (v2 - v1) / (4 - 2)
+        yh = y[keep, 0]
+        m_mat = yh @ yh - (yh @ x2) @ inv_x2 @ (x2.T @ yh)
+        a1, a2 = l21 * s1 * v1, s2 * v2
+        denom = 2.0 * s2 * a1**2 / m_mat + l21**2 * a1**2 / (n - 3) + a2**2 / (4 - 2)
+        assert fit.m_j.tolist() == [10, 4]
+        assert abs(fit.tau_hat - (l21 * th1[2] + th2[1])) < 1e-10
+        assert abs(fit.kr_variance - kr) < 1e-10
+        assert abs(fit.satterthwaite_df - (l21**2 * s1 * v1 + s2 * v2) ** 2 / denom) < 1e-10
+        assert len(fit.theta[1]) == 3  # intercept, treatment, visit-1 outcome
+
     def test_estimates_recover_truth(self):
         # consistency: average last-visit effect estimate near the generating value
         rng = np.random.default_rng(5)
@@ -241,7 +277,7 @@ class TestDeterminism:
 # (rejections, failures) recorded for engines no shipped fixture reaches: the
 # one-sample engine, both crossover analyses under a period effect, and an
 # ANCOVA whose three-level factor often leaves a level empty at 6 per arm
-# (1438 of the 5000 replicates go to the pruned fallback fit).
+# (1438 of the 5000 replicates drop an indicator column).
 ENGINE_PINS = {
     "one_sample": (OneSampleSpec(mu=0.6, tau0=0.0, sigma_sq=1.0), {}, (15,), (2920, 0)),
     "crossover_period_in_analysis": (
@@ -325,7 +361,7 @@ class TestSubstream:
 
 
 # One case per engine; at these sizes the ANCOVA and repeated-measures cases
-# send some of replicates 17-39 to the fallback fit.
+# each have a replicate among 17-39 whose fit drops a covariate column.
 _ANCOVA_PIN = ENGINE_PINS["ancova_three_level_factor"]
 CHUNK_CASES = {
     "one_sample": (
@@ -357,22 +393,41 @@ CHUNK_CASES = {
 
 
 @pytest.mark.parametrize("engine,sc,n_per_group", CHUNK_CASES.values(), ids=CHUNK_CASES)
-def test_replicates_do_not_depend_on_chunk_boundaries(engine, sc, n_per_group):
+def test_replicates_do_not_depend_on_chunk_boundaries(engine, sc, n_per_group, monkeypatch):
+    fits = []
+    fit_visits = sim._fit_visits
+    monkeypatch.setattr(sim, "_fit_visits", lambda *args: fits.append(fit_visits(*args)) or fits[-1])
     run = getattr(sim, engine)
-    *full, full_refits = run(sc, n_per_group, sc.seed, 0, 40)
-    *tail, tail_refits = run(sc, n_per_group, sc.seed, 17, 40)
-    full_refits = [(r - 17, fit, args) for r, fit, args in full_refits if r >= 17]
-    assert [r for r, _, _ in full_refits] == [r for r, _, _ in tail_refits]
-    if engine in ("_simulate_ancova", "_simulate_mmrm"):
-        assert tail_refits
-    batched = np.ones(23, dtype=bool)
-    batched[[r for r, _, _ in tail_refits]] = False
+    full = run(sc, n_per_group, sc.seed, 0, 40)
+    tail = run(sc, n_per_group, sc.seed, 17, 40)
+    assert len(full) == len(tail) == 3
     for a, b in zip(full, tail):
-        assert np.array_equal(a[17:][batched], b[batched])
-    for (_, fit_a, args_a), (_, fit_b, args_b) in zip(full_refits, tail_refits):
-        assert fit_a is fit_b
-        for a, b in zip(args_a, args_b):
-            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(a[17:], b, equal_nan=True)
+    if engine in ("_simulate_ancova", "_simulate_mmrm"):
+        qs = fits[-1].kept.shape[2]
+        assert (fits[-1].rank < qs).any()
+
+
+def test_ancova_df_is_n_minus_rank():
+    # a three-level factor at 6 per arm often leaves a level empty; the
+    # batch and the single fit drop the redundant indicator and both give
+    # n - rank d.f., exactly
+    rng = np.random.default_rng(8)
+    count, n = 200, 12
+    g = np.repeat([0.0, 1.0], 6)
+    levels = rng.choice(3, size=(count, n), p=[0.6, 0.3, 0.1])
+    xcov = np.stack([rng.standard_normal((count, n)), levels == 0, levels == 1], axis=2)
+    xcov = xcov.astype(float)
+    y = 0.5 * g + rng.standard_normal((count, n))
+    est, se, df, ok = sim._analyze_mmrm_chunk(y[:, :, None], np.ones((count, n, 1)), xcov, g, 5)
+    rank = np.array([np.linalg.matrix_rank(np.column_stack([np.ones(n), x, g])) for x in xcov])
+    assert ok.all() and rank.min() < 5
+    assert np.array_equal(df, n - rank)
+    for r in range(count):
+        fit = analyze_ancova(y[r], g, xcov[r], strict=False)
+        assert fit.df == n - rank[r]
+        assert fit.tau_hat == pytest.approx(est[r], rel=1e-12)
+        assert math.sqrt(fit.sigma_hat_sq * fit.v_x) == pytest.approx(se[r], rel=1e-12)
 
 
 class TestBatchedMatchesScalar:
