@@ -188,8 +188,8 @@ def ancova_size_chain(
     Returns fractional sizes keyed by method:
 
     n_asy      normal approximation with the asymptotic variance
+    approx     one-step evaluation of the covariate correction (used by the chain)
     quadratic  explicit root of the self-consistent covariate-corrected size
-    approx     one-step evaluation of that correction (used by the chain)
     g1, g2     noniterative corrected sizes (rho = 1)
     two_step   t-quantile recomputation with the covariate correction
     inversion  numerical inversion of the exact power
@@ -246,8 +246,8 @@ def ancova_size_chain(
 
     return {
         "n_asy": est(n_asy, "normal"),
-        "quadratic": est(n_quad, "normal"),
         "approx": est(n_tilde, "normal"),
+        "quadratic": est(n_quad, "normal"),
         "g1": est(g1, "g1"),
         "g2": est(g2, "g2"),
         "two_step": est(n_ts, "two_step"),

@@ -17,28 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
 
-from . import core
-from .ancova import (
-    AncovaSpec,
-    ancova_power_approx,
-    ancova_power_asymptotic_t,
-    ancova_power_exact,
-    ancova_size_chain,
-)
 from .config import ConfigError, DesignConfig, load_design
-from .designs import TwoSampleSpec, moser_exact_power
-from .equivalence import (
-    Margins,
-    ancova_equiv_power,
-    equiv_power_approx,
-    equiv_power_exact,
-    equiv_size_symmetric,
-    ts_unequal_equiv_power,
-)
+from .equivalence import Margins
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -46,7 +31,6 @@ from .errors import (
     InsufficientDataError,
     SimulationFailureError,
 )
-from .mmrm import MmrmDesign, mmrm_equiv_power, mmrm_power, mmrm_power_approx, mmrm_size_chain
 from .simulate import simulate_power
 from .tables import TABLE_NUMBERS, build_table
 
@@ -67,7 +51,9 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _parse_margins(text: str, objective: str) -> Margins:
+def _override_margins(cfg: DesignConfig, text: str) -> DesignConfig:
+    """``cfg`` with the ``--margins LO,HI`` interval; a design whose objective
+    is not (bio)equivalence becomes an equivalence design."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError("--margins expects LO,HI")
@@ -75,104 +61,12 @@ def _parse_margins(text: str, objective: str) -> Margins:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--margins expects two numbers, got {text!r}") from None
-    kind = "equivalence" if objective in ("equivalence", "bioequivalence") else objective
-    return Margins(lower=lo, upper=hi, kind=kind)
-
-
-def _split_total(cfg: DesignConfig, total: int) -> tuple[int, ...]:
-    if isinstance(cfg.design, MmrmDesign):
-        alloc = (cfg.design.gamma0, cfg.design.gamma1)
-    else:
-        k = cfg.kernel()
-        alloc = k.allocation
-    _, per_group = core.rounded_sizes(float(total), alloc, "up")
-    return per_group
-
-
-def _is_equivalence(cfg: DesignConfig) -> bool:
-    return cfg.objective in ("equivalence", "bioequivalence")
-
-
-def _power_rows(cfg: DesignConfig, n: float, alpha: float) -> list[tuple[str, float]]:
-    rows: list[tuple[str, float]] = []
-    d = cfg.design
-    if _is_equivalence(cfg):
-        m = cfg.margins
-        if isinstance(d, MmrmDesign):
-            rows.append(("equivalence", mmrm_equiv_power(d, m, n, alpha).value))
-        elif isinstance(d, AncovaSpec):
-            rows.append(("exact", ancova_equiv_power(d, m, n, alpha, exact=True).value))
-            rows.append(("approx", ancova_equiv_power(d, m, n, alpha, exact=False).value))
-        elif isinstance(d, TwoSampleSpec) and not d.equal_variance:
-            rows.append(("exact", ts_unequal_equiv_power(d, m, n, alpha, exact=True).value))
-            rows.append(("approx", ts_unequal_equiv_power(d, m, n, alpha, exact=False).value))
-            k = cfg.kernel()
-            rows.append(("generic_approx", equiv_power_approx(k, m, n, alpha).value))
-        else:
-            k = cfg.kernel()
-            rows.append(("exact", equiv_power_exact(k, m, n, alpha).value))
-            rows.append(("approx", equiv_power_approx(k, m, n, alpha).value))
-        return rows
-    if isinstance(d, MmrmDesign):
-        rows.append(("main", mmrm_power(d, n, alpha).value))
-        rows.append(("simple_approx", mmrm_power_approx(d, n, alpha).value))
-        return rows
-    if isinstance(d, AncovaSpec):
-        rows.append(("exact", ancova_power_exact(d, n, alpha).value))
-        rows.append(("approx", ancova_power_approx(d, n, alpha).value))
-        rows.append(("asymptotic_t", ancova_power_asymptotic_t(d, n, alpha).value))
-        return rows
-    k = cfg.kernel()
-    rows.append(("two_sided", core.power_two_sided(k, n, alpha).value))
-    rows.append(("one_sided_approx", core.power_one_sided_approx(k, n, alpha).value))
-    if isinstance(d, TwoSampleSpec) and not d.equal_variance:
-        rows.append(("exact", moser_exact_power(d, k.tau0, n, alpha).value))
-    return rows
-
-
-def _size_rows(cfg: DesignConfig, alpha: float, power: float, rounding: str):
-    d = cfg.design
-    rows: list[tuple[str, core.SizeEstimate]] = []
-    rnd = "up" if rounding == "none" else rounding
-    if isinstance(d, MmrmDesign):
-        chain = mmrm_size_chain(d, alpha, power, margins=cfg.margins if _is_equivalence(cfg) else None, rounding=rnd)
-        order = ["n_a", "approx", "g1", "g2", "two_step", "inversion"]
-        labels = {"n_a": "normal_asymptotic", "approx": "normal"}
-        return [(labels.get(key, key), chain[key]) for key in order]
-    if isinstance(d, AncovaSpec) and not _is_equivalence(cfg):
-        chain = ancova_size_chain(d, alpha, power, rounding=rnd)
-        order = ["n_asy", "approx", "quadratic", "g1", "g2", "two_step", "inversion"]
-        labels = {"n_asy": "normal_asymptotic", "approx": "normal", "quadratic": "normal_quadratic"}
-        return [(labels.get(key, key), chain[key]) for key in order]
-    k = cfg.kernel()
-    if _is_equivalence(cfg):
-        m = cfg.margins
-        for method in ("normal", "g1", "g2", "two_step"):
-            rows.append((method, equiv_size_symmetric(k, m, alpha, power, method, rnd)))
-        if isinstance(d, TwoSampleSpec) and not d.equal_variance:
-            power_fn = lambda n: ts_unequal_equiv_power(d, m, n, alpha, exact=True).value
-        else:
-            power_fn = lambda n: equiv_power_exact(k, m, n, alpha).value
-    else:
-        for method, fn in (
-            ("normal", core.size_normal),
-            ("g1", core.size_g1),
-            ("g2", core.size_g2),
-            ("two_step", core.size_two_step),
-        ):
-            rows.append((method, fn(k, alpha, power, rnd)))
-        if isinstance(d, TwoSampleSpec) and not d.equal_variance:
-            power_fn = lambda n: moser_exact_power(d, k.tau0, n, alpha).value
-        else:
-            power_fn = lambda n: core.power_two_sided(k, n, alpha).value
-    hint = dict(rows)["g2"].fractional
-    rows.append(
-        (
-            "inversion",
-            core.size_invert(power_fn, power, hint, k.min_n, k.allocation, alpha, rnd),
-        )
+    equivalence = cfg.objective in ("equivalence", "bioequivalence")
+    return dataclasses.replace(
+        cfg,
+        margins=Margins.equivalence(lo, hi),
+        objective=cfg.objective if equivalence else "equivalence",
     )
-    return rows
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
@@ -201,18 +95,10 @@ def cmd_power(args) -> int:
         return _fail("power requires --n (total sample size)", 2)
     rows = [
         {"method": name, "power_pct": _fmt(100.0 * value)}
-        for name, value in _power_rows(cfg, float(args.n), alpha)
+        for name, value in cfg.power_rows(float(args.n), alpha)
     ]
     _emit(rows, ["method", "power_pct"], args.format)
     return 0
-
-
-def _override_margins(cfg: DesignConfig, text: str) -> DesignConfig:
-    import dataclasses
-
-    margins = _parse_margins(text, cfg.objective if _is_equivalence(cfg) else "equivalence")
-    objective = cfg.objective if _is_equivalence(cfg) else "equivalence"
-    return dataclasses.replace(cfg, margins=margins, objective=objective)
 
 
 def cmd_size(args) -> int:
@@ -222,7 +108,8 @@ def cmd_size(args) -> int:
     if args.margins is not None:
         cfg = _override_margins(cfg, args.margins)
     rows = []
-    for name, est in _size_rows(cfg, alpha, power, args.round):
+    # --round none prints the fractional sizes of the default rounding
+    for name, est in cfg.size_rows(alpha, power, "up" if args.round == "none" else args.round):
         row = {"method": name, "fractional": _fmt(est.fractional)}
         if args.round != "none":
             row["rounded_total"] = est.rounded_total
@@ -240,7 +127,7 @@ def cmd_simulate(args) -> int:
         cfg = _override_margins(cfg, args.margins)
     if args.n is None:
         return _fail("simulate requires --n (total sample size)", 2)
-    per_group = _split_total(cfg, args.n)
+    per_group = cfg.split_total(args.n)
     objective = cfg.margins if cfg.margins is not None else Margins.superiority()
     report = simulate_power(
         cfg.scenario,

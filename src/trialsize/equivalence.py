@@ -25,14 +25,7 @@ from scipy import special, stats
 from . import core, dist
 from .ancova import AncovaSpec
 from .core import PowerEstimate, SizeEstimate, TestKernel
-from .designs import (
-    CrossoverSpec,
-    TwoSampleSpec,
-    _welch_given_ratio,
-    crossover_kernel,
-    two_sample_equal_kernel,
-    two_sample_unequal_kernel,
-)
+from .designs import TwoSampleSpec, _welch_given_ratio
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
@@ -430,24 +423,17 @@ def ts_unequal_equiv_power(
     )
 
 
-def be_adapter(
-    spec: CrossoverSpec | TwoSampleSpec,
-    limits: BeLimits = BE_LIMITS,
-) -> tuple[TestKernel, Margins, float]:
+def be_adapter(spec, limits: BeLimits = BE_LIMITS) -> tuple[TestKernel, Margins, float]:
     """Bioequivalence setup: log-scale kernel, +/- log-margin interval, alpha=0.1.
 
     The decision is CI containment within the limits, equivalently two
-    one-sided tests with actual type I error alpha/2.
+    one-sided tests with actual type I error alpha/2.  Any design family
+    that lowers to a test kernel (all but repeated measures) has one.
     """
-    if isinstance(spec, CrossoverSpec):
-        kernel = crossover_kernel(spec)
-    elif isinstance(spec, TwoSampleSpec):
-        if spec.equal_variance:
-            kernel = two_sample_equal_kernel(spec, 0.0)
-        else:
-            kernel = two_sample_unequal_kernel(spec, 0.0)
-    else:
+    from .families import family_of  # families is built on this module
+
+    kernel = family_of(spec).kernel
+    if kernel is None:
         raise DomainError(f"unsupported design for bioequivalence: {type(spec).__name__}")
     half = math.log(limits.ratio_upper)
-    margins = Margins.equivalence(-half, half)
-    return kernel, margins, BE_ALPHA
+    return kernel(spec, 0.0), Margins.equivalence(-half, half), BE_ALPHA

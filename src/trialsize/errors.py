@@ -31,3 +31,7 @@ class DecompositionError(ValueError):
 
 class InsufficientDataError(ValueError):
     """A fitted analysis has too few observations to estimate its parameters."""
+
+
+class ConfigError(ValueError):
+    """A design file violates the schema; the message names the field."""

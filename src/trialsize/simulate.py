@@ -18,8 +18,9 @@ Analyses mirror the estimators the power formulas target: pooled and Welch
 t tests, least-squares covariate adjustment, and the factored per-visit
 regressions with the small-sample variance estimate and Satterthwaite
 degrees of freedom for repeated measures.  ``simulate_power`` runs every
-design family through one loop: a per-family engine draws and analyses a
-chunk of replicates in batch, then the loop applies the decision rule.
+design family through one loop: the engine named in the family's record
+(``families.FAMILIES``) draws and analyses a chunk of replicates in batch,
+then the loop applies the decision rule.
 Covariate adjustment is the one-visit case of the repeated-measures fit, and
 both run one least-squares body, ``_fit_visits``: per visit, one sweep of an
 augmented Gram matrix over the whole chunk.  The sweep skips a covariate
@@ -43,11 +44,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .ancova import AncovaSpec
-from .designs import CrossoverSpec, OneSampleSpec, TwoSampleSpec
 from .equivalence import Margins
 from .errors import DomainError, InsufficientDataError, SimulationFailureError
-from .mmrm import MmrmDesign
+from .families import family_of
 
 __all__ = [
     "FactorSpec",
@@ -62,8 +61,6 @@ __all__ = [
 
 _CHUNK = 4096
 _FAILURE_CAP = 1e-3
-_DEFAULT_REPLICATES = 100_000
-_DEFAULT_REPLICATES_MMRM = 40_000
 _RANK_TOL = 1e-9
 
 
@@ -95,16 +92,15 @@ class FactorSpec:
 class ScenarioSpec:
     """Generator configuration for one simulated trial design.
 
-    ``design`` fixes the analysis; the remaining fields parameterize data
-    generation only (they do not move the design-stage power).  For
-    covariate-adjusted designs the implied covariate count (baseline plus
-    factor dummies) must match the design's q.
+    ``design`` fixes the analysis and, through its family, the engine; the
+    remaining fields parameterize data generation only (they do not move the
+    design-stage power).  For covariate-adjusted designs the implied
+    covariate count (baseline plus factor dummies) must match the design's q.
     """
 
-    design: OneSampleSpec | TwoSampleSpec | CrossoverSpec | AncovaSpec | MmrmDesign
+    design: object  # a design of one of ``families.FAMILIES``
     replicates: int = 0  # 0 -> family default
     seed: int = 20240801
-    tau0: float = 0.0  # null value for two-sample/crossover superiority tests
     intercept: float = 0.0
     baseline_effect: float | None = None
     factor: FactorSpec | None = None
@@ -116,31 +112,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.replicates < 0:
             raise DomainError("replicate count must be nonnegative (0 selects the family default)")
-        dummies = self.factor.n_dummies if self.factor is not None else 0
-        if isinstance(self.design, (AncovaSpec, MmrmDesign)):
-            mmrm = isinstance(self.design, MmrmDesign)
-            baseline = self.visit_baseline_effects if mmrm else self.baseline_effect
-            q_implied = (0 if baseline is None else 1) + dummies
-            if q_implied != self.design.q:
-                raise DomainError(
-                    f"generator implies q={q_implied} covariates but the design has q={self.design.q}"
-                )
-        if isinstance(self.design, MmrmDesign):
-            p = self.design.p
-            if self.visit_intercepts is not None and len(self.visit_intercepts) != p:
-                raise DomainError("visit_intercepts must have one entry per visit")
-            if self.visit_baseline_effects is not None and len(self.visit_baseline_effects) != p:
-                raise DomainError("visit_baseline_effects must have one entry per visit")
-            if self.visit_effects is not None and len(self.visit_effects) != p - 1:
-                raise DomainError(
-                    "visit_effects lists treatment effects at visits 1..p-1 "
-                    "(the last visit uses the design's tau_p1)"
-                )
-
-    def default_replicates(self) -> int:
-        if isinstance(self.design, MmrmDesign):
-            return _DEFAULT_REPLICATES_MMRM
-        return _DEFAULT_REPLICATES
+        check = family_of(self.design).check_generator
+        if check is not None:
+            check(self)
 
 
 @dataclass(frozen=True)
@@ -713,7 +687,8 @@ def simulate_power(
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    reps = int(replicates if replicates is not None else (sc.replicates or sc.default_replicates()))
+    family = family_of(sc.design)
+    reps = int(replicates if replicates is not None else (sc.replicates or family.replicates))
     if reps < 1:
         raise DomainError(
             "replicate count must be >= 1 (None selects the scenario's count; "
@@ -721,21 +696,12 @@ def simulate_power(
         )
     rng_seed = int(seed if seed is not None else sc.seed)
     n_per_group = tuple(int(v) for v in np.atleast_1d(n_per_group))
-    tau0 = _null_value(sc, objective)
+    tau0 = family.null(sc.design)
 
     start = time.perf_counter()
-    design = sc.design
-    # built per call, so that a wrapper set on a module attribute (a profiler,
-    # say) sees every chunk
-    engine = {
-        OneSampleSpec: _simulate_one_sample,
-        TwoSampleSpec: _simulate_two_sample,
-        CrossoverSpec: _simulate_crossover,
-        AncovaSpec: _simulate_ancova,
-        MmrmDesign: _simulate_mmrm,
-    }.get(type(design))
-    if engine is None:
-        raise DomainError(f"unsupported design type {type(design).__name__}")
+    # looked up per call, so that a wrapper set on a module attribute (a
+    # profiler, say) sees every chunk
+    engine = globals()[family.engine]
     rej = fail = done = 0
     while done < reps:
         est, se, df = engine(sc, n_per_group, rng_seed, done, reps)
@@ -763,14 +729,3 @@ def simulate_power(
         wall_time=elapsed,
         failures=fail,
     )
-
-
-def _null_value(sc: ScenarioSpec, objective: Margins) -> float:
-    design = sc.design
-    if objective.kind == "superiority":
-        if isinstance(design, (AncovaSpec, OneSampleSpec)):
-            return design.tau0
-        if isinstance(design, MmrmDesign):
-            return design.tau_p0
-        return sc.tau0
-    return 0.0

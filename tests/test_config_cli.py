@@ -135,6 +135,17 @@ class TestSchema:
         doc["design"]["mu1"] = 0.0  # a null design stays valid
         parse_design(doc)
 
+    def test_equal_variance_with_unequal_variances(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_TWO_SAMPLE))
+        doc["design"]["sigma1_sq"] = 2.0
+        with pytest.raises(ConfigError, match="^design.equal_variance: the pooled t test"):
+            parse_design(doc)
+        path = write_design(tmp_path, doc)
+        for command in (["size"], ["power", "--n", "40"], ["simulate", "--n", "40"]):
+            code, out, err = run_cli(capsys, *command, "--design", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: design.equal_variance")
+
     def test_mmrm_structures(self):
         for cov in (
             {"structure": "cs", "size": 3, "variance": 2.0, "covariance": 0.5},

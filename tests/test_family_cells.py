@@ -4,17 +4,31 @@ Each cell is a design document written here.  ``size``, ``power --n`` and
 ``simulate --reps 1000`` print CSV that is pinned byte for byte in
 ``EXPECTED``; ``n`` is the cell's inversion total (40 for ANCOVA
 noninferiority, the total at which its formula and simulation are compared).
+For every cell and one fixture of each shipped family and objective, the
+``size`` inversion must solve the family's exact power for the target.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
-import tempfile
 from pathlib import Path
 
 import pytest
 
-from trialsize import cli
+from trialsize import cli, core, mmrm
+from trialsize.ancova import ancova_power_exact
+from trialsize.config import load_design, parse_design
+from trialsize.designs import moser_exact_power
+from trialsize.dist import DEFAULT_SETTINGS
+from trialsize.equivalence import (
+    Margins,
+    ancova_equiv_power,
+    equiv_power_exact,
+    ts_unequal_equiv_power,
+)
+from trialsize.simulate import simulate_power
+from trialsize.tables import fixture_path
 
 _ANCOVA_GENERATOR = {"intercept": 0.5, "baseline_effect": 0.5}
 _MMRM = json.loads(
@@ -301,7 +315,7 @@ EXPECTED = {
         "g1,170.04,171,86/85\n"
         "g2,170.06,171,86/85\n"
         "two_step,170.19,171,86/85\n"
-        "inversion,170.10,171,86/85\n"
+        "inversion,173.12,174,87/87\n"
     ),
     ("ancova_equivalence_q3", "power"): (
         "method,power_pct\n"
@@ -314,19 +328,19 @@ EXPECTED = {
     ),
     ("ancova_noninferiority", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "normal_asymptotic,31.40,32,16/16\n"
-        "normal,32.46,33,17/16\n"
-        "normal_quadratic,32.50,33,17/16\n"
-        "g1,34.38,35,18/17\n"
-        "g2,34.49,35,18/17\n"
-        "two_step,34.65,35,18/17\n"
-        "inversion,34.50,35,18/17\n"
+        "normal_asymptotic,18.58,19,10/9\n"
+        "normal,19.70,20,10/10\n"
+        "normal_quadratic,19.76,20,10/10\n"
+        "g1,21.62,22,11/11\n"
+        "g2,21.79,22,11/11\n"
+        "two_step,22.07,23,12/11\n"
+        "inversion,21.80,22,11/11\n"
     ),
     ("ancova_noninferiority", "power"): (
         "method,power_pct\n"
-        "exact,85.93\n"
-        "approx,85.93\n"
-        "asymptotic_t,86.85\n"
+        "exact,97.64\n"
+        "approx,97.66\n"
+        "asymptotic_t,97.94\n"
     ),
     ("ancova_noninferiority", "simulate"): (
         "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
@@ -334,17 +348,17 @@ EXPECTED = {
     ),
     ("mmrm_noninferiority", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "normal_asymptotic,15.24,16,8/8\n"
-        "normal,17.16,18,9/9\n"
-        "g1,20.03,21,11/10\n"
-        "g2,20.44,21,11/10\n"
-        "two_step,20.85,21,11/10\n"
-        "inversion,20.31,21,11/10\n"
+        "normal_asymptotic,9.75,10,5/5\n"
+        "normal,12.06,13,7/6\n"
+        "g1,15.78,16,8/8\n"
+        "g2,16.66,17,9/8\n"
+        "two_step,17.65,18,9/9\n"
+        "inversion,15.58,16,8/8\n"
     ),
     ("mmrm_noninferiority", "power"): (
         "method,power_pct\n"
-        "main,91.32\n"
-        "simple_approx,92.36\n"
+        "main,98.55\n"
+        "simple_approx,98.85\n"
     ),
     ("mmrm_noninferiority", "simulate"): (
         "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
@@ -376,3 +390,67 @@ def test_cell_output_is_pinned(tmp_path, name, command):
     path = tmp_path / "design.json"
     path.write_text(json.dumps(CELLS[name][0]))
     assert run_cell(name, command, str(path)) == (0, EXPECTED[name, command])
+
+
+def _cell_config(name: str):
+    doc, _, extra = CELLS[name]
+    cfg = parse_design(json.loads(json.dumps(doc)))
+    if extra:  # --margins=LO,HI on a superiority file
+        lo, hi = (float(v) for v in extra[0].split("=")[1].split(","))
+        cfg = dataclasses.replace(cfg, objective="equivalence", margins=Margins.equivalence(lo, hi))
+    return cfg
+
+
+def family_exact_power(cfg, n: float) -> float:
+    """The exact power of the design's family and objective, written out from
+    the library's power functions: the power ``size`` must invert."""
+    d, m, a = cfg.design, cfg.margins, cfg.alpha
+    if cfg.objective in ("equivalence", "bioequivalence"):
+        if cfg.family == "mmrm":
+            return mmrm.mmrm_equiv_power(d, m, n, a).value
+        if cfg.family == "ancova":
+            return ancova_equiv_power(d, m, n, a, exact=True).value
+        if cfg.family == "two_sample" and not d.equal_variance:
+            return ts_unequal_equiv_power(d, m, n, a, exact=True).value
+        return equiv_power_exact(cfg.kernel(), m, n, a).value
+    ni = cfg.objective == "noninferiority"
+    if cfg.family == "mmrm":
+        return mmrm.mmrm_power(dataclasses.replace(d, tau_p0=m.margin()) if ni else d, n, a).value
+    if cfg.family == "ancova":
+        return ancova_power_exact(dataclasses.replace(d, tau0=m.margin()) if ni else d, n, a).value
+    if cfg.family == "two_sample" and not d.equal_variance:
+        return moser_exact_power(d, m.margin() if ni else 0.0, n, a).value
+    return core.power_two_sided(cfg.kernel(), n, a).value
+
+
+# one fixture of each family and objective the shipped tables cover
+FIXTURES = (
+    "table1_equal_100",
+    "table1_unequal_100",
+    "table2_q3_100",
+    "table3_un_q1_m12",
+    "table4_s2_0125",
+    "table5_m_10",
+    "table6_ar1_q1_m4",
+)
+
+
+@pytest.mark.parametrize("name", [*CELLS, *FIXTURES])
+def test_inversion_solves_the_family_exact_power(name):
+    cfg = _cell_config(name) if name in CELLS else load_design(fixture_path(name))
+    root = dict(cfg.size_rows(cfg.alpha, cfg.target_power))["inversion"].fractional
+    tol = 2.0 * DEFAULT_SETTINGS.size_tol
+    below, above = (family_exact_power(cfg, root + s * tol) for s in (-1.0, 1.0))
+    assert below <= cfg.target_power <= above
+    assert cfg.exact_power(root, cfg.alpha) == family_exact_power(cfg, root)
+
+
+def test_ancova_noninferiority_power_matches_simulation():
+    # the null moves to the margin: at n = 40 the exact power is 97.64%, not
+    # the superiority test's 85.93%
+    cfg = _cell_config("ancova_noninferiority")
+    exact = cfg.exact_power(40, cfg.alpha)
+    superiority = dataclasses.replace(cfg, objective="superiority", margins=None)
+    assert exact - superiority.exact_power(40, cfg.alpha) > 0.1
+    report = simulate_power(cfg.scenario, (20, 20), cfg.alpha, cfg.margins, replicates=20_000)
+    assert abs(report.power_hat - exact) <= 3.0 * report.std_error
