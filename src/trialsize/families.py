@@ -382,7 +382,8 @@ class Family:
     allocation       design -> group fractions
     engine           name of the ``simulate`` engine, looked up at call time
     replicates       the simulation's default replicate count
-    check_generator  ScenarioSpec -> None, raising for inconsistent extras
+    check_generator  ScenarioSpec -> None, raising for extras the design
+                     contradicts (by default there are none to check)
     """
 
     spec: type
@@ -396,7 +397,7 @@ class Family:
     replicates: int
     superiority: Objective
     equivalence: Objective
-    check_generator: Callable | None = None
+    check_generator: Callable = lambda sc: None
 
     def null(self, design) -> float:
         return getattr(design, self.null_field) if self.null_field else 0.0

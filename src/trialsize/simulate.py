@@ -112,9 +112,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.replicates < 0:
             raise DomainError("replicate count must be nonnegative (0 selects the family default)")
-        check = family_of(self.design).check_generator
-        if check is not None:
-            check(self)
+        family_of(self.design).check_generator(self)
 
 
 @dataclass(frozen=True)
