@@ -7,19 +7,17 @@ bioequivalence objectives, plus a seeded Monte Carlo simulator that verifies
 every analytic formula empirically.
 """
 
-from .ancova import AncovaSpec, ancova_power_approx, ancova_power_exact, ancova_size_chain
+from .ancova import AncovaSpec, ancova_power_approx, ancova_power_exact, ancova_sizing
 from .core import (
     PowerEstimate,
     SizeEstimate,
+    SizeModel,
     TestKernel,
     apply_ni_margin,
     power_one_sided_approx,
     power_two_sided,
-    size_g1,
-    size_g2,
+    size_chain,
     size_invert,
-    size_normal,
-    size_two_step,
 )
 from .designs import (
     CrossoverSpec,
@@ -40,7 +38,6 @@ from .equivalence import (
     equiv_power_approx,
     equiv_power_exact,
     equiv_size_bounds,
-    equiv_size_symmetric,
     ts_unequal_equiv_power,
 )
 from .mmrm import (
@@ -55,7 +52,7 @@ from .mmrm import (
     mmrm_equiv_power_approx,
     mmrm_power,
     mmrm_power_approx,
-    mmrm_size_chain,
+    mmrm_sizing,
     toeplitz,
 )
 from .simulate import FactorSpec, ScenarioSpec, SimReport, analyze_ancova, analyze_mmrm, simulate_power
@@ -78,13 +75,14 @@ __all__ = [
     "ScenarioSpec",
     "SimReport",
     "SizeEstimate",
+    "SizeModel",
     "TestKernel",
     "TwoSampleSpec",
     "analyze_ancova",
     "analyze_mmrm",
     "ancova_power_approx",
     "ancova_power_exact",
-    "ancova_size_chain",
+    "ancova_sizing",
     "apply_ni_margin",
     "ar1",
     "be_adapter",
@@ -94,24 +92,20 @@ __all__ = [
     "equiv_power_approx",
     "equiv_power_exact",
     "equiv_size_bounds",
-    "equiv_size_symmetric",
     "ldl_decompose",
     "mmrm_equiv_power",
     "mmrm_equiv_power_approx",
     "mmrm_power",
     "mmrm_power_approx",
-    "mmrm_size_chain",
+    "mmrm_sizing",
     "moser_exact_power",
     "one_sample_kernel",
     "power_one_sided_approx",
     "power_two_sided",
     "satterthwaite_df",
     "simulate_power",
-    "size_g1",
-    "size_g2",
+    "size_chain",
     "size_invert",
-    "size_normal",
-    "size_two_step",
     "toeplitz",
     "ts_unequal_equiv_power",
     "two_sample_equal_kernel",

@@ -2,9 +2,9 @@
 
 At the design stage the covariates are unknown; the exact power integrates
 the conditional noncentral-F power against the F law of the standardized
-between-group covariate imbalance.  The sample-size chain corrects the
-asymptotic normal-approximation size for the covariate count and for the
-nonnormality of the t statistic.
+between-group covariate imbalance.  The size chain
+(:func:`trialsize.core.size_chain`) corrects the asymptotic
+normal-approximation size for the covariate count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, dist
-from .core import PowerEstimate, SizeEstimate, TestKernel
+from .core import PowerEstimate, SizeModel, TestKernel
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
@@ -25,7 +25,7 @@ __all__ = [
     "ancova_power_exact",
     "ancova_power_approx",
     "ancova_power_asymptotic_t",
-    "ancova_size_chain",
+    "ancova_sizing",
     "ancova_kernel",
 ]
 
@@ -101,7 +101,6 @@ def ancova_kernel(s: AncovaSpec) -> TestKernel:
         df_at=lambda n: n - qs,
         min_n=float(s.q + 3),
         allocation=(s.gamma0, s.gamma1),
-        label="ancova",
     )
 
 
@@ -176,80 +175,23 @@ def ancova_power_asymptotic_t(
     return PowerEstimate(value=value, method="approx", n_used=n)
 
 
-def ancova_size_chain(
-    s: AncovaSpec,
-    alpha: float,
-    power: float,
-    rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> dict[str, SizeEstimate]:
-    """All deterministic sample-size estimates for the ANCOVA design.
-
-    Returns fractional sizes keyed by method:
-
-    n_asy      normal approximation with the asymptotic variance
-    approx     one-step evaluation of the covariate correction (used by the chain)
-    quadratic  explicit root of the self-consistent covariate-corrected size
-    g1, g2     noniterative corrected sizes (rho = 1)
-    two_step   t-quantile recomputation with the covariate correction
-    inversion  numerical inversion of the exact power
-    """
-    core._check_alpha_power(alpha, power)
-    if s.effect == 0.0:
-        raise DomainError("tau1 must differ from tau0 for sample-size formulas")
-    k = ancova_kernel(s)
+def ancova_sizing(s: AncovaSpec) -> SizeModel:
+    """The size chain's model: the kernel's v, rho = 1 and f = n - q*, with the
+    normal-approximation size corrected for the covariates, n(1 + q/(n - 2)).
+    Its extra row ``normal_quadratic`` is the explicit root of the
+    self-consistent corrected size n = n_b (1 + q/(n - q - 3))."""
     q = s.q
 
-    zsum = dist.normal_quantile(1.0 - alpha / 2.0) + dist.normal_quantile(power)
-    n_asy = zsum**2 * s.sigma_sq / (s.gamma0 * s.gamma1 * s.effect**2)
+    def correct(n: float) -> float:
+        if n <= 2.0:
+            raise DomainError(f"size {n:.3f} too small for the covariate correction")
+        return n * (1.0 + q / (n - 2.0))
 
-    # (n_asy + q + 3)^2 - 12 n_asy, written as a sum of squares so that it
-    # cannot round below zero
-    disc = (n_asy + q - 3.0) ** 2 + 12.0 * q
-    n_quad = 0.5 * ((n_asy + q + 3.0) + math.sqrt(disc))
+    def quadratic(n_b: float) -> tuple[tuple[str, float], ...]:
+        # (n_b + q + 3)^2 - 12 n_b, written as a sum of squares so that it
+        # cannot round below zero
+        disc = (n_b + q - 3.0) ** 2 + 12.0 * q
+        return (("normal_quadratic", 0.5 * ((n_b + q + 3.0) + math.sqrt(disc))),)
 
-    if n_asy <= 2.0:
-        raise DomainError(
-            f"normal-approximation size {n_asy:.3f} too small for the covariate correction"
-        )
-    n_tilde = n_asy * (1.0 + q / (n_asy - 2.0))
-
-    g1 = core.g1_total(n_tilde, 1.0, alpha)
-    g2 = core.g2_total(n_tilde, 1.0, alpha)
-
-    f_l = n_tilde - s.q_star
-    if not f_l > 0.0:
-        raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
-    tsum = dist.t_quantile(1.0 - alpha / 2.0, f_l, settings) + dist.t_quantile(
-        power, f_l, settings
-    )
-    n_u_asy = tsum**2 * s.sigma_sq / (s.gamma0 * s.gamma1 * s.effect**2)
-    if n_u_asy <= 2.0:
-        raise DomainError(
-            f"two-step base size {n_u_asy:.3f} too small for the covariate correction"
-        )
-    n_ts = n_u_asy * (1.0 + q / (n_u_asy - 2.0))
-
-    inversion = core.size_invert(
-        lambda n: ancova_power_exact(s, n, alpha, settings).value,
-        power,
-        bracket_hint=g2,
-        min_n=k.min_n,
-        allocation=k.allocation,
-        alpha=alpha,
-        rounding=rounding,
-        settings=settings,
-    )
-
-    def est(frac: float, method: str) -> SizeEstimate:
-        return core._as_estimate(k, frac, method, alpha, power, rounding)
-
-    return {
-        "n_asy": est(n_asy, "normal"),
-        "approx": est(n_tilde, "normal"),
-        "quadratic": est(n_quad, "normal"),
-        "g1": est(g1, "g1"),
-        "g2": est(g2, "g2"),
-        "two_step": est(n_ts, "two_step"),
-        "inversion": inversion,
-    }
+    k = ancova_kernel(s)
+    return SizeModel(k.v, k.rho_at, k.df_at, k.min_n, k.allocation, correct, quadratic)

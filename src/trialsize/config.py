@@ -19,7 +19,7 @@ from . import core
 from .core import SizeEstimate, TestKernel, apply_ni_margin
 from .equivalence import BE_ALPHA, BE_LIMITS, Margins
 from .errors import ConfigError, DomainError
-from .families import FAMILIES, Objective, _field, _integer, _number, _numbers, _require
+from .families import FAMILIES, _field, _integer, _number, _numbers, _require
 from .simulate import FactorSpec, ScenarioSpec
 
 __all__ = ["ConfigError", "DesignConfig", "load_design", "parse_design"]
@@ -32,10 +32,9 @@ class DesignConfig:
     """A fully validated scenario: design object, objective, and defaults.
 
     The powers and sizes come from the family's record
-    (:data:`trialsize.families.FAMILIES`), with the objective applied here,
-    the same for every family: noninferiority is superiority with the null
-    moved to the margin, and (bio)equivalence uses the family's equivalence
-    power.
+    (:data:`trialsize.families.FAMILIES`) for the objective's target, the
+    same for every family: noninferiority is superiority with the null moved
+    to the margin, and (bio)equivalence uses the family's equivalence power.
     """
 
     family: str
@@ -57,36 +56,34 @@ class DesignConfig:
             k = apply_ni_margin(k, self.margins.margin())
         return k
 
-    def _objective(self) -> tuple[Objective, object]:
-        """The family's functions for the objective, and their target: the
-        margins under equivalence, else the null value."""
-        family = FAMILIES[self.family]
+    def _target(self):
+        """The objective's target: the margins under (bio)equivalence, the
+        margin under noninferiority, else the design's null value."""
         if self.objective in ("equivalence", "bioequivalence"):
-            return family.equivalence, self.margins
+            return self.margins
         if self.objective == "noninferiority":
-            return family.superiority, self.margins.margin()
-        return family.superiority, family.null(self.design)
+            return self.margins.margin()
+        return FAMILIES[self.family].null(self.design)
 
     def exact_power(self, n: float, alpha: float) -> float:
         """The exact power, which the size chain's inversion solves for the target."""
-        objective, target = self._objective()
-        return objective.exact(self.design, target, n, alpha)
+        target = self._target()
+        return FAMILIES[self.family].objective(target).exact(self.design, target, n, alpha)
 
     def power_rows(self, n: float, alpha: float) -> list[tuple[str, float]]:
         """Every power method of the family and objective, by name."""
-        objective, target = self._objective()
-        return objective.rows(self.design, target, n, alpha)
+        target = self._target()
+        return FAMILIES[self.family].objective(target).rows(self.design, target, n, alpha)
 
     def size_rows(
         self, alpha: float, power: float, rounding: str = "up"
     ) -> list[tuple[str, SizeEstimate]]:
         """The size chain, by method, ending with the inversion of the exact power."""
-        objective, target = self._objective()
-        return objective.chain(self.design, target, alpha, power, rounding)
+        return FAMILIES[self.family].size_rows(self.design, self._target(), alpha, power, rounding)
 
     def split_total(self, total: int) -> tuple[int, ...]:
         """The group sizes of a total, remainder to the first groups."""
-        allocation = FAMILIES[self.family].allocation(self.design)
+        allocation = FAMILIES[self.family].sizing(self.design).allocation
         return core.rounded_sizes(float(total), allocation, "up")[1]
 
 

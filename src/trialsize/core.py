@@ -1,17 +1,21 @@
-"""Generalized power and sample-size procedures over an abstract test kernel.
+"""Generalized power and sample-size procedures.
 
-A :class:`TestKernel` captures everything the two-sided t-based test of
-``H0: tau = tau0`` versus ``H1: tau = tau1`` needs: the variance scale ``v``
-(``var(estimate) = v / n``), a degrees-of-freedom rule ``df_at(n)``, and the
-information fraction ``rho_at(n) ~ df/n`` used by the noniterative
-corrections.  Every concrete design lowers to such a kernel, after which the
-same five sample-size methods apply:
+A :class:`SizeModel` holds what the noniterative size chain needs of a
+design: the variance scale ``v`` (``var(estimate) ~ v / n``), the correction
+C of the normal-approximation size (for covariates or retention; none for a
+plain t test), the information fraction ``rho_at(n) ~ df/n``, the two-step
+degrees of freedom ``df_at(n)``, the smallest admissible size and the
+allocation.  :func:`size_chain` is the one chain every design family and
+objective is sized by:
 
-* normal approximation,
-* first-order correction (``+ z^2/(2 rho)``),
-* conservative second-order correction,
-* two-step recomputation with t quantiles,
-* numerical inversion of the power curve.
+* normal approximation n_b = z^2 v / delta^2, corrected to ntilde = C(n_b),
+* first-order correction g1 = ntilde + z_{1-a/2}^2 / (2 rho(ntilde)),
+* conservative second-order correction g2,
+* two-step recomputation C(n_u) with t quantiles at d.f. f(ntilde),
+* numerical inversion of the family's exact power, started at g2.
+
+A :class:`TestKernel` is the size model of a two-sided t test of
+``H0: tau = tau0`` versus ``H1: tau = tau1``, whose power it also gives.
 """
 
 from __future__ import annotations
@@ -29,15 +33,13 @@ from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import BracketError, DomainError
 
 __all__ = [
+    "SizeModel",
     "TestKernel",
     "PowerEstimate",
     "SizeEstimate",
     "power_two_sided",
     "power_one_sided_approx",
-    "size_normal",
-    "size_g1",
-    "size_g2",
-    "size_two_step",
+    "size_chain",
     "size_invert",
     "apply_ni_margin",
     "g1_total",
@@ -49,33 +51,40 @@ _SIZE_CAP = 1e7
 
 
 @dataclass(frozen=True)
-class TestKernel:
-    """Abstract t-test kernel.
+class SizeModel:
+    """What the size chain needs of a design.
 
-    tau0, tau1   null and alternative values of the parameter of interest
-    v            variance scale, var(estimate) = v / n
+    v            variance scale, var(estimate) ~ v / n
     rho_at       information fraction rho(n) ~ df/n, evaluated at a real n
     df_at        degrees-of-freedom rule f(n), fractional n allowed
     min_n        smallest admissible total sample size
     allocation   group allocation fractions (sums to 1)
-    one_tailed   True for noninferiority kernels (actual type I error alpha/2)
+    correct      C, the correction of a normal-approximation size (None: none)
+    extra        n_b -> further named normal-approximation sizes
     """
 
-    tau0: float
-    tau1: float
     v: float
     rho_at: Callable[[float], float]
     df_at: Callable[[float], float]
     min_n: float
     allocation: tuple[float, ...] = (1.0,)
-    one_tailed: bool = False
-    label: str = ""
+    correct: Callable[[float], float] | None = None
+    extra: Callable[[float], tuple[tuple[str, float], ...]] = lambda n_b: ()
 
     def __post_init__(self):
         if not (self.v > 0.0 and math.isfinite(self.v)):
             raise DomainError(f"kernel variance scale must be positive, got {self.v}")
         if abs(sum(self.allocation) - 1.0) > 1e-9:
             raise DomainError("allocation fractions must sum to 1")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TestKernel(SizeModel):
+    """Abstract t-test kernel: a size model with the null and alternative
+    values ``tau0`` and ``tau1`` of the parameter of interest."""
+
+    tau0: float
+    tau1: float
 
     @property
     def effect(self) -> float:
@@ -95,7 +104,7 @@ class SizeEstimate:
     fractional: float
     rounded_total: int
     per_group: tuple[int, ...]
-    method: str  # normal | g1 | g2 | two_step | inversion
+    method: str  # the size chain's row name: normal, g1, g2, two_step, inversion, ...
     target_power: float
     alpha: float
 
@@ -123,6 +132,18 @@ def rounded_sizes(
         shares[i] += 1
         short -= 1
     return total, tuple(shares)
+
+
+def _estimate(
+    fractional: float,
+    method: str,
+    allocation: tuple[float, ...],
+    power: float,
+    alpha: float,
+    rounding: str,
+) -> SizeEstimate:
+    total, per_group = rounded_sizes(fractional, allocation, rounding)
+    return SizeEstimate(fractional, total, per_group, method, power, alpha)
 
 
 def _check_alpha_power(alpha: float, power: float | None = None) -> None:
@@ -169,13 +190,6 @@ def power_one_sided_approx(
     return PowerEstimate(value=value, method="one_sided_approx", n_used=n)
 
 
-def _normal_total(k: TestKernel, alpha: float, power: float) -> float:
-    if k.effect == 0.0:
-        raise DomainError("tau1 must differ from tau0 for sample-size formulas")
-    zsum = dist.normal_quantile(1.0 - alpha / 2.0) + dist.normal_quantile(power)
-    return zsum**2 * k.v / k.effect**2
-
-
 def g1_total(ntilde: float, rho: float, alpha: float) -> float:
     """First-order corrected total size: ntilde + z_{1-a/2}^2 / (2 rho)."""
     z = dist.normal_quantile(1.0 - alpha / 2.0)
@@ -190,74 +204,59 @@ def g2_total(ntilde: float, rho: float, alpha: float) -> float:
     return ng1 + corr * corr / ng1
 
 
-def _as_estimate(
-    k: TestKernel,
-    fractional: float,
-    method: str,
+def size_chain(
+    m: SizeModel,
+    delta: float,
     alpha: float,
     power: float,
-    rounding: str,
-) -> SizeEstimate:
-    total, per_group = rounded_sizes(fractional, k.allocation, rounding)
-    return SizeEstimate(
-        fractional=fractional,
-        rounded_total=total,
-        per_group=per_group,
-        method=method,
-        target_power=power,
-        alpha=alpha,
-    )
-
-
-def size_normal(
-    k: TestKernel, alpha: float, power: float, rounding: str = "up"
-) -> SizeEstimate:
-    """Normal-approximation size (poor in small samples)."""
-    _check_alpha_power(alpha, power)
-    return _as_estimate(k, _normal_total(k, alpha, power), "normal", alpha, power, rounding)
-
-
-def size_g1(
-    k: TestKernel, alpha: float, power: float, rounding: str = "up"
-) -> SizeEstimate:
-    _check_alpha_power(alpha, power)
-    ntilde = _normal_total(k, alpha, power)
-    frac = g1_total(ntilde, k.rho_at(ntilde), alpha)
-    return _as_estimate(k, frac, "g1", alpha, power, rounding)
-
-
-def size_g2(
-    k: TestKernel, alpha: float, power: float, rounding: str = "up"
-) -> SizeEstimate:
-    _check_alpha_power(alpha, power)
-    ntilde = _normal_total(k, alpha, power)
-    frac = g2_total(ntilde, k.rho_at(ntilde), alpha)
-    return _as_estimate(k, frac, "g2", alpha, power, rounding)
-
-
-def size_two_step(
-    k: TestKernel,
-    alpha: float,
-    power: float,
+    exact: Callable[[float], float] | None = None,
+    target: float | None = None,
     rounding: str = "up",
     settings: NumericSettings = DEFAULT_SETTINGS,
-) -> SizeEstimate:
-    """Recompute the normal-approximation size with t quantiles at f(ntilde)."""
+) -> list[tuple[str, SizeEstimate]]:
+    """The noniterative sizes for the effect ``delta``, by name, and with the
+    exact power ``exact(n)`` its inversion for ``power``, started at g2.
+
+    The quantiles are taken at ``target`` (by default ``power``; equivalence
+    sizes each one-sided test at (1 + power)/2):
+
+    normal_asymptotic  n_b = (z_{1-a/2} + z_target)^2 v / delta^2, where C corrects it
+    normal             ntilde = C(n_b), followed by ``m.extra(n_b)``
+    g1, g2             the first- and second-order corrections of ntilde
+    two_step           C(n_u), n_u formed as n_b with t quantiles at f(ntilde)
+    inversion          the root of exact(n) = power
+    """
     _check_alpha_power(alpha, power)
-    ntilde = _normal_total(k, alpha, power)
-    if not ntilde > k.min_n:
-        raise DomainError(
-            f"two-step size undefined: first-pass size {ntilde:.3f} does not exceed "
-            f"the kernel minimum {k.min_n}"
-        )
-    f = k.df_at(ntilde)
+    if delta == 0.0:
+        raise DomainError("the effect must differ from the null value for sample-size formulas")
+    target = power if target is None else target
+    correct = m.correct or (lambda n: n)
+
+    def base(z_alpha: float, z_power: float) -> float:
+        return (z_alpha + z_power) ** 2 * m.v / delta**2
+
+    n_b = base(dist.normal_quantile(1.0 - alpha / 2.0), dist.normal_quantile(target))
+    n_tilde = correct(n_b)
+    rho, f = m.rho_at(n_tilde), m.df_at(n_tilde)
     if not f > 0.0:
-        raise DomainError(f"degrees of freedom non-positive at first-pass size {ntilde:.3f}")
-    tsum = dist.t_quantile(1.0 - alpha / 2.0, f, settings) + dist.t_quantile(
-        power, f, settings
+        raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
+    n_u = base(
+        dist.t_quantile(1.0 - alpha / 2.0, f, settings), dist.t_quantile(target, f, settings)
     )
-    frac = tsum**2 * k.v / k.effect**2
-    return _as_estimate(k, frac, "two_step", alpha, power, rounding)
+    g2 = g2_total(n_tilde, rho, alpha)
+    sizes = [
+        *([("normal_asymptotic", n_b)] if m.correct else []),
+        ("normal", n_tilde),
+        *m.extra(n_b),
+        ("g1", g1_total(n_tilde, rho, alpha)),
+        ("g2", g2),
+        ("two_step", correct(n_u)),
+    ]
+    rows = [(name, _estimate(n, name, m.allocation, power, alpha, rounding)) for name, n in sizes]
+    if exact is not None:
+        inversion = size_invert(exact, power, g2, m.min_n, m.allocation, alpha, rounding, settings)
+        rows.append(("inversion", inversion))
+    return rows
 
 
 def size_invert(
@@ -304,26 +303,17 @@ def size_invert(
             )
         lo, hi = hi, min(_SIZE_CAP, hi + 4.0 * (hi - lo))
     root = dist.find_root(lambda n: power_at(n) - target, lo, hi, settings.size_tol, settings)
-    total, per_group = rounded_sizes(root, allocation, rounding)
-    return SizeEstimate(
-        fractional=root,
-        rounded_total=total,
-        per_group=per_group,
-        method="inversion",
-        target_power=target,
-        alpha=alpha,
-    )
+    return _estimate(root, "inversion", allocation, target, alpha, rounding)
 
 
 def apply_ni_margin(k: TestKernel, m0: float) -> TestKernel:
     """Noninferiority adaptation: test against the margin instead of zero.
 
-    Returns the same kernel with ``tau0`` replaced by the margin and flagged
-    one-tailed (the CI-based noninferiority test has actual type I error
-    alpha/2).  Superiority is recovered with ``m0 = 0``.
+    Returns the same kernel with ``tau0`` replaced by the margin.
+    Superiority is recovered with ``m0 = 0``.
     """
     if not math.isfinite(m0):
         raise DomainError("noninferiority margin must be finite")
     if m0 == k.tau1:
         raise DomainError("noninferiority margin must differ from the alternative tau1")
-    return dataclasses.replace(k, tau0=m0, one_tailed=True)
+    return dataclasses.replace(k, tau0=m0)

@@ -101,7 +101,6 @@ def one_sample_kernel(mu: float, tau0: float, sigma_sq: float) -> TestKernel:
         df_at=lambda n: n - 1.0,
         min_n=2.0,
         allocation=(1.0,),
-        label="one_sample",
     )
 
 
@@ -120,7 +119,6 @@ def two_sample_equal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
         df_at=lambda n: n - 2.0,
         min_n=3.0,
         allocation=(s.gamma0, s.gamma1),
-        label="two_sample_equal",
     )
 
 
@@ -149,7 +147,6 @@ def two_sample_unequal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
         df_at=lambda n: satterthwaite_df(sig0, sig1, g0 * n, g1 * n),
         min_n=1.0 / min(g0, g1),
         allocation=(g0, g1),
-        label="two_sample_unequal",
     )
 
 
@@ -168,7 +165,6 @@ def crossover_kernel(s: CrossoverSpec) -> TestKernel:
             df_at=lambda n: n - 2.0,
             min_n=3.0,
             allocation=(s.gamma0, s.gamma1),
-            label="crossover_period",
         )
     return TestKernel(
         tau0=0.0,
@@ -178,7 +174,6 @@ def crossover_kernel(s: CrossoverSpec) -> TestKernel:
         df_at=lambda n: n - 1.0,
         min_n=2.0,
         allocation=(s.gamma0, s.gamma1),
-        label="crossover_no_period",
     )
 
 

@@ -15,7 +15,6 @@ covariate-adjusted analyses via the imbalance mixture.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import core, dist
-from .ancova import AncovaSpec
+from .ancova import AncovaSpec, ImbalanceMixture, ancova_kernel
 from .core import PowerEstimate, SizeEstimate, TestKernel
 from .designs import TwoSampleSpec, _welch_given_ratio
 from .dist import DEFAULT_SETTINGS, NumericSettings
@@ -35,7 +34,7 @@ __all__ = [
     "BE_LIMITS",
     "equiv_power_exact",
     "equiv_power_approx",
-    "equiv_size_symmetric",
+    "symmetric_half_width",
     "equiv_size_bounds",
     "EquivSizeBounds",
     "ancova_equiv_power",
@@ -198,55 +197,19 @@ def equiv_power_approx(
     )
 
 
-def _symmetric_kernel(k: TestKernel, m: Margins) -> TestKernel:
-    half_width = 0.5 * (m.upper - m.lower)
-    return dataclasses.replace(k, tau0=0.0, tau1=half_width, one_tailed=False)
-
-
-def equiv_size_symmetric(
-    k: TestKernel,
-    m: Margins,
-    alpha: float,
-    power: float,
-    method: str = "g2",
-    rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> SizeEstimate:
-    """Noniterative equivalence size for symmetric margins around the effect.
-
-    Substitutes the half margin width for the effect and (1+P)/2 for the
-    power target, then reuses the superiority formulas.  Raises for
-    asymmetric margins; use :func:`equiv_size_bounds` there.
-    """
-    core._check_alpha_power(alpha, power)
-    du = m.upper - k.tau1
-    dl = k.tau1 - m.lower
-    if not (du > 0.0 and dl > 0.0):
-        raise DomainError("true effect must lie strictly inside the margins")
+def symmetric_half_width(m: Margins, tau1: float) -> float:
+    """The half-width of margins symmetric around the true effect ``tau1``,
+    the effect the size chain is given for equivalence.  Raises for an
+    effect outside the margins or off their centre; use
+    :func:`equiv_size_bounds` for asymmetric margins."""
+    _check_containment(m, tau1)
+    du, dl = m.upper - tau1, tau1 - m.lower
     if abs(du - dl) > 1e-9 * (abs(du) + abs(dl)):
         raise DomainError(
             "margins are not symmetric around the true effect; "
             "use equiv_size_bounds for asymmetric margins"
         )
-    ke = _symmetric_kernel(k, m)
-    target = 0.5 * (1.0 + power)
-    dispatch = {
-        "normal": core.size_normal,
-        "g1": core.size_g1,
-        "g2": core.size_g2,
-        "two_step": core.size_two_step,
-    }
-    if method not in dispatch:
-        raise DomainError(f"unknown size method {method!r}")
-    est = dispatch[method](ke, alpha, target, rounding)
-    return SizeEstimate(
-        fractional=est.fractional,
-        rounded_total=est.rounded_total,
-        per_group=est.per_group,
-        method=est.method,
-        target_power=power,
-        alpha=alpha,
-    )
+    return 0.5 * (m.upper - m.lower)
 
 
 @dataclass(frozen=True)
@@ -268,31 +231,24 @@ def equiv_size_bounds(
     """Sample-size bounds for possibly asymmetric margins.
 
     The lower bound replaces the effect by the larger margin distance, the
-    upper bound by the smaller; the bounds coincide for symmetric margins.
+    upper bound by the smaller; each side is the size chain's g1 and g2 at
+    the equivalence target (1 + power)/2.  The bounds coincide for
+    symmetric margins.
     """
-    core._check_alpha_power(alpha, power)
-    du = m.upper - k.tau1
-    dl = k.tau1 - m.lower
-    if not (du > 0.0 and dl > 0.0):
-        raise DomainError("true effect must lie strictly inside the margins")
-    delta_max = max(du, dl)
-    delta_min = min(du, dl)
-    zsum = dist.normal_quantile(1.0 - alpha / 2.0) + dist.normal_quantile(
-        0.5 * (1.0 + power)
-    )
+    _check_containment(m, k.tau1)
+    du, dl = m.upper - k.tau1, k.tau1 - m.lower
 
     def side(delta: float) -> tuple[SizeEstimate, SizeEstimate]:
-        ntilde = zsum**2 * k.v / delta**2
-        rho = k.rho_at(ntilde)
-        g1 = core.g1_total(ntilde, rho, alpha)
-        g2 = core.g2_total(ntilde, rho, alpha)
-        return (
-            core._as_estimate(k, g1, "g1", alpha, power, rounding),
-            core._as_estimate(k, g2, "g2", alpha, power, rounding),
+        rows = dict(
+            core.size_chain(
+                k, delta, alpha, power, target=0.5 * (1.0 + power), rounding=rounding,
+                settings=settings,
+            )
         )
+        return rows["g1"], rows["g2"]
 
-    g1_lo, g2_lo = side(delta_max)
-    g1_hi, g2_hi = side(delta_min)
+    g1_lo, g2_lo = side(max(du, dl))
+    g1_hi, g2_hi = side(min(du, dl))
     return EquivSizeBounds(g1_lower=g1_lo, g1_upper=g1_hi, g2_lower=g2_lo, g2_upper=g2_hi)
 
 
@@ -309,33 +265,18 @@ def ancova_equiv_power(
     Exact form: double integral over the covariate-imbalance mixture and the
     variance-scale chi-square (exact for normal covariates).  Approximate
     form: single integral over the imbalance mixture; underestimates like
-    every integration-free equivalence formula.
+    every integration-free equivalence formula.  Without covariates both are
+    the ANCOVA kernel's equivalence powers.
     """
+    if s.q == 0:
+        power = equiv_power_exact if exact else equiv_power_approx
+        return power(ancova_kernel(s), m, n, alpha, settings)
     core._check_alpha_power(alpha)
     _check_containment(m, s.tau1)
     if not n > s.q + 3:
         raise DomainError(f"ANCOVA power needs n > q + 3 = {s.q + 3}, got n = {n}")
     f = n - s.q_star
     crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-
-    if s.q == 0:
-        vx0 = 1.0 / (n * s.gamma0 * s.gamma1)
-        if exact:
-            se = math.sqrt(s.sigma_sq * vx0)
-            value = _phillips_integral(
-                (m.upper - s.tau1) / se, (m.lower - s.tau1) / se, crit, f, settings
-            )
-            return PowerEstimate(value=value, method="integral_exact", n_used=n)
-        se = math.sqrt(s.sigma_sq * vx0)
-        up = dist.t_cdf(crit, f, (m.upper - s.tau1) / se, settings)
-        low = dist.t_cdf(crit, f, (s.tau1 - m.lower) / se, settings)
-        value = 1.0 - up - low
-        return PowerEstimate(
-            value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-        )
-
-    from .ancova import ImbalanceMixture
-
     mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
 
     def se_of(ups: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 ``FAMILIES`` holds one record per design family, keyed by the design file's
 ``family`` name.  A record supplies everything that differs between the
 families: the design-block parser and the field that carries the effect,
-the test kernel (none for repeated measures), the null value and the
-allocation, the simulator's engine and its default replicate count, and for
-each objective the exact power, the named power rows and the size chain,
-whose inversion solves the exact power for the target.  The objective is
-applied once, for every family (``DesignConfig``): noninferiority is
-superiority with the null moved to the margin, and equivalence uses the
-family's equivalence power.
+the test kernel (none for repeated measures), the size chain's model (with
+the allocation), the null value, the simulator's engine and its default
+replicate count, and for each objective the exact power and the named power
+rows.  The objective is applied once, for every family: noninferiority is
+superiority with the null moved to the margin, equivalence uses the
+family's equivalence power, and :meth:`Family.size_rows` turns the
+objective into the size chain's effect and target.
 """
 
 from __future__ import annotations
@@ -218,42 +218,16 @@ def _mmrm_generator(sc) -> None:
 
 
 class Objective(NamedTuple):
-    """A family's functions for one objective.  ``target`` is the null value
-    under superiority (the margin, for noninferiority) and the ``Margins``
-    under equivalence.
+    """A family's power functions for one objective.  ``target`` is the null
+    value under superiority (the margin, for noninferiority) and the
+    ``Margins`` under equivalence.
 
     exact  (design, target, n, alpha) -> the power the size chain inverts
     rows   (design, target, n, alpha) -> [(name, power)], as ``power`` prints
-    chain  (design, target, alpha, power, rounding) -> [(name, SizeEstimate)]
     """
 
     exact: Callable
     rows: Callable
-    chain: Callable
-
-
-_SIZES = {
-    "normal": core.size_normal,
-    "g1": core.size_g1,
-    "g2": core.size_g2,
-    "two_step": core.size_two_step,
-}
-# the names ``size`` prints for the ANCOVA and MMRM chains' keys
-_LABELS = {
-    "n_asy": "normal_asymptotic",
-    "n_a": "normal_asymptotic",
-    "approx": "normal",
-    "quadratic": "normal_quadratic",
-}
-
-
-def _inverted(k, size, exact, alpha: float, power: float, rounding: str):
-    """The noniterative sizes ``size(method)`` and the inversion of the exact
-    power ``exact(n)``, started at the g2 size."""
-    rows = [(method, size(method)) for method in _SIZES]
-    hint = dict(rows)["g2"].fractional
-    inversion = core.size_invert(exact, power, hint, k.min_n, k.allocation, alpha, rounding)
-    return rows + [("inversion", inversion)]
 
 
 def _kernel_superiority(kernel, exact=None) -> Objective:
@@ -269,20 +243,15 @@ def _kernel_superiority(kernel, exact=None) -> Objective:
         ]
         return out if exact is None else out + [("exact", exact(d, null, n, a))]
 
-    def chain(d, null, a, p, rounding):
-        k = kernel(d, null)
-        size = lambda method: _SIZES[method](k, a, p, rounding)
-        return _inverted(k, size, lambda n: inverted(d, null, n, a), a, p, rounding)
-
     inverted = exact or (lambda d, null, n, a: core.power_two_sided(kernel(d, null), n, a).value)
-    return Objective(inverted, rows, chain)
+    return Objective(inverted, rows)
 
 
 def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
-    """Equivalence of a family lowered to ``kernel(design, null)``, sized by
-    the symmetric-margin chain.  ``power(design, margins, n, alpha, exact)``
-    is the family's equivalence power, by default the kernel's; ``generic``
-    adds the kernel's approximation as the ``generic_approx`` row."""
+    """Equivalence of a family lowered to ``kernel(design, null)``.
+    ``power(design, margins, n, alpha, exact)`` is the family's equivalence
+    power, by default the kernel's; ``generic`` adds the kernel's
+    approximation as the ``generic_approx`` row."""
 
     def kernel_power(d, m, n, a, exact=True):
         fn = equivalence.equiv_power_exact if exact else equivalence.equiv_power_approx
@@ -292,24 +261,14 @@ def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
         out = [("exact", power(d, m, n, a, True)), ("approx", power(d, m, n, a, False))]
         return out + [("generic_approx", kernel_power(d, m, n, a, False))] if generic else out
 
-    def chain(d, m, a, p, rounding):
-        k = kernel(d, 0.0)
-        size = lambda method: equivalence.equiv_size_symmetric(k, m, a, p, method, rounding)
-        return _inverted(k, size, lambda n: power(d, m, n, a, True), a, p, rounding)
-
     power = power or kernel_power
-    return Objective(lambda d, m, n, a: power(d, m, n, a, True), rows, chain)
+    return Objective(lambda d, m, n, a: power(d, m, n, a, True), rows)
 
 
-def _named(chain: dict) -> list:
-    """A size chain's estimates, named as ``size`` prints them."""
-    return [(_LABELS.get(key, key), est) for key, est in chain.items()]
-
-
-def _at_null(field: str, rows, chain) -> Objective:
+def _at_null(field: str, rows) -> Objective:
     """Superiority of a family whose powers read the null value from the
     design ``field``: ``rows`` names power functions of (design, n, alpha),
-    the exact power first, and ``chain`` is the family's size chain."""
+    the exact power first."""
 
     def at(d, null):
         return d if getattr(d, field) == null else replace(d, **{field: null})
@@ -317,14 +276,13 @@ def _at_null(field: str, rows, chain) -> Objective:
     return Objective(
         lambda d, null, n, a: rows[0][1](at(d, null), n, a).value,
         lambda d, null, n, a: [(name, fn(at(d, null), n, a).value) for name, fn in rows],
-        lambda d, null, a, p, r: _named(chain(at(d, null), a, p, rounding=r)),
     )
 
 
 def _either(pooled: Objective, welch: Objective) -> Objective:
     """The pooled or the Welch test's objective, as ``equal_variance`` says."""
     pick = lambda d: pooled if d.equal_variance else welch
-    return Objective(*(lambda d, *args, i=i: pick(d)[i](d, *args) for i in range(3)))
+    return Objective(*(lambda d, *args, i=i: pick(d)[i](d, *args) for i in range(2)))
 
 
 def _one_sample_kernel(d, tau0):
@@ -361,10 +319,6 @@ def _mmrm_equivalence(d, m, n, a):
     return mmrm.mmrm_equiv_power(d, m, n, a).value
 
 
-def _two_groups(d) -> tuple[float, float]:
-    return (d.gamma0, d.gamma1)
-
-
 # ---------------------------------------------------------------------------
 # the table
 
@@ -379,7 +333,8 @@ class Family:
     tau1             design -> the effect under the alternative
     null_field       the design field holding the null value (None: it is 0)
     kernel           (design, null) -> TestKernel; None for repeated measures
-    allocation       design -> group fractions
+    sizing           design -> the size chain's SizeModel (v, C, rho, f, the
+                     smallest size and the group allocation)
     engine           name of the ``simulate`` engine, looked up at call time
     replicates       the simulation's default replicate count
     check_generator  ScenarioSpec -> None, raising for extras the design
@@ -392,7 +347,7 @@ class Family:
     tau1: Callable
     null_field: str | None
     kernel: Callable | None
-    allocation: Callable
+    sizing: Callable
     engine: str
     replicates: int
     superiority: Objective
@@ -402,19 +357,46 @@ class Family:
     def null(self, design) -> float:
         return getattr(design, self.null_field) if self.null_field else 0.0
 
+    def objective(self, target) -> Objective:
+        """Equivalence for a ``Margins`` target, else superiority at that null."""
+        return self.equivalence if isinstance(target, equivalence.Margins) else self.superiority
+
+    def size_rows(
+        self, design, target, alpha: float, power: float, rounding: str = "up"
+    ) -> list[tuple[str, core.SizeEstimate]]:
+        """The size chain for the objective's ``target``, by name as ``size``
+        prints it, ending with the inversion of the objective's exact power.
+
+        The objective enters the chain here, the same for every family: its
+        effect is tau1 - null under superiority and noninferiority, and the
+        half-width of margins symmetric around tau1 under equivalence, whose
+        two one-sided tests are each sized for (1 + power)/2.
+        """
+        tau1 = self.tau1(design)
+        if isinstance(target, equivalence.Margins):
+            delta, level = equivalence.symmetric_half_width(target, tau1), 0.5 * (1.0 + power)
+        else:
+            delta, level = tau1 - target, power
+        exact = self.objective(target).exact
+        return core.size_chain(
+            self.sizing(design), delta, alpha, power, lambda n: exact(design, target, n, alpha),
+            target=level, rounding=rounding,
+        )
+
 
 FAMILIES: dict[str, Family] = {
     "one_sample": Family(
         spec=designs.OneSampleSpec, parse=_one_sample, effect_field="mu", tau1=lambda d: d.mu,
-        null_field="tau0", kernel=_one_sample_kernel, allocation=lambda d: (1.0,),
-        engine="_simulate_one_sample", replicates=100_000,
+        null_field="tau0", kernel=_one_sample_kernel,
+        sizing=partial(_one_sample_kernel, tau0=0.0), engine="_simulate_one_sample", replicates=100_000,
         superiority=_kernel_superiority(_one_sample_kernel),
         equivalence=_kernel_equivalence(_one_sample_kernel),
     ),
     "two_sample": Family(
         spec=designs.TwoSampleSpec, parse=_two_sample, effect_field="mu1",
         tau1=lambda d: d.mu1 - d.mu0, null_field=None, kernel=_two_sample_kernel,
-        allocation=_two_groups, engine="_simulate_two_sample", replicates=100_000,
+        sizing=partial(_two_sample_kernel, tau0=0.0), engine="_simulate_two_sample",
+        replicates=100_000,
         superiority=_either(
             _kernel_superiority(designs.two_sample_equal_kernel),
             _kernel_superiority(designs.two_sample_unequal_kernel, _welch),
@@ -429,13 +411,14 @@ FAMILIES: dict[str, Family] = {
     "crossover": Family(
         spec=designs.CrossoverSpec, parse=_crossover, effect_field="mu_star_b",
         tau1=lambda d: d.mu_star_b - d.mu_star_a, null_field=None, kernel=_crossover_kernel,
-        allocation=_two_groups, engine="_simulate_crossover", replicates=100_000,
+        sizing=partial(_crossover_kernel, tau0=0.0), engine="_simulate_crossover",
+        replicates=100_000,
         superiority=_kernel_superiority(_crossover_kernel),
         equivalence=_kernel_equivalence(_crossover_kernel),
     ),
     "ancova": Family(
         spec=ancova.AncovaSpec, parse=_ancova, effect_field="tau1", tau1=lambda d: d.tau1,
-        null_field="tau0", kernel=_ancova_kernel, allocation=_two_groups,
+        null_field="tau0", kernel=_ancova_kernel, sizing=ancova.ancova_sizing,
         engine="_simulate_ancova", replicates=100_000,
         superiority=_at_null(
             "tau0",
@@ -444,24 +427,21 @@ FAMILIES: dict[str, Family] = {
                 ("approx", ancova.ancova_power_approx),
                 ("asymptotic_t", ancova.ancova_power_asymptotic_t),
             ),
-            ancova.ancova_size_chain,
         ),
         equivalence=_kernel_equivalence(_ancova_kernel, _ancova_equivalence),
         check_generator=_covariate_count("baseline_effect"),
     ),
     "mmrm": Family(
         spec=mmrm.MmrmDesign, parse=_mmrm, effect_field="tau_p1", tau1=lambda d: d.tau_p1,
-        null_field="tau_p0", kernel=None, allocation=_two_groups,
+        null_field="tau_p0", kernel=None, sizing=mmrm.mmrm_sizing,
         engine="_simulate_mmrm", replicates=40_000,
         superiority=_at_null(
             "tau_p0",
             (("main", mmrm.mmrm_power), ("simple_approx", mmrm.mmrm_power_approx)),
-            mmrm.mmrm_size_chain,
         ),
         equivalence=Objective(
             _mmrm_equivalence,
             lambda d, m, n, a: [("equivalence", _mmrm_equivalence(d, m, n, a))],
-            lambda d, m, a, p, r: _named(mmrm.mmrm_size_chain(d, a, p, margins=m, rounding=r)),
         ),
         check_generator=_mmrm_generator,
     ),

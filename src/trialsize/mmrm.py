@@ -28,6 +28,7 @@ evaluates its points in such batches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +38,7 @@ from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from . import core, dist
-from .core import PowerEstimate, SizeEstimate, TestKernel
+from .core import PowerEstimate, SizeModel
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DecompositionError, DomainError
 
@@ -53,7 +54,7 @@ __all__ = [
     "mmrm_equiv_power_approx",
     "DropoutAverage",
     "dropout_averaged_power",
-    "mmrm_size_chain",
+    "mmrm_sizing",
     "compound_symmetry",
     "ar1",
     "toeplitz",
@@ -228,34 +229,15 @@ class MmrmDerived:
     """
 
     n: float
-    c_j: np.ndarray
-    v_tilde_xj: np.ndarray
     varpi: np.ndarray
     v_tau: float
     v_tau_star: float
     f: float
     f_o: float
-    rho_o: float
-    b_j: np.ndarray
-    d_j: np.ndarray
-    e_j: np.ndarray
-    omega_jt: np.ndarray
-
-
-def _asymptotic_unit_variance(factors: LdlFactors, varpi: np.ndarray):
-    contrib = factors.l[-1, :] ** 2 * factors.lam * varpi
-    return contrib, contrib.sum(axis=-1)
-
-
-def _e_coef(d_coef: np.ndarray, varpi: np.ndarray) -> np.ndarray:
-    """Size-chain coefficients e_j = sum_{t <= j} (d_j - varpi_t d_t / varpi_j),
-    over the last (visit) axis."""
-    terms = d_coef[..., :, None] - varpi[..., None, :] * d_coef[..., None, :] / varpi[..., :, None]
-    return (terms * np.tri(d_coef.shape[-1])).sum(axis=-1)
 
 
 def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
-    """Expected variance terms, Satterthwaite d.f. and size-chain coefficients.
+    """Expected variance terms and Satterthwaite d.f.
 
     Requires n * pooled_retention_j > q* + j at every visit so that all
     denominators stay positive.  A single schedule that breaks this raises
@@ -287,9 +269,6 @@ def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
     m_hist = m - qs - visit  # m_j - q* - j (1-based visits)
     m_free = m - qs
 
-    # omega[j, t] = lam_j / ((m_j - q* - j) * lam_t), t < j
-    omega = lam[:, None] / (m_hist[..., :, None] * lam[None, :]) * earlier.T
-
     # expected squared loading times innovation variance
     ratio = info / m_hist
     c = (1.0 - (visit - 1) / m_free) * (info + ratio @ earlier.T)
@@ -310,23 +289,14 @@ def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
     rho_o = info.sum() * varpi[..., 0] / (info * varpi).sum(axis=-1)
     f_o = m_free[..., 0] * rho_o
 
-    contrib, total = _asymptotic_unit_variance(d.factors, varpi)
-    d_coef = 1.0 + q / (m - 2.0)
     scalar = pibar.ndim == 1
     return MmrmDerived(
         n=n,
-        c_j=c,
-        v_tilde_xj=v_tilde,
         varpi=varpi,
         v_tau=float(v_tau) if scalar else v_tau,
         v_tau_star=float(v_tau_star) if scalar else v_tau_star,
         f=float(f) if scalar else f,
         f_o=float(f_o) if scalar else f_o,
-        rho_o=float(rho_o) if scalar else rho_o,
-        b_j=contrib / total[..., None],
-        d_j=d_coef,
-        e_j=_e_coef(d_coef, varpi),
-        omega_jt=omega,
     )
 
 
@@ -597,106 +567,37 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     )
 
 
-def mmrm_size_chain(
-    d: MmrmDesign,
-    alpha: float,
-    power: float,
-    margins=None,
-    rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> dict[str, SizeEstimate]:
-    """Sample-size chain for superiority (margins=None) or symmetric-margin
-    equivalence.
-
-    Keys: ``n_a`` (normal approximation, asymptotic variance), ``approx``
-    (normal approximation with the small-sample variance), ``g1``, ``g2``,
-    ``two_step``, ``inversion``.
-    """
-    core._check_alpha_power(alpha, power)
-    pibar = d.pooled_retention
-    varpi = d.varpi
-    contrib, unit_var = _asymptotic_unit_variance(d.factors, varpi)
-    unit_var = float(unit_var)
+def mmrm_sizing(d: MmrmDesign) -> SizeModel:
+    """The size chain's model for the last-visit comparison: v is the
+    asymptotic unit variance, C corrects a size for the covariates and the
+    retention, rho = f/(n pibar_1 - q*) with f the expected Satterthwaite d.f.
+    of :func:`mmrm_derived`, and the two-step d.f. is (n - q*) rho."""
+    pibar, varpi = d.pooled_retention, d.varpi
+    contrib = d.factors.l[-1, :] ** 2 * d.factors.lam * varpi
+    unit_var = float(contrib.sum())
     b = contrib / unit_var
     q, qs, p = d.q, d.q_star, d.p
+    visit = np.arange(p)
 
-    if margins is None:
-        effect = d.effect
-        if effect == 0.0:
-            raise DomainError("tau_p1 must differ from tau_p0 for sample-size formulas")
-        z_power_prob = power
-        power_fn = lambda n: mmrm_power(d, n, alpha, settings).value
-    else:
-        du = margins.upper - d.tau_p1
-        dl = d.tau_p1 - margins.lower
-        if not (du > 0.0 and dl > 0.0):
-            raise DomainError("true effect must lie strictly inside the margins")
-        if abs(du - dl) > 1e-9 * (abs(du) + abs(dl)):
-            raise DomainError(
-                "the noniterative chain needs symmetric margins around the true effect"
-            )
-        effect = 0.5 * (margins.upper - margins.lower)
-        z_power_prob = 0.5 * (1.0 + power)
-        power_fn = lambda n: mmrm_equiv_power(d, margins, n, alpha, settings).value
+    def correct(n: float) -> float:
+        if not np.all(n * pibar > 2.0):
+            raise DomainError(f"size {n:.3f} too small for the retention correction")
+        # d_j = 1 + q/(m_j - 2) and e_j = sum_{t <= j} (d_j - varpi_t d_t / varpi_j)
+        d_j = 1.0 + q / (n * pibar - 2.0)
+        e_j = ((d_j[:, None] - varpi[None, :] * d_j[None, :] / varpi[:, None]) * np.tri(p)).sum(
+            axis=-1
+        )
+        return n * float(np.sum(b * (d_j + e_j / (n * pibar - visit))))
 
-    zsum = dist.normal_quantile(1.0 - alpha / 2.0) + dist.normal_quantile(z_power_prob)
-    n_a = zsum**2 * unit_var / effect**2
+    @functools.cache
+    def rho_at(n: float) -> float:
+        return mmrm_derived(d, n).f / (n * pibar[0] - qs)
 
-    def corrected(base: float) -> float:
-        dj = 1.0 + q / (base * pibar - 2.0)
-        ej = _e_coef(dj, varpi)
-        return base * float(np.sum(b * (dj + ej / (base * pibar - np.arange(p)))))
-
-    if not np.all(n_a * pibar > 2.0):
-        raise DomainError(f"normal-approximation size {n_a:.3f} too small to correct")
-    n_tilde = corrected(n_a)
-
-    der = mmrm_derived(d, n_tilde)
-    rho = der.f / (n_tilde * pibar[0] - qs)
-    g1 = core.g1_total(n_tilde, rho, alpha)
-    g2 = core.g2_total(n_tilde, rho, alpha)
-
-    f_l = (n_tilde - qs) * rho
-    if not f_l > 0.0:
-        raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
-    tsum = dist.t_quantile(1.0 - alpha / 2.0, f_l, settings) + dist.t_quantile(
-        z_power_prob, f_l, settings
-    )
-    n_u_a = tsum**2 * unit_var / effect**2
-    if not np.all(n_u_a * pibar > 2.0):
-        raise DomainError(f"two-step base size {n_u_a:.3f} too small to correct")
-    n_ts = corrected(n_u_a)
-
-    min_n = max((qs + j + 1.0) / pibar[j] for j in range(p))
-    kernel = TestKernel(
-        tau0=d.tau_p0,
-        tau1=d.tau_p1,
+    return SizeModel(
         v=unit_var,
-        rho_at=lambda n: rho,
-        df_at=lambda n: n - qs,
-        min_n=min_n,
+        rho_at=rho_at,
+        df_at=lambda n: (n - qs) * rho_at(n),
+        min_n=max((qs + j + 1.0) / pibar[j] for j in range(p)),
         allocation=(d.gamma0, d.gamma1),
-        label="mmrm",
+        correct=correct,
     )
-    inversion = core.size_invert(
-        power_fn,
-        power,
-        bracket_hint=g2,
-        min_n=min_n,
-        allocation=kernel.allocation,
-        alpha=alpha,
-        rounding=rounding,
-        settings=settings,
-    )
-
-    def est(frac: float, method: str) -> SizeEstimate:
-        return core._as_estimate(kernel, frac, method, alpha, power, rounding)
-
-    return {
-        "n_a": est(n_a, "normal"),
-        "approx": est(n_tilde, "normal"),
-        "g1": est(g1, "g1"),
-        "g2": est(g2, "g2"),
-        "two_step": est(n_ts, "two_step"),
-        "inversion": inversion,
-    }

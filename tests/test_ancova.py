@@ -11,15 +11,21 @@ from trialsize.ancova import (
     ancova_power_approx,
     ancova_power_asymptotic_t,
     ancova_power_exact,
-    ancova_size_chain,
 )
+from trialsize.equivalence import Margins
 from trialsize.errors import DomainError
+from trialsize.families import FAMILIES
 
 ALPHA, POWER = 0.05, 0.80
 
 
 def spec(tau, q, gamma0=0.5):
     return AncovaSpec(tau1=tau, tau0=0.0, sigma_sq=1.0, gamma0=gamma0, q=q)
+
+
+def size_rows(s, alpha, power, target=0.0):
+    """The ANCOVA size chain by row name, for the null value or the margins ``target``."""
+    return dict(FAMILIES["ancova"].size_rows(s, target, alpha, power))
 
 
 class TestExactPower:
@@ -93,25 +99,25 @@ class TestApproxPowers:
 
 class TestSizeChain:
     def test_reference_row_q1(self):
-        ch = ancova_size_chain(spec(1.0, 1), ALPHA, POWER)
-        assert abs(ch["n_asy"].fractional - 31.40) < 0.01
-        assert abs(ch["approx"].fractional - 32.46) < 0.01
+        ch = size_rows(spec(1.0, 1), ALPHA, POWER)
+        assert abs(ch["normal_asymptotic"].fractional - 31.40) < 0.01
+        assert abs(ch["normal"].fractional - 32.46) < 0.01
         assert abs(ch["g1"].fractional - 34.38) < 0.01
         assert abs(ch["g2"].fractional - 34.49) < 0.01
         assert abs(ch["two_step"].fractional - 34.65) < 0.01
         assert abs(ch["inversion"].fractional - 34.50) < 0.01
 
     def test_reference_row_q3(self):
-        ch = ancova_size_chain(spec(2.0, 3), ALPHA, POWER)
-        assert abs(ch["n_asy"].fractional - 7.85) < 0.01
-        assert abs(ch["approx"].fractional - 11.87) < 0.01
+        ch = size_rows(spec(2.0, 3), ALPHA, POWER)
+        assert abs(ch["normal_asymptotic"].fractional - 7.85) < 0.01
+        assert abs(ch["normal"].fractional - 11.87) < 0.01
         assert abs(ch["g2"].fractional - 14.06) < 0.01
 
     def test_quadratic_root_self_consistent(self):
         s = spec(1.0, 2)
-        ch = ancova_size_chain(s, ALPHA, POWER)
-        n = ch["quadratic"].fractional
-        n_asy = ch["n_asy"].fractional
+        ch = size_rows(s, ALPHA, POWER)
+        n = ch["normal_quadratic"].fractional
+        n_asy = ch["normal_asymptotic"].fractional
         assert abs(n - n_asy * (1.0 + s.q / (n - s.q - 3.0))) < 1e-9
 
     @given(
@@ -126,9 +132,29 @@ class TestSizeChain:
 
     def test_round_trip(self):
         s = spec(1.3, 2)
-        ch = ancova_size_chain(s, ALPHA, POWER)
+        ch = size_rows(s, ALPHA, POWER)
         assert abs(ancova_power_exact(s, ch["inversion"].fractional, ALPHA).value - POWER) < 1e-6
 
     def test_null_effect_rejected(self):
         with pytest.raises(DomainError):
-            ancova_size_chain(spec(0.0, 1), ALPHA, POWER)
+            size_rows(spec(0.0, 1), ALPHA, POWER)
+
+    def test_size_too_small_to_correct(self):
+        with pytest.raises(DomainError, match="too small"):
+            size_rows(AncovaSpec(tau1=3.0, tau0=0.0, sigma_sq=0.1, q=1), ALPHA, POWER)
+
+    @pytest.mark.parametrize(
+        "q,half_width,gamma0",
+        [(3, 0.5, 0.5), (1, 0.5, 0.5), (6, 0.5, 0.5), (3, 0.8, 0.4), (10, 0.6, 0.5)],
+    )
+    def test_equivalence_g2_is_near_the_inversion(self, q, half_width, gamma0):
+        # the equivalence chain carries the covariate correction: g2 is within
+        # 0.09 % of the inversion (0.01 to 0.11 in n; without the correction
+        # it fell short by up to 10.3)
+        s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=gamma0, q=q)
+        ch = size_rows(s, ALPHA, POWER, Margins.equivalence(-half_width, half_width))
+        assert list(ch) == [
+            "normal_asymptotic", "normal", "normal_quadratic", "g1", "g2", "two_step", "inversion"
+        ]
+        inversion = ch["inversion"].fractional
+        assert abs(ch["g2"].fractional - inversion) < 1e-3 * inversion

@@ -78,7 +78,7 @@ class TestSchema:
         cfg = parse_design(doc)
         assert cfg.margins.margin() == -1.0
         assert cfg.kernel().tau0 == -1.0
-        assert cfg.kernel().one_tailed
+        assert cfg.kernel().df_at(10.0) == 8.0  # the pooled kernel the design asks for
 
     def test_bioequivalence_defaults(self):
         doc = {

@@ -1,5 +1,6 @@
 """Generalized power/size procedure tests against the two-sample fixtures."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,11 @@ POWER = 0.80
 def equal_kernel(tau: float) -> core.TestKernel:
     spec = designs.TwoSampleSpec(0.0, tau, 1.0, 1.0, 0.5, equal_variance=True)
     return designs.two_sample_equal_kernel(spec, 0.0)
+
+
+def sizes(k: core.TestKernel) -> dict[str, float]:
+    """The kernel's noniterative sizes by name (no inversion)."""
+    return {name: est.fractional for name, est in core.size_chain(k, k.effect, ALPHA, POWER)}
 
 
 class TestPower:
@@ -72,36 +78,35 @@ class TestPower:
 
 class TestSizes:
     def test_normal_reference(self):
-        assert abs(core.size_normal(equal_kernel(0.5), ALPHA, POWER).fractional - 125.58) < 5e-3
+        assert abs(sizes(equal_kernel(0.5))["normal"] - 125.58) < 5e-3
         uneq = designs.two_sample_unequal_kernel(
             designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5), 0.0
         )
-        assert abs(core.size_normal(uneq, ALPHA, POWER).fractional - 78.49) < 5e-3
+        assert abs(sizes(uneq)["normal"] - 78.49) < 5e-3
 
     def test_scaling_law(self):
-        n1 = core.size_normal(equal_kernel(0.5), ALPHA, POWER).fractional
-        n2 = core.size_normal(equal_kernel(1.0), ALPHA, POWER).fractional
+        n1 = sizes(equal_kernel(0.5))["normal"]
+        n2 = sizes(equal_kernel(1.0))["normal"]
         assert abs(n1 / n2 - 4.0) < 1e-9
 
     def test_g1_reference(self):
-        assert abs(core.size_g1(equal_kernel(0.5), ALPHA, POWER).fractional - 127.50) < 5e-3
+        assert abs(sizes(equal_kernel(0.5))["g1"] - 127.50) < 5e-3
         uneq = designs.two_sample_unequal_kernel(
             designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5), 0.0
         )
-        assert abs(core.size_g1(uneq, ALPHA, POWER).fractional - 81.10) < 5e-3
+        assert abs(sizes(uneq)["g1"] - 81.10) < 5e-3
 
     def test_g1_correction_constant(self):
         k = equal_kernel(0.7)
-        ntilde = core.size_normal(k, ALPHA, POWER).fractional
-        g1 = core.size_g1(k, ALPHA, POWER).fractional
-        assert abs((g1 - ntilde) - 1.9207) < 1e-4
+        chain = sizes(k)
+        assert abs((chain["g1"] - chain["normal"]) - 1.9207) < 1e-4
 
     def test_g2_reference(self):
-        assert abs(core.size_g2(equal_kernel(2.0), ALPHA, POWER).fractional - 10.15) < 5e-3
+        assert abs(sizes(equal_kernel(2.0))["g2"] - 10.15) < 5e-3
         uneq = designs.two_sample_unequal_kernel(
             designs.TwoSampleSpec(0.0, 2.25, 1.0, 4.0, 0.5), 0.0
         )
-        assert abs(core.size_g2(uneq, ALPHA, POWER).fractional - 18.49) < 5e-3
+        assert abs(sizes(uneq)["g2"] - 18.49) < 5e-3
 
     def test_ordering(self):
         for tau in (0.4, 0.9, 1.7, 2.4):
@@ -111,22 +116,19 @@ class TestSizes:
                     designs.TwoSampleSpec(0.0, tau, 1.0, 4.0, 0.4), 0.0
                 ),
             ):
-                nn = core.size_normal(k, ALPHA, POWER).fractional
-                g1 = core.size_g1(k, ALPHA, POWER).fractional
-                g2 = core.size_g2(k, ALPHA, POWER).fractional
-                assert nn < g1 < g2
+                chain = sizes(k)
+                assert chain["normal"] < chain["g1"] < chain["g2"]
 
     def test_two_step_reference(self):
-        assert abs(core.size_two_step(equal_kernel(0.75), ALPHA, POWER).fractional - 57.90) < 5e-3
-        assert abs(core.size_two_step(equal_kernel(2.25), ALPHA, POWER).fractional - 10.59) < 5e-3
+        assert abs(sizes(equal_kernel(0.75))["two_step"] - 57.90) < 5e-3
+        assert abs(sizes(equal_kernel(2.25))["two_step"] - 10.59) < 5e-3
 
     def test_two_step_normal_limit(self):
         # as power -> alpha+ both formulas shrink together; check agreement at
         # a large first-pass size where t quantiles approach normal ones
         k = equal_kernel(0.05)
-        ts = core.size_two_step(k, ALPHA, POWER).fractional
-        nn = core.size_normal(k, ALPHA, POWER).fractional
-        assert abs(ts / nn - 1.0) < 1e-3
+        chain = sizes(k)
+        assert abs(chain["two_step"] / chain["normal"] - 1.0) < 1e-3
 
     def test_effect_required(self):
         k = equal_kernel(1.0)
@@ -135,7 +137,22 @@ class TestSizes:
             min_n=k.min_n, allocation=k.allocation,
         )
         with pytest.raises(DomainError):
-            core.size_normal(knull, ALPHA, POWER)
+            sizes(knull)
+
+
+class TestChain:
+    def test_rows_end_with_the_inversion_of_the_exact_power(self):
+        k = equal_kernel(0.5)
+        exact = lambda n: core.power_two_sided(k, n, ALPHA).value
+        rows = dict(core.size_chain(k, k.effect, ALPHA, POWER, exact))
+        assert list(rows) == ["normal", "g1", "g2", "two_step", "inversion"]
+        assert abs(rows["inversion"].fractional - 127.53) < 5e-3
+        assert rows["g2"].per_group == (64, 64)
+
+    def test_non_positive_two_step_df(self):
+        k = dataclasses.replace(equal_kernel(0.5), df_at=lambda n: -1.0)
+        with pytest.raises(DomainError, match="non-positive"):
+            sizes(k)
 
 
 class TestInversion:
@@ -178,7 +195,7 @@ class TestInversion:
             seen.append(n)
             return core.power_two_sided(k, n, ALPHA).value
 
-        core.size_invert(power_fn, POWER, core.size_g2(k, ALPHA, POWER).fractional, k.min_n)
+        core.size_invert(power_fn, POWER, sizes(k)["g2"], k.min_n)
         assert len(seen) == len(set(seen)) <= 12
 
     def test_degenerate_target_rejected(self):
@@ -204,8 +221,7 @@ class TestNiMargin:
         k = designs.one_sample_kernel(0.0, 0.0, 1.0)
         kni = core.apply_ni_margin(k, 1.0)
         assert kni.tau0 == 1.0
-        assert kni.one_tailed
-        assert kni.tau1 == k.tau1
+        assert dataclasses.replace(kni, tau0=k.tau0) == k
 
     def test_superiority_reduction(self):
         k = equal_kernel(1.0)

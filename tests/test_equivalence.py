@@ -17,22 +17,30 @@ from trialsize.equivalence import (
     equiv_power_approx,
     equiv_power_exact,
     equiv_size_bounds,
-    equiv_size_symmetric,
     _phillips_integral,
     ts_unequal_equiv_power,
 )
 from trialsize.ancova import AncovaSpec
 from trialsize.config import load_design
 from trialsize.errors import DomainError
+from trialsize.families import family_of
 from trialsize.tables import fixture_path
 
 BE_MARGIN = math.log(1.25)
 
 
+def be_spec(sigma_sq: float) -> CrossoverSpec:
+    return CrossoverSpec(0.0, 0.0, 4.0 * sigma_sq, 0.5, period_effect_in_analysis=True)
+
+
 def be_kernel(sigma_sq: float):
-    spec = CrossoverSpec(0.0, 0.0, 4.0 * sigma_sq, 0.5, period_effect_in_analysis=True)
-    k, m, alpha = be_adapter(spec)
+    k, m, alpha = be_adapter(be_spec(sigma_sq))
     return k, m, alpha
+
+
+def equivalence_sizes(spec, m: Margins, alpha: float, power: float = 0.8) -> dict[str, float]:
+    """The design's equivalence size chain, by row name."""
+    return {name: est.fractional for name, est in family_of(spec).size_rows(spec, m, alpha, power)}
 
 
 class TestMargins:
@@ -180,23 +188,23 @@ class TestApproxEquivalencePower:
 
 class TestSymmetricSizes:
     def test_crossover_references(self):
-        k, m, alpha = be_kernel(0.0125)
-        assert abs(equiv_size_symmetric(k, m, alpha, 0.8, "normal").fractional - 8.60) < 0.01
-        assert abs(equiv_size_symmetric(k, m, alpha, 0.8, "two_step").fractional - 11.17) < 0.01
-        assert abs(equiv_size_symmetric(k, m, alpha, 0.8, "g1").fractional - 9.95) < 0.01
-        assert abs(equiv_size_symmetric(k, m, alpha, 0.8, "g2").fractional - 10.14) < 0.01
+        _, m, alpha = be_kernel(0.0125)
+        sizes = equivalence_sizes(be_spec(0.0125), m, alpha)
+        assert abs(sizes["normal"] - 8.60) < 0.01
+        assert abs(sizes["two_step"] - 11.17) < 0.01
+        assert abs(sizes["g1"] - 9.95) < 0.01
+        assert abs(sizes["g2"] - 10.14) < 0.01
 
     def test_unequal_variance_reference(self):
         spec = TwoSampleSpec(0.0, 0.0, 1.0, 4.0, 0.5)
-        k = designs.two_sample_unequal_kernel(spec, 0.0)
         m = Margins.equivalence(-1.5, 1.5)
-        assert abs(equiv_size_symmetric(k, m, 0.05, 0.8, "g2").fractional - 49.45) < 0.01
+        assert abs(equivalence_sizes(spec, m, 0.05)["g2"] - 49.45) < 0.01
 
     def test_asymmetric_rejected(self):
-        k, _, alpha = be_kernel(0.0125)
+        _, _, alpha = be_kernel(0.0125)
         m = Margins.equivalence(-0.1, 0.3)
         with pytest.raises(DomainError, match="symmetric"):
-            equiv_size_symmetric(k, m, alpha, 0.8)
+            equivalence_sizes(be_spec(0.0125), m, alpha)
 
     def test_inversion_round_trip(self):
         spec = TwoSampleSpec(0.0, 0.0, 1.0, 4.0, 0.5)
@@ -320,10 +328,10 @@ class TestBeAdapter:
     def test_parallel_designs(self):
         eq = TwoSampleSpec(0.0, 0.05, 1.0, 1.0, 0.5, equal_variance=True)
         k, m, alpha = be_adapter(eq)
-        assert k.label == "two_sample_equal"
+        assert k.df_at(10.0) == 8.0  # the pooled kernel
         un = TwoSampleSpec(0.0, 0.05, 1.0, 2.0, 0.5)
         k, _, _ = be_adapter(un)
-        assert k.label == "two_sample_unequal"
+        assert k.df_at(10.0) == designs.satterthwaite_df(1.0, 2.0, 5.0, 5.0)  # Welch's
 
     def test_crossover_no_period_is_single_group(self):
         cs = CrossoverSpec(0.0, 0.0, 0.05, 0.5, period_effect_in_analysis=False)
@@ -331,5 +339,5 @@ class TestBeAdapter:
         assert k.df_at(10.0) == 9.0
 
     def test_end_to_end_reference(self):
-        k, m, alpha = be_kernel(0.0125)
-        assert abs(equiv_size_symmetric(k, m, alpha, 0.8, "g2").fractional - 10.14) < 0.01
+        _, m, alpha = be_kernel(0.0125)
+        assert abs(equivalence_sizes(be_spec(0.0125), m, alpha)["g2"] - 10.14) < 0.01

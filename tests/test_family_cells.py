@@ -311,10 +311,12 @@ EXPECTED = {
     ),
     ("ancova_equivalence_q3", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "normal,168.12,169,85/84\n"
-        "g1,170.04,171,86/85\n"
-        "g2,170.06,171,86/85\n"
-        "two_step,170.19,171,86/85\n"
+        "normal_asymptotic,168.12,169,85/84\n"
+        "normal,171.15,172,86/86\n"
+        "normal_quadratic,171.17,172,86/86\n"
+        "g1,173.08,174,87/87\n"
+        "g2,173.10,174,87/87\n"
+        "two_step,173.18,174,87/87\n"
         "inversion,173.12,174,87/87\n"
     ),
     ("ancova_equivalence_q3", "power"): (

@@ -14,6 +14,7 @@ from trialsize import mmrm
 from trialsize.config import load_design
 from trialsize.equivalence import Margins
 from trialsize.errors import DecompositionError, DomainError
+from trialsize.families import family_of
 from trialsize.tables import fixture_path
 
 ALPHA = 0.05
@@ -31,6 +32,13 @@ RETENTION = ((1.0, 0.92, 0.86, 0.74), (1.0, 0.93, 0.87, 0.76))
 
 def design(sigma, q, tau, retention=RETENTION):
     return mmrm.MmrmDesign(sigma=sigma, retention=retention, gamma0=0.5, q=q, tau_p1=tau)
+
+
+def size_chain(d, alpha, power, margins=None):
+    """A design's size chain by row name: superiority, or equivalence within ``margins``."""
+    family = family_of(d)
+    target = family.null(d) if margins is None else margins
+    return dict(family.size_rows(d, target, alpha, power))
 
 
 class TestLdl:
@@ -123,10 +131,11 @@ class TestDerived:
         assert np.allclose(
             lsub.T @ np.linalg.inv(sigma[:j, :j]) @ lsub, np.diag(1.0 / fac.lam[:j]), atol=1e-12
         )
-        d = design(sigma, 0, -1.0, retention=((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
-        der = mmrm.mmrm_derived(d, float(m3))
+        # omega[j, t] = lam_j / ((m_j - q* - j) lam_t), 1-based visit j, as
+        # the expected variance terms of mmrm_derived use it
+        omega = fac.lam[j] / ((m3 - qs - (j + 1)) * fac.lam[:j])
         omega_mc = fac.lam[j] * np.diag(lsub.T @ mean_inv @ lsub)
-        rel = np.abs(omega_mc - der.omega_jt[j, :j]) / der.omega_jt[j, :j]
+        rel = np.abs(omega_mc - omega) / omega
         assert np.max(rel) < 8.0 / math.sqrt(reps)
 
     def test_denominator_guard_names_visit(self):
@@ -158,12 +167,9 @@ def _derived_by_visit_loops(d, n):
         denom += 2.0 * c[j] * float(np.sum(c[:j] * v_tilde[:j] ** 2)) / (m[j] - qs - (j + 1))
     info = lp**2 * lam
     rho_o = float(info.sum() * varpi[0] / np.dot(info, varpi))
-    d_coef = 1.0 + q / (n * pibar - 2.0)
-    e = [float(np.sum(d_coef[j] - varpi[: j + 1] * d_coef[: j + 1] / varpi[j])) for j in range(p)]
     return {
-        "c_j": c, "v_tilde_xj": v_tilde, "v_tau": v_tau, "v_tau_star": v_tau_star,
+        "v_tau": v_tau, "v_tau_star": v_tau_star,
         "f": float(np.dot(c, v_tilde)) ** 2 / denom, "f_o": (m[0] - qs) * rho_o,
-        "rho_o": rho_o, "d_j": d_coef, "e_j": np.array(e),
     }
 
 
@@ -217,22 +223,30 @@ class TestPower:
 
 class TestSizeChain:
     def test_reference_row_un_q1(self):
-        ch = mmrm.mmrm_size_chain(design(EXAMPLE_SIGMA, 1, -12.0), ALPHA, 0.90)
-        assert abs(ch["n_a"].fractional - 15.24) < 0.01
-        assert abs(ch["approx"].fractional - 17.16) < 0.01
+        ch = size_chain(design(EXAMPLE_SIGMA, 1, -12.0), ALPHA, 0.90)
+        assert abs(ch["normal_asymptotic"].fractional - 15.24) < 0.01
+        assert abs(ch["normal"].fractional - 17.16) < 0.01
         assert abs(ch["two_step"].fractional - 20.85) < 0.01
         assert abs(ch["g1"].fractional - 20.03) < 0.01
         assert abs(ch["g2"].fractional - 20.44) < 0.01
         assert abs(ch["inversion"].fractional - 20.31) < 0.01
 
     def test_reference_ar1_q3(self):
-        ch = mmrm.mmrm_size_chain(design(mmrm.ar1(4, 45, 0.8), 3, -4.0), ALPHA, 0.90)
+        ch = size_chain(design(mmrm.ar1(4, 45, 0.8), 3, -4.0), ALPHA, 0.90)
         assert abs(ch["g2"].fractional - 144.31) < 0.02
 
     def test_equivalence_variant(self):
         d = design(EXAMPLE_SIGMA, 1, 0.0)
-        ch = mmrm.mmrm_size_chain(d, ALPHA, 0.90, margins=Margins.equivalence(-8, 8))
+        ch = size_chain(d, ALPHA, 0.90, margins=Margins.equivalence(-8, 8))
         assert abs(ch["g2"].fractional - 46.45) < 0.02
+
+    def test_size_too_small_to_correct(self):
+        with pytest.raises(DomainError, match="too small"):
+            size_chain(design(EXAMPLE_SIGMA, 1, -200.0), ALPHA, 0.90)
+
+    def test_asymmetric_margins_rejected(self):
+        with pytest.raises(DomainError, match="symmetric"):
+            size_chain(design(EXAMPLE_SIGMA, 1, 0.0), ALPHA, 0.90, Margins.equivalence(-8, 6))
 
     def test_size_ordering(self):
         for sigma, q, tau in (
@@ -240,10 +254,10 @@ class TestSizeChain:
             (mmrm.compound_symmetry(4, 45, 15), 3, -8.0),
             (mmrm.toeplitz([40, 34, 28, 22]), 3, -4.0),
         ):
-            ch = mmrm.mmrm_size_chain(design(sigma, q, tau), ALPHA, 0.90)
+            ch = size_chain(design(sigma, q, tau), ALPHA, 0.90)
             assert (
-                ch["n_a"].fractional
-                < ch["approx"].fractional
+                ch["normal_asymptotic"].fractional
+                < ch["normal"].fractional
                 < ch["g1"].fractional
                 < ch["g2"].fractional
             )
@@ -254,16 +268,10 @@ class TestSizeChain:
             sigma=sigma, retention=((1.0,), (1.0,)), gamma0=0.5, q=1, tau_p1=1.0
         )
         s = anc.AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=1)
-        chain_m = mmrm.mmrm_size_chain(d, ALPHA, 0.80)
-        chain_a = anc.ancova_size_chain(s, ALPHA, 0.80)
-        for key_m, key_a in (
-            ("n_a", "n_asy"),
-            ("approx", "approx"),
-            ("g1", "g1"),
-            ("g2", "g2"),
-            ("two_step", "two_step"),
-        ):
-            assert abs(chain_m[key_m].fractional - chain_a[key_a].fractional) < 1e-6
+        chain_m = size_chain(d, ALPHA, 0.80)
+        chain_a = size_chain(s, ALPHA, 0.80)
+        for key in ("normal_asymptotic", "normal", "g1", "g2", "two_step"):
+            assert abs(chain_m[key].fractional - chain_a[key].fractional) < 1e-6
         for n in (20, 40):
             assert abs(
                 mmrm.mmrm_power(d, n, ALPHA).value
@@ -402,17 +410,15 @@ class TestBatchedSchedules:
     def test_derived_batch_matches_scalar(self):
         d = design(EXAMPLE_SIGMA, 2, -4.0)
         der = mmrm.mmrm_derived(dataclasses.replace(d, retention=self.SCHEDULES), 21)
-        assert np.isnan(der.f[self.UNDEFINED]) and np.isnan(der.c_j[self.UNDEFINED]).all()
+        assert np.isnan(der.f[self.UNDEFINED]) and np.isnan(der.v_tau_star[self.UNDEFINED])
         for b in (0, 1, 2, 4):
             one = mmrm.mmrm_derived(
                 dataclasses.replace(d, retention=tuple(map(tuple, self.SCHEDULES[b]))), 21
             )
-            for field in ("v_tau", "v_tau_star", "f", "f_o", "rho_o"):
+            for field in ("v_tau", "v_tau_star", "f", "f_o"):
                 assert abs(getattr(der, field)[b] - getattr(one, field)) <= 1e-12 * abs(
                     getattr(one, field)
                 )
-            for field in ("c_j", "v_tilde_xj", "b_j", "d_j", "e_j", "omega_jt"):
-                assert np.allclose(getattr(der, field)[b], getattr(one, field), rtol=1e-12, atol=0)
 
     def test_batch_validation_names_the_schedule(self):
         bad = self.SCHEDULES.copy()
