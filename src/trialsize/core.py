@@ -73,7 +73,7 @@ class SizeModel:
 
     def __post_init__(self):
         if not (self.v > 0.0 and math.isfinite(self.v)):
-            raise DomainError(f"kernel variance scale must be positive, got {self.v}")
+            raise DomainError(f"variance scale must be positive, got {self.v}")
         if abs(sum(self.allocation) - 1.0) > 1e-9:
             raise DomainError("allocation fractions must sum to 1")
 
@@ -205,7 +205,7 @@ def g2_total(ntilde: float, rho: float, alpha: float) -> float:
 
 
 def size_chain(
-    m: SizeModel,
+    model: SizeModel,
     delta: float,
     alpha: float,
     power: float,
@@ -221,23 +221,32 @@ def size_chain(
     sizes each one-sided test at (1 + power)/2):
 
     normal_asymptotic  n_b = (z_{1-a/2} + z_target)^2 v / delta^2, where C corrects it
-    normal             ntilde = C(n_b), followed by ``m.extra(n_b)``
+    normal             ntilde = C(n_b), followed by ``model.extra(n_b)``
     g1, g2             the first- and second-order corrections of ntilde
     two_step           C(n_u), n_u formed as n_b with t quantiles at f(ntilde)
     inversion          the root of exact(n) = power
+
+    Raises :class:`DomainError` for a zero effect, for ntilde at or below
+    ``model.min_n`` and for a non-positive f(ntilde); C raises it for a size
+    too small to correct.
     """
     _check_alpha_power(alpha, power)
     if delta == 0.0:
         raise DomainError("the effect must differ from the null value for sample-size formulas")
     target = power if target is None else target
-    correct = m.correct or (lambda n: n)
+    correct = model.correct or (lambda n: n)
 
     def base(z_alpha: float, z_power: float) -> float:
-        return (z_alpha + z_power) ** 2 * m.v / delta**2
+        return (z_alpha + z_power) ** 2 * model.v / delta**2
 
     n_b = base(dist.normal_quantile(1.0 - alpha / 2.0), dist.normal_quantile(target))
     n_tilde = correct(n_b)
-    rho, f = m.rho_at(n_tilde), m.df_at(n_tilde)
+    if not n_tilde > model.min_n:
+        raise DomainError(
+            f"two-step size undefined: first-pass size {n_tilde:.3f} does not exceed "
+            f"the minimum {model.min_n}"
+        )
+    rho, f = model.rho_at(n_tilde), model.df_at(n_tilde)
     if not f > 0.0:
         raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
     n_u = base(
@@ -245,16 +254,20 @@ def size_chain(
     )
     g2 = g2_total(n_tilde, rho, alpha)
     sizes = [
-        *([("normal_asymptotic", n_b)] if m.correct else []),
+        *([("normal_asymptotic", n_b)] if model.correct else []),
         ("normal", n_tilde),
-        *m.extra(n_b),
+        *model.extra(n_b),
         ("g1", g1_total(n_tilde, rho, alpha)),
         ("g2", g2),
         ("two_step", correct(n_u)),
     ]
-    rows = [(name, _estimate(n, name, m.allocation, power, alpha, rounding)) for name, n in sizes]
+    rows = [
+        (name, _estimate(n, name, model.allocation, power, alpha, rounding)) for name, n in sizes
+    ]
     if exact is not None:
-        inversion = size_invert(exact, power, g2, m.min_n, m.allocation, alpha, rounding, settings)
+        inversion = size_invert(
+            exact, power, g2, model.min_n, model.allocation, alpha, rounding, settings
+        )
         rows.append(("inversion", inversion))
     return rows
 

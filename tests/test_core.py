@@ -149,6 +149,11 @@ class TestChain:
         assert abs(rows["inversion"].fractional - 127.53) < 5e-3
         assert rows["g2"].per_group == (64, 64)
 
+    def test_first_pass_size_at_the_minimum(self):
+        k = designs.one_sample_kernel(2.2, 0.0, 1.0)  # normal size 1.62 <= min_n 2
+        with pytest.raises(DomainError, match="first-pass size"):
+            sizes(k)
+
     def test_non_positive_two_step_df(self):
         k = dataclasses.replace(equal_kernel(0.5), df_at=lambda n: -1.0)
         with pytest.raises(DomainError, match="non-positive"):
