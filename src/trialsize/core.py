@@ -213,6 +213,7 @@ def size_chain(
     target: float | None = None,
     rounding: str = "up",
     settings: NumericSettings = DEFAULT_SETTINGS,
+    two_step: bool = True,
 ) -> list[tuple[str, SizeEstimate]]:
     """The noniterative sizes for the effect ``delta``, by name, and with the
     exact power ``exact(n)`` its inversion for ``power``, started at g2.
@@ -226,9 +227,10 @@ def size_chain(
     two_step           C(n_u), n_u formed as n_b with t quantiles at f(ntilde)
     inversion          the root of exact(n) = power
 
-    Raises :class:`DomainError` for a zero effect, for ntilde at or below
-    ``model.min_n`` and for a non-positive f(ntilde); C raises it for a size
-    too small to correct.
+    Raises :class:`DomainError` for a zero effect, and, for the two-step row,
+    for ntilde at or below ``model.min_n`` and for a non-positive f(ntilde);
+    C raises it for a size too small to correct.  ``two_step=False`` leaves
+    out the two-step row and its checks.
     """
     _check_alpha_power(alpha, power)
     if delta == 0.0:
@@ -241,17 +243,19 @@ def size_chain(
 
     n_b = base(dist.normal_quantile(1.0 - alpha / 2.0), dist.normal_quantile(target))
     n_tilde = correct(n_b)
-    if not n_tilde > model.min_n:
+    if two_step and not n_tilde > model.min_n:
         raise DomainError(
             f"two-step size undefined: first-pass size {n_tilde:.3f} does not exceed "
             f"the minimum {model.min_n}"
         )
-    rho, f = model.rho_at(n_tilde), model.df_at(n_tilde)
-    if not f > 0.0:
-        raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
-    n_u = base(
-        dist.t_quantile(1.0 - alpha / 2.0, f, settings), dist.t_quantile(target, f, settings)
-    )
+    rho = model.rho_at(n_tilde)
+    if two_step:
+        f = model.df_at(n_tilde)
+        if not f > 0.0:
+            raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
+        n_u = base(
+            dist.t_quantile(1.0 - alpha / 2.0, f, settings), dist.t_quantile(target, f, settings)
+        )
     g2 = g2_total(n_tilde, rho, alpha)
     sizes = [
         *([("normal_asymptotic", n_b)] if model.correct else []),
@@ -259,7 +263,7 @@ def size_chain(
         *model.extra(n_b),
         ("g1", g1_total(n_tilde, rho, alpha)),
         ("g2", g2),
-        ("two_step", correct(n_u)),
+        *([("two_step", correct(n_u))] if two_step else []),
     ]
     rows = [
         (name, _estimate(n, name, model.allocation, power, alpha, rounding)) for name, n in sizes

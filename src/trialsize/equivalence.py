@@ -23,7 +23,7 @@ from scipy import special, stats
 
 from . import core, dist
 from .ancova import AncovaSpec, ImbalanceMixture, ancova_kernel
-from .core import PowerEstimate, SizeEstimate, TestKernel
+from .core import PowerEstimate, SizeEstimate, SizeModel, TestKernel
 from .designs import TwoSampleSpec, _welch_given_ratio
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
@@ -221,28 +221,34 @@ class EquivSizeBounds:
 
 
 def equiv_size_bounds(
-    k: TestKernel,
+    model: SizeModel,
     m: Margins,
     alpha: float,
     power: float,
     rounding: str = "up",
     settings: NumericSettings = DEFAULT_SETTINGS,
+    tau1: float | None = None,
 ) -> EquivSizeBounds:
-    """Sample-size bounds for possibly asymmetric margins.
+    """Sample-size bounds for possibly asymmetric margins around the true
+    effect ``tau1`` (by default ``model.tau1``, for a test kernel).
 
     The lower bound replaces the effect by the larger margin distance, the
-    upper bound by the smaller; each side is the size chain's g1 and g2 at
-    the equivalence target (1 + power)/2.  The bounds coincide for
-    symmetric margins.
+    upper bound by the smaller; each side is the g1 and g2 rows of the size
+    chain of ``model`` at the equivalence target (1 + power)/2, without the
+    two-step row and its checks.  Given a design's own size model (its
+    family's ``sizing``, which carries ANCOVA's covariate correction), the
+    bounds for margins symmetric around ``tau1`` coincide with each other
+    and with the g1 and g2 rows of the design's equivalence size chain.
     """
-    _check_containment(m, k.tau1)
-    du, dl = m.upper - k.tau1, k.tau1 - m.lower
+    tau1 = model.tau1 if tau1 is None else tau1
+    _check_containment(m, tau1)
+    du, dl = m.upper - tau1, tau1 - m.lower
 
     def side(delta: float) -> tuple[SizeEstimate, SizeEstimate]:
         rows = dict(
             core.size_chain(
-                k, delta, alpha, power, target=0.5 * (1.0 + power), rounding=rounding,
-                settings=settings,
+                model, delta, alpha, power, target=0.5 * (1.0 + power), rounding=rounding,
+                settings=settings, two_step=False,
             )
         )
         return rows["g1"], rows["g2"]

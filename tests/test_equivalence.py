@@ -236,6 +236,24 @@ class TestSizeBounds:
         )
         assert b.g1_lower.fractional <= inv.fractional <= b.g1_upper.fractional
 
+    def test_larger_side_below_the_minimum_size(self):
+        # the larger distance's normal size (1.7) is below the kernel's
+        # minimum 3: the bounds take no two-step row and do not refuse it
+        k, _, alpha = be_kernel(0.0125)
+        b = equiv_size_bounds(k, Margins.equivalence(-0.1, 0.5), alpha, 0.8)
+        assert abs(b.g1_lower.fractional - 3.0655) < 1e-4
+        assert abs(b.g2_lower.fractional - 3.6625) < 1e-4
+        assert abs(b.g2_upper.fractional - 44.2134) < 1e-4
+
+    def test_ancova_bounds_carry_the_covariate_correction(self):
+        s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
+        m = Margins.equivalence(-0.5, 0.5)
+        b = equiv_size_bounds(family_of(s).sizing(s), m, 0.05, 0.8, tau1=s.tau1)
+        rows = dict(family_of(s).size_rows(s, m, 0.05, 0.8))
+        assert b.g1_lower.fractional == b.g1_upper.fractional == rows["g1"].fractional
+        assert b.g2_lower.fractional == b.g2_upper.fractional == rows["g2"].fractional
+        assert abs(b.g2_lower.fractional - 173.10) < 0.01
+
 
 class TestAncovaEquivalence:
     def test_q0_reduces_to_kernel_formula(self):
