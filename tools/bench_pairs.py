@@ -12,7 +12,8 @@ metric, how many pairs the change's ``pass_s`` was the lower one, whether
 every run's checks passed, the failed operations, and whether the change's
 median stays within the metric's ``BENCHMARK.json`` bound of the parent's:
 ``true`` or ``false``, or ``"unresolved"`` where the parent's own
-interquartile range is wider than the bound, so the runs cannot tell.
+interquartile range is wider than the bound, so the runs cannot tell
+(unless every run of the change reads lower than every run of the parent).
 The run length is perfbench's own.
 
 The perfbench tracer still reports a few per-layer metrics that read 0 on
@@ -90,9 +91,12 @@ def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     }
     within = {}
     for name, bound in bounds.items():
-        record[name] = {side: quartiles([value(r, name) for r in runs[side]]) for side in runs}
+        values = {side: [value(r, name) for r in runs[side]] for side in runs}
+        record[name] = {side: quartiles(values[side]) for side in runs}
         parent, change = record[name]["parent"], record[name]["change"]
-        if parent["q3"] - parent["q1"] > bound * parent["median"]:
+        if max(values["change"]) < min(values["parent"]):
+            within[name] = True
+        elif parent["q3"] - parent["q1"] > bound * parent["median"]:
             within[name] = "unresolved"
         else:
             within[name] = change["median"] <= parent["median"] * (1.0 + bound)
