@@ -8,12 +8,13 @@ copy of its revision (``git archive`` into a new directory, removed after the
 run), so no run sees files another run left behind.  Pair i runs the parent
 first when i is odd and the change first when i is even.  For each workload
 the record keeps, per side, the median and quartiles of every end-to-end
-metric, how many pairs the change's ``pass_s`` was the lower one, whether
-every run's checks passed, the failed operations, and whether the change's
-median stays within the metric's ``BENCHMARK.json`` bound of the parent's:
-``true`` or ``false``, or ``"unresolved"`` where the parent's own
-interquartile range is wider than the bound, so the runs cannot tell
-(unless every run of the change reads lower than every run of the parent).
+metric and every run's value in pair order, how many pairs the change's
+``pass_s`` was the lower one, whether every run's checks passed, the failed
+operations, and whether the change's median stays within the metric's
+``BENCHMARK.json`` bound of the parent's: ``true`` or ``false``, or
+``"unresolved"`` where the parent's own interquartile range is wider than
+the bound, so the runs cannot tell (unless every run of the change reads
+lower than every run of the parent).
 The run length is perfbench's own.
 
 The perfbench tracer still reports a few per-layer metrics that read 0 on
@@ -74,9 +75,10 @@ def run_once(rev: str, workload: str, scratch: Path) -> dict:
         return {"correct": False, "failed": None, "metrics": {}}
 
 
-def quartiles(values: list[float]) -> dict[str, float]:
+def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="exclusive")
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
+            "runs": [round(v, 3) for v in values]}
 
 
 def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
