@@ -10,9 +10,16 @@ block starts with a ``$ `` line giving the command (fixtures by name) and its
 exit status; ``tests/test_golden.py`` reruns every block and compares the
 bytes.
 
+With ``--powers`` it writes instead the power record
+``tests/golden/powers.json``: every fixture's ``power_rows`` at the sizes
+``POWER_SIZES``, at full precision, or the name of the exception class where
+a size raises.  The CLI prints powers to two decimals; the record pins them
+to the last bit that ``tests/test_golden.py`` tolerates.
+
 Run from the repository root against the checkout to be recorded:
 
     PYTHONPATH=src python tests/golden/make_golden.py > tests/golden/cli.txt
+    PYTHONPATH=src python tests/golden/make_golden.py --powers > tests/golden/powers.json
 """
 
 from __future__ import annotations
@@ -20,11 +27,17 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import sys
 from importlib import resources
 
 from trialsize import cli
+from trialsize.config import load_design
 from trialsize.tables import TABLE_NUMBERS, fixture_path
+
+# total sizes of the power record: small, where the d.f. corrections matter,
+# to large, where the powers saturate
+POWER_SIZES = (12.5, 20.0, 33.3, 50.0, 81.0, 140.0, 260.0)
 
 
 def fixture_names() -> list[str]:
@@ -63,7 +76,25 @@ def commands():
         yield (command, *run(command))
 
 
-def main() -> int:
+def power_record() -> dict:
+    """fixture -> size -> {row: power}, or the exception class name where the
+    size raises."""
+    record = {}
+    for name in fixture_names():
+        cfg = load_design(fixture_path(name))
+        record[name] = {}
+        for n in POWER_SIZES:
+            try:
+                record[name][repr(n)] = dict(cfg.power_rows(n, cfg.alpha))
+            except Exception as exc:
+                record[name][repr(n)] = type(exc).__name__
+    return record
+
+
+def main(argv: list[str] | None = None) -> int:
+    if (sys.argv[1:] if argv is None else argv) == ["--powers"]:
+        sys.stdout.write(json.dumps(power_record(), indent=1, allow_nan=False) + "\n")
+        return 0
     for command, code, text in commands():
         sys.stdout.write(f"$ {command} [exit {code}]\n{text}")
     return 0
