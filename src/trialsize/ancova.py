@@ -1,8 +1,11 @@
 """Covariate-adjusted two-arm comparison (ANCOVA): power and sample size.
 
-At the design stage the covariates are unknown; the exact power integrates
-the conditional noncentral-F power against the F law of the standardized
-between-group covariate imbalance.  The size chain
+At the design stage the covariates are unknown.  Given the standardized
+between-group covariate imbalance u, the adjusted effect's variance is
+sigma^2 (1 + q u/(n - q - 1)) / (n gamma0 gamma1), and u follows
+F(q, n - q - 1) (exactly so for normal covariates).  :func:`adjusted_power`
+gives any of the conditional powers of :mod:`trialsize.core` at that
+variance, averaged over the imbalance law or at its mean.  The size chain
 (:func:`trialsize.core.size_chain`) corrects the asymptotic
 normal-approximation size for the covariate count.
 """
@@ -10,7 +13,8 @@ normal-approximation size for the covariate count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .errors import DomainError
 
 __all__ = [
     "AncovaSpec",
-    "ImbalanceMixture",
+    "adjusted_power",
     "ancova_power_exact",
     "ancova_power_approx",
     "ancova_power_asymptotic_t",
@@ -66,29 +70,6 @@ class AncovaSpec:
         return self.tau1 - self.tau0
 
 
-@dataclass(frozen=True)
-class ImbalanceMixture:
-    """F law of the standardized between-group covariate imbalance.
-
-    At the design stage the q-covariate imbalance statistic follows an
-    F(q, n - q - 1) distribution (exactly so for normal covariates); the
-    exact power integrates the conditional power against it.
-    """
-
-    q: int
-    f2: float  # n - q - 1
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise DomainError("the imbalance mixture needs at least one covariate")
-        if not self.f2 > 0.0:
-            raise DomainError(f"need n > q + 1, got second d.f. {self.f2}")
-
-    def variance_factor(self, u: np.ndarray, gamma0: float, n: float) -> np.ndarray:
-        """Conditional variance multiplier of the adjusted treatment effect."""
-        return (1.0 + self.q * u / self.f2) / (n * gamma0 * (1.0 - gamma0))
-
-
 def ancova_kernel(s: AncovaSpec) -> TestKernel:
     """Asymptotic-variance kernel: v = sigma^2/(gamma0*gamma1), f = n - q*, rho = 1."""
     v = s.sigma_sq / (s.gamma0 * s.gamma1)
@@ -104,9 +85,35 @@ def ancova_kernel(s: AncovaSpec) -> TestKernel:
     )
 
 
-def _check_n(s: AncovaSpec, n: float) -> None:
-    if not n > s.q + 3:
-        raise DomainError(f"ANCOVA power needs n > q + 3 = {s.q + 3}, got n = {n}")
+def adjusted_power(
+    s: AncovaSpec,
+    conditional: Callable,
+    n: float,
+    alpha: float,
+    method: str = "integral_exact",
+    settings: NumericSettings = DEFAULT_SETTINGS,
+    mean_imbalance: bool = False,
+) -> PowerEstimate:
+    """The power ``conditional`` of the covariate-adjusted t test at total
+    size ``n`` > q + 3, with f = n - q* and se^2 = sigma^2 c/(n gamma0 gamma1).
+
+    The factor c = 1 + q u/(n - q - 1) is averaged over the imbalance
+    u ~ F(q, n - q - 1), or with ``mean_imbalance`` taken at its mean
+    (n - q - 1)/(n - q - 3), which gives c = 1 + q/(n - q - 3) and no outer
+    law.  Without covariates c is 1.
+    """
+    outer = (s.q, n - s.q - 1.0) if s.q and not mean_imbalance else None
+
+    def given(u):
+        f = n - s.q_star
+        c = 1.0 + s.q / (n - s.q - 3.0) if u is None else 1.0 + s.q * u / (n - s.q - 1.0)
+        se = np.sqrt(s.sigma_sq * c / (n * s.gamma0 * s.gamma1))
+        return se, dist.t_quantile(1.0 - alpha / 2.0, f, settings), f
+
+    return core.expected_power(
+        conditional, given, n, outer, alpha=alpha, min_n=s.q + 3.0, method=method,
+        settings=settings,
+    )
 
 
 def ancova_power_exact(
@@ -121,22 +128,7 @@ def ancova_power_exact(
     it remains very accurate for nonnormal covariates.  With q = 0 this is the
     plain two-sample equal-variance power with f = n - 2.
     """
-    core._check_alpha_power(alpha)
-    _check_n(s, n)
-    f = n - s.q_star
-    crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
-    base_ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / s.sigma_sq
-    if s.q == 0:
-        value = dist._f_sf(crit_sq, f, base_ncp)
-        return PowerEstimate(value=value, method="integral_exact", n_used=n)
-
-    mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
-
-    def fn(ups: np.ndarray) -> np.ndarray:
-        return dist._f_sf(crit_sq, f, base_ncp / (1.0 + s.q * ups / mixture.f2))
-
-    value = dist.integrate(fn, s.q, mixture.f2, settings)
-    return PowerEstimate(value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n)
+    return adjusted_power(s, core.two_tailed(s.effect), n, alpha, settings=settings)
 
 
 def ancova_power_approx(
@@ -147,15 +139,9 @@ def ancova_power_approx(
 ) -> PowerEstimate:
     """Integration-free power: the imbalance term replaced by its expectation,
     inflating the variance by 1 + q/(n - q - 3)."""
-    core._check_alpha_power(alpha)
-    _check_n(s, n)
-    f = n - s.q_star
-    crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
-    ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / (
-        s.sigma_sq * (1.0 + s.q / (n - s.q - 3.0))
+    return adjusted_power(
+        s, core.two_tailed(s.effect), n, alpha, "approx", settings, mean_imbalance=True
     )
-    value = dist._f_sf(crit_sq, f, ncp)
-    return PowerEstimate(value=value, method="approx", n_used=n)
 
 
 def ancova_power_asymptotic_t(
@@ -164,15 +150,10 @@ def ancova_power_asymptotic_t(
     alpha: float,
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
-    """t-distribution power with the asymptotic variance (no covariate inflation)."""
-    core._check_alpha_power(alpha)
-    if not n > s.q_star:
-        raise DomainError(f"need n > q* = {s.q_star}, got n = {n}")
-    f = n - s.q_star
-    crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
-    ncp = n * s.gamma0 * s.gamma1 * s.effect**2 / s.sigma_sq
-    value = dist._f_sf(crit_sq, f, ncp)
-    return PowerEstimate(value=value, method="approx", n_used=n)
+    """t-distribution power with the asymptotic variance (no covariate
+    inflation): the ANCOVA kernel's two-sided power, defined for n > q*."""
+    k = replace(ancova_kernel(s), min_n=float(s.q_star))
+    return k.power(core.two_tailed(s.effect), n, alpha, "approx", settings)
 
 
 def ancova_sizing(s: AncovaSpec) -> SizeModel:

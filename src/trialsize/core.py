@@ -1,5 +1,12 @@
 """Generalized power and sample-size procedures.
 
+Every power is one body, :func:`expected_power`: a conditional power given
+the estimate's standard error, the critical value and the d.f. (se, crit,
+f), used directly or averaged over one outer F law.  The conditional power
+is one of three: :func:`two_tailed`, :func:`one_sided_tests` (the
+integration-free tests that must all reject) and, for exact equivalence,
+the Phillips integral of :mod:`trialsize.equivalence`.
+
 A :class:`SizeModel` holds what the noniterative size chain needs of a
 design: the variance scale ``v`` (``var(estimate) ~ v / n``), the correction
 C of the normal-approximation size (for covariates or retention; none for a
@@ -15,7 +22,8 @@ objective is sized by:
 * numerical inversion of the family's exact power, started at g2.
 
 A :class:`TestKernel` is the size model of a two-sided t test of
-``H0: tau = tau0`` versus ``H1: tau = tau1``, whose power it also gives.
+``H0: tau = tau0`` versus ``H1: tau = tau1``; it gives (se, crit, f) for
+every power of the test (:meth:`TestKernel.power`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import stats
+import numpy as np
 
 from . import dist
 from .dist import DEFAULT_SETTINGS, NumericSettings
@@ -37,6 +45,9 @@ __all__ = [
     "TestKernel",
     "PowerEstimate",
     "SizeEstimate",
+    "expected_power",
+    "two_tailed",
+    "one_sided_tests",
     "power_two_sided",
     "power_one_sided_approx",
     "size_chain",
@@ -89,6 +100,25 @@ class TestKernel(SizeModel):
     @property
     def effect(self) -> float:
         return self.tau1 - self.tau0
+
+    def power(
+        self,
+        conditional: Callable,
+        n: float,
+        alpha: float,
+        method: str,
+        settings: NumericSettings = DEFAULT_SETTINGS,
+    ) -> PowerEstimate:
+        """The power ``conditional`` at se = sqrt(v/n), the t quantile
+        t_{f,1-a/2} and f = df_at(n); no outer law."""
+
+        def given(_):
+            f = self.df_at(n)
+            return math.sqrt(self.v / n), dist.t_quantile(1.0 - alpha / 2.0, f, settings), f
+
+        return expected_power(
+            conditional, given, n, alpha=alpha, min_n=self.min_n, method=method, settings=settings
+        )
 
 
 @dataclass(frozen=True)
@@ -153,8 +183,70 @@ def _check_alpha_power(alpha: float, power: float | None = None) -> None:
         raise DomainError(f"target power must lie in (0, 1), got {power}")
 
 
-def _noncentrality_sq(k: TestKernel, n: float) -> float:
-    return n * k.effect**2 / k.v
+# methods whose value is an approximation: returned as computed, and flagged
+# when negative, instead of clipped to [0, 1]
+_APPROXIMATIONS = ("approx", "one_sided_approx")
+
+
+def expected_power(
+    conditional: Callable,
+    given: Callable,
+    n: float,
+    outer: tuple[float, float] | None = None,
+    *,
+    alpha: float,
+    min_n: float = -math.inf,
+    method: str = "integral_exact",
+    settings: NumericSettings = DEFAULT_SETTINGS,
+) -> PowerEstimate:
+    """The one power body: ``conditional(*given(u))``, at ``given(None)``
+    without an outer law, else averaged by :func:`dist.integrate` over
+    U ~ F(*outer).
+
+    ``given(u)`` is (se, crit, f) at the outer variable u, each a scalar or
+    an array over the abscissae.  Raises :class:`DomainError` for alpha
+    outside (0, 1) and for n that is not finite, above the size cap or not
+    above ``min_n``, before ``given`` is called.  An exact ``method`` is
+    clipped to [0, 1]; an approximation is returned as computed, with
+    ``approximation_valid`` False where it is negative.
+    """
+    _check_alpha_power(alpha)
+    if not n <= _SIZE_CAP:
+        raise DomainError(f"n must be finite and at most the size cap {_SIZE_CAP:.0e}, got {n}")
+    if not n > min_n:
+        raise DomainError(f"n must exceed the design's minimum {min_n:g}, got {n}")
+    if outer is None:
+        value = conditional(*given(None))
+    else:
+        value = dist.integrate(lambda u: conditional(*given(u)), *outer, settings)
+    if method in _APPROXIMATIONS:
+        return PowerEstimate(value, method, n, approximation_valid=value >= 0.0)
+    return PowerEstimate(min(1.0, max(0.0, value)), method, n)
+
+
+def two_tailed(delta: float) -> Callable:
+    """Conditional power of the two-sided test of an effect ``delta``:
+    Pr[|t(f, delta/se)| > crit] = Pr[F(1, f, (delta/se)^2) > crit^2]."""
+
+    def power(se, crit, f):
+        return dist._f_sf(crit * crit, f, (delta / se) ** 2)
+
+    return power
+
+
+def one_sided_tests(*distances: float) -> Callable:
+    """Conditional power of one-sided tests that must all reject, the true
+    effect at each distance d from a test's null (on the rejecting side):
+    1 - sum_d Pr[t(f, d/se) <= crit], with one :func:`dist.t_cdf` call for
+    all d.  An infinite distance (a margin that is absent) never keeps its
+    test from rejecting and drops out."""
+    finite = np.array([d for d in distances if math.isfinite(d)])
+
+    def power(se, crit, f):
+        se, crit = np.broadcast_arrays(se, crit)
+        return 1.0 - dist.t_cdf(crit, f, np.divide.outer(finite, se)).sum(axis=0)
+
+    return power
 
 
 def power_two_sided(
@@ -164,13 +256,7 @@ def power_two_sided(
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Power of the two-sided test: Pr[F(1, f, n*effect^2/v) > t_{f,1-a/2}^2]."""
-    _check_alpha_power(alpha)
-    if not n > k.min_n:
-        raise DomainError(f"n must exceed the kernel minimum {k.min_n}, got {n}")
-    f = k.df_at(n)
-    crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    value = dist._f_sf(crit * crit, f, _noncentrality_sq(k, n))
-    return PowerEstimate(value=value, method="exact_two_sided", n_used=n)
+    return k.power(two_tailed(k.effect), n, alpha, "exact_two_sided", settings)
 
 
 def power_one_sided_approx(
@@ -180,14 +266,7 @@ def power_one_sided_approx(
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Upper-tail-only approximation: Pr[t(f, |effect|*sqrt(n/v)) > t_{f,1-a/2}]."""
-    _check_alpha_power(alpha)
-    if not n > k.min_n:
-        raise DomainError(f"n must exceed the kernel minimum {k.min_n}, got {n}")
-    f = k.df_at(n)
-    lam = abs(k.effect) * math.sqrt(n / k.v)
-    crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    value = float(stats.nct.sf(crit, f, lam))
-    return PowerEstimate(value=value, method="one_sided_approx", n_used=n)
+    return k.power(one_sided_tests(abs(k.effect)), n, alpha, "one_sided_approx", settings)
 
 
 def g1_total(ntilde: float, rho: float, alpha: float) -> float:

@@ -3,19 +3,21 @@
 Covers the one-sample t test, the two-sample t tests with equal and unequal
 variances (Welch/Satterthwaite), and the 2x2 crossover with or without a
 period effect in the analysis.  Also provides the exact unequal-variance
-power, which conditions on the observed variance ratio and integrates it out
-against its F law.
+powers (:func:`welch_power`): given the observed variance ratio the Welch
+statistic is a noncentral t with n - 2 d.f. against a ratio-dependent
+critical value (Moser, Stevens & Watts 1989), and the ratio is integrated
+out against its F law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import special, stats
 
-from . import dist
+from . import core, dist
 from .core import PowerEstimate, TestKernel
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
@@ -29,6 +31,7 @@ __all__ = [
     "two_sample_unequal_kernel",
     "crossover_kernel",
     "moser_exact_power",
+    "welch_power",
     "satterthwaite_df",
 ]
 
@@ -190,6 +193,35 @@ def _welch_given_ratio(u: np.ndarray, sig0: float, sig1: float, n0: float, n1: f
     return v_u, f_u
 
 
+def welch_power(
+    s: TwoSampleSpec,
+    conditional: Callable,
+    n: float,
+    alpha: float,
+    method: str = "integral_exact",
+    settings: NumericSettings = DEFAULT_SETTINGS,
+) -> PowerEstimate:
+    """The power ``conditional`` of the Welch test at total size ``n``,
+    averaged over the variance ratio u ~ F(n1 - 1, n0 - 1).
+
+    Given u it sees se = sqrt(base), base = sigma1^2/n1 + sigma0^2/n0, the
+    critical value t_{f(u),1-a/2} sqrt(v(u)/base) and n - 2 d.f.  Group
+    sizes gamma_g * n may be fractional; each must exceed one.
+    """
+    n0, n1 = s.gamma0 * n, s.gamma1 * n
+
+    def given(u):
+        base = s.sigma1_sq / n1 + s.sigma0_sq / n0
+        v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
+        crit = dist.t_quantile(1.0 - alpha / 2.0, f_u, settings) * np.sqrt(v_u / base)
+        return math.sqrt(base), crit, n - 2.0
+
+    return core.expected_power(
+        conditional, given, n, (n1 - 1.0, n0 - 1.0), alpha=alpha,
+        min_n=1.0 / min(s.gamma0, s.gamma1), method=method, settings=settings,
+    )
+
+
 def moser_exact_power(
     s: TwoSampleSpec,
     tau0: float,
@@ -200,22 +232,7 @@ def moser_exact_power(
     """Exact power of the Welch test, integrating over the variance ratio.
 
     One-tailed toward the alternative (the opposite tail is negligible at any
-    practically relevant power).  Group sizes gamma_g * n may be fractional.
+    practically relevant power): the one-sided test with its null at tau0.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    n0 = s.gamma0 * n
-    n1 = s.gamma1 * n
-    if min(n0, n1) <= 1.0:
-        raise DomainError("moser_exact_power needs more than one subject per group")
-    base = s.sigma1_sq / n1 + s.sigma0_sq / n0
-    lam = abs(s.mu1 - s.mu0 - tau0) / math.sqrt(base)
-    fxi = n - 2.0
-
-    def fn(u: np.ndarray) -> np.ndarray:
-        v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
-        crit = special.stdtrit(f_u, 1.0 - alpha / 2.0)
-        return stats.nct.sf(crit * np.sqrt(v_u / base), fxi, lam)
-
-    value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
-    return PowerEstimate(value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n)
+    conditional = core.one_sided_tests(abs(s.mu1 - s.mu0 - tau0))
+    return welch_power(s, conditional, n, alpha, settings=settings)

@@ -2,15 +2,20 @@
 
 Equivalence is declared when the whole 1-alpha confidence interval for the
 effect lies inside the margin interval; the procedure is decision-equivalent
-to two one-sided tests at level alpha/2.  Conditioning on the variance
-estimate gives a single-integral exact power for the one-sample and pooled
-two-sample kernels; the integration-free approximation drops the positivity
-region of the integrand and hence underestimates (it can go negative in tiny
-samples, which is flagged rather than clamped).
+to two one-sided tests at level alpha/2.  An equivalence power is one of two
+conditional powers (:func:`_conditional`) inside the one power body
+(:func:`trialsize.core.expected_power`).  The exact one conditions on the
+variance estimate (Phillips 1990), a single integral over the variance
+scale; the integration-free approximation, the two one-sided tests'
+1 - Pr[t <= crit] - Pr[t <= crit], drops the positivity region of that
+integrand and hence underestimates (it can go negative in tiny samples,
+which is flagged rather than clamped).
 
-For the unequal-variance design the same argument conditions additionally on
-the group variance ratio, giving an exact double integral, and likewise for
-covariate-adjusted analyses via the imbalance mixture.
+The kernels use either as it is.  The unequal-variance design averages it
+over the group variance ratio (:func:`trialsize.designs.welch_power`) and the
+covariate-adjusted design over the imbalance law
+(:func:`trialsize.ancova.adjusted_power`), which makes the exact forms
+double integrals.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import core, dist
-from .ancova import AncovaSpec, ImbalanceMixture, ancova_kernel
+from .ancova import AncovaSpec, adjusted_power
 from .core import PowerEstimate, SizeEstimate, SizeModel, TestKernel
-from .designs import TwoSampleSpec, _welch_given_ratio
+from .designs import TwoSampleSpec, welch_power
 from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
@@ -115,16 +120,6 @@ def _check_containment(m: Margins, tau1: float) -> None:
         )
 
 
-def _upper_tail(x, f: float, lam):
-    """Pr[t(f, lam) > x], elementwise in ``x`` and ``lam``.
-
-    A one-sided margin puts ``lam`` at +-inf, where ``nct.sf`` is NaN; the
-    tail is then exactly 1 (lam = +inf) or 0 (lam = -inf).
-    """
-    lam = np.asarray(lam, dtype=float)
-    return np.where(np.isinf(lam), lam > 0.0, stats.nct.sf(x, f, lam))
-
-
 def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     """Core equivalence integral conditioned on the variance-scale chi-square.
 
@@ -148,6 +143,21 @@ def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     return float(val) if val.ndim == 0 else val
 
 
+def _conditional(m: Margins, tau1: float, exact: bool, settings: NumericSettings):
+    """The conditional equivalence power for margins ``m`` around the true
+    effect ``tau1``, and its method: the Phillips integral (exact) or the two
+    one-sided tests (approximate).  Requires tau1 strictly inside ``m``."""
+    _check_containment(m, tau1)
+    upper, lower = m.upper - tau1, m.lower - tau1
+    if not exact:
+        return core.one_sided_tests(upper, -lower), "approx"
+
+    def power(se, crit, f):
+        return _phillips_integral(upper / se, lower / se, crit, f, settings)
+
+    return power, "integral_exact"
+
+
 def equiv_power_exact(
     k: TestKernel,
     m: Margins,
@@ -160,17 +170,8 @@ def equiv_power_exact(
     Exact for the one-sample and equal-variance two-sample kernels; requires
     the true effect strictly inside the margin interval.
     """
-    core._check_alpha_power(alpha)
-    _check_containment(m, k.tau1)
-    if not n > k.min_n:
-        raise DomainError(f"n must exceed the kernel minimum {k.min_n}, got {n}")
-    f = k.df_at(n)
-    crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    se = math.sqrt(k.v / n)
-    value = _phillips_integral(
-        (m.upper - k.tau1) / se, (m.lower - k.tau1) / se, crit, f, settings
-    )
-    return PowerEstimate(value=value, method="integral_exact", n_used=n)
+    conditional, method = _conditional(m, k.tau1, True, settings)
+    return k.power(conditional, n, alpha, method, settings)
 
 
 def equiv_power_approx(
@@ -182,19 +183,8 @@ def equiv_power_approx(
 ) -> PowerEstimate:
     """Integration-free equivalence power; underestimates, and may be negative
     for very small n (returned as-is with approximation_valid=False)."""
-    core._check_alpha_power(alpha)
-    _check_containment(m, k.tau1)
-    if not n > k.min_n:
-        raise DomainError(f"n must exceed the kernel minimum {k.min_n}, got {n}")
-    f = k.df_at(n)
-    crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    se = math.sqrt(k.v / n)
-    up = dist.t_cdf(crit, f, (m.upper - k.tau1) / se, settings)
-    low = dist.t_cdf(crit, f, (k.tau1 - m.lower) / se, settings)
-    value = 1.0 - up - low
-    return PowerEstimate(
-        value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-    )
+    conditional, method = _conditional(m, k.tau1, False, settings)
+    return k.power(conditional, n, alpha, method, settings)
 
 
 def symmetric_half_width(m: Margins, tau1: float) -> float:
@@ -266,52 +256,16 @@ def ancova_equiv_power(
     exact: bool = True,
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
-    """Equivalence power under covariate adjustment.
+    """Equivalence power under covariate adjustment, averaged over the
+    covariate-imbalance law.
 
-    Exact form: double integral over the covariate-imbalance mixture and the
-    variance-scale chi-square (exact for normal covariates).  Approximate
-    form: single integral over the imbalance mixture; underestimates like
-    every integration-free equivalence formula.  Without covariates both are
-    the ANCOVA kernel's equivalence powers.
+    The exact form is then a double integral (exact for normal covariates);
+    the approximate form a single one, which underestimates like every
+    integration-free equivalence formula.  Without covariates both are the
+    ANCOVA kernel's equivalence powers.
     """
-    if s.q == 0:
-        power = equiv_power_exact if exact else equiv_power_approx
-        return power(ancova_kernel(s), m, n, alpha, settings)
-    core._check_alpha_power(alpha)
-    _check_containment(m, s.tau1)
-    if not n > s.q + 3:
-        raise DomainError(f"ANCOVA power needs n > q + 3 = {s.q + 3}, got n = {n}")
-    f = n - s.q_star
-    crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-    mixture = ImbalanceMixture(q=s.q, f2=n - s.q - 1.0)
-
-    def se_of(ups: np.ndarray) -> np.ndarray:
-        return np.sqrt(s.sigma_sq * mixture.variance_factor(ups, s.gamma0, n))
-
-    if exact:
-
-        def fn(ups: np.ndarray) -> np.ndarray:
-            se = se_of(ups)
-            return _phillips_integral(
-                (m.upper - s.tau1) / se, (m.lower - s.tau1) / se, crit, f, settings
-            )
-
-        value = dist.integrate(fn, s.q, mixture.f2, settings)
-        return PowerEstimate(
-            value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n
-        )
-
-    def fn(ups: np.ndarray) -> np.ndarray:
-        se = se_of(ups)
-        # Pr[t(f, lam) <= crit] = Pr[t(f, -lam) > -crit]
-        up = _upper_tail(-crit, f, (s.tau1 - m.upper) / se)
-        low = _upper_tail(-crit, f, (m.lower - s.tau1) / se)
-        return 1.0 - up - low
-
-    value = dist.integrate(fn, s.q, mixture.f2, settings)
-    return PowerEstimate(
-        value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-    )
+    conditional, method = _conditional(m, s.tau1, exact, settings)
+    return adjusted_power(s, conditional, n, alpha, method, settings)
 
 
 def ts_unequal_equiv_power(
@@ -329,45 +283,8 @@ def ts_unequal_equiv_power(
     approximate form integrates the ratio only.  One-sided margin pairs
     reduce it to the exact unequal-variance superiority/noninferiority power.
     """
-    core._check_alpha_power(alpha)
-    tau1 = s.mu1 - s.mu0
-    _check_containment(m, tau1)
-    n0 = s.gamma0 * n
-    n1 = s.gamma1 * n
-    if min(n0, n1) <= 1.0:
-        raise DomainError("need more than one subject per group")
-    base = s.sigma1_sq / n1 + s.sigma0_sq / n0
-    sqrt_base = math.sqrt(base)
-    a_up = (m.upper - tau1) / sqrt_base
-    b_low = (m.lower - tau1) / sqrt_base
-    fxi = n - 2.0
-
-    def h_of(u: np.ndarray) -> np.ndarray:
-        v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
-        crit = special.stdtrit(f_u, 1.0 - alpha / 2.0)
-        return crit * np.sqrt(v_u / base)
-
-    if exact:
-
-        def fn(u: np.ndarray) -> np.ndarray:
-            return _phillips_integral(a_up, b_low, h_of(u), fxi, settings)
-
-        value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
-        return PowerEstimate(
-            value=min(1.0, max(0.0, value)), method="integral_exact", n_used=n
-        )
-
-    b_up = (tau1 - m.lower) / sqrt_base
-
-    def fn(u: np.ndarray) -> np.ndarray:
-        h = h_of(u)
-        # 1 - Pr[t < h; ncp A] - Pr[t < h; ncp B] written with upper tails
-        return _upper_tail(h, fxi, a_up) + _upper_tail(h, fxi, b_up) - 1.0
-
-    value = dist.integrate(fn, n1 - 1.0, n0 - 1.0, settings)
-    return PowerEstimate(
-        value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-    )
+    conditional, method = _conditional(m, s.mu1 - s.mu0, exact, settings)
+    return welch_power(s, conditional, n, alpha, method, settings)
 
 
 def be_adapter(spec, limits: BeLimits = BE_LIMITS) -> tuple[TestKernel, Margins, float]:

@@ -232,8 +232,8 @@ class Objective(NamedTuple):
 
 def _kernel_superiority(kernel, exact=None) -> Objective:
     """Superiority of a family lowered to ``kernel(design, null)``.  The exact
-    power is the kernel's two-sided power, or ``exact``, which then is a row
-    of its own."""
+    power is the kernel's two-sided power, or ``exact(design, null, n,
+    alpha)``, which then is a row of its own."""
 
     def rows(d, null, n, a):
         k = kernel(d, null)
@@ -241,10 +241,10 @@ def _kernel_superiority(kernel, exact=None) -> Objective:
             ("two_sided", core.power_two_sided(k, n, a).value),
             ("one_sided_approx", core.power_one_sided_approx(k, n, a).value),
         ]
-        return out if exact is None else out + [("exact", exact(d, null, n, a))]
+        return out if exact is None else out + [("exact", exact(d, null, n, a).value)]
 
-    inverted = exact or (lambda d, null, n, a: core.power_two_sided(kernel(d, null), n, a).value)
-    return Objective(inverted, rows)
+    inverted = exact or (lambda d, null, n, a: core.power_two_sided(kernel(d, null), n, a))
+    return Objective(lambda d, null, n, a: inverted(d, null, n, a).value, rows)
 
 
 def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
@@ -255,14 +255,14 @@ def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
 
     def kernel_power(d, m, n, a, exact=True):
         fn = equivalence.equiv_power_exact if exact else equivalence.equiv_power_approx
-        return fn(kernel(d, 0.0), m, n, a).value
+        return fn(kernel(d, 0.0), m, n, a)
 
     def rows(d, m, n, a):
-        out = [("exact", power(d, m, n, a, True)), ("approx", power(d, m, n, a, False))]
-        return out + [("generic_approx", kernel_power(d, m, n, a, False))] if generic else out
+        out = [("exact", power(d, m, n, a, True).value), ("approx", power(d, m, n, a, False).value)]
+        return out + [("generic_approx", kernel_power(d, m, n, a, False).value)] if generic else out
 
     power = power or kernel_power
-    return Objective(lambda d, m, n, a: power(d, m, n, a, True), rows)
+    return Objective(lambda d, m, n, a: power(d, m, n, a, True).value, rows)
 
 
 def _at_null(field: str, rows) -> Objective:
@@ -301,18 +301,6 @@ def _crossover_kernel(d, tau0):
 
 def _ancova_kernel(d, tau0):
     return ancova.ancova_kernel(replace(d, tau0=tau0))
-
-
-def _welch(d, null, n, a):
-    return designs.moser_exact_power(d, null, n, a).value
-
-
-def _welch_equivalence(d, m, n, a, exact=True):
-    return equivalence.ts_unequal_equiv_power(d, m, n, a, exact=exact).value
-
-
-def _ancova_equivalence(d, m, n, a, exact=True):
-    return equivalence.ancova_equiv_power(d, m, n, a, exact=exact).value
 
 
 def _mmrm_equivalence(d, m, n, a):
@@ -399,12 +387,12 @@ FAMILIES: dict[str, Family] = {
         replicates=100_000,
         superiority=_either(
             _kernel_superiority(designs.two_sample_equal_kernel),
-            _kernel_superiority(designs.two_sample_unequal_kernel, _welch),
+            _kernel_superiority(designs.two_sample_unequal_kernel, designs.moser_exact_power),
         ),
         equivalence=_either(
             _kernel_equivalence(designs.two_sample_equal_kernel),
             _kernel_equivalence(
-                designs.two_sample_unequal_kernel, _welch_equivalence, generic=True
+                designs.two_sample_unequal_kernel, equivalence.ts_unequal_equiv_power, generic=True
             ),
         ),
     ),
@@ -428,7 +416,7 @@ FAMILIES: dict[str, Family] = {
                 ("asymptotic_t", ancova.ancova_power_asymptotic_t),
             ),
         ),
-        equivalence=_kernel_equivalence(_ancova_kernel, _ancova_equivalence),
+        equivalence=_kernel_equivalence(_ancova_kernel, equivalence.ancova_equiv_power),
         check_generator=_covariate_count("baseline_effect"),
     ),
     "mmrm": Family(

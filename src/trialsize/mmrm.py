@@ -40,6 +40,7 @@ from scipy.stats import qmc
 from . import core, dist
 from .core import PowerEstimate, SizeModel
 from .dist import DEFAULT_SETTINGS, NumericSettings
+from .equivalence import _conditional as _equivalence
 from .errors import DecompositionError, DomainError
 
 __all__ = [
@@ -300,24 +301,42 @@ def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
     )
 
 
-def _on_defined(fn, df, *args):
-    """``fn(df, *args)`` as a float; for a batch, on the entries where the
-    d.f. is defined (one call), with NaN elsewhere."""
-    if np.ndim(df) == 0:
-        return float(fn(df, *args))
-    ok = ~np.isnan(df)
-    out = np.full(df.shape, np.nan)
-    if ok.any():
-        out[ok] = fn(df[ok], *(a[ok] for a in args))
-    return out
+def _last_visit_power(
+    d: MmrmDesign,
+    conditional,
+    n: float,
+    alpha: float,
+    settings: NumericSettings,
+    first_order: bool = False,
+) -> PowerEstimate:
+    """The power ``conditional`` of the last-visit Wald test, by the one power
+    body without an outer law.  se^2 is the expected small-sample variance
+    and f the expected Satterthwaite d.f., or with ``first_order`` the
+    first-order variance and the observed-information fraction d.f.
 
+    Evaluated at the expected retained counts n * pooled retention; it does
+    not average over random dropout.  A batch of schedules is evaluated in
+    one call on the entries where the d.f. is defined; ``value`` is then an
+    array, NaN elsewhere.
+    """
 
-def _two_sided_power(d: MmrmDesign, variance, df, alpha: float, settings: NumericSettings):
-    def power(f, v):
-        crit_sq = dist.t_quantile(1.0 - alpha / 2.0, f, settings) ** 2
-        return dist._f_sf(crit_sq, f, d.effect**2 / v)
+    def given(_):
+        der = mmrm_derived(d, n)
+        variance, f = (der.v_tau, der.f_o) if first_order else (der.v_tau_star, der.f)
+        return np.sqrt(variance), f
 
-    return _on_defined(power, df, variance)
+    def power(se, f):
+        # one call on the entries where the d.f. is defined: all of a single
+        # schedule's (mmrm_derived raises otherwise), some of a batch's
+        se, f = np.asarray(se), np.asarray(f)
+        ok = ~np.isnan(f)
+        value = np.full(f.shape, np.nan)
+        if ok.any():
+            crit = dist.t_quantile(1.0 - alpha / 2.0, f[ok], settings)
+            value[ok] = conditional(se[ok], crit, f[ok])
+        return float(value) if value.ndim == 0 else value
+
+    return core.expected_power(power, given, n, alpha=alpha, method="approx", settings=settings)
 
 
 def mmrm_power(
@@ -326,17 +345,10 @@ def mmrm_power(
     alpha: float,
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
-    """Power of the two-sided last-visit Wald test with the expected
-    small-sample variance and Satterthwaite d.f.
-
-    Evaluated at the expected retained counts n * pooled retention; it does
-    not average over random dropout.  For a batch of schedules ``value`` is
-    an array (NaN where the formula is undefined).
-    """
-    core._check_alpha_power(alpha)
-    der = mmrm_derived(d, n)
-    value = _two_sided_power(d, der.v_tau_star, der.f, alpha, settings)
-    return PowerEstimate(value=value, method="exact_two_sided", n_used=n)
+    """The paper's power of the two-sided last-visit Wald test, with the
+    expected small-sample variance and Satterthwaite d.f. (a plug-in
+    approximation, see :func:`_last_visit_power`)."""
+    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, settings)
 
 
 def mmrm_power_approx(
@@ -348,30 +360,7 @@ def mmrm_power_approx(
     """Simplified power using the first-order variance and the observed-information
     fraction d.f.; only slightly less accurate than :func:`mmrm_power`.
     Batches as :func:`mmrm_power` does."""
-    core._check_alpha_power(alpha)
-    der = mmrm_derived(d, n)
-    value = _two_sided_power(d, der.v_tau, der.f_o, alpha, settings)
-    return PowerEstimate(value=value, method="approx", n_used=n)
-
-
-def _equiv_power(d: MmrmDesign, margins, variance, df, alpha: float,
-                 settings: NumericSettings):
-    def power(f, v):
-        crit = dist.t_quantile(1.0 - alpha / 2.0, f, settings)
-        se = np.sqrt(v)
-        shifts = np.stack([(margins.upper - d.tau_p1) / se, (d.tau_p1 - margins.lower) / se])
-        up, lo = dist.t_cdf(crit, f, shifts, settings)
-        return 1.0 - up - lo
-
-    return _on_defined(power, df, variance)
-
-
-def _check_margins(d: MmrmDesign, margins) -> None:
-    if not (margins.lower < d.tau_p1 < margins.upper):
-        raise DomainError(
-            f"true effect {d.tau_p1} must lie strictly inside the margins "
-            f"({margins.lower}, {margins.upper})"
-        )
+    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, settings, first_order=True)
 
 
 def mmrm_equiv_power(
@@ -382,19 +371,10 @@ def mmrm_equiv_power(
     settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Equivalence power at the last visit: both one-sided tests must reject.
-
-    Evaluated at the expected retained counts n * pooled retention; it does
-    not average over random dropout.  May be negative in very small samples
-    (flagged, not clamped), like every integration-free equivalence
-    approximation.
-    """
-    core._check_alpha_power(alpha)
-    _check_margins(d, margins)
-    der = mmrm_derived(d, n)
-    value = _equiv_power(d, margins, der.v_tau_star, der.f, alpha, settings)
-    return PowerEstimate(
-        value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-    )
+    May be negative in very small samples (flagged, not clamped), like every
+    integration-free equivalence approximation."""
+    conditional, _ = _equivalence(margins, d.tau_p1, False, settings)
+    return _last_visit_power(d, conditional, n, alpha, settings)
 
 
 def mmrm_equiv_power_approx(
@@ -413,13 +393,8 @@ def mmrm_equiv_power_approx(
     expected small-sample variance and d.f. of :func:`mmrm_equiv_power` do
     not.
     """
-    core._check_alpha_power(alpha)
-    _check_margins(d, margins)
-    der = mmrm_derived(d, n)
-    value = _equiv_power(d, margins, der.v_tau, der.f_o, alpha, settings)
-    return PowerEstimate(
-        value=value, method="approx", n_used=n, approximation_valid=value >= 0.0
-    )
+    conditional, _ = _equivalence(margins, d.tau_p1, False, settings)
+    return _last_visit_power(d, conditional, n, alpha, settings, first_order=True)
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,31 @@ def test_out_of_domain_flag_exits_one(capsys, case):
     assert "Traceback" not in err
 
 
+# One fixture per design family (and the Welch and equivalence powers).  A
+# power's total size must be finite and at most the size cap that the size
+# inversion never passes; beyond it the powers read NaN or drift.
+SIZE_CAP_FIXTURES = (
+    "table1_equal_050", "table1_unequal_050", "table2_q1_100", "table3_cs_q1_m04",
+    "table4_s2_0125", "table5_m_10",
+)
+
+
+@pytest.mark.parametrize("name", SIZE_CAP_FIXTURES)
+@pytest.mark.parametrize("n", ["inf", "1e300", "1e13"])
+def test_power_beyond_the_size_cap_exits_one(capsys, name, n):
+    code, out, err = run_cli(capsys, "power", "--design", str(fixture_path(name)), "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: DomainError: n must be finite and at most the size cap 1e+07")
+
+
+@pytest.mark.parametrize("name", SIZE_CAP_FIXTURES)
+def test_power_at_the_size_cap_exits_zero(capsys, name):
+    code, out, err = run_cli(capsys, "power", "--design", str(fixture_path(name)), "--n", "1e7")
+    assert code == 0, err
+    assert "nan" not in out
+
+
 @pytest.mark.parametrize("case", DOMAIN_CASES)
 def test_out_of_domain_design_field_exits_two(capsys, tmp_path, case):
     command, _, edit, _, file_error = DOMAIN_CASES[case]

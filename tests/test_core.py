@@ -76,6 +76,36 @@ class TestPower:
             core.power_two_sided(equal_kernel(1.0), 3.0, ALPHA)
 
 
+class TestMethod:
+    """Every power reports how it was obtained: an exact power (clipped to
+    [0, 1]) or an approximation (flagged when negative)."""
+
+    def test_one_power_of_each_family(self):
+        from trialsize import ancova, equivalence, mmrm
+
+        welch = designs.TwoSampleSpec(0.0, 0.6, 1.0, 2.0, 0.5)
+        adjusted = ancova.AncovaSpec(tau1=0.6, tau0=0.0, sigma_sq=1.0, q=2)
+        repeated = mmrm.MmrmDesign(
+            sigma=mmrm.compound_symmetry(3, 1.0, 0.5),
+            retention=((1.0, 0.9, 0.8), (1.0, 0.85, 0.75)),
+            gamma0=0.5, q=1, tau_p1=0.6,
+        )
+        margins = equivalence.Margins.equivalence(-0.5, 0.5)
+        kernel = designs.one_sample_kernel(0.1, 0.0, 1.0)
+        # the paper's MMRM formula is a plug-in value, not an exact power
+        pinned = [
+            (core.power_two_sided(equal_kernel(1.0), 30, ALPHA), "exact_two_sided"),
+            (core.power_one_sided_approx(equal_kernel(1.0), 30, ALPHA), "one_sided_approx"),
+            (designs.moser_exact_power(welch, 0.0, 60, ALPHA), "integral_exact"),
+            (ancova.ancova_power_exact(adjusted, 60, ALPHA), "integral_exact"),
+            (ancova.ancova_power_approx(adjusted, 60, ALPHA), "approx"),
+            (equivalence.equiv_power_exact(kernel, margins, 40, ALPHA), "integral_exact"),
+            (equivalence.equiv_power_approx(kernel, margins, 40, ALPHA), "approx"),
+            (mmrm.mmrm_power(repeated, 120, ALPHA), "approx"),
+        ]
+        assert [est.method for est, _ in pinned] == [method for _, method in pinned]
+
+
 class TestSizes:
     def test_normal_reference(self):
         assert abs(sizes(equal_kernel(0.5))["normal"] - 125.58) < 5e-3
