@@ -1,0 +1,40 @@
+"""The paired benchmark record of ``tools/bench_pairs.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BOUNDS = {"pass_s": 0.15}
+
+
+def run(pass_s: float) -> dict:
+    return {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": pass_s, "unit": "s"}}}
+
+
+def test_failed_run_is_counted_and_left_out_of_the_quartiles():
+    runs = {
+        "parent": [run(v) for v in (1.00, 1.02, 0.98, 1.01)],
+        "change": [run(0.99), None, run(1.00), run(0.97)],  # pair 2: no result line
+    }
+    record = bench_pairs.summarize(runs, BOUNDS)
+    assert record["failed_runs"] == {"parent": 0, "change": 1}
+    assert record["correct"] is False
+    change = record["pass_s"]["change"]
+    assert change["runs"] == [0.99, None, 1.0, 0.97]
+    assert change["median"] == 0.99  # of the three runs that gave a value
+    assert record["change_faster_pass_s"] == 2  # pairs 1 and 4; pair 2 has no change value
+    # the record is valid JSON: no bare NaN
+    json.loads(json.dumps(record, allow_nan=False))
+
+
+def test_side_without_two_values_is_unresolved():
+    runs = {"parent": [run(1.0), run(1.1)], "change": [None, run(0.9)]}
+    record = bench_pairs.summarize(runs, BOUNDS)
+    assert record["pass_s"]["change"]["median"] is None
+    assert record["within_bounds"]["pass_s"] == "unresolved"

@@ -10,11 +10,14 @@ first when i is odd and the change first when i is even.  For each workload
 the record keeps, per side, the median and quartiles of every end-to-end
 metric and every run's value in pair order, how many pairs the change's
 ``pass_s`` was the lower one, whether every run's checks passed, the failed
-operations, and whether the change's median stays within the metric's
-``BENCHMARK.json`` bound of the parent's: ``true`` or ``false``, or
-``"unresolved"`` where the parent's own interquartile range is wider than
-the bound, so the runs cannot tell (unless every run of the change reads
-lower than every run of the parent).
+operations and the failed runs, and whether the change's median stays
+within the metric's ``BENCHMARK.json`` bound of the parent's: ``true`` or
+``false``, or ``"unresolved"`` where the parent's own interquartile range
+is wider than the bound, so the runs cannot tell (unless every run of the
+change reads lower than every run of the parent), or where a side has
+fewer than two runs with a value.  A failed run printed no result: its
+values are ``null``, it is left out of the quartiles and the pair
+comparison, and the workload is not ``correct``.
 The run length is perfbench's own.
 
 The perfbench tracer still reports a few per-layer metrics that read 0 on
@@ -54,9 +57,9 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def run_once(rev: str, workload: str, scratch: Path) -> dict:
+def run_once(rev: str, workload: str, scratch: Path) -> dict | None:
     """One perfbench run of ``workload`` in a fresh copy of ``rev``: its last
-    output line, the result object."""
+    output line, the result object, or None for a run that printed none."""
     copy = Path(tempfile.mkdtemp(prefix="bench-", dir=scratch))
     try:
         archive = subprocess.run(
@@ -72,39 +75,53 @@ def run_once(rev: str, workload: str, scratch: Path) -> dict:
     try:
         return json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
-        return {"correct": False, "failed": None, "metrics": {}}
+        return None
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="exclusive")
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
-            "runs": [round(v, 3) for v in values]}
+def value(run: dict | None, name: str) -> float | None:
+    """A metric's value in one run; None for a failed run or a missing metric."""
+    return run["metrics"].get(name, {}).get("value") if run else None
 
 
-def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
-    """The record of one workload from its parent and change runs, pair by pair."""
-    value = lambda run, name: run["metrics"].get(name, {}).get("value", float("nan"))
+def quartiles(values: list[float | None]) -> dict:
+    """Median and quartiles of the runs that gave a value (None without two
+    of them), and every run's value in pair order."""
+    kept = [v for v in values if v is not None]
+    q1 = median = q3 = None
+    if len(kept) >= 2:
+        q1, median, q3 = (round(q, 3) for q in statistics.quantiles(kept, n=4, method="exclusive"))
+    return {"median": median, "q1": q1, "q3": q3,
+            "runs": [None if v is None else round(v, 3) for v in values]}
+
+
+def summarize(runs: dict[str, list[dict | None]], bounds: dict[str, float]) -> dict:
+    """The record of one workload from its parent and change runs, pair by
+    pair; a failed run is None."""
+    pairs = zip(runs["parent"], runs["change"])
+    pass_s = [(value(p, "pass_s"), value(c, "pass_s")) for p, c in pairs]
     record = {
         "seed": 0,
         "pairs": len(runs["parent"]),
-        "change_faster_pass_s": sum(
-            value(c, "pass_s") < value(p, "pass_s") for p, c in zip(runs["parent"], runs["change"])
-        ),
+        "change_faster_pass_s": sum(None not in pair and pair[1] < pair[0] for pair in pass_s),
+        "failed_runs": {side: side_runs.count(None) for side, side_runs in runs.items()},
     }
     within = {}
     for name, bound in bounds.items():
-        values = {side: [value(r, name) for r in runs[side]] for side in runs}
+        values = {side: [value(r, name) for r in side_runs] for side, side_runs in runs.items()}
         record[name] = {side: quartiles(values[side]) for side in runs}
         parent, change = record[name]["parent"], record[name]["change"]
-        if max(values["change"]) < min(values["parent"]):
+        kept = {side: [v for v in values[side] if v is not None] for side in runs}
+        if parent["median"] is None or change["median"] is None:
+            within[name] = "unresolved"
+        elif max(kept["change"]) < min(kept["parent"]):
             within[name] = True
         elif parent["q3"] - parent["q1"] > bound * parent["median"]:
             within[name] = "unresolved"
         else:
             within[name] = change["median"] <= parent["median"] * (1.0 + bound)
-    record["correct"] = all(r["correct"] for side in runs.values() for r in side)
+    record["correct"] = all(r is not None and r["correct"] for side in runs.values() for r in side)
     record["failed_operations"] = {
-        side: sum(r["failed"] or 0 for r in side_runs) for side, side_runs in runs.items()
+        side: sum(r["failed"] or 0 for r in side_runs if r) for side, side_runs in runs.items()
     }
     record["within_bounds"] = within
     return record
@@ -136,7 +153,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(revs[side], workload, args.scratch))
-                pass_s = runs[side][-1]["metrics"].get("pass_s", {}).get("value")
+                pass_s = value(runs[side][-1], "pass_s")
                 print(f"{workload} pair {i} {side}: pass_s {pass_s}", flush=True)
         workloads[workload] = summarize(runs, bounds)
 
@@ -168,7 +185,7 @@ def main(argv=None) -> int:
         "dead_metrics": DEAD_METRICS,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record, indent=2) + "\n")
+    out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     ok = all(
         w["correct"] and all(v is True for v in w["within_bounds"].values())
