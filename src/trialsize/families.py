@@ -232,8 +232,8 @@ class Objective(NamedTuple):
 
 def _kernel_superiority(kernel, exact=None) -> Objective:
     """Superiority of a family lowered to ``kernel(design, null)``.  The exact
-    power is the kernel's two-sided power, or ``exact(design, null, n,
-    alpha)``, which then is a row of its own."""
+    power is the kernel's two-sided power, or the estimate ``exact(design,
+    null, n, alpha)``, which then is a row of its own."""
 
     def rows(d, null, n, a):
         k = kernel(d, null)
@@ -250,7 +250,7 @@ def _kernel_superiority(kernel, exact=None) -> Objective:
 def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
     """Equivalence of a family lowered to ``kernel(design, null)``.
     ``power(design, margins, n, alpha, exact)`` is the family's equivalence
-    power, by default the kernel's; ``generic`` adds the kernel's
+    power estimate, by default the kernel's; ``generic`` adds the kernel's
     approximation as the ``generic_approx`` row."""
 
     def kernel_power(d, m, n, a, exact=True):
