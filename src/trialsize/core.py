@@ -203,8 +203,9 @@ def expected_power(
     without an outer law, else averaged by :func:`dist.integrate` over
     U ~ F(*outer).
 
-    ``given(u)`` is (se, crit, f) at the outer variable u, each a scalar or
-    an array over the abscissae.  Raises :class:`DomainError` for alpha
+    ``given(u)`` gives the arguments of ``conditional`` at the outer
+    variable u: (se, crit, f), each a scalar or an array over the abscissae
+    (MMRM hands (se, f) to its own wrapper of a conditional).  Raises :class:`DomainError` for alpha
     outside (0, 1) and for n that is not finite, above the size cap or not
     above ``min_n``, before ``given`` is called.  An exact ``method`` is
     clipped to [0, 1]; an approximation is returned as computed, with
