@@ -29,10 +29,7 @@ from .designs import (
     two_sample_equal_kernel,
     two_sample_unequal_kernel,
 )
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .equivalence import (
-    BE_LIMITS,
-    BeLimits,
     Margins,
     be_adapter,
     equiv_power_approx,
@@ -61,16 +58,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AncovaSpec",
-    "BE_LIMITS",
-    "BeLimits",
     "CrossoverSpec",
-    "DEFAULT_SETTINGS",
     "DropoutAverage",
     "FactorSpec",
     "LdlFactors",
     "Margins",
     "MmrmDesign",
-    "NumericSettings",
     "PowerEstimate",
     "ScenarioSpec",
     "SimReport",

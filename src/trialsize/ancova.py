@@ -20,7 +20,6 @@ import numpy as np
 
 from . import core, dist
 from .core import PowerEstimate, SizeModel, TestKernel
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
 __all__ = [
@@ -91,7 +90,6 @@ def adjusted_power(
     n: float,
     alpha: float,
     method: str = "integral_exact",
-    settings: NumericSettings = DEFAULT_SETTINGS,
     mean_imbalance: bool = False,
 ) -> PowerEstimate:
     """The power ``conditional`` of the covariate-adjusted t test at total
@@ -108,52 +106,34 @@ def adjusted_power(
         f = n - s.q_star
         c = 1.0 + s.q / (n - s.q - 3.0) if u is None else 1.0 + s.q * u / (n - s.q - 1.0)
         se = np.sqrt(s.sigma_sq * c / (n * s.gamma0 * s.gamma1))
-        return se, dist.t_quantile(1.0 - alpha / 2.0, f, settings), f
+        return se, dist.t_quantile(1.0 - alpha / 2.0, f), f
 
     return core.expected_power(
-        conditional, given, n, outer, alpha=alpha, min_n=s.q + 3.0, method=method,
-        settings=settings,
+        conditional, given, n, outer, alpha=alpha, min_n=s.q + 3.0, method=method
     )
 
 
-def ancova_power_exact(
-    s: AncovaSpec,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def ancova_power_exact(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
     """Exact two-sided power, integrating over the covariate-imbalance law.
 
     Exact when the covariates are normally distributed; in randomized trials
     it remains very accurate for nonnormal covariates.  With q = 0 this is the
     plain two-sample equal-variance power with f = n - 2.
     """
-    return adjusted_power(s, core.two_tailed(s.effect), n, alpha, settings=settings)
+    return adjusted_power(s, core.two_tailed(s.effect), n, alpha)
 
 
-def ancova_power_approx(
-    s: AncovaSpec,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def ancova_power_approx(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
     """Integration-free power: the imbalance term replaced by its expectation,
     inflating the variance by 1 + q/(n - q - 3)."""
-    return adjusted_power(
-        s, core.two_tailed(s.effect), n, alpha, "approx", settings, mean_imbalance=True
-    )
+    return adjusted_power(s, core.two_tailed(s.effect), n, alpha, "approx", mean_imbalance=True)
 
 
-def ancova_power_asymptotic_t(
-    s: AncovaSpec,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def ancova_power_asymptotic_t(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
     """t-distribution power with the asymptotic variance (no covariate
     inflation): the ANCOVA kernel's two-sided power, defined for n > q*."""
     k = replace(ancova_kernel(s), min_n=float(s.q_star))
-    return k.power(core.two_tailed(s.effect), n, alpha, "approx", settings)
+    return k.power(core.two_tailed(s.effect), n, alpha, "approx")
 
 
 def ancova_sizing(s: AncovaSpec) -> SizeModel:

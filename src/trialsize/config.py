@@ -10,14 +10,13 @@ with the offending field's path in the message.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import core
 from .core import SizeEstimate, TestKernel, apply_ni_margin
-from .equivalence import BE_ALPHA, BE_LIMITS, Margins
+from .equivalence import BE_ALPHA, BE_MARGINS, Margins
 from .errors import ConfigError, DomainError
 from .families import FAMILIES, _field, _integer, _number, _numbers, _require
 from .simulate import FactorSpec, ScenarioSpec
@@ -101,8 +100,7 @@ def _factor(value, path: str) -> FactorSpec:
 
 def _margins(doc: dict, objective: str, tau1: float):
     if objective == "bioequivalence" and "margins" not in doc:
-        half = math.log(BE_LIMITS.ratio_upper)
-        return Margins.equivalence(-half, half)
+        return BE_MARGINS
     if objective in ("equivalence", "bioequivalence"):
         block = _require(doc, "margins", "$")
         if not isinstance(block, dict):

@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from . import dist
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import BracketError, DomainError
 
 __all__ = [
@@ -59,6 +58,8 @@ __all__ = [
 ]
 
 _SIZE_CAP = 1e7
+# resolution (in n) of sample-size inversion
+_SIZE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,24 +102,15 @@ class TestKernel(SizeModel):
     def effect(self) -> float:
         return self.tau1 - self.tau0
 
-    def power(
-        self,
-        conditional: Callable,
-        n: float,
-        alpha: float,
-        method: str,
-        settings: NumericSettings = DEFAULT_SETTINGS,
-    ) -> PowerEstimate:
+    def power(self, conditional: Callable, n: float, alpha: float, method: str) -> PowerEstimate:
         """The power ``conditional`` at se = sqrt(v/n), the t quantile
         t_{f,1-a/2} and f = df_at(n); no outer law."""
 
         def given(_):
             f = self.df_at(n)
-            return math.sqrt(self.v / n), dist.t_quantile(1.0 - alpha / 2.0, f, settings), f
+            return math.sqrt(self.v / n), dist.t_quantile(1.0 - alpha / 2.0, f), f
 
-        return expected_power(
-            conditional, given, n, alpha=alpha, min_n=self.min_n, method=method, settings=settings
-        )
+        return expected_power(conditional, given, n, alpha=alpha, min_n=self.min_n, method=method)
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ class PowerEstimate:
     value: float
     method: str  # exact_two_sided | one_sided_approx | integral_exact | approx
     n_used: float
-    approximation_valid: bool = True
+    approximation_valid: bool | np.ndarray = True  # per entry for a batch
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,6 @@ def expected_power(
     alpha: float,
     min_n: float = -math.inf,
     method: str = "integral_exact",
-    settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """The one power body: ``conditional(*given(u))``, at ``given(None)``
     without an outer law, else averaged by :func:`dist.integrate` over
@@ -209,7 +200,8 @@ def expected_power(
     outside (0, 1) and for n that is not finite, above the size cap or not
     above ``min_n``, before ``given`` is called.  An exact ``method`` is
     clipped to [0, 1]; an approximation is returned as computed, with
-    ``approximation_valid`` False where it is negative.
+    ``approximation_valid`` False exactly where it is negative (a NaN entry
+    of a batch, undefined, is marked by its value).
     """
     _check_alpha_power(alpha)
     if not n <= _SIZE_CAP:
@@ -219,9 +211,10 @@ def expected_power(
     if outer is None:
         value = conditional(*given(None))
     else:
-        value = dist.integrate(lambda u: conditional(*given(u)), *outer, settings)
+        value = dist.integrate(lambda u: conditional(*given(u)), *outer)
     if method in _APPROXIMATIONS:
-        return PowerEstimate(value, method, n, approximation_valid=value >= 0.0)
+        valid = ~(np.asarray(value) < 0.0)
+        return PowerEstimate(value, method, n, valid if valid.ndim else bool(valid))
     return PowerEstimate(min(1.0, max(0.0, value)), method, n)
 
 
@@ -250,24 +243,14 @@ def one_sided_tests(*distances: float) -> Callable:
     return power
 
 
-def power_two_sided(
-    k: TestKernel,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def power_two_sided(k: TestKernel, n: float, alpha: float) -> PowerEstimate:
     """Power of the two-sided test: Pr[F(1, f, n*effect^2/v) > t_{f,1-a/2}^2]."""
-    return k.power(two_tailed(k.effect), n, alpha, "exact_two_sided", settings)
+    return k.power(two_tailed(k.effect), n, alpha, "exact_two_sided")
 
 
-def power_one_sided_approx(
-    k: TestKernel,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def power_one_sided_approx(k: TestKernel, n: float, alpha: float) -> PowerEstimate:
     """Upper-tail-only approximation: Pr[t(f, |effect|*sqrt(n/v)) > t_{f,1-a/2}]."""
-    return k.power(one_sided_tests(abs(k.effect)), n, alpha, "one_sided_approx", settings)
+    return k.power(one_sided_tests(abs(k.effect)), n, alpha, "one_sided_approx")
 
 
 def g1_total(ntilde: float, rho: float, alpha: float) -> float:
@@ -292,7 +275,6 @@ def size_chain(
     exact: Callable[[float], float] | None = None,
     target: float | None = None,
     rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
     two_step: bool = True,
 ) -> list[tuple[str, SizeEstimate]]:
     """The noniterative sizes for the effect ``delta``, by name, and with the
@@ -333,9 +315,7 @@ def size_chain(
         f = model.df_at(n_tilde)
         if not f > 0.0:
             raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
-        n_u = base(
-            dist.t_quantile(1.0 - alpha / 2.0, f, settings), dist.t_quantile(target, f, settings)
-        )
+        n_u = base(dist.t_quantile(1.0 - alpha / 2.0, f), dist.t_quantile(target, f))
     g2 = g2_total(n_tilde, rho, alpha)
     sizes = [
         *([("normal_asymptotic", n_b)] if model.correct else []),
@@ -349,9 +329,7 @@ def size_chain(
         (name, _estimate(n, name, model.allocation, power, alpha, rounding)) for name, n in sizes
     ]
     if exact is not None:
-        inversion = size_invert(
-            exact, power, g2, model.min_n, model.allocation, alpha, rounding, settings
-        )
+        inversion = size_invert(exact, power, g2, model.min_n, model.allocation, alpha, rounding)
         rows.append(("inversion", inversion))
     return rows
 
@@ -364,9 +342,8 @@ def size_invert(
     allocation: tuple[float, ...] = (1.0,),
     alpha: float = float("nan"),
     rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> SizeEstimate:
-    """Smallest real n with ``power_fn(n) == target`` (to ``size_tol``).
+    """Smallest real n with ``power_fn(n) == target`` (to ``_SIZE_TOL``).
 
     ``power_fn`` must be nondecreasing in n past ``min_n``.  The bracket
     starts at [bracket_hint - 2, bracket_hint + 2]; a noniterative size such
@@ -399,7 +376,7 @@ def size_invert(
                 f"target power {target} not reachable below the size cap {_SIZE_CAP:.0e}"
             )
         lo, hi = hi, min(_SIZE_CAP, hi + 4.0 * (hi - lo))
-    root = dist.find_root(lambda n: power_at(n) - target, lo, hi, settings.size_tol, settings)
+    root = dist.find_root(lambda n: power_at(n) - target, lo, hi, _SIZE_TOL)
     return _estimate(root, "inversion", allocation, target, alpha, rounding)
 
 

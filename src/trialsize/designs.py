@@ -19,7 +19,6 @@ import numpy as np
 
 from . import core, dist
 from .core import PowerEstimate, TestKernel
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
 __all__ = [
@@ -199,7 +198,6 @@ def welch_power(
     n: float,
     alpha: float,
     method: str = "integral_exact",
-    settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """The power ``conditional`` of the Welch test at total size ``n``,
     averaged over the variance ratio u ~ F(n1 - 1, n0 - 1).
@@ -213,26 +211,20 @@ def welch_power(
     def given(u):
         base = s.sigma1_sq / n1 + s.sigma0_sq / n0
         v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
-        crit = dist.t_quantile(1.0 - alpha / 2.0, f_u, settings) * np.sqrt(v_u / base)
+        crit = dist.t_quantile(1.0 - alpha / 2.0, f_u) * np.sqrt(v_u / base)
         return math.sqrt(base), crit, n - 2.0
 
     return core.expected_power(
         conditional, given, n, (n1 - 1.0, n0 - 1.0), alpha=alpha,
-        min_n=1.0 / min(s.gamma0, s.gamma1), method=method, settings=settings,
+        min_n=1.0 / min(s.gamma0, s.gamma1), method=method
     )
 
 
-def moser_exact_power(
-    s: TwoSampleSpec,
-    tau0: float,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def moser_exact_power(s: TwoSampleSpec, tau0: float, n: float, alpha: float) -> PowerEstimate:
     """Exact power of the Welch test, integrating over the variance ratio.
 
     One-tailed toward the alternative (the opposite tail is negligible at any
     practically relevant power): the one-sided test with its null at tau0.
     """
     conditional = core.one_sided_tests(abs(s.mu1 - s.mu0 - tau0))
-    return welch_power(s, conditional, n, alpha, settings=settings)
+    return welch_power(s, conditional, n, alpha)

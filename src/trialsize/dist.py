@@ -10,10 +10,10 @@ returns NaN on part of the (f, lam, x) range the power formulas reach.
 
 Every integral the package computes is an expectation over a weight law, by
 one rule: 16 Gauss-Legendre nodes in the log variable on each panel between
-the law's quantiles at ``_PANEL_PROBS`` (closed by ``settings.tail_mass`` and
-its mirror).  :func:`integrate` applies it to an F(f1, f2) law, for the outer
-conditional integrals that have no library form (the Welch integral over the
-variance ratio, the covariate-imbalance law and the outer layer of the nested
+the law's quantiles at ``_PANEL_EDGES`` (1e-12 cut from each tail).
+:func:`integrate` applies it to an F(f1, f2) law, for the outer conditional
+integrals that have no library form (the Welch integral over the variance
+ratio, the covariate-imbalance law and the outer layer of the nested
 equivalence integrals).  The inner equivalence integral over the variance
 scale applies it to chi2_f / f, with the edges clipped at the integrand's
 positivity cutoff, for a whole batch of outer abscissae at once
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,8 +38,6 @@ from scipy import optimize, special, stats
 from .errors import BracketError, ConvergenceError, DomainError
 
 __all__ = [
-    "NumericSettings",
-    "DEFAULT_SETTINGS",
     "normal_cdf",
     "normal_quantile",
     "t_cdf",
@@ -52,21 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NumericSettings:
-    """All numeric tolerances used by the package, in one record.
-
-    tail_mass      mass cut from each tail of a quadrature's weight law
-    size_tol       resolution (in n) of sample-size inversion
-    max_root_iter  iteration cap of :func:`find_root`
-    """
-
-    tail_mass: float = 1e-12
-    size_tol: float = 1e-6
-    max_root_iter: int = 200
-
-
-DEFAULT_SETTINGS = NumericSettings()
+# iteration cap of :func:`find_root`
+_MAX_ROOT_ITER = 200
 
 
 def _check_df(f, name: str = "df"):
@@ -174,16 +158,13 @@ def _f_quantile(p, f1: float, f2: float):
     return f2 * np.where(near_one, 1.0 - z, w) / (f1 * np.where(near_one, z, 1.0 - w))
 
 
-# Panel edges of the fixed quadrature rule as probabilities of its weight law
-# (settings.tail_mass and its mirror close them), and the rule on each panel.
-_PANEL_PROBS = (
-    1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
-)
+# Panel edges of the fixed quadrature rule as probabilities of its weight law,
+# 1e-12 cut from each tail, and the rule on each panel.
+_PANEL_EDGES = np.array((
+    1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+    1 - 1e-4, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
+))
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_probs(settings: NumericSettings) -> np.ndarray:
-    return np.array((settings.tail_mass, *_PANEL_PROBS, 1.0 - settings.tail_mass))
 
 
 def _panel_rule(log_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,40 +176,28 @@ def _panel_rule(log_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.reshape(shape), (half * _GL_WEIGHTS).reshape(shape)
 
 
-def integrate(
-    fn: Callable[[np.ndarray], np.ndarray],
-    f1: float,
-    f2: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> float:
+def integrate(fn: Callable[[np.ndarray], np.ndarray], f1: float, f2: float) -> float:
     """Expectation of ``fn(U)`` for U ~ F(f1, f2), by a fixed rule.
 
     16 Gauss-Legendre nodes in log u on each of the 14 panels between the F
-    quantiles at ``settings.tail_mass``, ``_PANEL_PROBS`` and
-    ``1 - settings.tail_mass``; the rule applies the F density and the
+    quantiles at ``_PANEL_EDGES``; the rule applies the F density and the
     Jacobian u itself.  ``fn`` is called once, with all 224 abscissae u in
     one array, and returns one value per abscissa.
     """
     f1 = _check_df(f1, "f1")
     f2 = _check_df(f2, "f2")
-    v, weights = _panel_rule(np.log(_f_quantile(_panel_probs(settings), f1, f2)))
+    v, weights = _panel_rule(np.log(_f_quantile(_PANEL_EDGES, f1, f2)))
     u = np.exp(v)
     return float(np.dot(weights * np.exp(_log_f_density(u, f1, f2) + v), fn(u)))
 
 
-def find_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> float:
+def find_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Root of ``fn`` on [lo, hi] by Brent's method (``scipy.optimize.brentq``).
 
     Requires a sign change over the bracket; an endpoint where ``fn`` is zero
     is returned as is.  Each abscissa is evaluated once.  Stops when the root
     is resolved to ``tol``; raises :class:`ConvergenceError` with the last
-    iterate attached after ``settings.max_root_iter`` iterations.
+    iterate attached after ``_MAX_ROOT_ITER`` iterations.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
@@ -244,22 +213,17 @@ def find_root(
             f"find_root: no sign change on [{lo}, {hi}] (f(lo)={fa:.6g}, f(hi)={fb:.6g})"
         )
     root, info = optimize.brentq(
-        fn, lo, hi, xtol=tol, maxiter=settings.max_root_iter, full_output=True, disp=False
+        fn, lo, hi, xtol=tol, maxiter=_MAX_ROOT_ITER, full_output=True, disp=False
     )
     if not info.converged:
         raise ConvergenceError(
-            f"find_root: no convergence to width {tol} in {settings.max_root_iter} iterations",
+            f"find_root: no convergence to width {tol} in {_MAX_ROOT_ITER} iterations",
             best_estimate=root,
         )
     return root
 
 
-def t_cdf(
-    x,
-    f,
-    lam=0.0,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-):
+def t_cdf(x, f, lam=0.0):
     """CDF of the t distribution with ``f`` d.f. and noncentrality ``lam``.
 
     ``f`` may be fractional.  Computed as the reflected upper tail
@@ -275,7 +239,7 @@ def t_cdf(
     return _scalar_or_array(stats.nct.sf(np.negative(x), f, np.negative(lam)))
 
 
-def t_quantile(p, f, settings: NumericSettings = DEFAULT_SETTINGS):
+def t_quantile(p, f):
     """Quantile of the central t(f) distribution; fractional ``f`` supported.
 
     Broadcasts over ``p`` and ``f``; scalar arguments give a float.

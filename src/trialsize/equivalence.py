@@ -30,13 +30,10 @@ from . import core, dist
 from .ancova import AncovaSpec, adjusted_power
 from .core import PowerEstimate, SizeEstimate, SizeModel, TestKernel
 from .designs import TwoSampleSpec, welch_power
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .errors import DomainError
 
 __all__ = [
     "Margins",
-    "BeLimits",
-    "BE_LIMITS",
     "equiv_power_exact",
     "equiv_power_approx",
     "symmetric_half_width",
@@ -50,7 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Margins:
-    """Margin interval with the objective it encodes.
+    """Margin interval; the objective it encodes (:attr:`kind`) follows from
+    the bounds.
 
     equivalence      both bounds finite, lower < 0 < upper
     noninferiority   exactly one finite bound (the margin M0)
@@ -59,38 +57,38 @@ class Margins:
 
     lower: float
     upper: float
-    kind: str = "equivalence"
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise DomainError(f"margins must satisfy lower < upper, got ({self.lower}, {self.upper})")
-        if self.kind not in ("equivalence", "noninferiority", "superiority"):
-            raise DomainError(f"unknown margin kind {self.kind!r}")
-        if self.kind == "equivalence":
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                raise DomainError("equivalence margins must both be finite")
-            if not (self.lower < 0.0 < self.upper):
-                raise DomainError("equivalence margins must straddle zero")
-        if self.kind == "noninferiority":
-            if math.isfinite(self.lower) == math.isfinite(self.upper):
-                raise DomainError("noninferiority needs exactly one finite margin")
+        if self.kind == "equivalence" and not (self.lower < 0.0 < self.upper):
+            raise DomainError("equivalence margins must straddle zero")
+
+    @property
+    def kind(self) -> str:
+        finite = math.isfinite(self.lower) + math.isfinite(self.upper)
+        return ("superiority", "noninferiority", "equivalence")[finite]
 
     @classmethod
     def equivalence(cls, lower: float, upper: float) -> "Margins":
-        return cls(lower=lower, upper=upper, kind="equivalence")
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise DomainError("equivalence margins must both be finite")
+        return cls(lower, upper)
 
     @classmethod
     def noninferiority(cls, m0: float, tau1: float) -> "Margins":
         """One finite bound on the far side of the alternative ``tau1``."""
+        if not math.isfinite(m0):
+            raise DomainError("noninferiority needs exactly one finite margin")
         if m0 == tau1:
             raise DomainError("noninferiority margin must differ from tau1")
         if m0 > tau1:
-            return cls(lower=-math.inf, upper=m0, kind="noninferiority")
-        return cls(lower=m0, upper=math.inf, kind="noninferiority")
+            return cls(lower=-math.inf, upper=m0)
+        return cls(lower=m0, upper=math.inf)
 
     @classmethod
     def superiority(cls) -> "Margins":
-        return cls(lower=-math.inf, upper=math.inf, kind="superiority")
+        return cls(lower=-math.inf, upper=math.inf)
 
     def margin(self) -> float:
         """The single finite bound of a noninferiority margin pair."""
@@ -99,16 +97,9 @@ class Margins:
         return self.upper if math.isfinite(self.upper) else self.lower
 
 
-@dataclass(frozen=True)
-class BeLimits:
-    """Bioequivalence acceptance limits on the ratio scale and their log margin."""
-
-    ratio_lower: float = 0.80
-    ratio_upper: float = 1.25
-    log_margin: float = 0.2231  # round(ln(1.25), 4)
-
-
-BE_LIMITS = BeLimits()
+# Bioequivalence: the 0.80-1.25 limits on the ratio scale are +/- ln 1.25 on
+# the log scale, tested at alpha = 0.1.
+BE_MARGINS = Margins.equivalence(-math.log(1.25), math.log(1.25))
 BE_ALPHA = 0.1
 
 
@@ -120,7 +111,7 @@ def _check_containment(m: Margins, tau1: float) -> None:
         )
 
 
-def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
+def _phillips_integral(a_up, b_low, scale, f: float):
     """Core equivalence integral conditioned on the variance-scale chi-square.
 
     Integrates Phi(a_up - scale*sqrt(xi)) - Phi(b_low + scale*sqrt(xi)) over
@@ -133,7 +124,7 @@ def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     positivity cutoff.
     """
     a_up, b_low, scale = (x[..., None] for x in np.broadcast_arrays(a_up, b_low, scale))
-    edges = dist._chi2_over_f_quantile(dist._panel_probs(settings), f)
+    edges = dist._chi2_over_f_quantile(dist._PANEL_EDGES, f)
     cutoff = ((a_up - b_low) / (2.0 * scale)) ** 2
     v, weights = dist._panel_rule(np.log(np.maximum(edges[0], np.minimum(edges, cutoff))))
     root = scale * np.exp(0.5 * v)
@@ -143,7 +134,7 @@ def _phillips_integral(a_up, b_low, scale, f: float, settings: NumericSettings):
     return float(val) if val.ndim == 0 else val
 
 
-def _conditional(m: Margins, tau1: float, exact: bool, settings: NumericSettings):
+def _conditional(m: Margins, tau1: float, exact: bool):
     """The conditional equivalence power for margins ``m`` around the true
     effect ``tau1``, and its method: the Phillips integral (exact) or the two
     one-sided tests (approximate).  Requires tau1 strictly inside ``m``."""
@@ -153,38 +144,26 @@ def _conditional(m: Margins, tau1: float, exact: bool, settings: NumericSettings
         return core.one_sided_tests(upper, -lower), "approx"
 
     def power(se, crit, f):
-        return _phillips_integral(upper / se, lower / se, crit, f, settings)
+        return _phillips_integral(upper / se, lower / se, crit, f)
 
     return power, "integral_exact"
 
 
-def equiv_power_exact(
-    k: TestKernel,
-    m: Margins,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def equiv_power_exact(k: TestKernel, m: Margins, n: float, alpha: float) -> PowerEstimate:
     """Equivalence power by conditioning on the variance estimate.
 
     Exact for the one-sample and equal-variance two-sample kernels; requires
     the true effect strictly inside the margin interval.
     """
-    conditional, method = _conditional(m, k.tau1, True, settings)
-    return k.power(conditional, n, alpha, method, settings)
+    conditional, method = _conditional(m, k.tau1, True)
+    return k.power(conditional, n, alpha, method)
 
 
-def equiv_power_approx(
-    k: TestKernel,
-    m: Margins,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def equiv_power_approx(k: TestKernel, m: Margins, n: float, alpha: float) -> PowerEstimate:
     """Integration-free equivalence power; underestimates, and may be negative
     for very small n (returned as-is with approximation_valid=False)."""
-    conditional, method = _conditional(m, k.tau1, False, settings)
-    return k.power(conditional, n, alpha, method, settings)
+    conditional, method = _conditional(m, k.tau1, False)
+    return k.power(conditional, n, alpha, method)
 
 
 def symmetric_half_width(m: Margins, tau1: float) -> float:
@@ -216,7 +195,6 @@ def equiv_size_bounds(
     alpha: float,
     power: float,
     rounding: str = "up",
-    settings: NumericSettings = DEFAULT_SETTINGS,
     tau1: float | None = None,
 ) -> EquivSizeBounds:
     """Sample-size bounds for possibly asymmetric margins around the true
@@ -235,10 +213,10 @@ def equiv_size_bounds(
     du, dl = m.upper - tau1, tau1 - m.lower
 
     def side(delta: float) -> tuple[SizeEstimate, SizeEstimate]:
+        target = 0.5 * (1.0 + power)
         rows = dict(
             core.size_chain(
-                model, delta, alpha, power, target=0.5 * (1.0 + power), rounding=rounding,
-                settings=settings, two_step=False,
+                model, delta, alpha, power, target=target, rounding=rounding, two_step=False
             )
         )
         return rows["g1"], rows["g2"]
@@ -254,7 +232,6 @@ def ancova_equiv_power(
     n: float,
     alpha: float,
     exact: bool = True,
-    settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Equivalence power under covariate adjustment, averaged over the
     covariate-imbalance law.
@@ -264,8 +241,8 @@ def ancova_equiv_power(
     integration-free equivalence formula.  Without covariates both are the
     ANCOVA kernel's equivalence powers.
     """
-    conditional, method = _conditional(m, s.tau1, exact, settings)
-    return adjusted_power(s, conditional, n, alpha, method, settings)
+    conditional, method = _conditional(m, s.tau1, exact)
+    return adjusted_power(s, conditional, n, alpha, method)
 
 
 def ts_unequal_equiv_power(
@@ -274,7 +251,6 @@ def ts_unequal_equiv_power(
     n: float,
     alpha: float,
     exact: bool = True,
-    settings: NumericSettings = DEFAULT_SETTINGS,
 ) -> PowerEstimate:
     """Equivalence power for the unequal-variance two-sample design.
 
@@ -283,12 +259,12 @@ def ts_unequal_equiv_power(
     approximate form integrates the ratio only.  One-sided margin pairs
     reduce it to the exact unequal-variance superiority/noninferiority power.
     """
-    conditional, method = _conditional(m, s.mu1 - s.mu0, exact, settings)
-    return welch_power(s, conditional, n, alpha, method, settings)
+    conditional, method = _conditional(m, s.mu1 - s.mu0, exact)
+    return welch_power(s, conditional, n, alpha, method)
 
 
-def be_adapter(spec, limits: BeLimits = BE_LIMITS) -> tuple[TestKernel, Margins, float]:
-    """Bioequivalence setup: log-scale kernel, +/- log-margin interval, alpha=0.1.
+def be_adapter(spec) -> tuple[TestKernel, Margins, float]:
+    """Bioequivalence setup: log-scale kernel, +/- ln 1.25 margins, alpha=0.1.
 
     The decision is CI containment within the limits, equivalently two
     one-sided tests with actual type I error alpha/2.  Any design family
@@ -299,5 +275,4 @@ def be_adapter(spec, limits: BeLimits = BE_LIMITS) -> tuple[TestKernel, Margins,
     kernel = family_of(spec).kernel
     if kernel is None:
         raise DomainError(f"unsupported design for bioequivalence: {type(spec).__name__}")
-    half = math.log(limits.ratio_upper)
-    return kernel(spec, 0.0), Margins.equivalence(-half, half), BE_ALPHA
+    return kernel(spec, 0.0), BE_MARGINS, BE_ALPHA

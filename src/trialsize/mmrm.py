@@ -39,7 +39,6 @@ from scipy.stats import qmc
 
 from . import core, dist
 from .core import PowerEstimate, SizeModel
-from .dist import DEFAULT_SETTINGS, NumericSettings
 from .equivalence import _conditional as _equivalence
 from .errors import DecompositionError, DomainError
 
@@ -306,7 +305,6 @@ def _last_visit_power(
     conditional,
     n: float,
     alpha: float,
-    settings: NumericSettings,
     first_order: bool = False,
 ) -> PowerEstimate:
     """The power ``conditional`` of the last-visit Wald test, by the one power
@@ -332,58 +330,36 @@ def _last_visit_power(
         ok = ~np.isnan(f)
         value = np.full(f.shape, np.nan)
         if ok.any():
-            crit = dist.t_quantile(1.0 - alpha / 2.0, f[ok], settings)
+            crit = dist.t_quantile(1.0 - alpha / 2.0, f[ok])
             value[ok] = conditional(se[ok], crit, f[ok])
         return float(value) if value.ndim == 0 else value
 
-    return core.expected_power(power, given, n, alpha=alpha, method="approx", settings=settings)
+    return core.expected_power(power, given, n, alpha=alpha, method="approx")
 
 
-def mmrm_power(
-    d: MmrmDesign,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def mmrm_power(d: MmrmDesign, n: float, alpha: float) -> PowerEstimate:
     """The paper's power of the two-sided last-visit Wald test, with the
     expected small-sample variance and Satterthwaite d.f. (a plug-in
     approximation, see :func:`_last_visit_power`)."""
-    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, settings)
+    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha)
 
 
-def mmrm_power_approx(
-    d: MmrmDesign,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def mmrm_power_approx(d: MmrmDesign, n: float, alpha: float) -> PowerEstimate:
     """Simplified power using the first-order variance and the observed-information
     fraction d.f.; only slightly less accurate than :func:`mmrm_power`.
     Batches as :func:`mmrm_power` does."""
-    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, settings, first_order=True)
+    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, first_order=True)
 
 
-def mmrm_equiv_power(
-    d: MmrmDesign,
-    margins,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def mmrm_equiv_power(d: MmrmDesign, margins, n: float, alpha: float) -> PowerEstimate:
     """Equivalence power at the last visit: both one-sided tests must reject.
     May be negative in very small samples (flagged, not clamped), like every
     integration-free equivalence approximation."""
-    conditional, _ = _equivalence(margins, d.tau_p1, False, settings)
-    return _last_visit_power(d, conditional, n, alpha, settings)
+    conditional, _ = _equivalence(margins, d.tau_p1, False)
+    return _last_visit_power(d, conditional, n, alpha)
 
 
-def mmrm_equiv_power_approx(
-    d: MmrmDesign,
-    margins,
-    n: float,
-    alpha: float,
-    settings: NumericSettings = DEFAULT_SETTINGS,
-) -> PowerEstimate:
+def mmrm_equiv_power_approx(d: MmrmDesign, margins, n: float, alpha: float) -> PowerEstimate:
     """Equivalence power with the first-order variance and the
     observed-information fraction d.f., the counterpart of
     :func:`mmrm_power_approx`.
@@ -393,8 +369,8 @@ def mmrm_equiv_power_approx(
     expected small-sample variance and d.f. of :func:`mmrm_equiv_power` do
     not.
     """
-    conditional, _ = _equivalence(margins, d.tau_p1, False, settings)
-    return _last_visit_power(d, conditional, n, alpha, settings, first_order=True)
+    conditional, _ = _equivalence(margins, d.tau_p1, False)
+    return _last_visit_power(d, conditional, n, alpha, first_order=True)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.replicates < 0:
             raise DomainError("replicate count must be nonnegative (0 selects the family default)")
+        _check_seed(self.seed)
         family_of(self.design).check_generator(self)
 
 
@@ -151,6 +152,13 @@ class MmrmFit:
     m_j: np.ndarray
     a_j: np.ndarray
     a_quad: np.ndarray
+
+
+def _check_seed(seed: int) -> int:
+    """``seed`` after checking it is a Philox key, an integer in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
 
 
 def _philox(seed: int):
@@ -692,7 +700,7 @@ def simulate_power(
             "replicate count must be >= 1 (None selects the scenario's count; "
             "0 is only ScenarioSpec's marker for the family default)"
         )
-    rng_seed = int(seed if seed is not None else sc.seed)
+    rng_seed = _check_seed(int(seed if seed is not None else sc.seed))
     n_per_group = tuple(int(v) for v in np.atleast_1d(n_per_group))
     tau0 = family.null(sc.design)
 

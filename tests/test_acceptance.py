@@ -321,7 +321,7 @@ class TestCriterion5:
             "noninferiority at the margin",
             ts.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5),
             {"seed": 2003}, (41, 41), 0.05,
-            Margins(lower=-math.inf, upper=1.0, kind="noninferiority"), 0.025, 100_000,
+            Margins(lower=-math.inf, upper=1.0), 0.025, 100_000,
         )
         check(
             "equivalence with the effect on the margin",
@@ -445,7 +445,7 @@ class TestCriterion6:
         )
         # one-sided margin pair reduces the equivalence integral to the Welch power
         spec = ts.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)
-        mm = Margins(lower=0.0, upper=math.inf, kind="noninferiority")
+        mm = Margins(lower=0.0, upper=math.inf)
         d3 = max(
             abs(
                 ts_unequal_equiv_power(spec, mm, n, 0.05, exact=False).value

@@ -331,6 +331,20 @@ DOMAIN_CASES = {
         "DomainError: margins must satisfy lower < upper",
         "margins: margins must satisfy lower < upper",
     ),
+    "seed": (
+        ["simulate", "--n", "40", "--reps", "10"],
+        ["--seed=-1"],
+        lambda doc: doc["simulation"].update(seed=-5),
+        "DomainError: seed must lie in [0, 2**128)",
+        "simulation: seed must lie in [0, 2**128)",
+    ),
+    "seed_beyond_philox_key": (
+        ["simulate", "--n", "40", "--reps", "10"],
+        ["--seed", str(2**128)],
+        lambda doc: doc["simulation"].update(seed=2**128),
+        "DomainError: seed must lie in [0, 2**128)",
+        "simulation: seed must lie in [0, 2**128)",
+    ),
 }
 DOMAIN_FIXTURE = "table5_m_10"  # two-sample equivalence: has alpha, margins and simulation
 
@@ -510,3 +524,75 @@ def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
     if named is not None:
         assert code == 2
         assert err.getvalue().startswith(f"error: {named}")
+
+
+# Command-line fuzzing: each example runs one subcommand on a cheap fixture
+# with flags drawn from edge values.  A flag is passed as --flag=value, so that
+# a negative value reaches the program instead of argparse's option matching.
+# simulate keeps --n <= 2000 and --reps <= 50: its engines allocate a chunk of
+# 4096 replicates of n draws.
+FLAG_FIXTURES = ("table1_equal_050", "table2_q1_100", "table5_m_10")
+EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2**128), "x", ""]
+
+
+def flag_values(*usual: str):
+    return st.none() | st.sampled_from([*EDGE_NUMBERS, *usual])
+
+
+SIMULATE_N = ["0", "-1", "nan", "inf", "1e300", "x", "", "1", "2", "40", "2000"]
+FLAGS = {
+    "power": {
+        "n": st.sampled_from([*EDGE_NUMBERS, "12.5", "40"]),
+        "alpha": flag_values("0.05"),
+        "margins": st.none() | st.sampled_from(
+            ["-0.5,0.5", "-inf,inf", "nan,1", "1,-1", "0,1", "-1e-300,1e-300", "x", ","]
+        ),
+        "format": st.none() | st.sampled_from(["text", "csv", "x"]),
+    },
+    "size": {
+        "alpha": flag_values("0.05"),
+        "power": flag_values("0.8"),
+        "margins": st.none() | st.sampled_from(["-0.5,0.5", "-inf,inf", "nan,1", "-1e300,1e300"]),
+        "round": st.none() | st.sampled_from(["up", "nearest", "none", "x"]),
+        "format": st.none() | st.sampled_from(["text", "csv", "x"]),
+    },
+    "simulate": {
+        "n": st.sampled_from(SIMULATE_N),
+        "reps": st.sampled_from(["0", "-1", "nan", "inf", "1e300", "x", "1", "50"]),
+        "seed": st.none() | st.sampled_from(
+            ["0", "-1", str(2**128 - 1), str(2**128), "nan", "1e300", "x", "20240801"]
+        ),
+        "alpha": flag_values("0.05"),
+        "margins": st.none() | st.sampled_from(["-0.5,0.5", "nan,1", "-1e-300,1e-300"]),
+        "format": st.none() | st.sampled_from(["text", "csv"]),
+    },
+}
+FLAG_ARGVS = st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command), st.sampled_from(FLAG_FIXTURES), st.fixed_dictionaries(FLAGS[command])
+    )
+).map(
+    lambda drawn: [
+        drawn[0], "--design", str(fixture_path(drawn[1])),
+        *(f"--{flag}={value}" for flag, value in drawn[2].items() if value is not None),
+    ]
+)
+
+
+@given(argv=FLAG_ARGVS)
+@example(["simulate", "--design", str(fixture_path("table1_equal_050")), "--n=10",
+          "--reps=10", "--seed=-1"])
+@example(["simulate", "--design", str(fixture_path("table5_m_10")), "--n=10",
+          "--reps=10", f"--seed={2**128}"])
+@settings(max_examples=80, deadline=None)
+def test_edge_flag_values_end_in_an_exit_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert "error: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -315,7 +315,7 @@ def welch_case(kind, ratio, gamma0, n, alpha=0.05):
         g = lambda u: stats.nct.sf(h(u), n - 2.0, tau1 / math.sqrt(base))
     elif kind == "ts_equiv_exact":
         value = ts_unequal_equiv_power(spec, margins, n, alpha, exact=True).value
-        g = lambda u: _phillips_integral(a_up, b_low, h(u), n - 2.0, dist.DEFAULT_SETTINGS)
+        g = lambda u: _phillips_integral(a_up, b_low, h(u), n - 2.0)
     else:
         value = ts_unequal_equiv_power(spec, margins, n, alpha, exact=False).value
         g = lambda u: stats.nct.sf(h(u), n - 2.0, a_up) + stats.nct.sf(h(u), n - 2.0, -b_low) - 1.0
@@ -338,7 +338,7 @@ def ancova_case(kind, q, n, alpha=0.05):
         g = lambda u: stats.ncf.sf(crit**2, 1.0, f, (spec.tau1 / se(u)) ** 2)
     elif kind == "ancova_equiv_exact":
         value = ancova_equiv_power(spec, margins, n, alpha, exact=True).value
-        g = lambda u: _phillips_integral(a_up(u), b_low(u), crit, f, dist.DEFAULT_SETTINGS)
+        g = lambda u: _phillips_integral(a_up(u), b_low(u), crit, f)
     else:
         value = ancova_equiv_power(spec, margins, n, alpha, exact=False).value
         g = lambda u: 1.0 - stats.nct.sf(-crit, f, -a_up(u)) - stats.nct.sf(-crit, f, b_low(u))
@@ -406,10 +406,10 @@ class TestFindRoot:
         assert dist.find_root(lambda x: x, 0.0, 1.0, 1e-9) == 0.0
         assert dist.find_root(lambda x: x - 1.0, 0.0, 1.0, 1e-9) == 1.0
 
-    def test_iteration_cap_carries_estimate(self):
-        capped = dist.NumericSettings(max_root_iter=2)
+    def test_iteration_cap_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(dist, "_MAX_ROOT_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            dist.find_root(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-14, capped)
+            dist.find_root(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-14)
         assert 0.0 <= err.value.best_estimate <= 2.0
 
     def test_each_abscissa_evaluated_once(self):

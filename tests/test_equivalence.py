@@ -8,9 +8,7 @@ from scipy import integrate, special
 
 from trialsize import core, designs
 from trialsize.designs import CrossoverSpec, TwoSampleSpec
-from trialsize.dist import DEFAULT_SETTINGS
 from trialsize.equivalence import (
-    BE_LIMITS,
     Margins,
     ancova_equiv_power,
     be_adapter,
@@ -47,12 +45,20 @@ class TestMargins:
     def test_validation(self):
         with pytest.raises(DomainError):
             Margins(1.0, -1.0)
-        with pytest.raises(DomainError):
-            Margins(0.5, 1.5, "equivalence")
-        with pytest.raises(DomainError):
-            Margins(-math.inf, math.inf, "noninferiority")
-        with pytest.raises(DomainError):
-            Margins(-1.0, 1.0, "better")
+        with pytest.raises(DomainError, match="straddle zero"):
+            Margins(0.5, 1.5)
+        with pytest.raises(DomainError, match="exactly one finite margin"):
+            Margins.noninferiority(math.inf, 0.0)
+        with pytest.raises(DomainError, match="equivalence margins must both be finite"):
+            Margins.equivalence(-math.inf, math.inf)
+
+    def test_kind_follows_the_bounds(self):
+        assert Margins(-1.0, 1.0).kind == "equivalence"
+        assert Margins(-math.inf, 1.0).kind == "noninferiority"
+        assert Margins(0.0, math.inf).kind == "noninferiority"
+        assert Margins.superiority().kind == "superiority"
+        with pytest.raises(TypeError):
+            Margins(-1.0, 1.0, kind="superiority")
 
     def test_noninferiority_orientation(self):
         m = Margins.noninferiority(1.0, 0.0)
@@ -61,7 +67,6 @@ class TestMargins:
         assert m.margin() == -1.0 and math.isinf(m.upper)
 
     def test_be_limits(self):
-        assert BE_LIMITS.log_margin == round(math.log(1.25), 4)
         _, m, alpha = be_kernel(0.0125)
         assert alpha == 0.1
         assert abs(m.upper - math.log(1.25)) < 5e-5
@@ -95,20 +100,20 @@ class TestPhillipsIntegral:
     @pytest.mark.parametrize("f", [0.5, 1.0, 2.0, 5.0, 30.0, 1000.0, 5000.0])
     def test_matches_quad_oracle(self, f):
         for a, b, c in self.CASES:
-            value = _phillips_integral(a, b, c, f, DEFAULT_SETTINGS)
+            value = _phillips_integral(a, b, c, f)
             assert abs(value - phillips_oracle(a, b, c, f)) <= 1e-9, (a, b, c, f)
 
     def test_array_arguments_match_scalar_calls(self):
         a_up = np.array([[2.0], [4.0], [math.inf]])
         scales = np.array([0.5, 1.0, 1.96, 3.0, 10.0])
-        batch = _phillips_integral(a_up, -3.0, scales, 12.0, DEFAULT_SETTINGS)
+        batch = _phillips_integral(a_up, -3.0, scales, 12.0)
         assert batch.shape == (3, 5)
         for i, j in np.ndindex(batch.shape):
-            single = _phillips_integral(a_up[i, 0], -3.0, scales[j], 12.0, DEFAULT_SETTINGS)
+            single = _phillips_integral(a_up[i, 0], -3.0, scales[j], 12.0)
             assert abs(batch[i, j] - single) <= 1e-15
 
     def test_empty_positivity_region_is_zero(self):
-        assert _phillips_integral(0.5, 0.5, 1.96, 10.0, DEFAULT_SETTINGS) == 0.0
+        assert _phillips_integral(0.5, 0.5, 1.96, 10.0) == 0.0
 
 
 class TestExactEquivalencePower:
@@ -278,7 +283,7 @@ class TestAncovaEquivalence:
         # an infinite margin contributes a tail of exactly 0, the limit of a
         # margin moved far away
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
-        one_sided = Margins(lower=-0.8, upper=math.inf, kind="noninferiority")
+        one_sided = Margins(lower=-0.8, upper=math.inf)
         far = Margins.equivalence(-0.8, 1e3)
         for n in (16, 40):
             a = ancova_equiv_power(s, one_sided, n, 0.05, exact=False).value
@@ -313,7 +318,7 @@ class TestUnequalVarianceEquivalence:
 
     def test_one_sided_margin_reduces_to_welch_power(self):
         spec = TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)
-        m = Margins(lower=0.0, upper=math.inf, kind="noninferiority")
+        m = Margins(lower=0.0, upper=math.inf)
         for n in (20, 40, 82):
             a = ts_unequal_equiv_power(spec, m, n, 0.05, exact=False).value
             b = designs.moser_exact_power(spec, 0.0, n, 0.05).value
@@ -336,7 +341,7 @@ class TestUnequalVarianceEquivalence:
 
     def test_exact_one_sided_margin_matches_welch_power(self):
         spec = TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)
-        m = Margins(lower=0.0, upper=math.inf, kind="noninferiority")
+        m = Margins(lower=0.0, upper=math.inf)
         a = ts_unequal_equiv_power(spec, m, 40, 0.05, exact=True).value
         b = designs.moser_exact_power(spec, 0.0, 40, 0.05).value
         assert abs(a - b) < 1e-6

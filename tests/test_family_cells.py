@@ -20,7 +20,6 @@ from trialsize import cli, core, mmrm
 from trialsize.ancova import ancova_power_exact
 from trialsize.config import load_design, parse_design
 from trialsize.designs import moser_exact_power
-from trialsize.dist import DEFAULT_SETTINGS
 from trialsize.equivalence import (
     Margins,
     ancova_equiv_power,
@@ -441,7 +440,7 @@ FIXTURES = (
 def test_inversion_solves_the_family_exact_power(name):
     cfg = _cell_config(name) if name in CELLS else load_design(fixture_path(name))
     root = dict(cfg.size_rows(cfg.alpha, cfg.target_power))["inversion"].fractional
-    tol = 2.0 * DEFAULT_SETTINGS.size_tol
+    tol = 2.0 * core._SIZE_TOL
     below, above = (family_exact_power(cfg, root + s * tol) for s in (-1.0, 1.0))
     assert below <= cfg.target_power <= above
     assert cfg.exact_power(root, cfg.alpha) == family_exact_power(cfg, root)

@@ -407,6 +407,17 @@ class TestBatchedSchedules:
                 assert isinstance(value, float)
                 assert abs(batch[b] - value) <= 1e-12
 
+    def test_validity_flag_marks_negative_entries_only(self):
+        # the second schedule is undefined at n = 30: its NaN value marks it
+        schedules = np.array([RETENTION, ((1.0, 0.2, 0.1, 0.05),) * 2])
+        d = design(EXAMPLE_SIGMA, 1, 0.0, retention=schedules)
+        est = mmrm.mmrm_equiv_power(d, Margins.equivalence(-2, 2), 30, ALPHA)
+        assert est.value[0] < 0.0 and math.isnan(est.value[1])
+        assert est.approximation_valid.tolist() == [False, True]
+        est = mmrm.mmrm_power_approx(dataclasses.replace(d, tau_p1=-4.0), 30, ALPHA)
+        assert est.value[0] > 0.0 and math.isnan(est.value[1])
+        assert est.approximation_valid.tolist() == [True, True]
+
     def test_derived_batch_matches_scalar(self):
         d = design(EXAMPLE_SIGMA, 2, -4.0)
         der = mmrm.mmrm_derived(dataclasses.replace(d, retention=self.SCHEDULES), 21)
