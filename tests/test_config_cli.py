@@ -333,7 +333,7 @@ DOMAIN_CASES = {
     ),
     "seed": (
         ["simulate", "--n", "40", "--reps", "10"],
-        ["--seed=-1"],
+        ["--seed", "-1"],
         lambda doc: doc["simulation"].update(seed=-5),
         "DomainError: seed must lie in [0, 2**128)",
         "simulation: seed must lie in [0, 2**128)",
@@ -529,8 +529,8 @@ def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
 # Command-line fuzzing: each example runs one subcommand on a cheap fixture
 # with flags drawn from edge values.  A flag is passed as --flag=value, so that
 # a negative value reaches the program instead of argparse's option matching.
-# simulate keeps --n <= 2000 and --reps <= 50: its engines allocate a chunk of
-# 4096 replicates of n draws.
+# simulate keeps --n <= 2000 and --reps <= 50: its engines draw up to 4096
+# replicates of n values at once, and run every replicate asked for.
 FLAG_FIXTURES = ("table1_equal_050", "table2_q1_100", "table5_m_10")
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2**128), "x", ""]
 
@@ -539,32 +539,33 @@ def flag_values(*usual: str):
     return st.none() | st.sampled_from([*EDGE_NUMBERS, *usual])
 
 
-SIMULATE_N = ["0", "-1", "nan", "inf", "1e300", "x", "", "1", "2", "40", "2000"]
+MARGIN_VALUES = st.none() | st.sampled_from(
+    ["-0.5,0.5", "-inf,inf", "nan,1", "1,-1", "0,1", "-1e-300,1e-300", "-1e300,1e300", "x", ","]
+)
+FORMATS = st.none() | st.sampled_from(["text", "csv", "x"])
 FLAGS = {
     "power": {
         "n": st.sampled_from([*EDGE_NUMBERS, "12.5", "40"]),
         "alpha": flag_values("0.05"),
-        "margins": st.none() | st.sampled_from(
-            ["-0.5,0.5", "-inf,inf", "nan,1", "1,-1", "0,1", "-1e-300,1e-300", "x", ","]
-        ),
-        "format": st.none() | st.sampled_from(["text", "csv", "x"]),
+        "margins": MARGIN_VALUES,
+        "format": FORMATS,
     },
     "size": {
         "alpha": flag_values("0.05"),
         "power": flag_values("0.8"),
-        "margins": st.none() | st.sampled_from(["-0.5,0.5", "-inf,inf", "nan,1", "-1e300,1e300"]),
+        "margins": MARGIN_VALUES,
         "round": st.none() | st.sampled_from(["up", "nearest", "none", "x"]),
-        "format": st.none() | st.sampled_from(["text", "csv", "x"]),
+        "format": FORMATS,
     },
     "simulate": {
-        "n": st.sampled_from(SIMULATE_N),
+        "n": st.sampled_from(["0", "-1", "nan", "inf", "1e300", "x", "", "2", "40", "2000"]),
         "reps": st.sampled_from(["0", "-1", "nan", "inf", "1e300", "x", "1", "50"]),
         "seed": st.none() | st.sampled_from(
             ["0", "-1", str(2**128 - 1), str(2**128), "nan", "1e300", "x", "20240801"]
         ),
         "alpha": flag_values("0.05"),
-        "margins": st.none() | st.sampled_from(["-0.5,0.5", "nan,1", "-1e-300,1e-300"]),
-        "format": st.none() | st.sampled_from(["text", "csv"]),
+        "margins": MARGIN_VALUES,
+        "format": FORMATS,
     },
 }
 FLAG_ARGVS = st.sampled_from(sorted(FLAGS)).flatmap(
