@@ -275,11 +275,18 @@ class TestDeterminism:
 
 
 # (rejections, failures) recorded for engines no shipped fixture reaches: the
-# one-sample engine, both crossover analyses under a period effect, and an
-# ANCOVA whose three-level factor often leaves a level empty at 6 per arm
-# (1438 of the 5000 replicates drop an indicator column).
+# one-sample engine, both two-sample analyses at arms that differ by more than
+# one subject, both crossover analyses under a period effect, and an ANCOVA
+# whose three-level factor often leaves a level empty at 6 per arm (1438 of
+# the 5000 replicates drop an indicator column).
 ENGINE_PINS = {
     "one_sample": (OneSampleSpec(mu=0.6, tau0=0.0, sigma_sq=1.0), {}, (15,), (2920, 0)),
+    "two_sample_pooled_unequal_arms": (
+        ts.TwoSampleSpec(0.0, 0.9, 1.0, 1.0, 0.5, True), {}, (9, 5), (1565, 0)
+    ),
+    "two_sample_welch_unequal_arms": (
+        ts.TwoSampleSpec(0.0, 0.9, 1.0, 3.0, 0.5, False), {}, (13, 5), (768, 0)
+    ),
     "crossover_period_in_analysis": (
         CrossoverSpec(0.0, 0.5, 0.6, period_effect_in_analysis=True),
         {"period_effect": 0.3},
