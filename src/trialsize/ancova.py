@@ -72,16 +72,7 @@ class AncovaSpec:
 def ancova_kernel(s: AncovaSpec) -> TestKernel:
     """Asymptotic-variance kernel: v = sigma^2/(gamma0*gamma1), f = n - q*, rho = 1."""
     v = s.sigma_sq / (s.gamma0 * s.gamma1)
-    qs = s.q_star
-    return TestKernel(
-        tau0=s.tau0,
-        tau1=s.tau1,
-        v=v,
-        rho_at=lambda n: 1.0,
-        df_at=lambda n: n - qs,
-        min_n=float(s.q + 3),
-        allocation=(s.gamma0, s.gamma1),
-    )
+    return core.fixed_df_kernel(s.tau0, s.tau1, v, s.q_star, (s.gamma0, s.gamma1))
 
 
 def adjusted_power(

@@ -69,6 +69,15 @@ def _override_margins(cfg: DesignConfig, text: str) -> DesignConfig:
     )
 
 
+def _design(args) -> tuple[DesignConfig, float]:
+    """The design file with the ``--margins`` override, and the ``--alpha``
+    level (by default the file's)."""
+    cfg = load_design(args.design)
+    if args.margins is not None:
+        cfg = _override_margins(cfg, args.margins)
+    return cfg, args.alpha if args.alpha is not None else cfg.alpha
+
+
 def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -87,10 +96,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_power(args) -> int:
-    cfg = load_design(args.design)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    if args.margins is not None:
-        cfg = _override_margins(cfg, args.margins)
+    cfg, alpha = _design(args)
     if args.n is None:
         return _fail("power requires --n (total sample size)", 2)
     rows = [
@@ -102,11 +108,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_size(args) -> int:
-    cfg = load_design(args.design)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
+    cfg, alpha = _design(args)
     power = args.power if args.power is not None else cfg.target_power
-    if args.margins is not None:
-        cfg = _override_margins(cfg, args.margins)
     rows = []
     # --round none prints the fractional sizes of the default rounding
     for name, est in cfg.size_rows(alpha, power, "up" if args.round == "none" else args.round):
@@ -121,10 +124,7 @@ def cmd_size(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_design(args.design)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    if args.margins is not None:
-        cfg = _override_margins(cfg, args.margins)
+    cfg, alpha = _design(args)
     if args.n is None:
         return _fail("simulate requires --n (total sample size)", 2)
     per_group = cfg.split_total(args.n)

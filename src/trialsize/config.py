@@ -43,7 +43,6 @@ class DesignConfig:
     design: object
     margins: Margins | None
     scenario: ScenarioSpec
-    source: str = ""
 
     def kernel(self) -> TestKernel:
         """Test kernel for the kernel-based families (not defined for MMRM)."""
@@ -120,7 +119,7 @@ def _margins(doc: dict, objective: str, tau1: float):
     return None
 
 
-def parse_design(doc: dict, source: str = "<memory>") -> DesignConfig:
+def parse_design(doc: dict) -> DesignConfig:
     """Validate a parsed design document and build the runtime objects."""
     if not isinstance(doc, dict):
         raise ConfigError("$: design document must be a JSON object")
@@ -149,8 +148,10 @@ def parse_design(doc: dict, source: str = "<memory>") -> DesignConfig:
 
     alpha_default = BE_ALPHA if objective == "bioequivalence" else 0.05
     alpha = _number(doc.get("alpha", alpha_default), "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha: must lie in (0, 1), got {alpha}")
+    try:
+        core.check_alpha(alpha)
+    except DomainError:
+        raise ConfigError(f"alpha: {core.ALPHA_DOMAIN}, got {alpha}") from None
     target_power = _number(doc.get("target_power", 0.80), "target_power")
     if not 0.0 < target_power < 1.0:
         raise ConfigError(f"target_power: must lie in (0, 1), got {target_power}")
@@ -193,7 +194,6 @@ def parse_design(doc: dict, source: str = "<memory>") -> DesignConfig:
         design=design,
         margins=margins,
         scenario=scenario,
-        source=source,
     )
 
 
@@ -206,4 +206,4 @@ def load_design(path: str | Path) -> DesignConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    return parse_design(doc, source=str(p))
+    return parse_design(doc)

@@ -23,7 +23,8 @@ objective is sized by:
 
 A :class:`TestKernel` is the size model of a two-sided t test of
 ``H0: tau = tau0`` versus ``H1: tau = tau1``; it gives (se, crit, f) for
-every power of the test (:meth:`TestKernel.power`).
+every power of the test (:meth:`TestKernel.power`); :func:`fixed_df_kernel`
+builds the classical one with f = n - k (Guenther 1981).
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from .errors import BracketError, DomainError
 __all__ = [
     "SizeModel",
     "TestKernel",
+    "fixed_df_kernel",
     "PowerEstimate",
     "SizeEstimate",
+    "check_alpha",
     "expected_power",
     "two_tailed",
     "one_sided_tests",
@@ -113,6 +116,17 @@ class TestKernel(SizeModel):
         return expected_power(conditional, given, n, alpha=alpha, min_n=self.min_n, method=method)
 
 
+def fixed_df_kernel(
+    tau0: float, tau1: float, v: float, k: int, allocation: tuple[float, ...] = (1.0,)
+) -> TestKernel:
+    """The t test of an estimate from k fitted means or coefficients:
+    f = n - k, rho = 1 and sizes above k + 1."""
+    return TestKernel(
+        tau0=tau0, tau1=tau1, v=v, rho_at=lambda n: 1.0, df_at=lambda n: n - k,
+        min_n=k + 1.0, allocation=allocation,
+    )
+
+
 @dataclass(frozen=True)
 class PowerEstimate:
     value: float
@@ -168,11 +182,14 @@ def _estimate(
     return SizeEstimate(fractional, total, per_group, method, power, alpha)
 
 
-def _check_alpha_power(alpha: float, power: float | None = None) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if power is not None and not (0.0 < power < 1.0):
-        raise DomainError(f"target power must lie in (0, 1), got {power}")
+# the domain of a two-sided level; at 1 - alpha/2 = 1 the critical values are infinite
+ALPHA_DOMAIN = "must lie in (0, 1) with 1 - alpha/2 below 1 in floating point"
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`DomainError` for an alpha outside ``ALPHA_DOMAIN``."""
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise DomainError(f"alpha {ALPHA_DOMAIN}, got {alpha}")
 
 
 # methods whose value is an approximation: returned as computed, and flagged
@@ -197,13 +214,13 @@ def expected_power(
     ``given(u)`` gives the arguments of ``conditional`` at the outer
     variable u: (se, crit, f), each a scalar or an array over the abscissae
     (MMRM hands (se, f) to its own wrapper of a conditional).  Raises :class:`DomainError` for alpha
-    outside (0, 1) and for n that is not finite, above the size cap or not
-    above ``min_n``, before ``given`` is called.  An exact ``method`` is
+    outside ``ALPHA_DOMAIN`` and for n that is not finite, above the size cap
+    or not above ``min_n``, before ``given`` is called.  An exact ``method`` is
     clipped to [0, 1]; an approximation is returned as computed, with
     ``approximation_valid`` False exactly where it is negative (a NaN entry
     of a batch, undefined, is marked by its value).
     """
-    _check_alpha_power(alpha)
+    check_alpha(alpha)
     if not n <= _SIZE_CAP:
         raise DomainError(f"n must be finite and at most the size cap {_SIZE_CAP:.0e}, got {n}")
     if not n > min_n:
@@ -289,21 +306,29 @@ def size_chain(
     two_step           C(n_u), n_u formed as n_b with t quantiles at f(ntilde)
     inversion          the root of exact(n) = power
 
-    Raises :class:`DomainError` for a zero effect, and, for the two-step row,
-    for ntilde at or below ``model.min_n`` and for a non-positive f(ntilde);
-    C raises it for a size too small to correct.  ``two_step=False`` leaves
-    out the two-step row and its checks.
+    Raises :class:`DomainError` for a target level that rounds to 1, for an
+    effect whose square is 0, for an n_b that is not finite, and, for the
+    two-step row, for ntilde at or below ``model.min_n`` and for a
+    non-positive f(ntilde); C raises it for a size too small to correct.
+    ``two_step=False`` leaves out the two-step row and its checks.
     """
-    _check_alpha_power(alpha, power)
-    if delta == 0.0:
-        raise DomainError("the effect must differ from the null value for sample-size formulas")
+    check_alpha(alpha)
     target = power if target is None else target
+    if not (0.0 < power < 1.0 and target < 1.0):
+        raise DomainError(f"target power {power!r} must lie in (0, 1), its level below 1")
+    if delta * delta == 0.0:
+        raise DomainError(f"the effect {delta:g} is too close to the null value to size for")
     correct = model.correct or (lambda n: n)
 
     def base(z_alpha: float, z_power: float) -> float:
-        return (z_alpha + z_power) ** 2 * model.v / delta**2
+        return (z_alpha + z_power) ** 2 * model.v / (delta * delta)
 
     n_b = base(dist.normal_quantile(1.0 - alpha / 2.0), dist.normal_quantile(target))
+    if not math.isfinite(n_b):
+        raise DomainError(
+            f"normal-approximation size not finite: the effect {delta:g} is too small "
+            f"for the variance scale {model.v:g}"
+        )
     n_tilde = correct(n_b)
     if two_step and not n_tilde > model.min_n:
         raise DomainError(

@@ -2,11 +2,12 @@
 
 Covers the one-sample t test, the two-sample t tests with equal and unequal
 variances (Welch/Satterthwaite), and the 2x2 crossover with or without a
-period effect in the analysis.  Also provides the exact unequal-variance
+period effect in the analysis; all but Welch's are
+:func:`trialsize.core.fixed_df_kernel`.  Also provides the exact unequal-variance
 powers (:func:`welch_power`): given the observed variance ratio the Welch
 statistic is a noncentral t with n - 2 d.f. against a ratio-dependent
 critical value (Moser, Stevens & Watts 1989), and the ratio is integrated
-out against its F law.
+out against its F law.  :func:`satterthwaite_df` is the one Welch d.f. rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, dist
-from .core import PowerEstimate, TestKernel
+from .core import PowerEstimate, TestKernel, fixed_df_kernel
 from .errors import DomainError
 
 __all__ = [
@@ -95,15 +96,7 @@ def one_sample_kernel(mu: float, tau0: float, sigma_sq: float) -> TestKernel:
     """One-sample t test: v = sigma^2, f = n - 1, rho = 1."""
     if sigma_sq <= 0.0:
         raise DomainError("sigma_sq must be positive")
-    return TestKernel(
-        tau0=tau0,
-        tau1=mu,
-        v=sigma_sq,
-        rho_at=lambda n: 1.0,
-        df_at=lambda n: n - 1.0,
-        min_n=2.0,
-        allocation=(1.0,),
-    )
+    return fixed_df_kernel(tau0, mu, sigma_sq, 1)
 
 
 def two_sample_equal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
@@ -113,15 +106,7 @@ def two_sample_equal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
     if s.sigma0_sq != s.sigma1_sq:
         raise DomainError("equal-variance kernel requires sigma0_sq == sigma1_sq")
     v = s.sigma0_sq / (s.gamma0 * s.gamma1)
-    return TestKernel(
-        tau0=tau0,
-        tau1=s.mu1 - s.mu0,
-        v=v,
-        rho_at=lambda n: 1.0,
-        df_at=lambda n: n - 2.0,
-        min_n=3.0,
-        allocation=(s.gamma0, s.gamma1),
-    )
+    return fixed_df_kernel(tau0, s.mu1 - s.mu0, v, 2, (s.gamma0, s.gamma1))
 
 
 def satterthwaite_df(v0: float, v1: float, n0: float, n1: float) -> float:
@@ -156,40 +141,12 @@ def crossover_kernel(s: CrossoverSpec) -> TestKernel:
     """Crossover lowering: one-sample form without a period effect in the
     analysis (v = sigma_d^2, f = n-1), two-sample form with one
     (v = sigma_d^2/(4*gamma0*gamma1), f = n-2)."""
+    allocation = (s.gamma0, s.gamma1)
     effect = s.mu_star_b - s.mu_star_a
     if s.period_effect_in_analysis:
         v = s.sigma_d_sq / (4.0 * s.gamma0 * s.gamma1)
-        return TestKernel(
-            tau0=0.0,
-            tau1=effect,
-            v=v,
-            rho_at=lambda n: 1.0,
-            df_at=lambda n: n - 2.0,
-            min_n=3.0,
-            allocation=(s.gamma0, s.gamma1),
-        )
-    return TestKernel(
-        tau0=0.0,
-        tau1=effect,
-        v=s.sigma_d_sq,
-        rho_at=lambda n: 1.0,
-        df_at=lambda n: n - 1.0,
-        min_n=2.0,
-        allocation=(s.gamma0, s.gamma1),
-    )
-
-
-def _welch_given_ratio(u: np.ndarray, sig0: float, sig1: float, n0: float, n1: float):
-    """Per-ratio variance scale, d.f. and scaled critical multiplier inputs.
-
-    ``u`` is the variance-ratio statistic s1^2*sigma0^2 / (s0^2*sigma1^2),
-    distributed F(n1-1, n0-1) and independent of the pooled chi-square scale.
-    """
-    a1 = u * sig1 / n1
-    a0 = sig0 / n0
-    v_u = (n0 + n1 - 2.0) / ((n1 - 1.0) * u + (n0 - 1.0)) * (a1 + a0)
-    f_u = (a1 + a0) ** 2 / (a1 * a1 / (n1 - 1.0) + a0 * a0 / (n0 - 1.0))
-    return v_u, f_u
+        return fixed_df_kernel(0.0, effect, v, 2, allocation)
+    return fixed_df_kernel(0.0, effect, s.sigma_d_sq, 1, allocation)
 
 
 def welch_power(
@@ -209,8 +166,12 @@ def welch_power(
     n0, n1 = s.gamma0 * n, s.gamma1 * n
 
     def given(u):
+        # u = s1^2 sigma0^2 / (s0^2 sigma1^2), independent of the pooled
+        # chi-square scale, multiplies the second group's variance
         base = s.sigma1_sq / n1 + s.sigma0_sq / n0
-        v_u, f_u = _welch_given_ratio(u, s.sigma0_sq, s.sigma1_sq, n0, n1)
+        v1 = u * s.sigma1_sq
+        f_u = satterthwaite_df(s.sigma0_sq, v1, n0, n1)
+        v_u = (n0 + n1 - 2.0) / ((n1 - 1.0) * u + (n0 - 1.0)) * (v1 / n1 + s.sigma0_sq / n0)
         crit = dist.t_quantile(1.0 - alpha / 2.0, f_u) * np.sqrt(v_u / base)
         return math.sqrt(base), crit, n - 2.0
 

@@ -85,14 +85,11 @@ def toeplitz(first_row) -> np.ndarray:
 class LdlFactors:
     """Unit-lower-triangular L and positive diagonal lam with L diag(lam) L' = Sigma.
 
-    ``beta[j, t]`` (t < j) are the coefficients of visit t's outcome in the
-    factored regression for visit j; ``lam`` holds the per-visit innovation
-    variances.
+    ``lam`` holds the per-visit innovation variances.
     """
 
     l: np.ndarray
     lam: np.ndarray
-    beta: np.ndarray
 
 
 def ldl_decompose(sigma: np.ndarray) -> LdlFactors:
@@ -118,10 +115,7 @@ def ldl_decompose(sigma: np.ndarray) -> LdlFactors:
     if failing.size or info > 0:
         order = failing[0] + 1 if failing.size else info
         raise DecompositionError(f"leading minor of order {order} is not positive definite")
-    low = chol / np.diag(chol)
-    u = np.linalg.inv(low)
-    beta = -np.tril(u, -1)
-    return LdlFactors(l=low, lam=lam, beta=beta)
+    return LdlFactors(l=chol / np.diag(chol), lam=lam)
 
 
 def _check_schedules(r: np.ndarray, batch: bool) -> None:
@@ -223,13 +217,11 @@ class MmrmDesign:
 class MmrmDerived:
     """Expected analysis-stage quantities at a given (possibly fractional) n.
 
-    For a batch of retention schedules every field but ``n`` gains a leading
-    batch axis (the scalars become arrays), and entries whose formulas are
-    undefined are NaN.
+    For a batch of retention schedules every field gains a leading batch axis
+    (the scalars become arrays), and entries whose formulas are undefined are
+    NaN.
     """
 
-    n: float
-    varpi: np.ndarray
     v_tau: float
     v_tau_star: float
     f: float
@@ -291,8 +283,6 @@ def mmrm_derived(d: MmrmDesign, n: float) -> MmrmDerived:
 
     scalar = pibar.ndim == 1
     return MmrmDerived(
-        n=n,
-        varpi=varpi,
         v_tau=float(v_tau) if scalar else v_tau,
         v_tau_star=float(v_tau_star) if scalar else v_tau_star,
         f=float(f) if scalar else f,

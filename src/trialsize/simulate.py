@@ -44,6 +44,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
+from .core import check_alpha
+from .designs import satterthwaite_df
 from .equivalence import Margins
 from .errors import DomainError, InsufficientDataError, SimulationFailureError
 from .families import family_of
@@ -516,6 +518,18 @@ def _covariates(sc: ScenarioSpec, xb, u, out) -> np.ndarray | float:
 # z += mu`` is ``mu + sd * z`` bit for bit) to keep the chunk's memory down.
 
 
+def _one_sample_stats(y: np.ndarray):
+    """(est, se, df) of the one-sample t test on each row of ``y``."""
+    count, n = y.shape
+    return y.mean(axis=1), np.sqrt(y.var(axis=1, ddof=1) / n), np.full(count, float(n - 1))
+
+
+def _pooled_variance(v0: np.ndarray, v1: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """The pooled variance of two groups of sizes n0 and n1 with sample
+    variances v0 and v1, on n0 + n1 - 2 d.f."""
+    return ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
+
+
 def _simulate_one_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
     design = sc.design
     n = int(n_per_group[0])
@@ -525,10 +539,7 @@ def _simulate_one_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, s
     (y,) = _draw(seed, start, count, ("standard_normal", (n,)))
     y *= math.sqrt(design.sigma_sq)
     y += design.mu
-    est = y.mean(axis=1)
-    se = np.sqrt(y.var(axis=1, ddof=1) / n)
-    df = np.full(count, float(n - 1))
-    return est, se, df
+    return _one_sample_stats(y)
 
 
 def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -543,19 +554,13 @@ def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, s
     y0 += design.mu0
     y1 *= math.sqrt(design.sigma1_sq)
     y1 += design.mu1
-    m0, m1 = y0.mean(axis=1), y1.mean(axis=1)
+    est = y1.mean(axis=1) - y0.mean(axis=1)
     v0 = y0.var(axis=1, ddof=1)
     v1 = y1.var(axis=1, ddof=1)
-    est = m1 - m0
     if design.equal_variance:
-        pooled = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
-        se = np.sqrt(pooled * (1.0 / n0 + 1.0 / n1))
-        df = np.full(count, float(n0 + n1 - 2))
-    else:
-        a0, a1 = v0 / n0, v1 / n1
-        se = np.sqrt(a0 + a1)
-        df = (a0 + a1) ** 2 / (a0**2 / (n0 - 1) + a1**2 / (n1 - 1))
-    return est, se, df
+        se = np.sqrt(_pooled_variance(v0, v1, n0, n1) * (1.0 / n0 + 1.0 / n1))
+        return est, se, np.full(count, float(n0 + n1 - 2))
+    return est, np.sqrt(v0 / n0 + v1 / n1), satterthwaite_df(v0, v1, n0, n1)
 
 
 def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -574,17 +579,11 @@ def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, st
     d0 += effect + delta
     d1 *= sd
     d1 += effect - delta
-    if design.period_effect_in_analysis:
-        est = 0.5 * (d0.mean(axis=1) + d1.mean(axis=1))
-        ss = d0.var(axis=1, ddof=1) * (n0 - 1) + d1.var(axis=1, ddof=1) * (n1 - 1)
-        sig_d = ss / (n - 2)
-        se = np.sqrt(n * sig_d / (4.0 * n0 * n1))
-        df = np.full(count, float(n - 2))
-    else:
-        est = d.mean(axis=1)
-        se = np.sqrt(d.var(axis=1, ddof=1) / n)
-        df = np.full(count, float(n - 1))
-    return est, se, df
+    if not design.period_effect_in_analysis:
+        return _one_sample_stats(d)
+    est = 0.5 * (d0.mean(axis=1) + d1.mean(axis=1))
+    sig_d = _pooled_variance(d0.var(axis=1, ddof=1), d1.var(axis=1, ddof=1), n0, n1)
+    return est, np.sqrt(n * sig_d / (4.0 * n0 * n1)), np.full(count, float(n - 2))
 
 
 def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
@@ -691,8 +690,7 @@ def simulate_power(
     designs).  Deterministic for a fixed seed regardless of chunking; aborts
     if analysis failures exceed 0.1% of replicates.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     family = family_of(sc.design)
     reps = int(replicates if replicates is not None else (sc.replicates or family.replicates))
     if reps < 1:

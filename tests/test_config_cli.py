@@ -345,6 +345,28 @@ DOMAIN_CASES = {
         "DomainError: seed must lie in [0, 2**128)",
         "simulation: seed must lie in [0, 2**128)",
     ),
+    # an alpha whose level 1 - alpha/2 rounds to 1 has infinite critical values
+    "alpha_level_rounding_to_one": (
+        ["size"],
+        ["--alpha", "1e-300"],
+        lambda doc: doc.update(alpha=1e-300),
+        "DomainError: alpha must lie in (0, 1) with 1 - alpha/2 below 1",
+        "alpha: must lie in (0, 1) with 1 - alpha/2 below 1",
+    ),
+    "alpha_level_rounding_to_one_power": (
+        ["power", "--n", "40"],
+        ["--alpha", "1e-300"],
+        lambda doc: doc.update(alpha=1e-300),
+        "DomainError: alpha must lie in (0, 1) with 1 - alpha/2 below 1",
+        "alpha: must lie in (0, 1) with 1 - alpha/2 below 1",
+    ),
+    "alpha_level_rounding_to_one_simulate": (
+        ["simulate", "--n", "100", "--reps", "20"],
+        ["--alpha", "1e-300"],
+        lambda doc: doc.update(alpha=1e-300),
+        "DomainError: alpha must lie in (0, 1) with 1 - alpha/2 below 1",
+        "alpha: must lie in (0, 1) with 1 - alpha/2 below 1",
+    ),
 }
 DOMAIN_FIXTURE = "table5_m_10"  # two-sample equivalence: has alpha, margins and simulation
 
@@ -358,6 +380,40 @@ def test_out_of_domain_flag_exits_one(capsys, case):
     assert out == ""
     assert err.startswith(f"error: {flag_error}")
     assert "Traceback" not in err
+
+
+def test_target_power_whose_level_rounds_to_one_exits_one(capsys):
+    # equivalence sizes each one-sided test at (1 + power)/2, which is 1.0 here
+    path = str(fixture_path("table5_m_05"))
+    code, out, err = run_cli(capsys, "size", "--design", path, "--power", "0.9999999999999999")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "error: DomainError: target power 0.9999999999999999 must lie in (0, 1), its level below 1"
+    )
+
+
+def test_margins_whose_square_overflows_exit_one(capsys):
+    # the half-width's square is inf, so the normal size is 0
+    path = str(fixture_path("table1_equal_050"))
+    code, out, err = run_cli(capsys, "size", "--design", path, "--margins=-1e300,1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: DomainError: two-step size undefined: first-pass size 0.000")
+    assert "OverflowError" not in err
+
+
+def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path):
+    doc = json.loads(json.dumps(BASE_TWO_SAMPLE))
+    doc["design"].update(sigma0_sq=1e300, sigma1_sq=1e300, mu1=1e-140)
+    code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "error: DomainError: normal-approximation size not finite: the effect 1e-140 is too "
+        "small for the variance scale 4e+300"
+    )
+    assert "OverflowError" not in err
 
 
 # One fixture per design family (and the Welch and equivalence powers).  A

@@ -14,7 +14,7 @@ from scipy import integrate, special, stats
 
 from trialsize import designs, dist
 from trialsize.ancova import AncovaSpec, ancova_power_exact
-from trialsize.designs import TwoSampleSpec, _welch_given_ratio
+from trialsize.designs import TwoSampleSpec
 from trialsize.equivalence import (
     Margins,
     _phillips_integral,
@@ -306,7 +306,12 @@ def welch_case(kind, ratio, gamma0, n, alpha=0.05):
     tau1 = spec.mu1 - spec.mu0
 
     def h(u):
-        v_u, f_u = _welch_given_ratio(u, 1.0, ratio, n0, n1)
+        # given the variance ratio u, the Welch variance is a1 + a0 with
+        # a1 = u ratio/n1 and a0 = 1/n0, on Satterthwaite's d.f., and its
+        # scale over the pooled chi-square v(u)
+        a1, a0 = u * ratio / n1, 1.0 / n0
+        f_u = (a1 + a0) ** 2 / (a1 * a1 / (n1 - 1.0) + a0 * a0 / (n0 - 1.0))
+        v_u = (n0 + n1 - 2.0) / ((n1 - 1.0) * u + (n0 - 1.0)) * (a1 + a0)
         return stats.t.ppf(1.0 - alpha / 2.0, f_u) * math.sqrt(v_u / base)
 
     a_up, b_low = (margins.upper - tau1) / math.sqrt(base), (margins.lower - tau1) / math.sqrt(base)

@@ -56,7 +56,7 @@ class TestLdl:
     def test_two_by_two_hand_case(self):
         # oracle: Gaussian elimination by hand on [[4,2],[2,3]]
         f = mmrm.ldl_decompose(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert abs(f.beta[1, 0] - 0.5) < 1e-12
+        assert abs(f.l[1, 0] - 0.5) < 1e-12
         assert abs(f.lam[1] - 2.0) < 1e-12
         assert abs(f.lam[0] - 4.0) < 1e-12
 
