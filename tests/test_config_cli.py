@@ -393,14 +393,22 @@ def test_target_power_whose_level_rounds_to_one_exits_one(capsys):
     )
 
 
-def test_margins_whose_square_overflows_exit_one(capsys):
-    # the half-width's square is inf, so the normal size is 0
-    path = str(fixture_path("table1_equal_050"))
-    code, out, err = run_cli(capsys, "size", "--design", path, "--margins=-1e300,1e300")
+@pytest.mark.parametrize(
+    "name,margins,message",
+    [
+        # the half-width's square is inf, so the normal size is 0
+        ("table1_equal_050", "-1e300,1e300", "two-step size undefined: first-pass size 0.000"),
+        # the half-width's square is 0
+        ("table5_m_05", "-1e-200,1e-200", "the effect 1e-200 is too close to the null value"),
+    ],
+)
+def test_margins_whose_square_leaves_the_float_range_exit_one(capsys, name, margins, message):
+    path = str(fixture_path(name))
+    code, out, err = run_cli(capsys, "size", "--design", path, f"--margins={margins}")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: DomainError: two-step size undefined: first-pass size 0.000")
-    assert "OverflowError" not in err
+    assert err.startswith(f"error: DomainError: {message}")
+    assert "OverflowError" not in err and "ZeroDivisionError" not in err
 
 
 def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path):
