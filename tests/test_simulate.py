@@ -308,6 +308,22 @@ ENGINE_PINS = {
         (6, 6),
         (1253, 0),
     ),
+    # a noise variance other than 1, with and without a factor
+    "ancova_baseline_noise_scale": (
+        ts.AncovaSpec(tau1=0.9, tau0=0.0, sigma_sq=2.7, q=1),
+        {"intercept": 0.3, "baseline_effect": 0.5},
+        (9, 14),
+        (1042, 0),
+    ),
+    "ancova_factor_noise_scale": (
+        ts.AncovaSpec(tau1=0.7, tau0=0.0, sigma_sq=0.6, q=2),
+        {
+            "intercept": -0.4,
+            "factor": FactorSpec(probs=(0.2, 0.3, 0.5), effects=(0.1, 0.4, -0.4)),
+        },
+        (8, 8),
+        (1689, 0),
+    ),
 }
 
 
