@@ -10,9 +10,12 @@ patterns, means and covariate columns are computed once per chunk.  Draw
 order within a replicate is fixed per design family:
 
 * one-sample / two-sample / crossover:  one standard-normal block
-* covariate-adjusted:      baseline normals, factor uniforms, outcome normals
-* repeated measures:       baseline normals, factor uniforms, dropout
-                           uniforms, visit-error normals (n x p, row-major)
+* covariate-adjusted and repeated measures:  baseline normals, factor
+  uniforms, dropout uniforms (repeated measures only), error normals
+  (n x p, row-major; p = 1 for covariate adjustment)
+
+One generator, ``_trials``, draws both: a covariate-adjusted trial is the
+one-visit repeated-measures trial without a dropout model.
 
 Analyses mirror the estimators the power formulas target: pooled and Welch
 t tests, least-squares covariate adjustment, and the factored per-visit
@@ -26,10 +29,11 @@ both run one least-squares body, ``_fit_visits``: per visit, one sweep of an
 augmented Gram matrix over the whole chunk.  The sweep skips a covariate
 column that adds nothing to the rank (e.g. an empty factor level in a tiny
 trial), which is the generalized-inverse fit on the kept columns, so such a
-replicate stays in the batch.  ``analyze_ancova`` and ``analyze_mmrm`` are
-the same body for one dataset.  Genuinely unanalyzable replicates (too few
-completers at a visit to fit its regression) are counted as recorded
-failures and excluded from the denominator.  The run aborts if failures
+replicate stays in the batch.  ``analyze_mmrm`` is that body for one
+dataset, and ``analyze_ancova`` is ``analyze_mmrm`` with one visit.
+Genuinely unanalyzable replicates (too few completers at a visit to fit its
+regression) are counted as recorded failures and excluded from the
+denominator.  The run aborts if failures
 exceed 0.1% of replicates: beyond that, exclusion could bias the estimate by
 a nontrivial fraction of its Monte Carlo standard error.
 """
@@ -360,40 +364,6 @@ def _analyze_mmrm_chunk(yall, wobs, xcov, g, qs):
 # single-dataset analyses
 
 
-def _fit_one(y: np.ndarray, g, covariates, strict: bool) -> _VisitFits:
-    """One dataset through ``_fit_visits``; raises where it fails.
-
-    ``y`` is (n, p) with NaN at missed visits.  ``strict`` also raises when a
-    covariate column had to be dropped.
-    """
-    n, p = y.shape
-    g = np.asarray(g, dtype=float)
-    x = None
-    if covariates is not None and np.asarray(covariates).size:
-        x = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if x.shape[0] != n:
-            x = x.T
-    qs = 2 if x is None else x.shape[1] + 2
-    observed = ~np.isnan(y)
-    fits = _fit_visits(
-        np.where(observed, y, 0.0)[None], observed[None].astype(float),
-        None if x is None else x[None], g, qs,
-    )
-    for j in range(p):
-        m, r = int(fits.m[0, j]), int(fits.rank[0, j])
-        if not fits.kept[0, j, qs - 1]:
-            raise DomainError(f"visit {j + 1}: treatment effect is confounded; no analyzable fit")
-        if m <= r + j:
-            raise InsufficientDataError(
-                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
-            )
-        if strict and r < qs:
-            raise DomainError(f"visit {j + 1}: singular design matrix (collinear covariates)")
-        if not fits.history[0, j]:
-            raise DomainError(f"visit {j + 1}: earlier outcomes are collinear; no analyzable fit")
-    return fits
-
-
 def analyze_ancova(
     y: np.ndarray,
     treatment: np.ndarray,
@@ -407,13 +377,12 @@ def analyze_ancova(
     ``strict=False`` redundant columns are dropped (generalized-inverse
     behaviour) and the d.f. reflect the reduced rank.
     """
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    fits = _fit_one(y, treatment, covariates, strict)
+    fit = analyze_mmrm(np.asarray(y, dtype=float).reshape(-1, 1), treatment, covariates, strict)
     return AncovaFit(
-        tau_hat=float(fits.est[0]),
-        sigma_hat_sq=float(fits.sigma_sq[0, 0]),
-        v_x=float(fits.v_xj[0, 0]),
-        df=float(fits.df[0]),
+        tau_hat=fit.tau_hat,
+        sigma_hat_sq=float(fit.sigma_hat_sq[0]),
+        v_x=float(fit.v_xj[0]),
+        df=fit.satterthwaite_df,
     )
 
 
@@ -423,7 +392,8 @@ def analyze_mmrm(
     covariates: np.ndarray | None,
     strict: bool = True,
 ) -> MmrmFit:
-    """Fit the factored per-visit regressions under monotone missingness.
+    """Fit the factored per-visit regressions under monotone missingness:
+    one dataset through ``_fit_visits``, raising where it fails.
 
     ``y`` is (n, p) with NaN marking missed visits; the missingness pattern
     must be monotone (once missing, missing at all later visits).  Returns
@@ -440,8 +410,30 @@ def analyze_mmrm(
     observed = ~np.isnan(y)
     if np.any(observed[:, 1:] & ~observed[:, :-1]):
         raise DomainError("missingness must be monotone across visits")
-    fits = _fit_one(y, treatment, covariates, strict)
-    p, qs = y.shape[1], fits.kept.shape[2]
+    n, p = y.shape
+    g = np.asarray(treatment, dtype=float)
+    x = None
+    if covariates is not None and np.asarray(covariates).size:
+        x = np.atleast_2d(np.asarray(covariates, dtype=float))
+        if x.shape[0] != n:
+            x = x.T
+    qs = 2 if x is None else x.shape[1] + 2
+    fits = _fit_visits(
+        np.where(observed, y, 0.0)[None], observed[None].astype(float),
+        None if x is None else x[None], g, qs,
+    )
+    for j in range(p):
+        m, r = int(fits.m[0, j]), int(fits.rank[0, j])
+        if not fits.kept[0, j, qs - 1]:
+            raise DomainError(f"visit {j + 1}: treatment effect is confounded; no analyzable fit")
+        if m <= r + j:
+            raise InsufficientDataError(
+                f"visit {j + 1}: {m} retained subjects cannot support {r + j} parameters"
+            )
+        if strict and r < qs:
+            raise DomainError(f"visit {j + 1}: singular design matrix (collinear covariates)")
+        if not fits.history[0, j]:
+            raise DomainError(f"visit {j + 1}: earlier outcomes are collinear; no analyzable fit")
     return MmrmFit(
         theta=tuple(
             fits.coef[0, j, : qs + j][np.concatenate([fits.kept[0, j], np.ones(j, dtype=bool)])]
@@ -481,35 +473,63 @@ def _draw(seed: int, start: int, count: int, *blocks):
     return arrays
 
 
-def _covariate_blocks(sc: ScenarioSpec, n: int, with_baseline: bool):
-    """The covariate blocks of ``_draw``, in the fixed order: baseline
-    normals, factor uniforms."""
-    return (
-        ("standard_normal", (n,)) if with_baseline else None,
-        ("random", (n,)) if sc.factor is not None else None,
-    )
+def _trials(sc: ScenarioSpec, n0: int, g, seed, start, count, intercepts, baseline_effects,
+            effects, scale, pattern=None):
+    """One chunk of covariate-adjusted trials with p visits: outcomes
+    (count, n, p), the observed-visit weights (count, n, p) and the
+    covariates (count, n, q) or None.  ANCOVA is the case p = 1 without
+    dropout.
 
-
-def _covariates(sc: ScenarioSpec, xb, u, out) -> np.ndarray | float:
-    """One chunk's covariates from the draws of ``_covariate_blocks``.
-
-    Writes the design columns into ``out`` (count, n, columns): the baseline,
-    then one indicator per factor level but the last, which is the analysis
-    reference.  Returns the factor effects (count, n), or 0.0 without a
-    factor.
+    Per visit, the mean is the intercept, plus the factor level's effect, the
+    treatment effect in the second arm (``g``) and the baseline effect times
+    the baseline (no baseline when ``baseline_effects`` is None); the errors
+    are ``scale`` (p, p) times standard normals.  ``pattern`` holds per arm
+    the cumulative probabilities of the last observed visit 0 .. p, or is
+    None for no dropout model: then no dropout uniforms are drawn and every
+    visit is observed.  The design columns are the baseline, then one
+    indicator per factor level but the last, which is the analysis reference.
+    A function of its own, so that the draws and the means are freed before
+    the analysis runs.
     """
-    c = 0
-    if xb is not None:
-        out[:, :, 0] = xb
-        c = 1
-    if sc.factor is None:
-        return 0.0
-    levels = np.minimum(
-        np.searchsorted(np.cumsum(sc.factor.probs), u, side="right"), sc.factor.n_dummies
+    n, p = g.size, len(intercepts)
+    # the outputs before the draws, so that the freed draws leave one block
+    # the analysis can reuse (allocated after them, the outputs raised the
+    # peak RSS of a run over the MMRM fixtures by about 5%)
+    yall = np.empty((count, n, p))
+    wobs = np.empty((count, n, p))
+    xcov = np.empty((count, n, sc.design.q)) if sc.design.q else None
+    xb, u, dropout, z = _draw(
+        seed, start, count,
+        ("standard_normal", (n,)) if baseline_effects is not None else None,
+        ("random", (n,)) if sc.factor is not None else None,
+        ("random", (n,)) if pattern is not None else None,
+        ("standard_normal", (n, p)),
     )
-    for lev in range(sc.factor.n_dummies):
-        out[:, :, c + lev] = levels == lev
-    return np.asarray(sc.factor.effects)[levels]
+    noise = z @ scale.T
+    del z
+    fac_eff = 0.0
+    if xb is not None:
+        xcov[:, :, 0] = xb
+    if sc.factor is not None:
+        dummies = sc.factor.n_dummies
+        levels = np.minimum(np.searchsorted(np.cumsum(sc.factor.probs), u, side="right"), dummies)
+        for lev in range(dummies):
+            xcov[:, :, (xb is not None) + lev] = levels == lev
+        fac_eff = np.asarray(sc.factor.effects)[levels]
+    if pattern is None:
+        wobs.fill(1.0)
+    else:
+        last = np.empty((count, n), dtype=np.int64)
+        last[:, :n0] = np.searchsorted(pattern[0], dropout[:, :n0], side="right")
+        last[:, n0:] = np.searchsorted(pattern[1], dropout[:, n0:], side="right")
+        np.less_equal(np.arange(1, p + 1), last[:, :, None], out=wobs)
+    np.add(intercepts, np.asarray(fac_eff)[..., None], out=yall)
+    yall += np.outer(g, effects)
+    if xb is not None:
+        for j, effect in enumerate(baseline_effects):
+            yall[:, :, j] += effect * xb
+    yall += noise
+    return yall, wobs, xcov
 
 
 # Each engine draws and analyses one chunk of replicates, ``start`` onward and
@@ -589,91 +609,46 @@ def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, st
 def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
     design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
-    n = n0 + n1
     k = design.q + 2
-    if n <= k:
-        raise InsufficientDataError(f"need more than {k} subjects, got {n}")
+    if n0 + n1 <= k:
+        raise InsufficientDataError(f"need more than {k} subjects, got {n0 + n1}")
     g = np.concatenate([np.zeros(n0), np.ones(n1)])
     count = min(_CHUNK, stop - start)
-    xcov = np.empty((count, n, design.q)) if design.q else None
-    xb, u, y = _draw(
-        seed, start, count,
-        *_covariate_blocks(sc, n, sc.baseline_effect is not None),
-        ("standard_normal", (n,)),
+    baseline = None if sc.baseline_effect is None else (sc.baseline_effect,)
+    yall, wobs, xcov = _trials(
+        sc, n0, g, seed, start, count, (sc.intercept,), baseline, (design.tau1,),
+        np.array([[math.sqrt(design.sigma_sq)]]),
     )
-    mean = sc.intercept + _covariates(sc, xb, u, xcov) + design.tau1 * g
-    if xb is not None:
-        mean = mean + sc.baseline_effect * xb
-    y *= math.sqrt(design.sigma_sq)
-    y += mean
-    del xb, u, mean
-    est, se, df, _ = _analyze_mmrm_chunk(y[:, :, None], np.ones((count, n, 1)), xcov, g, k)
+    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, k)
     return est, se, df
 
 
 def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
     design = sc.design
     n0, n1 = int(n_per_group[0]), int(n_per_group[1])
-    n = n0 + n1
+    n, p = n0 + n1, design.p
     g = np.concatenate([np.zeros(n0), np.ones(n1)])
-    chunk = max(128, min(2048, int(1e6 / (n * design.p))))
+    chunk = max(128, min(2048, int(1e6 / (n * p))))
     count = min(chunk, stop - start)
-    yall, wobs, xcov = _mmrm_trials(sc, n0, g, seed, start, count)
-    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
-    return est, se, df
-
-
-def _mmrm_trials(sc: ScenarioSpec, n0: int, g, seed: int, start: int, count: int):
-    """One chunk of repeated-measures trials: outcomes (count, n, p), the
-    observed-visit weights (count, n, p) and the covariates (count, n, q* - 2)
-    or None.  A function of its own, so that the draws and the means are
-    freed before the analysis runs."""
-    design = sc.design
-    n, p, qs = g.size, design.p, design.q_star
-    factors = design.factors
-    chol = factors.l * np.sqrt(factors.lam)[None, :]
-    vis_int = np.asarray(sc.visit_intercepts if sc.visit_intercepts is not None else np.zeros(p))
-    vis_tau = np.zeros(p)
+    effects = np.zeros(p)
     if sc.visit_effects is not None:
-        vis_tau[:-1] = sc.visit_effects
-    vis_tau[-1] = design.tau_p1
-
-    # per-arm dropout pattern probabilities: P(last observed visit = j)
+        effects[:-1] = sc.visit_effects
+    effects[-1] = design.tau_p1
+    # per-arm dropout pattern probabilities: P(last observed visit = j), drawn
+    # even at full retention, so that every repeated-measures trial keeps
+    # its stream
     pattern = []
     for arm in design.retention:
         pi = np.concatenate([[1.0], np.asarray(arm), [0.0]])
-        probs = np.empty(p + 1)
-        probs[0] = 1.0 - pi[1]
-        for j in range(1, p + 1):
-            probs[j] = pi[j] - pi[j + 1]
-        pattern.append(np.cumsum(probs))
-
-    # the outputs before the draws, so that the freed draws leave one block
-    # the analysis can reuse (allocated after them, the outputs raised the
-    # peak RSS of a run over the MMRM fixtures by about 5%)
-    yall = np.empty((count, n, p))
-    wobs = np.empty((count, n, p))
-    xcov = np.empty((count, n, qs - 2)) if qs > 2 else None
-    xb, u, dropout, z = _draw(
-        seed, start, count,
-        *_covariate_blocks(sc, n, sc.visit_baseline_effects is not None),
-        ("random", (n,)),
-        ("standard_normal", (n, p)),
+        pattern.append(np.cumsum(np.concatenate([[1.0 - pi[1]], pi[1:-1] - pi[2:]])))
+    yall, wobs, xcov = _trials(
+        sc, n0, g, seed, start, count,
+        np.asarray(sc.visit_intercepts if sc.visit_intercepts is not None else np.zeros(p)),
+        sc.visit_baseline_effects, effects,
+        design.factors.l * np.sqrt(design.factors.lam)[None, :], pattern,
     )
-    noise = z @ chol.T
-    del z
-    fac_eff = _covariates(sc, xb, u, xcov)
-    last = np.empty((count, n), dtype=np.int64)
-    last[:, :n0] = np.searchsorted(pattern[0], dropout[:, :n0], side="right")
-    last[:, n0:] = np.searchsorted(pattern[1], dropout[:, n0:], side="right")
-    np.less_equal(np.arange(1, p + 1), last[:, :, None], out=wobs)
-    np.add(vis_int, np.asarray(fac_eff)[..., None], out=yall)
-    yall += np.outer(g, vis_tau)
-    if xb is not None:
-        for j, effect in enumerate(sc.visit_baseline_effects):
-            yall[:, :, j] += effect * xb
-    yall += noise
-    return yall, wobs, xcov
+    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
+    return est, se, df
 
 
 def simulate_power(
