@@ -216,7 +216,7 @@ def expected_power(
     (MMRM hands (se, f) to its own wrapper of a conditional).  Raises :class:`DomainError` for alpha
     outside ``ALPHA_DOMAIN`` and for n that is not finite, above the size cap
     or not above ``min_n``, before ``given`` is called.  An exact ``method`` is
-    clipped to [0, 1]; an approximation is returned as computed, with
+    clipped to [0, 1] (a NaN stays NaN); an approximation is returned as computed, with
     ``approximation_valid`` False exactly where it is negative (a NaN entry
     of a batch, undefined, is marked by its value).
     """
@@ -232,7 +232,8 @@ def expected_power(
     if method in _APPROXIMATIONS:
         valid = ~(np.asarray(value) < 0.0)
         return PowerEstimate(value, method, n, valid if valid.ndim else bool(valid))
-    return PowerEstimate(min(1.0, max(0.0, value)), method, n)
+    # max(0.0, nan) is 0.0: a NaN is kept, not clipped to a power of 0
+    return PowerEstimate(value if np.isnan(value) else min(1.0, max(0.0, value)), method, n)
 
 
 def two_tailed(delta: float) -> Callable:
@@ -307,7 +308,7 @@ def size_chain(
     inversion          the root of exact(n) = power
 
     Raises :class:`DomainError` for a target level that rounds to 1, for an
-    effect whose square is 0, for an n_b that is not finite, and, for the
+    effect whose square is 0 or overflows, for an n_b that is not finite, and, for the
     two-step row, for ntilde at or below ``model.min_n`` and for a
     non-positive f(ntilde); C raises it for a size too small to correct.
     ``two_step=False`` leaves out the two-step row and its checks.
@@ -318,6 +319,8 @@ def size_chain(
         raise DomainError(f"target power {power!r} must lie in (0, 1), its level below 1")
     if delta * delta == 0.0:
         raise DomainError(f"the effect {delta:g} is too close to the null value to size for")
+    if not math.isfinite(delta * delta):
+        raise DomainError(f"the effect {delta:g} is too large to size for: its square overflows")
     correct = model.correct or (lambda n: n)
 
     def base(z_alpha: float, z_power: float) -> float:

@@ -5,7 +5,8 @@ Everything downstream (power formulas, sample-size inversion, equivalence
 integrals) is built on the routines in this module.  Every noncentral tail is
 ``scipy.stats.nct.sf``: the t CDF by reflection, Pr[t(f, lam) <= x] =
 Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
-tails.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
+tails.  Where scipy's tail is NaN for arguments that are not (a noncentrality
+of 1e10 or more), both raise :class:`DomainError` naming it.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
 returns NaN on part of the (f, lam, x) range the power formulas reach.
 
 Every integral the package computes is an expectation over a weight law, by
@@ -236,7 +237,7 @@ def t_cdf(x, f, lam=0.0):
         raise DomainError("t_cdf: noncentrality must be finite")
     if np.isnan(x).any():
         raise DomainError("t_cdf: x must not be NaN")
-    return _scalar_or_array(stats.nct.sf(np.negative(x), f, np.negative(lam)))
+    return _scalar_or_array(_nct_sf(np.negative(x), f, np.negative(lam)))
 
 
 def t_quantile(p, f):
@@ -261,5 +262,20 @@ def _f_sf(x, f, lam_sq):
     """
     # the two tails, lam and -lam, on a trailing axis
     lam = np.sqrt(lam_sq)[..., None] * _SIGNS
-    tails = stats.nct.sf(np.sqrt(x)[..., None], np.asarray(f)[..., None], lam).sum(axis=-1)
+    tails = _nct_sf(np.sqrt(x)[..., None], np.asarray(f)[..., None], lam).sum(axis=-1)
     return _scalar_or_array(tails)
+
+
+def _nct_sf(x, f, lam):
+    """``stats.nct.sf(x, f, lam)``, raising :class:`DomainError` where it is
+    NaN though no argument is: scipy's tail is NaN once |lam| reaches about
+    1e10."""
+    tails = stats.nct.sf(x, f, lam)
+    undefined = np.isnan(tails) & ~(np.isnan(x) | np.isnan(f) | np.isnan(lam))
+    if undefined.any():
+        lam = np.broadcast_to(lam, undefined.shape)[undefined].flat[0]
+        raise DomainError(
+            f"the noncentral t tail is undefined at noncentrality {lam:.6g} "
+            "(scipy computes it only below about 1e10 in magnitude)"
+        )
+    return tails

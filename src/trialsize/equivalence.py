@@ -121,11 +121,13 @@ def _phillips_integral(a_up, b_low, scale, f: float):
 
     The rule is the one :func:`dist.integrate` uses, on panels between the
     quantiles of chi2_f/f, with the edges clipped per entry at the
-    positivity cutoff.
+    positivity cutoff.  The cutoff's root is capped at 1e150 before it is
+    squared: a cutoff of 1e300 lies above every panel edge, as any larger
+    one would.
     """
     a_up, b_low, scale = (x[..., None] for x in np.broadcast_arrays(a_up, b_low, scale))
     edges = dist._chi2_over_f_quantile(dist._PANEL_EDGES, f)
-    cutoff = ((a_up - b_low) / (2.0 * scale)) ** 2
+    cutoff = np.minimum((a_up - b_low) / (2.0 * scale), 1e150) ** 2
     v, weights = dist._panel_rule(np.log(np.maximum(edges[0], np.minimum(edges, cutoff))))
     root = scale * np.exp(0.5 * v)
     weights = weights * np.exp(dist._log_scaled_chi2_density(np.exp(v), f) + v)

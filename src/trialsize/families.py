@@ -31,6 +31,34 @@ __all__ = ["FAMILIES", "Family", "Objective", "family_of"]
 # reading a design file's fields
 
 
+class _Fields(dict):
+    """A design file's JSON object that records the keys read from it."""
+
+    def __init__(self, value: dict):
+        super().__init__(value)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _block(value: dict, path: str, read: Callable):
+    """``read(block)`` on the JSON object ``value``, the block at ``path`` (""
+    for the document); a key that ``read`` left unread is then an error that
+    names its path."""
+    block = _Fields(value)
+    out = read(block)
+    for key in value:
+        if key not in block.read:
+            raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+    return out
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise ConfigError(f"{path}.{key}: required field is missing")
@@ -77,20 +105,24 @@ def _covariance(value, path: str) -> np.ndarray:
             raise ConfigError(f"{path}: expected a square matrix, got shape {mat.shape}")
         return mat
     if isinstance(value, dict):
-        field = partial(_field, value, path)
-        kind = _require(value, "structure", path)
-        if kind in ("cs", "ar1"):
-            size = field("size", _integer)
-            if size < 1:
-                raise ConfigError(f"{path}.size: must be at least 1, got {size}")
-        if kind == "cs":
-            return mmrm.compound_symmetry(size, field("variance"), field("covariance"))
-        if kind == "ar1":
-            return mmrm.ar1(size, field("variance"), field("corr"))
-        if kind == "toeplitz":
-            return mmrm.toeplitz(field("first_row", _numbers))
-        raise ConfigError(f"{path}.structure: unknown structure {kind!r}")
+        return _block(value, path, partial(_structure, path=path))
     raise ConfigError(f"{path}: expected a matrix or a structure object")
+
+
+def _structure(block: dict, path: str) -> np.ndarray:
+    field = partial(_field, block, path)
+    kind = _require(block, "structure", path)
+    if kind in ("cs", "ar1"):
+        size = field("size", _integer)
+        if size < 1:
+            raise ConfigError(f"{path}.size: must be at least 1, got {size}")
+    if kind == "cs":
+        return mmrm.compound_symmetry(size, field("variance"), field("covariance"))
+    if kind == "ar1":
+        return mmrm.ar1(size, field("variance"), field("corr"))
+    if kind == "toeplitz":
+        return mmrm.toeplitz(field("first_row", _numbers))
+    raise ConfigError(f"{path}.structure: unknown structure {kind!r}")
 
 
 def _gamma0(block: dict, path: str) -> float:

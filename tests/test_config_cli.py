@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -396,8 +397,8 @@ def test_target_power_whose_level_rounds_to_one_exits_one(capsys):
 @pytest.mark.parametrize(
     "name,margins,message",
     [
-        # the half-width's square is inf, so the normal size is 0
-        ("table1_equal_050", "-1e300,1e300", "two-step size undefined: first-pass size 0.000"),
+        # the half-width's square is inf
+        ("table1_equal_050", "-1e300,1e300", "the effect 1e+300 is too large to size for"),
         # the half-width's square is 0
         ("table5_m_05", "-1e-200,1e-200", "the effect 1e-200 is too close to the null value"),
     ],
@@ -409,6 +410,57 @@ def test_margins_whose_square_leaves_the_float_range_exit_one(capsys, name, marg
     assert out == ""
     assert err.startswith(f"error: DomainError: {message}")
     assert "OverflowError" not in err and "ZeroDivisionError" not in err
+
+
+@pytest.mark.parametrize("command", [["power", "--n", "20"], ["size"]])
+def test_huge_margins_end_in_a_named_error(capsys, command):
+    path = str(fixture_path("table5_m_05"))
+    code, out, err = run_cli(capsys, command[0], "--design", path, "--margins=-1e300,1e300",
+                             *command[1:])
+    assert code == 1
+    assert out == ""
+    # power: the exact row is finite, and the approximate row's tails are not
+    assert err.startswith(
+        "error: DomainError: the noncentral t tail is undefined at noncentrality -1.41421e+300"
+        if command[0] == "power" else "error: DomainError: the effect 1e+300 is too large"
+    )
+
+
+def test_exact_equivalence_power_at_huge_margins():
+    # the Phillips integral's positivity cutoff used to overflow when squared
+    from trialsize.equivalence import Margins, ts_unequal_equiv_power
+
+    cfg = load_design(fixture_path("table5_m_05"))
+    with np.errstate(all="raise"):
+        est = ts_unequal_equiv_power(cfg.design, Margins.equivalence(-1e300, 1e300), 20, cfg.alpha)
+    assert 0.99999 < est.value <= 1.0
+
+
+# scipy's noncentral t tail is NaN once |noncentrality| reaches about 1e10;
+# these powers printed 0.00 or nan and exited 0
+NONCENTRALITY_CASES = {
+    "pooled_tiny_variance": (
+        "table1_equal_050", {"sigma0_sq": 1e-20, "sigma1_sq": 1e-20}, ["--n", "40"], "1.58114e+10"
+    ),
+    "ancova_tiny_variance": ("table2_q3_100", {"sigma_sq": 1e-20}, ["--n", "40"], "3.16228e+10"),
+    "mmrm_huge_effect": ("table3_un_q1_m12", {"tau_p1": -1e12}, ["--n", "40"], "4.27646e+11"),
+    "equivalence_huge_margins": (
+        "table5_m_05", {}, ["--n", "20", "--margins=-1e20,1e20"], "-1.41421e+20"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NONCENTRALITY_CASES)
+def test_noncentrality_beyond_scipy_range_exits_one(capsys, tmp_path, case):
+    name, design, flags, lam = NONCENTRALITY_CASES[case]
+    doc = json.loads(fixture_path(name).read_text())
+    doc["design"].update(design)
+    code, out, err = run_cli(capsys, "power", "--design", write_design(tmp_path, doc), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        f"error: DomainError: the noncentral t tail is undefined at noncentrality {lam} "
+    )
 
 
 def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path):
@@ -460,6 +512,43 @@ def test_out_of_domain_design_field_exits_two(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith(f"error: {file_error}")
     assert "Traceback" not in err
+
+
+# A key the schema does not read, at each level of the document: a typo used
+# to leave its field at the default, and the file was sized as if it were right.
+UNKNOWN_KEYS = {
+    "design.gama0": ("table2_q3_100", lambda doc: doc["design"].update(gama0=0.3)),
+    "target_powr": ("table2_q3_100", lambda doc: doc.update(target_powr=0.9)),
+    "alhpa": ("table1_equal_050", lambda doc: doc.update(alhpa=0.01)),
+    # a margin without the noninferiority objective: sized as superiority
+    "margin": ("table1_equal_050", lambda doc: doc.update(margin=-0.2)),
+    "margins.kind": ("table5_m_10", lambda doc: doc["margins"].update(kind="equivalence")),
+    "simulation.replicate": ("table2_q3_100", lambda doc: doc["simulation"].update(replicate=9)),
+    "simulation.generator.intercpt": (
+        "table2_q3_100", lambda doc: doc["simulation"]["generator"].update(intercpt=1.0)
+    ),
+    "simulation.generator.visit_effect": (
+        "table6_ar1_q1_m4", lambda doc: doc["simulation"]["generator"].update(visit_effect=[1.0])
+    ),
+    "simulation.generator.factor.levels": (
+        "table2_q3_100",
+        lambda doc: doc["simulation"]["generator"]["factor"].update(levels=3),
+    ),
+    "design.covariance.covariance": (
+        "table6_ar1_q1_m4", lambda doc: doc["design"]["covariance"].update(covariance=20.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("field", UNKNOWN_KEYS)
+def test_unknown_key_is_named(capsys, tmp_path, field):
+    name, edit = UNKNOWN_KEYS[field]
+    doc = json.loads(fixture_path(name).read_text())
+    edit(doc)
+    code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {field}: unknown field\n"
 
 
 # Design-file fuzzing: each example takes a shipped fixture, applies one
@@ -585,6 +674,7 @@ def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().startswith("error: ")
+    assert "nan" not in out.getvalue()
     if named is not None:
         assert code == 2
         assert err.getvalue().startswith(f"error: {named}")
@@ -661,3 +751,152 @@ def test_edge_flag_values_end_in_an_exit_status(argv):
     if code:
         assert "error: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue()
+
+
+# Whole-document fuzzing: each example builds a design document from the
+# schema (every family and objective, each optional field present or absent,
+# numbers drawn from edge values) and runs one command on it.
+EDGE_VALUES = st.sampled_from(
+    [0.0, -1.0, 0.5, 1.0, 2.0, -8.0, 1e-9, -1e-9, 1e-300, 1e9, 1e300, -1e300]
+)
+# mostly valid, so that most documents reach the formulas
+VARIANCES = st.sampled_from([1.0, 0.5, 45.0, 1e-9, 1e-300, 1e9, 1e300, 0.0, -1.0])
+PROBABILITIES = st.sampled_from(
+    [0.05, 0.3, 0.5, 0.8, 1e-300, 0.9999999999999999, 0.0, 1.0]
+)
+GAMMAS = st.sampled_from([0.5, 0.3, 0.8, 1e-9, 1e-300, 0.0])
+
+
+def optional(**fields):
+    """A block with each of ``fields`` (name: strategy) present or absent."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def covariance_blocks(p: int):
+    return st.one_of(
+        st.builds(
+            lambda v, c: {"structure": "cs", "size": p, "variance": v, "covariance": c},
+            VARIANCES, EDGE_VALUES,
+        ),
+        st.builds(
+            lambda v, r: {"structure": "ar1", "size": p, "variance": v, "corr": r},
+            VARIANCES, st.sampled_from([-0.5, 0.0, 0.8, 1.0]),
+        ),
+        st.builds(
+            lambda row: {"structure": "toeplitz", "first_row": row},
+            st.lists(VARIANCES, min_size=p, max_size=p),
+        ),
+        st.lists(st.lists(EDGE_VALUES, min_size=p, max_size=p), min_size=p, max_size=p),
+    )
+
+
+def retention(p: int):
+    arm = st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.0]), min_size=p - 1, max_size=p - 1)
+    return st.lists(arm.map(lambda rest: [1.0, *sorted(rest, reverse=True)]), min_size=2,
+                    max_size=2)
+
+
+FACTORS = st.builds(lambda effects: {"probs": [0.2, 0.3, 0.5], "effects": effects},
+                    st.lists(EDGE_VALUES, min_size=3, max_size=3))
+QS = st.sampled_from([0, 1, 2, 3, 40])
+
+
+def family_documents(family: str):
+    """(design block, generator block) of one family."""
+    if family == "one_sample":
+        design = st.fixed_dictionaries(
+            {"mu": EDGE_VALUES, "sigma_sq": VARIANCES}, optional={"tau0": EDGE_VALUES}
+        )
+        return st.tuples(design, st.just({}))
+    if family == "two_sample":
+        design = st.fixed_dictionaries(
+            {"mu0": EDGE_VALUES, "mu1": EDGE_VALUES, "sigma0_sq": VARIANCES,
+             "sigma1_sq": VARIANCES},
+            optional={"gamma0": GAMMAS, "equal_variance": st.booleans()},
+        )
+        return st.tuples(design, st.just({}))
+    if family == "crossover":
+        design = st.fixed_dictionaries(
+            {"mu_star_a": EDGE_VALUES, "mu_star_b": EDGE_VALUES, "sigma_d_sq": VARIANCES},
+            optional={"gamma0": GAMMAS, "period_effect_in_analysis": st.booleans()},
+        )
+        return st.tuples(design, optional(period_effect=EDGE_VALUES))
+    if family == "ancova":
+        design = st.fixed_dictionaries(
+            {"tau1": EDGE_VALUES, "sigma_sq": VARIANCES, "q": QS},
+            optional={"tau0": EDGE_VALUES, "gamma0": GAMMAS},
+        )
+        generator = optional(intercept=EDGE_VALUES, baseline_effect=EDGE_VALUES, factor=FACTORS)
+        return st.tuples(design, generator)
+    return st.integers(1, 4).flatmap(
+        lambda p: st.tuples(
+            st.fixed_dictionaries(
+                {"covariance": covariance_blocks(p), "retention": retention(p), "q": QS,
+                 "tau_p1": EDGE_VALUES},
+                optional={"tau_p0": EDGE_VALUES, "gamma0": GAMMAS},
+            ),
+            optional(
+                visit_intercepts=st.lists(EDGE_VALUES, min_size=p, max_size=p),
+                visit_baseline_effects=st.lists(EDGE_VALUES, min_size=p, max_size=p),
+                visit_effects=st.lists(EDGE_VALUES, min_size=p - 1, max_size=p - 1),
+                factor=FACTORS,
+            ),
+        )
+    )
+
+
+def document(family: str, objective: str, blocks, top: dict, simulation: dict, margins):
+    design, generator = blocks
+    doc = {"family": family, "objective": objective, "design": design, **top}
+    if generator:
+        simulation = {**simulation, "generator": generator}
+    if simulation:
+        doc["simulation"] = simulation
+    if objective == "noninferiority":
+        doc["margin"] = margins[0]
+    elif objective == "equivalence" or (objective == "bioequivalence" and margins[2]):
+        doc["margins"] = {"lower": margins[0], "upper": margins[1]}
+    return doc
+
+
+DOCUMENTS = st.sampled_from(["one_sample", "two_sample", "crossover", "ancova", "mmrm"]).flatmap(
+    lambda family: st.builds(
+        document,
+        st.just(family),
+        st.sampled_from(["superiority", "noninferiority", "equivalence", "bioequivalence"]),
+        family_documents(family),
+        optional(alpha=PROBABILITIES, target_power=PROBABILITIES),
+        optional(replicates=st.sampled_from([0, 1, 50]), seed=st.sampled_from([0, 7, 2**128 - 1])),
+        st.tuples(
+            st.sampled_from([-1.0, -0.5, -8.0, -1e-9, -1e300, 0.5]),
+            st.sampled_from([1.0, 0.5, 8.0, 1e-9, 1e300, -0.5]),
+            st.booleans(),
+        ),
+    )
+)
+DOCUMENT_COMMANDS = st.one_of(
+    st.just(["size"]),
+    st.builds(lambda n: ["power", "--n", n], st.sampled_from(["3", "12.5", "40", "1000"])),
+    st.builds(
+        lambda n, reps: ["simulate", "--n", n, "--reps", reps],
+        st.sampled_from(["3", "12", "40", "200"]),
+        st.sampled_from(["1", "20", "50"]),
+    ),
+)
+
+
+@given(doc=DOCUMENTS, command=DOCUMENT_COMMANDS)
+@settings(max_examples=150, deadline=None)
+def test_schema_documents_end_in_an_exit_status(doc, command):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], "--design", str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue()

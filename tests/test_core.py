@@ -31,6 +31,13 @@ class TestPower:
         est = core.power_two_sided(equal_kernel(0.0), 40, ALPHA)
         assert abs(est.value - ALPHA) < 1e-9
 
+    def test_exact_nan_is_not_clipped(self):
+        # max(0.0, nan) is 0.0: an undefined power must not read as 0
+        est = core.expected_power(
+            lambda se, crit, f: math.nan, lambda _: (1.0, 2.0, 3.0), 10.0, alpha=ALPHA
+        )
+        assert math.isnan(est.value)
+
     def test_one_sample_oracle(self):
         # oracle: noncentral t tails of the defining mixture at 40-digit precision
         k = designs.one_sample_kernel(1.0, 0.0, 1.0)
@@ -183,6 +190,11 @@ class TestChain:
         k = designs.one_sample_kernel(2.2, 0.0, 1.0)  # normal size 1.62 <= min_n 2
         with pytest.raises(DomainError, match="first-pass size"):
             sizes(k)
+
+    def test_effect_whose_square_overflows(self):
+        k = equal_kernel(0.5)
+        with pytest.raises(DomainError, match="the effect 1e\\+300 is too large"):
+            core.size_chain(k, 1e300, ALPHA, POWER)
 
     def test_non_positive_two_step_df(self):
         k = dataclasses.replace(equal_kernel(0.5), df_at=lambda n: -1.0)

@@ -154,6 +154,13 @@ class TestTDistribution:
         with pytest.raises(DomainError):
             dist.t_cdf(1.0, -3.0)
 
+    def test_noncentrality_beyond_scipy_range_is_named(self):
+        # scipy's nct.sf is NaN once |lam| reaches about 1e10; 1e9 is computed
+        assert dist.t_cdf(2.0, 10.0, -1e9) == 1.0
+        for lam in (1e10, -1e12, np.array([0.5, 3e10])):
+            with pytest.raises(DomainError, match="undefined at noncentrality"):
+                dist.t_cdf(2.0, 10.0, lam)
+
     def test_quantile_median(self):
         assert abs(dist.t_quantile(0.5, 11.0)) < 1e-15
 
@@ -178,6 +185,16 @@ class TestFDistribution:
         assert abs(dist._f_sf(c * c, f, lam * lam) - 0.20402121374524675) < 1e-10
         rhs = (1.0 - dist.t_cdf(c, f, lam)) + dist.t_cdf(-c, f, lam)
         assert abs(dist._f_sf(c * c, f, lam * lam) - rhs) < 1e-9
+
+    def test_noncentrality_beyond_scipy_range_is_named(self):
+        assert dist._f_sf(4.0, 10.0, 1e18) == 1.0
+        with pytest.raises(DomainError, match="undefined at noncentrality 1e\\+10"):
+            dist._f_sf(4.0, 10.0, np.array([1.0, 1e20]))
+
+    def test_nan_arguments_stay_nan(self):
+        # the undefined entries of a batch, which the MMRM powers mask
+        tails = dist._f_sf(4.0, np.array([10.0, np.nan]), np.array([1.0, np.nan]))
+        assert np.isfinite(tails[0]) and np.isnan(tails[1])
 
     def test_vectorised_over_noncentrality(self):
         lam_sq = np.array([0.0, 0.5, 4.0, 30.0])
