@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from . import core
 from .core import SizeEstimate, TestKernel, apply_ni_margin
 from .equivalence import BE_ALPHA, BE_MARGINS, Margins
 from .errors import ConfigError, DomainError
-from .families import FAMILIES, _block, _field, _integer, _number, _numbers, _require
+from .families import FAMILIES, _field, _fields, _integer, _number, _numbers, _require
 from .simulate import FactorSpec, ScenarioSpec
 
 __all__ = ["ConfigError", "DesignConfig", "load_design", "parse_design"]
@@ -89,24 +88,14 @@ class DesignConfig:
 def _factor(value, path: str) -> FactorSpec:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object with probs/effects")
-
-    def read(block):
-        field = partial(_field, block, path, read=_numbers)
-        try:
-            return FactorSpec(probs=field("probs"), effects=field("effects"))
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-
-    return _block(value, path, read)
-
-
-def _equivalence_margins(block: dict) -> Margins:
-    lower = _number(_require(block, "lower", "margins"), "margins.lower")
-    upper = _number(_require(block, "upper", "margins"), "margins.upper")
     try:
-        return Margins.equivalence(lower, upper)
+        with _fields(value, path) as value:
+            return FactorSpec(
+                probs=_field(value, path, "probs", _numbers),
+                effects=_field(value, path, "effects", _numbers),
+            )
     except DomainError as exc:
-        raise ConfigError(f"margins: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _margins(doc: dict, objective: str, tau1: float):
@@ -116,7 +105,13 @@ def _margins(doc: dict, objective: str, tau1: float):
         block = _require(doc, "margins", "$")
         if not isinstance(block, dict):
             raise ConfigError("margins: expected an object with lower/upper")
-        return _block(block, "margins", _equivalence_margins)
+        with _fields(block, "margins") as block:
+            lower = _number(_require(block, "lower", "margins"), "margins.lower")
+            upper = _number(_require(block, "upper", "margins"), "margins.upper")
+        try:
+            return Margins.equivalence(lower, upper)
+        except DomainError as exc:
+            raise ConfigError(f"margins: {exc}") from None
     if objective == "noninferiority":
         m0 = _number(_require(doc, "margin", "$"), "margin")
         try:
@@ -129,15 +124,16 @@ def _margins(doc: dict, objective: str, tau1: float):
 def parse_design(doc: dict) -> DesignConfig:
     """Validate a parsed design document and build the runtime objects.
 
-    Every object of the document may hold only the keys its reader reads; any
+    Each object of the document may hold only the keys its reader reads; any
     other key is an error that names its path.
     """
     if not isinstance(doc, dict):
         raise ConfigError("$: design document must be a JSON object")
-    return _block(doc, "", _document)
+    with _fields(doc, "") as doc:
+        return _parse(doc)
 
 
-def _document(doc: dict) -> DesignConfig:
+def _parse(doc: dict) -> DesignConfig:
     family = _require(doc, "family", "$")
     if family not in FAMILIES:
         raise ConfigError(f"family: must be one of {tuple(FAMILIES)}, got {family!r}")
@@ -149,7 +145,8 @@ def _document(doc: dict) -> DesignConfig:
         raise ConfigError("design: expected an object")
     record = FAMILIES[family]
     try:
-        design = _block(block, "design", partial(record.parse, path="design"))
+        with _fields(block, "design") as block:
+            design = record.parse(block, "design")
     except DomainError as exc:
         raise ConfigError(f"design: {exc}") from None
     # a nonzero effect must have a normal square, since the size formulas
@@ -176,7 +173,32 @@ def _document(doc: dict) -> DesignConfig:
     sim = doc.get("simulation", {})
     if not isinstance(sim, dict):
         raise ConfigError("simulation: expected an object")
-    scenario = _block(sim, "simulation", partial(_simulation, design=design))
+    with _fields(sim, "simulation") as sim:
+        gen = sim.get("generator", {})
+        if not isinstance(gen, dict):
+            raise ConfigError("simulation.generator: expected an object")
+
+        def extra(key, read):
+            return read(gen[key], f"simulation.generator.{key}") if key in gen else None
+
+        try:
+            with _fields(gen, "simulation.generator") as gen:
+                scenario = ScenarioSpec(
+                    design=design,
+                    replicates=_integer(sim.get("replicates", 0), "simulation.replicates"),
+                    seed=_integer(sim.get("seed", 20240801), "simulation.seed"),
+                    intercept=_number(gen.get("intercept", 0.0), "simulation.generator.intercept"),
+                    baseline_effect=extra("baseline_effect", _number),
+                    factor=extra("factor", _factor),
+                    visit_intercepts=extra("visit_intercepts", _numbers),
+                    visit_baseline_effects=extra("visit_baseline_effects", _numbers),
+                    visit_effects=extra("visit_effects", _numbers),
+                    period_effect=_number(
+                        gen.get("period_effect", 0.0), "simulation.generator.period_effect"
+                    ),
+                )
+        except DomainError as exc:
+            raise ConfigError(f"simulation: {exc}") from None
 
     return DesignConfig(
         family=family,
@@ -187,36 +209,6 @@ def _document(doc: dict) -> DesignConfig:
         margins=margins,
         scenario=scenario,
     )
-
-
-def _simulation(sim: dict, design) -> ScenarioSpec:
-    gen = sim.get("generator", {})
-    if not isinstance(gen, dict):
-        raise ConfigError("simulation.generator: expected an object")
-    replicates = _integer(sim.get("replicates", 0), "simulation.replicates")
-    seed = _integer(sim.get("seed", 20240801), "simulation.seed")
-    path = "simulation.generator"
-
-    def extras(block: dict) -> dict:
-        def extra(key, read):
-            return read(block[key], f"{path}.{key}") if key in block else None
-
-        return dict(
-            intercept=_field(block, path, "intercept", default=0.0),
-            baseline_effect=extra("baseline_effect", _number),
-            factor=extra("factor", _factor),
-            visit_intercepts=extra("visit_intercepts", _numbers),
-            visit_baseline_effects=extra("visit_baseline_effects", _numbers),
-            visit_effects=extra("visit_effects", _numbers),
-            period_effect=_field(block, path, "period_effect", default=0.0),
-        )
-
-    try:
-        return ScenarioSpec(
-            design=design, replicates=replicates, seed=seed, **_block(gen, path, extras)
-        )
-    except DomainError as exc:
-        raise ConfigError(f"simulation: {exc}") from None
 
 
 def load_design(path: str | Path) -> DesignConfig:

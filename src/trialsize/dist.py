@@ -6,8 +6,9 @@ integrals) is built on the routines in this module.  Every noncentral tail is
 ``scipy.stats.nct.sf``: the t CDF by reflection, Pr[t(f, lam) <= x] =
 Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
 tails.  Where scipy's tail is NaN for arguments that are not (a noncentrality
-of 1e10 or more), both raise :class:`DomainError` naming it.  ``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it
-returns NaN on part of the (f, lam, x) range the power formulas reach.
+of 1e10 or more), both raise :class:`DomainError` naming it.
+``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it returns
+NaN on part of the (f, lam, x) range the power formulas reach.
 
 Every integral the package computes is an expectation over a weight law, by
 one rule: 16 Gauss-Legendre nodes in the log variable on each panel between

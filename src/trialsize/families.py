@@ -14,6 +14,7 @@ objective into the size chain's effect and target.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -47,16 +48,16 @@ class _Fields(dict):
         return super().get(key, default)
 
 
-def _block(value: dict, path: str, read: Callable):
-    """``read(block)`` on the JSON object ``value``, the block at ``path`` (""
-    for the document); a key that ``read`` left unread is then an error that
-    names its path."""
+@contextlib.contextmanager
+def _fields(value: dict, path: str):
+    """The JSON object ``value`` at ``path`` ("" for the document), recording
+    the keys read from it.  Once its reader has finished, a key left unread is
+    an error that names its path."""
     block = _Fields(value)
-    out = read(block)
+    yield block
     for key in value:
         if key not in block.read:
             raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
-    return out
 
 
 def _require(obj: dict, key: str, path: str):
@@ -105,24 +106,21 @@ def _covariance(value, path: str) -> np.ndarray:
             raise ConfigError(f"{path}: expected a square matrix, got shape {mat.shape}")
         return mat
     if isinstance(value, dict):
-        return _block(value, path, partial(_structure, path=path))
+        with _fields(value, path) as value:
+            field = partial(_field, value, path)
+            kind = _require(value, "structure", path)
+            if kind in ("cs", "ar1"):
+                size = field("size", _integer)
+                if size < 1:
+                    raise ConfigError(f"{path}.size: must be at least 1, got {size}")
+            if kind == "cs":
+                return mmrm.compound_symmetry(size, field("variance"), field("covariance"))
+            if kind == "ar1":
+                return mmrm.ar1(size, field("variance"), field("corr"))
+            if kind == "toeplitz":
+                return mmrm.toeplitz(field("first_row", _numbers))
+            raise ConfigError(f"{path}.structure: unknown structure {kind!r}")
     raise ConfigError(f"{path}: expected a matrix or a structure object")
-
-
-def _structure(block: dict, path: str) -> np.ndarray:
-    field = partial(_field, block, path)
-    kind = _require(block, "structure", path)
-    if kind in ("cs", "ar1"):
-        size = field("size", _integer)
-        if size < 1:
-            raise ConfigError(f"{path}.size: must be at least 1, got {size}")
-    if kind == "cs":
-        return mmrm.compound_symmetry(size, field("variance"), field("covariance"))
-    if kind == "ar1":
-        return mmrm.ar1(size, field("variance"), field("corr"))
-    if kind == "toeplitz":
-        return mmrm.toeplitz(field("first_row", _numbers))
-    raise ConfigError(f"{path}.structure: unknown structure {kind!r}")
 
 
 def _gamma0(block: dict, path: str) -> float:

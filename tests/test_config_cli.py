@@ -399,6 +399,7 @@ def test_target_power_whose_level_rounds_to_one_exits_one(capsys):
     [
         # the half-width's square is inf
         ("table1_equal_050", "-1e300,1e300", "the effect 1e+300 is too large to size for"),
+        ("table5_m_05", "-1e300,1e300", "the effect 1e+300 is too large to size for"),
         # the half-width's square is 0
         ("table5_m_05", "-1e-200,1e-200", "the effect 1e-200 is too close to the null value"),
     ],
@@ -410,20 +411,6 @@ def test_margins_whose_square_leaves_the_float_range_exit_one(capsys, name, marg
     assert out == ""
     assert err.startswith(f"error: DomainError: {message}")
     assert "OverflowError" not in err and "ZeroDivisionError" not in err
-
-
-@pytest.mark.parametrize("command", [["power", "--n", "20"], ["size"]])
-def test_huge_margins_end_in_a_named_error(capsys, command):
-    path = str(fixture_path("table5_m_05"))
-    code, out, err = run_cli(capsys, command[0], "--design", path, "--margins=-1e300,1e300",
-                             *command[1:])
-    assert code == 1
-    assert out == ""
-    # power: the exact row is finite, and the approximate row's tails are not
-    assert err.startswith(
-        "error: DomainError: the noncentral t tail is undefined at noncentrality -1.41421e+300"
-        if command[0] == "power" else "error: DomainError: the effect 1e+300 is too large"
-    )
 
 
 def test_exact_equivalence_power_at_huge_margins():
@@ -446,6 +433,10 @@ NONCENTRALITY_CASES = {
     "mmrm_huge_effect": ("table3_un_q1_m12", {"tau_p1": -1e12}, ["--n", "40"], "4.27646e+11"),
     "equivalence_huge_margins": (
         "table5_m_05", {}, ["--n", "20", "--margins=-1e20,1e20"], "-1.41421e+20"
+    ),
+    # the exact row, whose positivity cutoff used to overflow, is computed first
+    "equivalence_margins_whose_square_overflows": (
+        "table5_m_05", {}, ["--n", "20", "--margins=-1e300,1e300"], "-1.41421e+300"
     ),
 }
 
