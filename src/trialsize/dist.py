@@ -272,6 +272,8 @@ def _nct_sf(x, f, lam):
     NaN though no argument is: scipy's tail is NaN once |lam| reaches about
     1e10."""
     tails = stats.nct.sf(x, f, lam)
+    if not np.isnan(tails).any():
+        return tails
     undefined = np.isnan(tails) & ~(np.isnan(x) | np.isnan(f) | np.isnan(lam))
     if undefined.any():
         lam = np.broadcast_to(lam, undefined.shape)[undefined].flat[0]
