@@ -13,7 +13,6 @@ from .core import (
     SizeEstimate,
     SizeModel,
     TestKernel,
-    apply_ni_margin,
     power_one_sided_approx,
     power_two_sided,
     size_chain,
@@ -76,7 +75,6 @@ __all__ = [
     "ancova_power_approx",
     "ancova_power_exact",
     "ancova_sizing",
-    "apply_ni_margin",
     "ar1",
     "be_adapter",
     "compound_symmetry",

@@ -120,11 +120,14 @@ def ancova_power_approx(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
     return adjusted_power(s, core.two_tailed(s.effect), n, alpha, "approx", mean_imbalance=True)
 
 
-def ancova_power_asymptotic_t(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
+def ancova_power_asymptotic_t(
+    s: AncovaSpec, n: float, alpha: float, conditional: Callable | None = None
+) -> PowerEstimate:
     """t-distribution power with the asymptotic variance (no covariate
-    inflation): the ANCOVA kernel's two-sided power, defined for n > q*."""
+    inflation): the ANCOVA kernel's power of ``conditional`` (by default the
+    two-sided test's), defined for n > q*."""
     k = replace(ancova_kernel(s), min_n=float(s.q_star))
-    return k.power(core.two_tailed(s.effect), n, alpha, "approx")
+    return k.power(conditional or core.two_tailed(s.effect), n, alpha, "approx")
 
 
 def ancova_sizing(s: AncovaSpec) -> SizeModel:

@@ -52,8 +52,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _override_margins(cfg: DesignConfig, text: str) -> DesignConfig:
-    """``cfg`` with the ``--margins LO,HI`` interval; a design whose objective
-    is not (bio)equivalence becomes an equivalence design."""
+    """``cfg`` with the ``--margins LO,HI`` interval, which makes any design
+    an equivalence design."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError("--margins expects LO,HI")
@@ -61,12 +61,7 @@ def _override_margins(cfg: DesignConfig, text: str) -> DesignConfig:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--margins expects two numbers, got {text!r}") from None
-    equivalence = cfg.objective in ("equivalence", "bioequivalence")
-    return dataclasses.replace(
-        cfg,
-        margins=Margins.equivalence(lo, hi),
-        objective=cfg.objective if equivalence else "equivalence",
-    )
+    return dataclasses.replace(cfg, margins=Margins.equivalence(lo, hi))
 
 
 def _design(args) -> tuple[DesignConfig, float]:
@@ -128,12 +123,11 @@ def cmd_simulate(args) -> int:
     if args.n is None:
         return _fail("simulate requires --n (total sample size)", 2)
     per_group = cfg.split_total(args.n)
-    objective = cfg.margins if cfg.margins is not None else Margins.superiority()
     report = simulate_power(
         cfg.scenario,
         per_group,
         alpha,
-        objective,
+        cfg.decision_margins,
         replicates=args.reps,
         seed=args.seed,
     )

@@ -5,6 +5,11 @@ and its parameters, the trial objective, defaults for alpha and the target
 power, and (optionally) generator settings for simulation.  The schema is
 documented in the README; validation failures raise :class:`ConfigError`
 with the offending field's path in the message.
+
+The objective is read here and nowhere else: it becomes the ``margins`` of
+the :class:`DesignConfig` (none for superiority), and "bioequivalence" only
+sets the defaults alpha = 0.1 and margins of +/- ln 1.25.  The generator keys
+read are those the family's record names.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import core
-from .core import SizeEstimate, TestKernel, apply_ni_margin
+from .core import SizeEstimate, TestKernel
 from .equivalence import BE_ALPHA, BE_MARGINS, Margins
 from .errors import ConfigError, DomainError
 from .families import FAMILIES, _field, _fields, _integer, _number, _numbers, _require
@@ -28,56 +33,50 @@ _OBJECTIVES = ("superiority", "noninferiority", "equivalence", "bioequivalence")
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """A fully validated scenario: design object, objective, and defaults.
+    """A fully validated scenario: design object, margins, and defaults.
 
-    The powers and sizes come from the family's record
-    (:data:`trialsize.families.FAMILIES`) for the objective's target, the
-    same for every family: noninferiority is superiority with the null moved
-    to the margin, and (bio)equivalence uses the family's equivalence power.
+    ``margins`` is None for superiority.  The powers and sizes come from the
+    family's record (:data:`trialsize.families.FAMILIES`) for the objective
+    of the margins, the same for every family.
     """
 
     family: str
-    objective: str
     alpha: float
     target_power: float
     design: object
     margins: Margins | None
     scenario: ScenarioSpec
 
+    @property
+    def decision_margins(self) -> Margins:
+        """The margins of the formulas and the simulator's decision rule:
+        ``margins``, or superiority's (-inf, inf) in place of None."""
+        return Margins.superiority() if self.margins is None else self.margins
+
     def kernel(self) -> TestKernel:
-        """Test kernel for the kernel-based families (not defined for MMRM)."""
+        """Test kernel at the objective's null value, for the kernel-based
+        families (not defined for MMRM)."""
         family = FAMILIES[self.family]
         if family.kernel is None:
             raise ConfigError(f"family {self.family!r} does not lower to a single kernel")
-        k = family.kernel(self.design, family.null(self.design))
-        if self.objective == "noninferiority":
-            k = apply_ni_margin(k, self.margins.margin())
-        return k
-
-    def _target(self):
-        """The objective's target: the margins under (bio)equivalence, the
-        margin under noninferiority, else the design's null value."""
-        if self.objective in ("equivalence", "bioequivalence"):
-            return self.margins
-        if self.objective == "noninferiority":
-            return self.margins.margin()
-        return FAMILIES[self.family].null(self.design)
+        return family.kernel(self.design, family.null(self.design, self.decision_margins))
 
     def exact_power(self, n: float, alpha: float) -> float:
         """The exact power, which the size chain's inversion solves for the target."""
-        target = self._target()
-        return FAMILIES[self.family].objective(target).exact(self.design, target, n, alpha)
+        inverted, powers = FAMILIES[self.family].powers(self.design, self.decision_margins)
+        return powers[inverted](n, alpha).value
 
     def power_rows(self, n: float, alpha: float) -> list[tuple[str, float]]:
         """Every power method of the family and objective, by name."""
-        target = self._target()
-        return FAMILIES[self.family].objective(target).rows(self.design, target, n, alpha)
+        _, powers = FAMILIES[self.family].powers(self.design, self.decision_margins)
+        return [(name, power(n, alpha).value) for name, power in powers.items()]
 
     def size_rows(
         self, alpha: float, power: float, rounding: str = "up"
     ) -> list[tuple[str, SizeEstimate]]:
         """The size chain, by method, ending with the inversion of the exact power."""
-        return FAMILIES[self.family].size_rows(self.design, self._target(), alpha, power, rounding)
+        family, m = FAMILIES[self.family], self.decision_margins
+        return family.size_rows(self.design, m, alpha, power, rounding)
 
     def split_total(self, total: int) -> tuple[int, ...]:
         """The group sizes of a total, remainder to the first groups."""
@@ -98,7 +97,14 @@ def _factor(value, path: str) -> FactorSpec:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _margins(doc: dict, objective: str, tau1: float):
+# the reader of each generator key; a family's record names the keys it reads
+_GENERATOR = {
+    "intercept": _number, "baseline_effect": _number, "period_effect": _number, "factor": _factor,
+    **dict.fromkeys(("visit_intercepts", "visit_baseline_effects", "visit_effects"), _numbers),
+}
+
+
+def _margins(doc: dict, objective: str, tau1: float) -> Margins | None:
     if objective == "bioequivalence" and "margins" not in doc:
         return BE_MARGINS
     if objective in ("equivalence", "bioequivalence"):
@@ -177,32 +183,23 @@ def _parse(doc: dict) -> DesignConfig:
         gen = sim.get("generator", {})
         if not isinstance(gen, dict):
             raise ConfigError("simulation.generator: expected an object")
-
-        def extra(key, read):
-            return read(gen[key], f"simulation.generator.{key}") if key in gen else None
-
         try:
             with _fields(gen, "simulation.generator") as gen:
                 scenario = ScenarioSpec(
                     design=design,
                     replicates=_integer(sim.get("replicates", 0), "simulation.replicates"),
                     seed=_integer(sim.get("seed", 20240801), "simulation.seed"),
-                    intercept=_number(gen.get("intercept", 0.0), "simulation.generator.intercept"),
-                    baseline_effect=extra("baseline_effect", _number),
-                    factor=extra("factor", _factor),
-                    visit_intercepts=extra("visit_intercepts", _numbers),
-                    visit_baseline_effects=extra("visit_baseline_effects", _numbers),
-                    visit_effects=extra("visit_effects", _numbers),
-                    period_effect=_number(
-                        gen.get("period_effect", 0.0), "simulation.generator.period_effect"
-                    ),
+                    **{
+                        key: _GENERATOR[key](gen[key], f"simulation.generator.{key}")
+                        for key in record.generator
+                        if key in gen
+                    },
                 )
         except DomainError as exc:
             raise ConfigError(f"simulation: {exc}") from None
 
     return DesignConfig(
         family=family,
-        objective=objective,
         alpha=alpha,
         target_power=target_power,
         design=design,

@@ -3,9 +3,11 @@
 Every power is one body, :func:`expected_power`: a conditional power given
 the estimate's standard error, the critical value and the d.f. (se, crit,
 f), used directly or averaged over one outer F law.  The conditional power
-is one of three: :func:`two_tailed`, :func:`one_sided_tests` (the
-integration-free tests that must all reject) and, for exact equivalence,
-the Phillips integral of :mod:`trialsize.equivalence`.
+is one of three: :func:`two_tailed` (superiority), :func:`one_sided_tests`
+(the integration-free tests that must all reject: the one-sided test of
+noninferiority at the margin, the two one-sided tests of equivalence, and
+the one-sided approximation of superiority) and, for exact equivalence, the
+Phillips integral of :mod:`trialsize.equivalence`.
 
 A :class:`SizeModel` holds what the noniterative size chain needs of a
 design: the variance scale ``v`` (``var(estimate) ~ v / n``), the correction
@@ -21,15 +23,15 @@ objective is sized by:
 * two-step recomputation C(n_u) with t quantiles at d.f. f(ntilde),
 * numerical inversion of the family's exact power, started at g2.
 
-A :class:`TestKernel` is the size model of a two-sided t test of
-``H0: tau = tau0`` versus ``H1: tau = tau1``; it gives (se, crit, f) for
-every power of the test (:meth:`TestKernel.power`); :func:`fixed_df_kernel`
-builds the classical one with f = n - k (Guenther 1981).
+A :class:`TestKernel` is the size model of a t test of ``H0: tau = tau0``
+versus ``H1: tau = tau1``, tau0 being the margin under noninferiority; it
+gives (se, crit, f) for every power of the test (:meth:`TestKernel.power`);
+:func:`fixed_df_kernel` builds the classical one with f = n - k (Guenther
+1981).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -54,7 +56,6 @@ __all__ = [
     "power_one_sided_approx",
     "size_chain",
     "size_invert",
-    "apply_ni_margin",
     "g1_total",
     "g2_total",
     "rounded_sizes",
@@ -406,16 +407,3 @@ def size_invert(
         lo, hi = hi, min(_SIZE_CAP, hi + 4.0 * (hi - lo))
     root = dist.find_root(lambda n: power_at(n) - target, lo, hi, _SIZE_TOL)
     return _estimate(root, "inversion", allocation, target, alpha, rounding)
-
-
-def apply_ni_margin(k: TestKernel, m0: float) -> TestKernel:
-    """Noninferiority adaptation: test against the margin instead of zero.
-
-    Returns the same kernel with ``tau0`` replaced by the margin.
-    Superiority is recovered with ``m0 = 0``.
-    """
-    if not math.isfinite(m0):
-        raise DomainError("noninferiority margin must be finite")
-    if m0 == k.tau1:
-        raise DomainError("noninferiority margin must differ from the alternative tau1")
-    return dataclasses.replace(k, tau0=m0)

@@ -90,12 +90,6 @@ class Margins:
     def superiority(cls) -> "Margins":
         return cls(lower=-math.inf, upper=math.inf)
 
-    def margin(self) -> float:
-        """The single finite bound of a noninferiority margin pair."""
-        if self.kind != "noninferiority":
-            raise DomainError("margin() is defined for noninferiority margins only")
-        return self.upper if math.isfinite(self.upper) else self.lower
-
 
 # Bioequivalence: the 0.80-1.25 limits on the ratio scale are +/- ln 1.25 on
 # the log scale, tested at alpha = 0.1.

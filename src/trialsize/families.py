@@ -4,12 +4,14 @@
 ``family`` name.  A record supplies everything that differs between the
 families: the design-block parser and the field that carries the effect,
 the test kernel (none for repeated measures), the size chain's model (with
-the allocation), the null value, the simulator's engine and its default
-replicate count, and for each objective the exact power and the named power
-rows.  The objective is applied once, for every family: noninferiority is
-superiority with the null moved to the margin, equivalence uses the
-family's equivalence power, and :meth:`Family.size_rows` turns the
-objective into the size chain's effect and target.
+the allocation), the null value, the power rows, the simulator's engine,
+its default replicate count and the generator keys it reads.
+
+The objective is one :class:`~trialsize.equivalence.Margins`, applied once
+for every family.  It gives an exact and an approximate conditional power,
+the rejection regions of ``simulate``'s decision rule, and each power row
+puts one of them into a power of the family (:meth:`Family.powers`);
+:meth:`Family.size_rows` turns it into the size chain's effect and target.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ancova, core, designs, equivalence, mmrm
+from .equivalence import Margins
 from .errors import ConfigError, DecompositionError, DomainError
 
-__all__ = ["FAMILIES", "Family", "Objective", "family_of"]
+__all__ = ["FAMILIES", "Family", "Rows", "family_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -244,75 +247,76 @@ def _mmrm_generator(sc) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the objectives
+# the power rows
 
 
-class Objective(NamedTuple):
-    """A family's power functions for one objective.  ``target`` is the null
-    value under superiority (the margin, for noninferiority) and the
-    ``Margins`` under equivalence.
+class Rows(NamedTuple):
+    """The power rows of the tests (superiority and noninferiority) or of
+    equivalence, as ``power`` prints them, and the row the size chain inverts.
 
-    exact  (design, target, n, alpha) -> the power the size chain inverts
-    rows   (design, target, n, alpha) -> [(name, power)], as ``power`` prints
+    A row (name, frame, exact) gives its frame, (design, conditional, n,
+    alpha, method) -> PowerEstimate, the objective's exact conditional with
+    the method "integral_exact" (clipped to [0, 1]) or its approximate one
+    with "approx"; a frame that is itself an approximation keeps "approx".
     """
 
-    exact: Callable
-    rows: Callable
+    inverted: str
+    rows: tuple[tuple[str, Callable, bool], ...]
 
 
-def _kernel_superiority(kernel, exact=None) -> Objective:
-    """Superiority of a family lowered to ``kernel(design, null)``.  The exact
-    power is the kernel's two-sided power, or the estimate ``exact(design,
-    null, n, alpha)``, which then is a row of its own."""
-
-    def rows(d, null, n, a):
-        k = kernel(d, null)
-        out = [
-            ("two_sided", core.power_two_sided(k, n, a).value),
-            ("one_sided_approx", core.power_one_sided_approx(k, n, a).value),
-        ]
-        return out if exact is None else out + [("exact", exact(d, null, n, a).value)]
-
-    inverted = exact or (lambda d, null, n, a: core.power_two_sided(kernel(d, null), n, a))
-    return Objective(lambda d, null, n, a: inverted(d, null, n, a).value, rows)
+def _kernel(d, conditional, n, a, method):
+    return family_of(d).kernel(d, 0.0).power(conditional, n, a, method)
 
 
-def _kernel_equivalence(kernel, power=None, generic=False) -> Objective:
-    """Equivalence of a family lowered to ``kernel(design, null)``.
-    ``power(design, margins, n, alpha, exact)`` is the family's equivalence
-    power estimate, by default the kernel's; ``generic`` adds the kernel's
-    approximation as the ``generic_approx`` row."""
-
-    def kernel_power(d, m, n, a, exact=True):
-        fn = equivalence.equiv_power_exact if exact else equivalence.equiv_power_approx
-        return fn(kernel(d, 0.0), m, n, a)
-
-    def rows(d, m, n, a):
-        out = [("exact", power(d, m, n, a, True).value), ("approx", power(d, m, n, a, False).value)]
-        return out + [("generic_approx", kernel_power(d, m, n, a, False).value)] if generic else out
-
-    power = power or kernel_power
-    return Objective(lambda d, m, n, a: power(d, m, n, a, True).value, rows)
+def _welch_clipped(d, conditional, n, a, method):
+    # Welch superiority's exact row: the one-sided conditional, clipped
+    return designs.welch_power(d, conditional, n, a)
 
 
-def _at_null(field: str, rows) -> Objective:
-    """Superiority of a family whose powers read the null value from the
-    design ``field``: ``rows`` names power functions of (design, n, alpha),
-    the exact power first."""
-
-    def at(d, null):
-        return d if getattr(d, field) == null else replace(d, **{field: null})
-
-    return Objective(
-        lambda d, null, n, a: rows[0][1](at(d, null), n, a).value,
-        lambda d, null, n, a: [(name, fn(at(d, null), n, a).value) for name, fn in rows],
-    )
+def _mean_imbalance(d, conditional, n, a, method):
+    return ancova.adjusted_power(d, conditional, n, a, "approx", mean_imbalance=True)
 
 
-def _either(pooled: Objective, welch: Objective) -> Objective:
-    """The pooled or the Welch test's objective, as ``equal_variance`` says."""
-    pick = lambda d: pooled if d.equal_variance else welch
-    return Objective(*(lambda d, *args, i=i: pick(d)[i](d, *args) for i in range(2)))
+def _asymptotic_t(d, conditional, n, a, method):
+    return ancova.ancova_power_asymptotic_t(d, n, a, conditional)
+
+
+def _last_visit(first_order: bool) -> Callable:
+    return lambda d, c, n, a, method: mmrm._last_visit_power(d, c, n, a, first_order)
+
+
+_KERNEL_ROWS = (
+    Rows("two_sided", (("two_sided", _kernel, True), ("one_sided_approx", _kernel, False))),
+    Rows("exact", (("exact", _kernel, True), ("approx", _kernel, False))),
+)
+_WELCH_ROWS = (
+    Rows("exact", (*_KERNEL_ROWS[0].rows, ("exact", _welch_clipped, False))),
+    Rows(
+        "exact",
+        (
+            ("exact", designs.welch_power, True),
+            ("approx", designs.welch_power, False),
+            ("generic_approx", _kernel, False),
+        ),
+    ),
+)
+_ANCOVA_ROWS = (
+    Rows(
+        "exact",
+        (
+            ("exact", ancova.adjusted_power, True),
+            ("approx", _mean_imbalance, True),
+            ("asymptotic_t", _asymptotic_t, True),
+        ),
+    ),
+    Rows(
+        "exact", (("exact", ancova.adjusted_power, True), ("approx", ancova.adjusted_power, False))
+    ),
+)
+_MMRM_ROWS = (
+    Rows("main", (("main", _last_visit(False), True), ("simple_approx", _last_visit(True), True))),
+    Rows("equivalence", (("equivalence", _last_visit(False), False),)),
+)
 
 
 def _one_sample_kernel(d, tau0):
@@ -333,10 +337,6 @@ def _ancova_kernel(d, tau0):
     return ancova.ancova_kernel(replace(d, tau0=tau0))
 
 
-def _mmrm_equivalence(d, m, n, a):
-    return mmrm.mmrm_equiv_power(d, m, n, a).value
-
-
 # ---------------------------------------------------------------------------
 # the table
 
@@ -353,8 +353,10 @@ class Family:
     kernel           (design, null) -> TestKernel; None for repeated measures
     sizing           design -> the size chain's SizeModel (v, C, rho, f, the
                      smallest size and the group allocation)
+    rows             design -> its power ``Rows``: (tests, equivalence)
     engine           name of the ``simulate`` engine, looked up at call time
     replicates       the simulation's default replicate count
+    generator        the ``simulation.generator`` keys the engine reads
     check_generator  ScenarioSpec -> None, raising for extras the design
                      contradicts (by default there are none to check)
     """
@@ -366,38 +368,65 @@ class Family:
     null_field: str | None
     kernel: Callable | None
     sizing: Callable
+    rows: Callable
     engine: str
     replicates: int
-    superiority: Objective
-    equivalence: Objective
+    generator: tuple[str, ...] = ()
     check_generator: Callable = lambda sc: None
 
-    def null(self, design) -> float:
+    def null(self, design, m: Margins = Margins.superiority()) -> float:
+        """The null value tested for the objective of ``m``: the margin under
+        noninferiority, else the design's null value."""
+        if m.kind == "noninferiority":
+            return m.lower if math.isfinite(m.lower) else m.upper
         return getattr(design, self.null_field) if self.null_field else 0.0
 
-    def objective(self, target) -> Objective:
-        """Equivalence for a ``Margins`` target, else superiority at that null."""
-        return self.equivalence if isinstance(target, equivalence.Margins) else self.superiority
+    def powers(self, design, m: Margins) -> tuple[str, dict[str, Callable]]:
+        """The name of the row the size chain inverts, and each power row for
+        the objective of ``m``, by name, as a function of (n, alpha).
+
+        The objective gives the conditional powers once, for every family,
+        as an (exact, approximate) pair: under superiority the two-sided
+        test of tau1 - tau0 and its one-sided approximation, under
+        noninferiority the one-sided test at the margin for both, and under
+        equivalence the Phillips integral and the two one-sided tests.  These
+        are the rejection regions of ``simulate``'s decision rule.
+        """
+        tau1 = self.tau1(design)
+        if m.kind == "equivalence":
+            conditionals = [equivalence._conditional(m, tau1, exact)[0] for exact in (False, True)]
+        else:
+            effect = tau1 - self.null(design, m)
+            one_sided = core.one_sided_tests(abs(effect))
+            exact_conditional = core.two_tailed(effect) if m.kind == "superiority" else one_sided
+            conditionals = [one_sided, exact_conditional]
+        rows = self.rows(design)[m.kind == "equivalence"]
+        methods = ("approx", "integral_exact")
+        return rows.inverted, {
+            name: partial(frame, design, conditionals[exact], method=methods[exact])
+            for name, frame, exact in rows.rows
+        }
 
     def size_rows(
-        self, design, target, alpha: float, power: float, rounding: str = "up"
+        self, design, m: Margins, alpha: float, power: float, rounding: str = "up"
     ) -> list[tuple[str, core.SizeEstimate]]:
-        """The size chain for the objective's ``target``, by name as ``size``
+        """The size chain for the objective of ``m``, by name as ``size``
         prints it, ending with the inversion of the objective's exact power.
 
         The objective enters the chain here, the same for every family: its
-        effect is tau1 - null under superiority and noninferiority, and the
-        half-width of margins symmetric around tau1 under equivalence, whose
-        two one-sided tests are each sized for (1 + power)/2.
+        effect is tau1 minus the null value (the margin, for noninferiority),
+        and under equivalence the half-width of margins symmetric around
+        tau1, whose two one-sided tests are each sized for (1 + power)/2.
         """
         tau1 = self.tau1(design)
-        if isinstance(target, equivalence.Margins):
-            delta, level = equivalence.symmetric_half_width(target, tau1), 0.5 * (1.0 + power)
+        if m.kind == "equivalence":
+            delta, level = equivalence.symmetric_half_width(m, tau1), 0.5 * (1.0 + power)
         else:
-            delta, level = tau1 - target, power
-        exact = self.objective(target).exact
+            delta, level = tau1 - self.null(design, m), power
+        inverted, powers = self.powers(design, m)
+        exact = powers[inverted]
         return core.size_chain(
-            self.sizing(design), delta, alpha, power, lambda n: exact(design, target, n, alpha),
+            self.sizing(design), delta, alpha, power, lambda n: exact(n, alpha).value,
             target=level, rounding=rounding,
         )
 
@@ -406,61 +435,34 @@ FAMILIES: dict[str, Family] = {
     "one_sample": Family(
         spec=designs.OneSampleSpec, parse=_one_sample, effect_field="mu", tau1=lambda d: d.mu,
         null_field="tau0", kernel=_one_sample_kernel,
-        sizing=partial(_one_sample_kernel, tau0=0.0), engine="_simulate_one_sample", replicates=100_000,
-        superiority=_kernel_superiority(_one_sample_kernel),
-        equivalence=_kernel_equivalence(_one_sample_kernel),
+        sizing=partial(_one_sample_kernel, tau0=0.0), rows=lambda d: _KERNEL_ROWS,
+        engine="_simulate_one_sample", replicates=100_000,
     ),
     "two_sample": Family(
         spec=designs.TwoSampleSpec, parse=_two_sample, effect_field="mu1",
         tau1=lambda d: d.mu1 - d.mu0, null_field=None, kernel=_two_sample_kernel,
-        sizing=partial(_two_sample_kernel, tau0=0.0), engine="_simulate_two_sample",
-        replicates=100_000,
-        superiority=_either(
-            _kernel_superiority(designs.two_sample_equal_kernel),
-            _kernel_superiority(designs.two_sample_unequal_kernel, designs.moser_exact_power),
-        ),
-        equivalence=_either(
-            _kernel_equivalence(designs.two_sample_equal_kernel),
-            _kernel_equivalence(
-                designs.two_sample_unequal_kernel, equivalence.ts_unequal_equiv_power, generic=True
-            ),
-        ),
+        sizing=partial(_two_sample_kernel, tau0=0.0),
+        rows=lambda d: _KERNEL_ROWS if d.equal_variance else _WELCH_ROWS,
+        engine="_simulate_two_sample", replicates=100_000,
     ),
     "crossover": Family(
         spec=designs.CrossoverSpec, parse=_crossover, effect_field="mu_star_b",
         tau1=lambda d: d.mu_star_b - d.mu_star_a, null_field=None, kernel=_crossover_kernel,
-        sizing=partial(_crossover_kernel, tau0=0.0), engine="_simulate_crossover",
-        replicates=100_000,
-        superiority=_kernel_superiority(_crossover_kernel),
-        equivalence=_kernel_equivalence(_crossover_kernel),
+        sizing=partial(_crossover_kernel, tau0=0.0), rows=lambda d: _KERNEL_ROWS,
+        engine="_simulate_crossover", replicates=100_000, generator=("period_effect",),
     ),
     "ancova": Family(
         spec=ancova.AncovaSpec, parse=_ancova, effect_field="tau1", tau1=lambda d: d.tau1,
         null_field="tau0", kernel=_ancova_kernel, sizing=ancova.ancova_sizing,
-        engine="_simulate_ancova", replicates=100_000,
-        superiority=_at_null(
-            "tau0",
-            (
-                ("exact", ancova.ancova_power_exact),
-                ("approx", ancova.ancova_power_approx),
-                ("asymptotic_t", ancova.ancova_power_asymptotic_t),
-            ),
-        ),
-        equivalence=_kernel_equivalence(_ancova_kernel, equivalence.ancova_equiv_power),
+        rows=lambda d: _ANCOVA_ROWS, engine="_simulate_ancova", replicates=100_000,
+        generator=("intercept", "baseline_effect", "factor"),
         check_generator=_covariate_count("baseline_effect"),
     ),
     "mmrm": Family(
         spec=mmrm.MmrmDesign, parse=_mmrm, effect_field="tau_p1", tau1=lambda d: d.tau_p1,
-        null_field="tau_p0", kernel=None, sizing=mmrm.mmrm_sizing,
+        null_field="tau_p0", kernel=None, sizing=mmrm.mmrm_sizing, rows=lambda d: _MMRM_ROWS,
         engine="_simulate_mmrm", replicates=40_000,
-        superiority=_at_null(
-            "tau_p0",
-            (("main", mmrm.mmrm_power), ("simple_approx", mmrm.mmrm_power_approx)),
-        ),
-        equivalence=Objective(
-            _mmrm_equivalence,
-            lambda d, m, n, a: [("equivalence", _mmrm_equivalence(d, m, n, a))],
-        ),
+        generator=("factor", "visit_intercepts", "visit_baseline_effects", "visit_effects"),
         check_generator=_mmrm_generator,
     ),
 }

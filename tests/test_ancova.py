@@ -23,9 +23,9 @@ def spec(tau, q, gamma0=0.5):
     return AncovaSpec(tau1=tau, tau0=0.0, sigma_sq=1.0, gamma0=gamma0, q=q)
 
 
-def size_rows(s, alpha, power, target=0.0):
-    """The ANCOVA size chain by row name, for the null value or the margins ``target``."""
-    return dict(FAMILIES["ancova"].size_rows(s, target, alpha, power))
+def size_rows(s, alpha, power, margins=Margins.superiority()):
+    """The ANCOVA size chain by row name, for the objective of ``margins``."""
+    return dict(FAMILIES["ancova"].size_rows(s, margins, alpha, power))
 
 
 class TestExactPower:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -77,7 +78,7 @@ class TestSchema:
         doc["objective"] = "noninferiority"
         doc["margin"] = -1.0
         cfg = parse_design(doc)
-        assert cfg.margins.margin() == -1.0
+        assert (cfg.margins.lower, cfg.margins.upper) == (-1.0, math.inf)
         assert cfg.kernel().tau0 == -1.0
         assert cfg.kernel().df_at(10.0) == 8.0  # the pooled kernel the design asks for
 
@@ -520,6 +521,13 @@ UNKNOWN_KEYS = {
     ),
     "simulation.generator.visit_effect": (
         "table6_ar1_q1_m4", lambda doc: doc["simulation"]["generator"].update(visit_effect=[1.0])
+    ),
+    # generator keys of another family: ANCOVA has no period, MMRM no single intercept
+    "simulation.generator.period_effect": (
+        "table2_q3_100", lambda doc: doc["simulation"]["generator"].update(period_effect=0.1)
+    ),
+    "simulation.generator.intercept": (
+        "table6_ar1_q1_m4", lambda doc: doc["simulation"]["generator"].update(intercept=1.0)
     ),
     "simulation.generator.factor.levels": (
         "table2_q3_100",

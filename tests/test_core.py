@@ -263,32 +263,6 @@ class TestInversion:
                 core.size_invert(lambda n: 0.9, 0.8, hint, 2.0)
 
 
-class TestNiMargin:
-    def test_sets_null_and_flag(self):
-        k = designs.one_sample_kernel(0.0, 0.0, 1.0)
-        kni = core.apply_ni_margin(k, 1.0)
-        assert kni.tau0 == 1.0
-        assert dataclasses.replace(kni, tau0=k.tau0) == k
-
-    def test_superiority_reduction(self):
-        k = equal_kernel(1.0)
-        assert core.apply_ni_margin(k, 0.0).tau0 == 0.0
-
-    def test_margin_equal_alternative_rejected(self):
-        with pytest.raises(DomainError):
-            core.apply_ni_margin(equal_kernel(1.0), 1.0)
-
-    def test_ni_size_matches_inversion_oracle(self):
-        # margin 1 against a zero effect is the same kernel geometry as a
-        # unit-effect superiority test, whose exact size is 33.43
-        spec = designs.TwoSampleSpec(0.0, 0.0, 1.0, 1.0, 0.5, equal_variance=True)
-        k = core.apply_ni_margin(designs.two_sample_equal_kernel(spec, 0.0), 1.0)
-        est = core.size_invert(
-            lambda n: core.power_two_sided(k, n, ALPHA).value, POWER, 40.0, k.min_n
-        )
-        assert abs(est.fractional - 33.43) < 5e-3
-
-
 class TestRounding:
     def test_ceiling_policy(self):
         total, per = core.rounded_sizes(127.53, (0.5, 0.5), "up")

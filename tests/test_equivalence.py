@@ -49,6 +49,8 @@ class TestMargins:
             Margins(0.5, 1.5)
         with pytest.raises(DomainError, match="exactly one finite margin"):
             Margins.noninferiority(math.inf, 0.0)
+        with pytest.raises(DomainError, match="must differ from tau1"):
+            Margins.noninferiority(1.0, 1.0)
         with pytest.raises(DomainError, match="equivalence margins must both be finite"):
             Margins.equivalence(-math.inf, math.inf)
 
@@ -62,9 +64,9 @@ class TestMargins:
 
     def test_noninferiority_orientation(self):
         m = Margins.noninferiority(1.0, 0.0)
-        assert m.margin() == 1.0 and math.isinf(m.lower)
+        assert m.upper == 1.0 and m.lower == -math.inf
         m = Margins.noninferiority(-1.0, 0.0)
-        assert m.margin() == -1.0 and math.isinf(m.upper)
+        assert m.lower == -1.0 and m.upper == math.inf
 
     def test_be_limits(self):
         _, m, alpha = be_kernel(0.0125)

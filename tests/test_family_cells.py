@@ -12,12 +12,13 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from trialsize import cli, core, mmrm
-from trialsize.ancova import ancova_power_exact
+from trialsize.ancova import adjusted_power, ancova_power_exact
 from trialsize.config import load_design, parse_design
 from trialsize.designs import moser_exact_power
 from trialsize.equivalence import (
@@ -398,15 +399,25 @@ def _cell_config(name: str):
     cfg = parse_design(json.loads(json.dumps(doc)))
     if extra:  # --margins=LO,HI on a superiority file
         lo, hi = (float(v) for v in extra[0].split("=")[1].split(","))
-        cfg = dataclasses.replace(cfg, objective="equivalence", margins=Margins.equivalence(lo, hi))
+        cfg = dataclasses.replace(cfg, margins=Margins.equivalence(lo, hi))
     return cfg
 
 
 def family_exact_power(cfg, n: float) -> float:
     """The exact power of the design's family and objective, written out from
-    the library's power functions: the power ``size`` must invert."""
+    the library's power functions: the power ``size`` must invert.  Under
+    noninferiority it is the family's one-sided power at the margin, the
+    rejection region of the simulator's decision."""
     d, m, a = cfg.design, cfg.margins, cfg.alpha
-    if cfg.objective in ("equivalence", "bioequivalence"):
+    if m is None:
+        if cfg.family == "mmrm":
+            return mmrm.mmrm_power(d, n, a).value
+        if cfg.family == "ancova":
+            return ancova_power_exact(d, n, a).value
+        if cfg.family == "two_sample" and not d.equal_variance:
+            return moser_exact_power(d, 0.0, n, a).value
+        return core.power_two_sided(cfg.kernel(), n, a).value
+    if m.kind == "equivalence":
         if cfg.family == "mmrm":
             return mmrm.mmrm_equiv_power(d, m, n, a).value
         if cfg.family == "ancova":
@@ -414,14 +425,15 @@ def family_exact_power(cfg, n: float) -> float:
         if cfg.family == "two_sample" and not d.equal_variance:
             return ts_unequal_equiv_power(d, m, n, a, exact=True).value
         return equiv_power_exact(cfg.kernel(), m, n, a).value
-    ni = cfg.objective == "noninferiority"
+    margin = m.lower if math.isfinite(m.lower) else m.upper
     if cfg.family == "mmrm":
-        return mmrm.mmrm_power(dataclasses.replace(d, tau_p0=m.margin()) if ni else d, n, a).value
+        one_sided = core.one_sided_tests(abs(d.tau_p1 - margin))
+        return mmrm._last_visit_power(d, one_sided, n, a).value
     if cfg.family == "ancova":
-        return ancova_power_exact(dataclasses.replace(d, tau0=m.margin()) if ni else d, n, a).value
+        return adjusted_power(d, core.one_sided_tests(abs(d.tau1 - margin)), n, a).value
     if cfg.family == "two_sample" and not d.equal_variance:
-        return moser_exact_power(d, m.margin() if ni else 0.0, n, a).value
-    return core.power_two_sided(cfg.kernel(), n, a).value
+        return moser_exact_power(d, margin, n, a).value
+    return core.power_one_sided_approx(cfg.kernel(), n, a).value
 
 
 # one fixture of each family and objective the shipped tables cover
@@ -451,7 +463,7 @@ def test_ancova_noninferiority_power_matches_simulation():
     # the superiority test's 85.93%
     cfg = _cell_config("ancova_noninferiority")
     exact = cfg.exact_power(40, cfg.alpha)
-    superiority = dataclasses.replace(cfg, objective="superiority", margins=None)
+    superiority = dataclasses.replace(cfg, margins=None)
     assert exact - superiority.exact_power(40, cfg.alpha) > 0.1
     report = simulate_power(cfg.scenario, (20, 20), cfg.alpha, cfg.margins, replicates=20_000)
     assert abs(report.power_hat - exact) <= 3.0 * report.std_error

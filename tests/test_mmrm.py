@@ -36,9 +36,7 @@ def design(sigma, q, tau, retention=RETENTION):
 
 def size_chain(d, alpha, power, margins=None):
     """A design's size chain by row name: superiority, or equivalence within ``margins``."""
-    family = family_of(d)
-    target = family.null(d) if margins is None else margins
-    return dict(family.size_rows(d, target, alpha, power))
+    return dict(family_of(d).size_rows(d, margins or Margins.superiority(), alpha, power))
 
 
 class TestLdl:
