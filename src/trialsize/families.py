@@ -8,10 +8,10 @@ the allocation), the null value, the power rows, the simulator's engine,
 its default replicate count and the generator keys it reads.
 
 The objective is one :class:`~trialsize.equivalence.Margins`, applied once
-for every family.  It gives an exact and an approximate conditional power,
-the rejection regions of ``simulate``'s decision rule, and each power row
-puts one of them into a power of the family (:meth:`Family.powers`);
-:meth:`Family.size_rows` turns it into the size chain's effect and target.
+for every family: it gives an exact conditional power, that of the rejection
+region of ``simulate``'s decision rule, and an approximate one, which the
+power rows put into the family's powers (:meth:`Family.powers`), and the
+size chain's effect and target (:meth:`Family.size_rows`).
 """
 
 from __future__ import annotations
@@ -389,8 +389,8 @@ class Family:
         as an (exact, approximate) pair: under superiority the two-sided
         test of tau1 - tau0 and its one-sided approximation, under
         noninferiority the one-sided test at the margin for both, and under
-        equivalence the Phillips integral and the two one-sided tests.  These
-        are the rejection regions of ``simulate``'s decision rule.
+        equivalence the Phillips integral and the two one-sided tests.  The
+        exact one is the power of ``simulate``'s rejection region.
         """
         tau1 = self.tau1(design)
         if m.kind == "equivalence":
