@@ -30,12 +30,12 @@ from .designs import (
 )
 from .equivalence import (
     Margins,
-    be_adapter,
     equiv_power_approx,
     equiv_power_exact,
     equiv_size_bounds,
     ts_unequal_equiv_power,
 )
+from .families import be_adapter
 from .mmrm import (
     DropoutAverage,
     LdlFactors,

@@ -51,8 +51,7 @@ class AncovaSpec:
     def __post_init__(self):
         if self.sigma_sq <= 0.0:
             raise DomainError("sigma_sq must be positive")
-        if not (0.0 < self.gamma0 < 1.0):
-            raise DomainError(f"allocation fraction must lie in (0, 1), got {self.gamma0}")
+        core.check_allocation(self.gamma0)
         if self.q < 0 or self.q != int(self.q):
             raise DomainError(f"covariate count q must be a nonnegative integer, got {self.q}")
 

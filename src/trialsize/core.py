@@ -19,7 +19,7 @@ objective is sized by:
 
 * normal approximation n_b = z^2 v / delta^2, corrected to ntilde = C(n_b),
 * first-order correction g1 = ntilde + z_{1-a/2}^2 / (2 rho(ntilde)),
-* conservative second-order correction g2,
+  z being the normal size's own quantile, and second-order correction g2,
 * two-step recomputation C(n_u) with t quantiles at d.f. f(ntilde),
 * numerical inversion of the family's exact power, started at g2.
 
@@ -27,7 +27,8 @@ A :class:`TestKernel` is the size model of a t test of ``H0: tau = tau0``
 versus ``H1: tau = tau1``, tau0 being the margin under noninferiority; it
 gives (se, crit, f) for every power of the test (:meth:`TestKernel.power`);
 :func:`fixed_df_kernel` builds the classical one with f = n - k (Guenther
-1981).
+1981).  :func:`check_alpha` and :func:`check_allocation` are the one check
+of a level and of a control-arm fraction.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "PowerEstimate",
     "SizeEstimate",
     "check_alpha",
+    "check_allocation",
     "expected_power",
     "two_tailed",
     "one_sided_tests",
@@ -56,8 +58,6 @@ __all__ = [
     "power_one_sided_approx",
     "size_chain",
     "size_invert",
-    "g1_total",
-    "g2_total",
     "rounded_sizes",
 ]
 
@@ -193,6 +193,12 @@ def check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha {ALPHA_DOMAIN}, got {alpha}")
 
 
+def check_allocation(gamma0: float) -> None:
+    """Raise :class:`DomainError` for a control-arm fraction outside (0, 1)."""
+    if not (0.0 < gamma0 < 1.0):
+        raise DomainError(f"allocation fraction must lie in (0, 1), got {gamma0}")
+
+
 # methods whose value is an approximation: returned as computed, and flagged
 # when negative, instead of clipped to [0, 1]
 _APPROXIMATIONS = ("approx", "one_sided_approx")
@@ -272,20 +278,6 @@ def power_one_sided_approx(k: TestKernel, n: float, alpha: float) -> PowerEstima
     return k.power(one_sided_tests(abs(k.effect)), n, alpha, "one_sided_approx")
 
 
-def g1_total(ntilde: float, rho: float, alpha: float) -> float:
-    """First-order corrected total size: ntilde + z_{1-a/2}^2 / (2 rho)."""
-    z = dist.normal_quantile(1.0 - alpha / 2.0)
-    return ntilde + z * z / (2.0 * rho)
-
-
-def g2_total(ntilde: float, rho: float, alpha: float) -> float:
-    """Conservative second-order corrected total size."""
-    z = dist.normal_quantile(1.0 - alpha / 2.0)
-    corr = z * z / (2.0 * rho)
-    ng1 = ntilde + corr
-    return ng1 + corr * corr / ng1
-
-
 def size_chain(
     model: SizeModel,
     delta: float,
@@ -327,7 +319,8 @@ def size_chain(
     def base(z_alpha: float, z_power: float) -> float:
         return (z_alpha + z_power) ** 2 * model.v / (delta * delta)
 
-    n_b = base(dist.normal_quantile(1.0 - alpha / 2.0), dist.normal_quantile(target))
+    z = dist.normal_quantile(1.0 - alpha / 2.0)
+    n_b = base(z, dist.normal_quantile(target))
     if not math.isfinite(n_b):
         raise DomainError(
             f"normal-approximation size not finite: the effect {delta:g} is too small "
@@ -345,12 +338,14 @@ def size_chain(
         if not f > 0.0:
             raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
         n_u = base(dist.t_quantile(1.0 - alpha / 2.0, f), dist.t_quantile(target, f))
-    g2 = g2_total(n_tilde, rho, alpha)
+    corr = z * z / (2.0 * rho)
+    g1 = n_tilde + corr
+    g2 = g1 + corr * corr / g1
     sizes = [
         *([("normal_asymptotic", n_b)] if model.correct else []),
         ("normal", n_tilde),
         *model.extra(n_b),
-        ("g1", g1_total(n_tilde, rho, alpha)),
+        ("g1", g1),
         ("g2", g2),
         *([("two_step", correct(n_u))] if two_step else []),
     ]

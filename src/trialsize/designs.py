@@ -63,8 +63,7 @@ class TwoSampleSpec:
     def __post_init__(self):
         if self.sigma0_sq <= 0.0 or self.sigma1_sq <= 0.0:
             raise DomainError("group variances must be positive")
-        if not (0.0 < self.gamma0 < 1.0):
-            raise DomainError(f"allocation fraction must lie in (0, 1), got {self.gamma0}")
+        core.check_allocation(self.gamma0)
 
     @property
     def gamma1(self) -> float:
@@ -84,8 +83,7 @@ class CrossoverSpec:
     def __post_init__(self):
         if self.sigma_d_sq <= 0.0:
             raise DomainError("sigma_d_sq must be positive")
-        if not (0.0 < self.gamma0 < 1.0):
-            raise DomainError(f"allocation fraction must lie in (0, 1), got {self.gamma0}")
+        core.check_allocation(self.gamma0)
 
     @property
     def gamma1(self) -> float:

@@ -1,8 +1,11 @@
-"""Distribution kernel: normal, central/noncentral t and F, scaled chi-square,
+"""Distribution kernel: the normal quantile, central/noncentral t and F,
 one fixed quadrature rule and bracketed root finding.
 
 Everything downstream (power formulas, sample-size inversion, equivalence
-integrals) is built on the routines in this module.  Every noncentral tail is
+integrals) is built on the routines in this module, and each of them is
+called by another module of the package.  The normal CDF the package needs
+is ``scipy.special.ndtr``; the F and scaled chi-square densities are only
+weights of the quadrature rule, as log densities.  Every noncentral tail is
 ``scipy.stats.nct.sf``: the t CDF by reflection, Pr[t(f, lam) <= x] =
 Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
 tails.  Where scipy's tail is NaN for arguments that are not (a noncentrality
@@ -39,64 +42,42 @@ from scipy import optimize, special, stats
 
 from .errors import BracketError, ConvergenceError, DomainError
 
-__all__ = [
-    "normal_cdf",
-    "normal_quantile",
-    "t_cdf",
-    "t_quantile",
-    "scaled_chi2_density",
-    "f_density",
-    "integrate",
-    "find_root",
-]
+__all__ = ["normal_quantile", "t_cdf", "t_quantile", "integrate", "find_root"]
 
 
 # iteration cap of :func:`find_root`
 _MAX_ROOT_ITER = 200
 
 
-def _check_df(f, name: str = "df"):
-    """``f`` as a float (or a float array) after checking every entry is a
-    positive finite real."""
-    if not isinstance(f, (float, int)):
-        f = np.asarray(f, dtype=float)
-        bad = ~(np.isfinite(f) & (f > 0.0))
+def _check(x, ok, name: str, domain: str):
+    """``x`` as a float (or a float array) after checking that ``ok`` holds
+    for every entry; the first entry that fails is named."""
+    if not isinstance(x, (float, int)):
+        x = np.asarray(x, dtype=float)
+        bad = ~ok(x)
         if bad.any():
-            f = f[bad].flat[0]
-        elif f.ndim:
-            return f
-    f = float(f)
-    if not math.isfinite(f) or f <= 0.0:
-        raise DomainError(f"{name} must be a positive finite real, got {f!r}")
-    return f
+            x = x[bad].flat[0]
+        elif x.ndim:
+            return x
+    x = float(x)
+    if not ok(x):
+        raise DomainError(f"{name} must {domain}, got {x!r}")
+    return x
+
+
+def _check_df(f, name: str = "df"):
+    """``f`` after checking every entry is a positive finite real."""
+    return _check(f, lambda f: np.isfinite(f) & (f > 0.0), name, "be a positive finite real")
 
 
 def _check_prob_open(p, name: str = "p"):
-    """``p`` as a float (or a float array) after checking every entry lies in (0, 1)."""
-    if not isinstance(p, (float, int)):
-        p = np.asarray(p, dtype=float)
-        bad = ~((p > 0.0) & (p < 1.0))
-        if bad.any():
-            p = p[bad].flat[0]
-        elif p.ndim:
-            return p
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"{name} must lie strictly in (0, 1), got {p!r}")
-    return p
+    """``p`` after checking every entry lies in (0, 1)."""
+    return _check(p, lambda p: (p > 0.0) & (p < 1.0), name, "lie strictly in (0, 1)")
 
 
 def _scalar_or_array(x):
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x); saturates to 0/1 for extreme arguments."""
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("normal_cdf: x must not be NaN")
-    return float(special.ndtr(x))
 
 
 def normal_quantile(p: float) -> float:
@@ -105,31 +86,14 @@ def normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-def scaled_chi2_density(xi: float, f: float) -> float:
-    """Density of xi = chi2_f / f at ``xi``; zero for xi <= 0."""
-    f = _check_df(f)
-    xi = float(xi)
-    if xi <= 0.0:
-        return 0.0
-    return float(np.exp(_log_scaled_chi2_density(np.asarray(xi), f)))
-
-
 def _log_scaled_chi2_density(xi: np.ndarray, f: float) -> np.ndarray:
+    """Log density of chi2_f / f at xi > 0."""
     h = 0.5 * f
     return h * math.log(h) - special.gammaln(h) + (h - 1.0) * np.log(xi) - h * xi
 
 
-def f_density(u: float, f1: float, f2: float) -> float:
-    """Central F(f1, f2) density at ``u``; zero for u <= 0."""
-    f1 = _check_df(f1, "f1")
-    f2 = _check_df(f2, "f2")
-    u = float(u)
-    if u <= 0.0:
-        return 0.0
-    return float(np.exp(_log_f_density(np.asarray(u), f1, f2)))
-
-
 def _log_f_density(u: np.ndarray, f1: float, f2: float) -> np.ndarray:
+    """Log density of the central F(f1, f2) law at u > 0."""
     a, b = 0.5 * f1, 0.5 * f2
     lognorm = special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b)
     return (

@@ -15,7 +15,8 @@ The kernels use either as it is.  The unequal-variance design averages it
 over the group variance ratio (:func:`trialsize.designs.welch_power`) and the
 covariate-adjusted design over the imbalance law
 (:func:`trialsize.ancova.adjusted_power`), which makes the exact forms
-double integrals.
+double integrals.  :mod:`trialsize.mmrm` and :mod:`trialsize.families` are
+built on this module, which imports neither.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "EquivSizeBounds",
     "ancova_equiv_power",
     "ts_unequal_equiv_power",
-    "be_adapter",
 ]
 
 
@@ -204,6 +204,8 @@ def equiv_size_bounds(
     bounds for margins symmetric around ``tau1`` coincide with each other
     and with the g1 and g2 rows of the design's equivalence size chain.
     """
+    if tau1 is None and not isinstance(model, TestKernel):
+        raise DomainError("equiv_size_bounds needs tau1= for a size model without one")
     tau1 = model.tau1 if tau1 is None else tau1
     _check_containment(m, tau1)
     du, dl = m.upper - tau1, tau1 - m.lower
@@ -258,17 +260,3 @@ def ts_unequal_equiv_power(
     conditional, method = _conditional(m, s.mu1 - s.mu0, exact)
     return welch_power(s, conditional, n, alpha, method)
 
-
-def be_adapter(spec) -> tuple[TestKernel, Margins, float]:
-    """Bioequivalence setup: log-scale kernel, +/- ln 1.25 margins, alpha=0.1.
-
-    The decision is CI containment within the limits, equivalently two
-    one-sided tests with actual type I error alpha/2.  Any design family
-    that lowers to a test kernel (all but repeated measures) has one.
-    """
-    from .families import family_of  # families is built on this module
-
-    kernel = family_of(spec).kernel
-    if kernel is None:
-        raise DomainError(f"unsupported design for bioequivalence: {type(spec).__name__}")
-    return kernel(spec, 0.0), BE_MARGINS, BE_ALPHA

@@ -11,13 +11,16 @@ The objective is one :class:`~trialsize.equivalence.Margins`, applied once
 for every family: it gives an exact conditional power, that of the rejection
 region of ``simulate``'s decision rule, and an approximate one, which the
 power rows put into the family's powers (:meth:`Family.powers`), and the
-size chain's effect and target (:meth:`Family.size_rows`).
+size chain's effect and target (:meth:`Family.size_rows`).  :func:`be_adapter`
+is the bioequivalence set-up of a kernel family.  A design-file number that
+is not finite is a :class:`ConfigError` naming its path.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -28,7 +31,7 @@ from . import ancova, core, designs, equivalence, mmrm
 from .equivalence import Margins
 from .errors import ConfigError, DecompositionError, DomainError
 
-__all__ = ["FAMILIES", "Family", "Rows", "family_of"]
+__all__ = ["FAMILIES", "Family", "Rows", "be_adapter", "family_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,9 @@ def _require(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # a NaN fails both comparisons; an integer beyond the float range fails one
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -107,6 +113,8 @@ def _covariance(value, path: str) -> np.ndarray:
             raise ConfigError(f"{path}: expected a square numeric matrix") from None
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError(f"{path}: expected a square matrix, got shape {mat.shape}")
+        for i, row in enumerate(value):
+            _numbers(row, f"{path}[{i}]")
         return mat
     if isinstance(value, dict):
         with _fields(value, path) as value:
@@ -476,3 +484,13 @@ def family_of(design) -> Family:
     if family is None:
         raise DomainError(f"unsupported design type {type(design).__name__}")
     return family
+
+
+def be_adapter(spec) -> tuple[core.TestKernel, Margins, float]:
+    """Bioequivalence set-up of a design whose family lowers to a test kernel
+    (all but repeated measures): the kernel, +/- ln 1.25 margins and alpha =
+    0.1, the decision being CI containment, two one-sided tests at alpha/2."""
+    kernel = family_of(spec).kernel
+    if kernel is None:
+        raise DomainError(f"unsupported design for bioequivalence: {type(spec).__name__}")
+    return kernel(spec, 0.0), equivalence.BE_MARGINS, equivalence.BE_ALPHA

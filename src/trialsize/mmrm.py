@@ -63,15 +63,12 @@ __all__ = [
 
 def compound_symmetry(p: int, variance: float, covariance: float) -> np.ndarray:
     """Compound-symmetry covariance: constant variance and covariance."""
-    sig = np.full((p, p), float(covariance))
-    np.fill_diagonal(sig, float(variance))
-    return sig
+    return toeplitz([variance] + [covariance] * (p - 1))
 
 
 def ar1(p: int, variance: float, corr: float) -> np.ndarray:
     """AR(1) covariance: variance * corr^|j-k|."""
-    idx = np.arange(p)
-    return float(variance) * float(corr) ** np.abs(idx[:, None] - idx[None, :])
+    return toeplitz(float(variance) * float(corr) ** np.arange(p))
 
 
 def toeplitz(first_row) -> np.ndarray:
@@ -180,8 +177,7 @@ class MmrmDesign:
             schedules = np.array(retention)[None]
         _check_schedules(schedules, batch=retention is schedules)
         object.__setattr__(self, "retention", retention)
-        if not (0.0 < self.gamma0 < 1.0):
-            raise DomainError(f"allocation fraction must lie in (0, 1), got {self.gamma0}")
+        core.check_allocation(self.gamma0)
         if self.q < 0 or self.q != int(self.q):
             raise DomainError(f"covariate count q must be a nonnegative integer, got {self.q}")
 

@@ -86,7 +86,7 @@ class FactorSpec:
             raise DomainError("factor probs and effects must have equal length")
         if len(self.probs) < 2:
             raise DomainError("a factor needs at least two levels")
-        if any(p <= 0.0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-9:
+        if any(not p > 0.0 for p in self.probs) or not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise DomainError("factor probabilities must be positive and sum to 1")
 
     @property

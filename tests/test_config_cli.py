@@ -550,6 +550,47 @@ def test_unknown_key_is_named(capsys, tmp_path, field):
     assert err == f"error: {field}: unknown field\n"
 
 
+# json.loads reads the NaN, Infinity and -Infinity literals: power printed nan
+# rows and simulate a rate for them, and exited 0
+NON_FINITE_FIELDS = {
+    "design.tau1": ("table2_q3_100", ["power", "--n", "40"], lambda d: d["design"], "tau1"),
+    "design.tau0": ("table2_q3_100", ["power", "--n", "40"], lambda d: d["design"], "tau0"),
+    "design.tau_p1": ("table3_un_q1_m12", ["power", "--n", "40"], lambda d: d["design"], "tau_p1"),
+    "design.covariance[1][0]": (
+        "table3_un_q1_m12", ["power", "--n", "40"], lambda d: d["design"]["covariance"][1], 0
+    ),
+    "simulation.generator.factor.probs[0]": (
+        "table2_q3_100", ["simulate", "--n", "40", "--reps", "50"],
+        lambda d: d["simulation"]["generator"]["factor"]["probs"], 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_non_finite_number_is_named(capsys, tmp_path, field, value):
+    name, command, container, key = NON_FINITE_FIELDS[field]
+    doc = json.loads(fixture_path(name).read_text())
+    container(doc)[key] = value
+    path = write_design(tmp_path, doc)
+    code, out, err = run_cli(capsys, command[0], "--design", path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {field}: expected a finite number, got {value!r}\n"
+
+
+def test_integer_beyond_the_float_range_is_named(capsys, tmp_path):
+    # json.loads reads a long integer literal exactly; float() of it overflowed
+    doc = json.loads(fixture_path("table2_q3_100").read_text())
+    text = json.dumps(doc).replace('"tau1": 1.0', '"tau1": 1' + "0" * 400)
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "power", "--design", str(path), "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: design.tau1: expected a finite number, got 1000")
+
+
 # Design-file fuzzing: each example takes a shipped fixture, applies one
 # mutation and runs one command on it.
 FUZZ_FIXTURES = (
@@ -757,7 +798,8 @@ def test_edge_flag_values_end_in_an_exit_status(argv):
 # schema (every family and objective, each optional field present or absent,
 # numbers drawn from edge values) and runs one command on it.
 EDGE_VALUES = st.sampled_from(
-    [0.0, -1.0, 0.5, 1.0, 2.0, -8.0, 1e-9, -1e-9, 1e-300, 1e9, 1e300, -1e300]
+    [0.0, -1.0, 0.5, 1.0, 2.0, -8.0, 1e-9, -1e-9, 1e-300, 1e9, 1e300, -1e300,
+     math.nan, math.inf, -math.inf]
 )
 # mostly valid, so that most documents reach the formulas
 VARIANCES = st.sampled_from([1.0, 0.5, 45.0, 1e-9, 1e-300, 1e9, 1e300, 0.0, -1.0])

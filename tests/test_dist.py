@@ -65,31 +65,31 @@ def nct_cdf_mixture(x: float, f: float, lam: float) -> float:
 
 class TestNormal:
     def test_symmetry_at_zero(self):
-        assert dist.normal_cdf(0.0) == 0.5
+        assert special.ndtr(0.0) == 0.5
 
     def test_upper_quantile_value(self):
         # oracle: 50-term erf series
         series = 0.5 + 0.5 * erf_series(1.959964 / math.sqrt(2.0))
-        assert abs(dist.normal_cdf(1.959964) - series) < 5e-14
-        assert abs(dist.normal_cdf(1.959964) - 0.975) < 1e-8
+        assert abs(special.ndtr(1.959964) - series) < 5e-14
+        assert abs(special.ndtr(1.959964) - 0.975) < 1e-8
 
     def test_lower_tail_value(self):
         series = 0.5 + 0.5 * erf_series(-1.281552 / math.sqrt(2.0))
-        assert abs(dist.normal_cdf(-1.281552) - series) < 5e-14
-        assert abs(dist.normal_cdf(-1.281552) - 0.10) < 1e-6
+        assert abs(special.ndtr(-1.281552) - series) < 5e-14
+        assert abs(special.ndtr(-1.281552) - 0.10) < 1e-6
 
     def test_saturation(self):
-        assert dist.normal_cdf(-50.0) == 0.0
-        assert dist.normal_cdf(50.0) == 1.0
+        assert special.ndtr(-50.0) == 0.0
+        assert special.ndtr(50.0) == 1.0
 
     def test_quantile_median(self):
         assert dist.normal_quantile(0.5) == 0.0
 
     def test_quantile_vs_bisection(self):
-        # oracle: bisection on normal_cdf
-        root = bisect(lambda x: dist.normal_cdf(x) - 0.975, 0.0, 4.0)
+        # oracle: bisection on scipy.special.ndtr
+        root = bisect(lambda x: special.ndtr(x) - 0.975, 0.0, 4.0)
         assert abs(dist.normal_quantile(0.975) - root) < 1e-9
-        root = bisect(lambda x: dist.normal_cdf(x) - 0.9, 0.0, 4.0)
+        root = bisect(lambda x: special.ndtr(x) - 0.9, 0.0, 4.0)
         assert abs(dist.normal_quantile(0.9) - root) < 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
@@ -99,7 +99,7 @@ class TestNormal:
 
     def test_round_trip(self):
         for p in np.linspace(0.001, 0.999, 41):
-            assert abs(dist.normal_cdf(dist.normal_quantile(p)) - p) < 1e-12
+            assert abs(special.ndtr(dist.normal_quantile(p)) - p) < 1e-12
 
 
 class TestTDistribution:
@@ -108,11 +108,11 @@ class TestTDistribution:
 
     def test_large_df_normal_limit_noncentral(self):
         for x in (-1.0, 0.3, 2.5):
-            assert abs(dist.t_cdf(x, 1e6, 2.0) - dist.normal_cdf(x - 2.0)) < 1e-4
+            assert abs(dist.t_cdf(x, 1e6, 2.0) - special.ndtr(x - 2.0)) < 1e-4
 
     def test_large_df_normal_limit_central(self):
         for x in (-2.0, 0.0, 1.5):
-            assert abs(dist.t_cdf(x, 1e7, 0.0) - dist.normal_cdf(x)) < 1e-5
+            assert abs(dist.t_cdf(x, 1e7, 0.0) - special.ndtr(x)) < 1e-5
 
     def test_noncentral_value(self):
         # oracle: defining integral by adaptive quadrature at 40-digit precision
@@ -244,42 +244,52 @@ class TestBroadcasting:
 
 
 class TestDensities:
+    """The log densities that weight the quadrature rules, against scipy."""
+
     def test_scaled_chi2_mode(self):
         f = 10.0
         mode = (f - 2.0) / f
         grid = np.linspace(0.05, 3.0, 400)
-        vals = [dist.scaled_chi2_density(x, f) for x in grid]
+        vals = dist._log_scaled_chi2_density(grid, f)
         assert abs(grid[int(np.argmax(vals))] - mode) < 0.01
 
     def test_scaled_chi2_normalizes(self):
-        total, _ = integrate.quad(lambda x: dist.scaled_chi2_density(x, 7.0), 0.0, np.inf)
+        density = lambda x: math.exp(dist._log_scaled_chi2_density(np.asarray(x), 7.0))
+        total, _ = integrate.quad(density, 1e-300, np.inf)
         assert abs(total - 1.0) < 1e-8
 
     def test_scaled_chi2_value(self):
         # oracle: log-gamma evaluation at 40-digit precision
-        assert abs(dist.scaled_chi2_density(1.0, 10.0) - 0.8773368488392535) < 1e-13
+        assert abs(math.exp(dist._log_scaled_chi2_density(1.0, 10.0)) - 0.8773368488392535) < 1e-13
 
-    def test_scaled_chi2_zero_left(self):
-        assert dist.scaled_chi2_density(0.0, 4.0) == 0.0
-        assert dist.scaled_chi2_density(-1.0, 4.0) == 0.0
+    @pytest.mark.parametrize("f", [0.5, 1.0, 4.0, 10.0, 240.0])
+    def test_scaled_chi2_left_tail(self, f):
+        # the rule's first panel edge for fractional d.f. reaches far into the left tail
+        xi = np.array([1e-100, 1e-12, 1e-3, 0.5, 1.0, 4.0])
+        expected = stats.chi2.logpdf(xi, f, scale=1.0 / f)
+        assert np.allclose(dist._log_scaled_chi2_density(xi, f), expected, rtol=1e-12, atol=1e-12)
 
     def test_f_density_normalizes(self):
-        density = lambda x: dist.f_density(x, 4.0, 9.0)
-        total = integrate.quad(density, 0.0, 1.0)[0] + integrate.quad(density, 1.0, np.inf)[0]
+        density = lambda x: math.exp(dist._log_f_density(np.asarray(x), 4.0, 9.0))
+        total = integrate.quad(density, 1e-300, 1.0)[0] + integrate.quad(density, 1.0, np.inf)[0]
         assert abs(total - 1.0) < 1e-8
 
     def test_f_density_median_symmetric(self):
         below, _ = integrate.quad(
-            lambda x: dist.f_density(x, 7.0, 7.0), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13
+            lambda x: math.exp(dist._log_f_density(np.asarray(x), 7.0, 7.0)), 1e-300, 1.0,
+            epsabs=1e-14, epsrel=1e-13,
         )
         assert abs(below - 0.5) < 1e-12
 
     def test_f_density_value(self):
         # oracle: log-gamma evaluation at 40-digit precision
-        assert abs(dist.f_density(1.3, 4.0, 7.0) - 0.3149255992558021) < 1e-13
+        assert abs(math.exp(dist._log_f_density(1.3, 4.0, 7.0)) - 0.3149255992558021) < 1e-13
 
-    def test_f_density_zero_left(self):
-        assert dist.f_density(0.0, 3.0, 5.0) == 0.0
+    @pytest.mark.parametrize("f1, f2", [(0.5, 0.5), (1.0, 5.0), (3.0, 5.0), (10.0, 40.0)])
+    def test_f_density_left_tail(self, f1, f2):
+        u = np.array([1e-100, 1e-12, 1e-3, 0.5, 1.0, 4.0, 1e6])
+        expected = stats.f.logpdf(u, f1, f2)
+        assert np.allclose(dist._log_f_density(u, f1, f2), expected, rtol=1e-12, atol=1e-12)
 
 
 def f_law_expectation(g, f1: float, f2: float) -> float:
@@ -415,7 +425,7 @@ class TestFindRoot:
         assert abs(root - math.sqrt(2.0)) < 1e-11
 
     def test_normal_quantile_root(self):
-        root = dist.find_root(lambda x: dist.normal_cdf(x) - 0.975, 0.0, 3.0, 1e-10)
+        root = dist.find_root(lambda x: special.ndtr(x) - 0.975, 0.0, 3.0, 1e-10)
         assert abs(root - Z_975) < 1e-9
 
     def test_no_sign_change(self):

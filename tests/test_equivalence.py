@@ -11,7 +11,6 @@ from trialsize.designs import CrossoverSpec, TwoSampleSpec
 from trialsize.equivalence import (
     Margins,
     ancova_equiv_power,
-    be_adapter,
     equiv_power_approx,
     equiv_power_exact,
     equiv_size_bounds,
@@ -21,7 +20,7 @@ from trialsize.equivalence import (
 from trialsize.ancova import AncovaSpec
 from trialsize.config import load_design
 from trialsize.errors import DomainError
-from trialsize.families import family_of
+from trialsize.families import be_adapter, family_of
 from trialsize.tables import fixture_path
 
 BE_MARGIN = math.log(1.25)
@@ -260,6 +259,13 @@ class TestSizeBounds:
         assert b.g1_lower.fractional == b.g1_upper.fractional == rows["g1"].fractional
         assert b.g2_lower.fractional == b.g2_upper.fractional == rows["g2"].fractional
         assert abs(b.g2_lower.fractional - 173.10) < 0.01
+
+
+    def test_size_model_without_tau1_asks_for_it(self):
+        # a family's own size model is a plain SizeModel, which has no tau1
+        s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
+        with pytest.raises(DomainError, match="needs tau1="):
+            equiv_size_bounds(family_of(s).sizing(s), Margins.equivalence(-0.5, 0.5), 0.05, 0.8)
 
 
 class TestAncovaEquivalence:
