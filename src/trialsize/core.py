@@ -18,8 +18,8 @@ allocation.  :func:`size_chain` is the one chain every design family and
 objective is sized by:
 
 * normal approximation n_b = z^2 v / delta^2, corrected to ntilde = C(n_b),
-* first-order correction g1 = ntilde + z_{1-a/2}^2 / (2 rho(ntilde)),
-  z being the normal size's own quantile, and second-order correction g2,
+* first-order correction g1 = ntilde + z_{1-a/2}^2 / (2 rho(ntilde)), with
+  the normal size's own z, and the conservative second-order correction g2,
 * two-step recomputation C(n_u) with t quantiles at d.f. f(ntilde),
 * numerical inversion of the family's exact power, started at g2.
 

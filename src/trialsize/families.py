@@ -107,14 +107,13 @@ def _field(block: dict, path: str, key: str, read=_number, default=None):
 
 def _covariance(value, path: str) -> np.ndarray:
     if isinstance(value, list):
+        rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(value)]
         try:
-            mat = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+            mat = np.asarray(rows, dtype=float)
+        except ValueError:
             raise ConfigError(f"{path}: expected a square numeric matrix") from None
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError(f"{path}: expected a square matrix, got shape {mat.shape}")
-        for i, row in enumerate(value):
-            _numbers(row, f"{path}[{i}]")
         return mat
     if isinstance(value, dict):
         with _fields(value, path) as value:
