@@ -215,6 +215,6 @@ def load_design(path: str | Path) -> DesignConfig:
         raise ConfigError(f"design file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     return parse_design(doc)

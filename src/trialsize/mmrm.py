@@ -63,7 +63,7 @@ __all__ = [
 
 def compound_symmetry(p: int, variance: float, covariance: float) -> np.ndarray:
     """Compound-symmetry covariance: constant variance and covariance."""
-    return toeplitz([variance] + [covariance] * (p - 1))
+    return toeplitz(np.where(np.arange(p) == 0, float(variance), float(covariance)))
 
 
 def ar1(p: int, variance: float, corr: float) -> np.ndarray:

@@ -582,6 +582,18 @@ def test_non_finite_number_is_named(capsys, tmp_path, field, value):
     assert err == f"error: {field}: expected a finite number, got {value!r}\n"
 
 
+def test_integer_literal_too_long_to_read_is_invalid_json(capsys, tmp_path):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError, which ended in a traceback
+    text = fixture_path("table2_q3_100").read_text()
+    path = tmp_path / "design.json"
+    path.write_text(text.replace('"tau1": 1.0', '"tau1": 1' + "0" * 5000))
+    code, out, err = run_cli(capsys, "power", "--design", str(path), "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: invalid JSON (Exceeds the limit (4300 digits)")
+
+
 # Design-file fuzzing: each example takes a shipped fixture, applies one
 # mutation and runs one command on it.
 FUZZ_FIXTURES = (
