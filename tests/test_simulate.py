@@ -585,7 +585,7 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             FactorSpec(probs=(0.5, 0.4), effects=(0.0, 1.0))
 
-    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)])
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan)])
     def test_factor_probabilities_not_a_number(self, probs):
         # a NaN fails no comparison that asks whether it is out of range
         with pytest.raises(DomainError, match="positive and sum to 1"):
