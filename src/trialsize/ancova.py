@@ -52,8 +52,7 @@ class AncovaSpec:
         if self.sigma_sq <= 0.0:
             raise DomainError("sigma_sq must be positive")
         core.check_allocation(self.gamma0)
-        if self.q < 0 or self.q != int(self.q):
-            raise DomainError(f"covariate count q must be a nonnegative integer, got {self.q}")
+        core.check_covariate_count(self.q)
 
     @property
     def gamma1(self) -> float:

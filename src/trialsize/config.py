@@ -3,8 +3,8 @@
 A design file is a JSON document describing one scenario: the design family
 and its parameters, the trial objective, defaults for alpha and the target
 power, and (optionally) generator settings for simulation.  The schema is
-documented in the README; validation failures raise :class:`ConfigError`
-with the offending field's path in the message.
+documented in the README.  Objects and values are read by the readers of
+:mod:`trialsize.families`; a failure raises :class:`ConfigError` naming a path.
 
 The objective is read here and nowhere else: it becomes the ``margins`` of
 the :class:`DesignConfig` (none for superiority), and "bioequivalence" only
@@ -23,7 +23,7 @@ from . import core
 from .core import SizeEstimate, TestKernel
 from .equivalence import BE_ALPHA, BE_MARGINS, Margins
 from .errors import ConfigError, DomainError
-from .families import FAMILIES, _field, _fields, _integer, _number, _numbers, _require
+from .families import FAMILIES, _choice, _integer, _number, _numbers, _Object
 from .simulate import FactorSpec, ScenarioSpec
 
 __all__ = ["ConfigError", "DesignConfig", "load_design", "parse_design"]
@@ -85,14 +85,9 @@ class DesignConfig:
 
 
 def _factor(value, path: str) -> FactorSpec:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object with probs/effects")
     try:
-        with _fields(value, path) as value:
-            return FactorSpec(
-                probs=_field(value, path, "probs", _numbers),
-                effects=_field(value, path, "effects", _numbers),
-            )
+        with _Object(value, path) as factor:
+            return FactorSpec(probs=factor("probs", _numbers), effects=factor("effects", _numbers))
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -104,22 +99,18 @@ _GENERATOR = {
 }
 
 
-def _margins(doc: dict, objective: str, tau1: float) -> Margins | None:
+def _margins(doc: _Object, objective: str, tau1: float) -> Margins | None:
     if objective == "bioequivalence" and "margins" not in doc:
         return BE_MARGINS
     if objective in ("equivalence", "bioequivalence"):
-        block = _require(doc, "margins", "$")
-        if not isinstance(block, dict):
-            raise ConfigError("margins: expected an object with lower/upper")
-        with _fields(block, "margins") as block:
-            lower = _number(_require(block, "lower", "margins"), "margins.lower")
-            upper = _number(_require(block, "upper", "margins"), "margins.upper")
+        with doc("margins", _Object) as block:
+            lower, upper = block("lower"), block("upper")
         try:
             return Margins.equivalence(lower, upper)
         except DomainError as exc:
             raise ConfigError(f"margins: {exc}") from None
     if objective == "noninferiority":
-        m0 = _number(_require(doc, "margin", "$"), "margin")
+        m0 = doc("margin")
         try:
             return Margins.noninferiority(m0, tau1)
         except DomainError as exc:
@@ -133,26 +124,17 @@ def parse_design(doc: dict) -> DesignConfig:
     Each object of the document may hold only the keys its reader reads; any
     other key is an error that names its path.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("$: design document must be a JSON object")
-    with _fields(doc, "") as doc:
+    with _Object(doc, "") as doc:
         return _parse(doc)
 
 
-def _parse(doc: dict) -> DesignConfig:
-    family = _require(doc, "family", "$")
-    if family not in FAMILIES:
-        raise ConfigError(f"family: must be one of {tuple(FAMILIES)}, got {family!r}")
-    objective = doc.get("objective", "superiority")
-    if objective not in _OBJECTIVES:
-        raise ConfigError(f"objective: must be one of {_OBJECTIVES}, got {objective!r}")
-    block = _require(doc, "design", "$")
-    if not isinstance(block, dict):
-        raise ConfigError("design: expected an object")
+def _parse(doc: _Object) -> DesignConfig:
+    family = doc("family", _choice(FAMILIES))
+    objective = doc("objective", _choice(_OBJECTIVES), "superiority")
     record = FAMILIES[family]
     try:
-        with _fields(block, "design") as block:
-            design = record.parse(block, "design")
+        with doc("design", _Object) as block:
+            design = record.parse(block)
     except DomainError as exc:
         raise ConfigError(f"design: {exc}") from None
     # a nonzero effect must have a normal square, since the size formulas
@@ -164,36 +146,25 @@ def _parse(doc: dict) -> DesignConfig:
             "that its square underflows"
         )
 
-    alpha_default = BE_ALPHA if objective == "bioequivalence" else 0.05
-    alpha = _number(doc.get("alpha", alpha_default), "alpha")
+    alpha = doc("alpha", default=BE_ALPHA if objective == "bioequivalence" else 0.05)
     try:
         core.check_alpha(alpha)
     except DomainError:
         raise ConfigError(f"alpha: {core.ALPHA_DOMAIN}, got {alpha}") from None
-    target_power = _number(doc.get("target_power", 0.80), "target_power")
+    target_power = doc("target_power", default=0.80)
     if not 0.0 < target_power < 1.0:
         raise ConfigError(f"target_power: must lie in (0, 1), got {target_power}")
 
     margins = _margins(doc, objective, tau1)
 
-    sim = doc.get("simulation", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("simulation: expected an object")
-    with _fields(sim, "simulation") as sim:
-        gen = sim.get("generator", {})
-        if not isinstance(gen, dict):
-            raise ConfigError("simulation.generator: expected an object")
+    with doc("simulation", _Object, {}) as sim:
         try:
-            with _fields(gen, "simulation.generator") as gen:
+            with sim("generator", _Object, {}) as gen:
                 scenario = ScenarioSpec(
                     design=design,
-                    replicates=_integer(sim.get("replicates", 0), "simulation.replicates"),
-                    seed=_integer(sim.get("seed", 20240801), "simulation.seed"),
-                    **{
-                        key: _GENERATOR[key](gen[key], f"simulation.generator.{key}")
-                        for key in record.generator
-                        if key in gen
-                    },
+                    replicates=sim("replicates", _integer, 0),
+                    seed=sim("seed", _integer, 20240801),
+                    **{key: gen(key, _GENERATOR[key]) for key in record.generator if key in gen},
                 )
         except DomainError as exc:
             raise ConfigError(f"simulation: {exc}") from None

@@ -27,8 +27,9 @@ A :class:`TestKernel` is the size model of a t test of ``H0: tau = tau0``
 versus ``H1: tau = tau1``, tau0 being the margin under noninferiority; it
 gives (se, crit, f) for every power of the test (:meth:`TestKernel.power`);
 :func:`fixed_df_kernel` builds the classical one with f = n - k (Guenther
-1981).  :func:`check_alpha` and :func:`check_allocation` are the one check
-of a level and of a control-arm fraction.
+1981).  :func:`check_alpha`, :func:`check_allocation` and
+:func:`check_covariate_count` are the one check of a level, of a
+control-arm fraction and of a covariate count.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "SizeEstimate",
     "check_alpha",
     "check_allocation",
+    "check_covariate_count",
     "expected_power",
     "two_tailed",
     "one_sided_tests",
@@ -197,6 +199,13 @@ def check_allocation(gamma0: float) -> None:
     """Raise :class:`DomainError` for a control-arm fraction outside (0, 1)."""
     if not (0.0 < gamma0 < 1.0):
         raise DomainError(f"allocation fraction must lie in (0, 1), got {gamma0}")
+
+
+def check_covariate_count(q) -> None:
+    """Raise :class:`DomainError` for a q that is not a nonnegative integer
+    (NaN and infinities included; ``q % 1`` of either is NaN)."""
+    if not (q >= 0 and q % 1 == 0):
+        raise DomainError(f"covariate count q must be a nonnegative integer, got {q}")
 
 
 # methods whose value is an approximation: returned as computed, and flagged

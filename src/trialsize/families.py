@@ -12,8 +12,13 @@ for every family: it gives an exact conditional power, that of the rejection
 region of ``simulate``'s decision rule, and an approximate one, which the
 power rows put into the family's powers (:meth:`Family.powers`), and the
 size chain's effect and target (:meth:`Family.size_rows`).  :func:`be_adapter`
-is the bioequivalence set-up of a kernel family.  A design-file number that
-is not finite is a :class:`ConfigError` naming its path.
+is the bioequivalence set-up of a kernel family.
+
+A design file is read, here and in :mod:`trialsize.config`, by one object
+reader ``_Object`` and the value readers (``_number``, finite only,
+``_choice`` of allowed names, ...); a schema error is a :class:`ConfigError`
+naming the path of the key or value.  A covariance's order must be the
+retention length; a structure's is checked before its matrix is built.
 """
 
 from __future__ import annotations
@@ -35,41 +40,7 @@ __all__ = ["FAMILIES", "Family", "Rows", "be_adapter", "family_of"]
 
 
 # ---------------------------------------------------------------------------
-# reading a design file's fields
-
-
-class _Fields(dict):
-    """A design file's JSON object that records the keys read from it."""
-
-    def __init__(self, value: dict):
-        super().__init__(value)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-@contextlib.contextmanager
-def _fields(value: dict, path: str):
-    """The JSON object ``value`` at ``path`` ("" for the document), recording
-    the keys read from it.  Once its reader has finished, a key left unread is
-    an error that names its path."""
-    block = _Fields(value)
-    yield block
-    for key in value:
-        if key not in block.read:
-            raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    return obj[key]
+# reading a design file: one object reader and the value readers
 
 
 def _number(value, path: str) -> float:
@@ -99,50 +70,93 @@ def _numbers(value, path: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _field(block: dict, path: str, key: str, read=_number, default=None):
-    """``block[key]`` read by ``read``; required unless it has a ``default``."""
-    value = _require(block, key, path) if default is None else block.get(key, default)
-    return read(value, f"{path}.{key}")
+class _Object(contextlib.AbstractContextManager):
+    """The JSON object ``value`` at ``path`` ("" for the document).  Calling it
+    reads a key through a value reader ``read(value, path)``, ``_Object`` itself
+    for a nested object; the key is required unless it has a ``default``.
+    Leaving its ``with`` block without an error names any key left unread."""
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or '$'}: expected an object, got {value!r}")
+        self.value, self.prefix, self.read = value, f"{path}." if path else "", set()
+
+    def __call__(self, key: str, read: Callable = _number, default=None):
+        self.read.add(key)
+        if key not in self.value and default is None:
+            raise ConfigError(f"{self.prefix}{key}: required field is missing")
+        return read(self.value.get(key, default), self.prefix + key)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.value
+
+    def __exit__(self, error, *_) -> None:
+        unread = [key for key in self.value if key not in self.read]
+        if error is None and unread:
+            raise ConfigError(f"{self.prefix}{unread[0]}: unknown field")
 
 
-def _covariance(value, path: str) -> np.ndarray:
-    if isinstance(value, list):
-        rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(value)]
-        try:
-            mat = np.asarray(rows, dtype=float)
-        except ValueError:
-            raise ConfigError(f"{path}: expected a square numeric matrix") from None
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ConfigError(f"{path}: expected a square matrix, got shape {mat.shape}")
-        return mat
-    if isinstance(value, dict):
-        with _fields(value, path) as value:
-            field = partial(_field, value, path)
-            kind = _require(value, "structure", path)
-            if kind in ("cs", "ar1"):
-                size = field("size", _integer)
-                if size < 1:
-                    raise ConfigError(f"{path}.size: must be at least 1, got {size}")
-            if kind == "cs":
-                return mmrm.compound_symmetry(size, field("variance"), field("covariance"))
-            if kind == "ar1":
-                return mmrm.ar1(size, field("variance"), field("corr"))
+def _choice(names) -> Callable:
+    """The reader of a value that must be one of ``names``."""
+
+    def read(value, path: str) -> str:
+        if not (isinstance(value, str) and value in names):
+            raise ConfigError(f"{path}: must be one of {tuple(names)}, got {value!r}")
+        return value
+
+    return read
+
+
+def _retention(value, path: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected two per-arm retention arrays")
+    return tuple(_numbers(arm, f"{path}[{g}]") for g, arm in enumerate(value))
+
+
+def _covariance(visits: int) -> Callable:
+    """The reader of a covariance matrix or structure object, whose order must
+    be ``visits``, the retention length.  A structure's order (``size``, or the
+    length of ``first_row``) is checked before its matrix is built."""
+
+    def order(structure: _Object, key: str, read: Callable):
+        value = structure(key, read)
+        p = value if key == "size" else len(value)
+        if p != visits:
+            raise ConfigError(
+                f"{structure.prefix}{key}: order {p} differs from the retention length {visits}"
+            )
+        return value
+
+    def read(value, path: str) -> np.ndarray:
+        if isinstance(value, list):
+            rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(value)]
+            if len(rows) != visits or any(len(row) != visits for row in rows):
+                raise ConfigError(f"{path}: expected a square matrix of order {visits}")
+            return np.array(rows)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected a matrix or a structure object")
+        with _Object(value, path) as structure:
+            kind = structure("structure", _choice(("cs", "ar1", "toeplitz")))
             if kind == "toeplitz":
-                return mmrm.toeplitz(field("first_row", _numbers))
-            raise ConfigError(f"{path}.structure: unknown structure {kind!r}")
-    raise ConfigError(f"{path}: expected a matrix or a structure object")
+                return mmrm.toeplitz(order(structure, "first_row", _numbers))
+            size = order(structure, "size", _integer)
+            if kind == "cs":
+                return mmrm.compound_symmetry(size, structure("variance"), structure("covariance"))
+            return mmrm.ar1(size, structure("variance"), structure("corr"))
+
+    return read
 
 
-def _gamma0(block: dict, path: str) -> float:
+def _allocation(value, path: str) -> float:
     """The control arm's allocation fraction.  The variance factor
     1/(gamma0 (1 - gamma0)) is squared in the repeated-measures d.f., so a
     fraction in (0, 1) must leave that square finite."""
-    gamma0 = _field(block, path, "gamma0", default=0.5)
+    gamma0 = _number(value, path)
     if 0.0 < gamma0 < 1.0:
         factor = 1.0 / (gamma0 * (1.0 - gamma0))
         if not math.isfinite(factor * factor):
             raise ConfigError(
-                f"{path}.gamma0: {gamma0!r} is so close to 0 or 1 that "
+                f"{path}: {gamma0!r} is so close to 0 or 1 that "
                 "1/(gamma0 (1 - gamma0)) squared overflows"
             )
     return gamma0
@@ -152,72 +166,62 @@ def _gamma0(block: dict, path: str) -> float:
 # the design blocks
 
 
-def _one_sample(block: dict, path: str) -> designs.OneSampleSpec:
-    field = partial(_field, block, path)
+def _one_sample(design: _Object) -> designs.OneSampleSpec:
     return designs.OneSampleSpec(
-        mu=field("mu"), tau0=field("tau0", default=0.0), sigma_sq=field("sigma_sq")
+        mu=design("mu"), tau0=design("tau0", default=0.0), sigma_sq=design("sigma_sq")
     )
 
 
-def _two_sample(block: dict, path: str) -> designs.TwoSampleSpec:
-    field = partial(_field, block, path)
+def _two_sample(design: _Object) -> designs.TwoSampleSpec:
     d = designs.TwoSampleSpec(
-        mu0=field("mu0"),
-        mu1=field("mu1"),
-        sigma0_sq=field("sigma0_sq"),
-        sigma1_sq=field("sigma1_sq"),
-        gamma0=_gamma0(block, path),
-        equal_variance=field("equal_variance", _boolean, False),
+        mu0=design("mu0"),
+        mu1=design("mu1"),
+        sigma0_sq=design("sigma0_sq"),
+        sigma1_sq=design("sigma1_sq"),
+        gamma0=design("gamma0", _allocation, 0.5),
+        equal_variance=design("equal_variance", _boolean, False),
     )
     if d.equal_variance and d.sigma0_sq != d.sigma1_sq:
         raise ConfigError(
-            f"{path}.equal_variance: the pooled t test needs sigma0_sq == sigma1_sq, "
+            "design.equal_variance: the pooled t test needs sigma0_sq == sigma1_sq, "
             f"got {d.sigma0_sq} and {d.sigma1_sq}"
         )
     return d
 
 
-def _crossover(block: dict, path: str) -> designs.CrossoverSpec:
-    field = partial(_field, block, path)
+def _crossover(design: _Object) -> designs.CrossoverSpec:
     return designs.CrossoverSpec(
-        mu_star_a=field("mu_star_a"),
-        mu_star_b=field("mu_star_b"),
-        sigma_d_sq=field("sigma_d_sq"),
-        gamma0=_gamma0(block, path),
-        period_effect_in_analysis=field("period_effect_in_analysis", _boolean, True),
+        mu_star_a=design("mu_star_a"),
+        mu_star_b=design("mu_star_b"),
+        sigma_d_sq=design("sigma_d_sq"),
+        gamma0=design("gamma0", _allocation, 0.5),
+        period_effect_in_analysis=design("period_effect_in_analysis", _boolean, True),
     )
 
 
-def _ancova(block: dict, path: str) -> ancova.AncovaSpec:
-    field = partial(_field, block, path)
+def _ancova(design: _Object) -> ancova.AncovaSpec:
     return ancova.AncovaSpec(
-        tau1=field("tau1"),
-        tau0=field("tau0", default=0.0),
-        sigma_sq=field("sigma_sq"),
-        gamma0=_gamma0(block, path),
-        q=field("q", _integer),
+        tau1=design("tau1"),
+        tau0=design("tau0", default=0.0),
+        sigma_sq=design("sigma_sq"),
+        gamma0=design("gamma0", _allocation, 0.5),
+        q=design("q", _integer),
     )
 
 
-def _mmrm(block: dict, path: str) -> mmrm.MmrmDesign:
-    field = partial(_field, block, path)
-    retention = _require(block, "retention", path)
-    if not isinstance(retention, list) or len(retention) != 2:
-        raise ConfigError(f"{path}.retention: expected two per-arm retention arrays")
-    sigma = field("covariance", _covariance)
+def _mmrm(design: _Object) -> mmrm.MmrmDesign:
+    retention = design("retention", _retention)
     try:
         return mmrm.MmrmDesign(
-            sigma=sigma,
-            retention=tuple(
-                _numbers(arm, f"{path}.retention[{g}]") for g, arm in enumerate(retention)
-            ),
-            gamma0=_gamma0(block, path),
-            q=field("q", _integer),
-            tau_p1=field("tau_p1"),
-            tau_p0=field("tau_p0", default=0.0),
+            sigma=design("covariance", _covariance(len(retention[0]))),
+            retention=retention,
+            gamma0=design("gamma0", _allocation, 0.5),
+            q=design("q", _integer),
+            tau_p1=design("tau_p1"),
+            tau_p0=design("tau_p0", default=0.0),
         )
     except DecompositionError as exc:
-        raise ConfigError(f"{path}.covariance: {exc}") from None
+        raise ConfigError(f"design.covariance: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,7 @@ class Family:
     """One design family.
 
     spec             the design class
-    parse            (design block, path) -> design
+    parse            design block's _Object reader -> design
     effect_field     the design field carrying the effect under the alternative
     tau1             design -> the effect under the alternative
     null_field       the design field holding the null value (None: it is 0)

@@ -178,8 +178,7 @@ class MmrmDesign:
         _check_schedules(schedules, batch=retention is schedules)
         object.__setattr__(self, "retention", retention)
         core.check_allocation(self.gamma0)
-        if self.q < 0 or self.q != int(self.q):
-            raise DomainError(f"covariate count q must be a nonnegative integer, got {self.q}")
+        core.check_covariate_count(self.q)
 
     @property
     def p(self) -> int:

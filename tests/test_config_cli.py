@@ -550,6 +550,67 @@ def test_unknown_key_is_named(capsys, tmp_path, field):
     assert err == f"error: {field}: unknown field\n"
 
 
+# A name key read as one of its allowed names: a list or an object family
+# raised TypeError (unhashable) from the membership test, with a traceback.
+@pytest.mark.parametrize("value", [["two_sample"], {"two_sample": 1}, 3, None],
+                         ids=["list", "object", "number", "null"])
+@pytest.mark.parametrize("field", ["family", "objective", "design.covariance.structure"])
+def test_name_key_of_another_json_type_is_named(capsys, tmp_path, field, value):
+    doc = json.loads(fixture_path("table6_ar1_q1_m4").read_text())
+    *parents, key = field.split(".")
+    block = doc
+    for parent in parents:
+        block = block[parent]
+    block[key] = value
+    code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: must be one of (")
+    assert err.endswith(f", got {value!r}\n")
+
+
+# A covariance structure's order is checked against the retention length
+# before its matrix is built: a size of 3,000 peaked at 326 MB before exiting.
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("table6_ar1_q1_m4", "size", 5),
+        ("table6_cs_q1_m4", "size", 3),
+        ("table6_ar1_q1_m4", "size", 10**9),
+        ("table6_toep_q1_m4", "first_row", [40.0, 34.0, 28.0, 22.0, 16.0]),
+    ],
+)
+def test_covariance_order_is_checked_before_the_matrix(capsys, tmp_path, monkeypatch, name,
+                                                       key, value):
+    def unbuilt(*args):
+        raise AssertionError("the matrix was built")
+
+    for builder in ("compound_symmetry", "ar1", "toeplitz"):
+        monkeypatch.setattr(f"trialsize.mmrm.{builder}", unbuilt)
+    doc = json.loads(fixture_path(name).read_text())
+    doc["design"]["covariance"][key] = value
+    code, out, err = run_cli(capsys, "power", "--design", write_design(tmp_path, doc), "--n", "40")
+    order = value if key == "size" else len(value)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: design.covariance.{key}: order {order} differs from the retention length 4\n"
+    )
+
+
+# A full matrix is held to the same order; one of order 5 read "design: arm 0
+# retention has 4 visits, covariance has 5".
+@pytest.mark.parametrize(
+    "matrix", [np.eye(5).tolist(), np.eye(3).tolist(), [[1.0] * 4] * 3 + [[1.0] * 3], []],
+    ids=["order_5", "order_3", "ragged", "empty"],
+)
+def test_covariance_matrix_of_another_order_is_named(capsys, tmp_path, matrix):
+    doc = json.loads(fixture_path("table6_un_q1_m4").read_text())
+    doc["design"]["covariance"] = matrix
+    code, out, err = run_cli(capsys, "power", "--design", write_design(tmp_path, doc), "--n", "40")
+    assert (code, out) == (2, "")
+    assert err == "error: design.covariance: expected a square matrix of order 4\n"
+
+
 # json.loads reads the NaN, Infinity and -Infinity literals: power printed nan
 # rows and simulate a rate for them, and exited 0.  It reads a long integer
 # literal exactly, and float() of one beyond the float range overflowed.
@@ -640,8 +701,14 @@ COVARIANCES = st.one_of(
     st.lists(st.lists(ODD_NUMBERS, max_size=4), max_size=4),
     JSON_VALUES,
 )
+NAME_KEYS = {
+    "family": ("one_sample", "two_sample", "crossover", "ancova", "mmrm"),
+    "objective": ("superiority", "noninferiority", "equivalence", "bioequivalence"),
+    "design.covariance.structure": ("cs", "ar1", "toeplitz"),
+}
 MUTATIONS = st.one_of(
     st.tuples(st.just("margins"), MARGIN_BLOCKS),
+    st.tuples(st.just("name"), st.tuples(st.sampled_from(sorted(NAME_KEYS)), JSON_VALUES)),
     st.tuples(st.just("covariance"), COVARIANCES),
     st.tuples(st.just("number"), st.tuples(st.integers(0, 20), ODD_NUMBERS)),
 )
@@ -680,6 +747,16 @@ def mutate(doc: dict, kind: str, value):
                 named = "design.covariance"
         doc["design"]["covariance"] = value
         return named
+    if kind == "name":
+        field, name = value
+        *parents, key = field.split(".")
+        block = doc
+        for parent in parents:
+            block = block.get(parent)
+            if not isinstance(block, dict):  # a fixture without a covariance structure
+                return None
+        block[key] = name
+        return None if name in NAME_KEYS[field] else field
     index, number = value
     fields = [(doc, k) for k in ("alpha", "target_power") if k in doc]
     fields += [
@@ -703,6 +780,8 @@ def mutate(doc: dict, kind: str, value):
     ["size"],
 )
 @example("table3_cs_q1_m04", ("number", (5, 1e-9)), ["size"])  # tau_p1: size beyond the cap
+@example("table1_unequal_100", ("name", ("family", ["two_sample"])), ["size"])  # unhashable
+@example("table6_ar1_q1_m4", ("name", ("design.covariance.structure", {})), ["size"])
 @example("table6_ar1_q1_m4", ("number", (2, 1e-158)), ["power", "--n", "14"])  # gamma0: overflow
 @settings(max_examples=60, deadline=None)
 def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):

@@ -3,9 +3,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from trialsize import core, designs
+from trialsize import ancova, core, designs, mmrm
 from trialsize.errors import BracketError, DomainError
 
 ALPHA = 0.05
@@ -289,3 +290,26 @@ class TestRounding:
             total, per = core.rounded_sizes(frac, (0.5, 0.5), "up")
             assert sum(per) == total
             assert abs(per[0] - per[1]) <= 1
+
+
+# int(q) raised a bare ValueError for a NaN q and an OverflowError for an
+# infinite one, in each spec's own copy of the check
+COVARIATE_SPECS = {
+    "ancova": lambda q: ancova.AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, q=q),
+    "mmrm": lambda q: mmrm.MmrmDesign(
+        sigma=np.eye(2), retention=((1.0, 0.9), (1.0, 0.9)), gamma0=0.5, q=q, tau_p1=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, -1, 1.5])
+@pytest.mark.parametrize("spec", COVARIATE_SPECS)
+def test_covariate_count_that_is_not_a_nonnegative_integer(spec, q):
+    with pytest.raises(DomainError, match="^covariate count q must be a nonnegative integer"):
+        COVARIATE_SPECS[spec](q)
+
+
+@pytest.mark.parametrize("q", [0, 3, 3.0])
+@pytest.mark.parametrize("spec", COVARIATE_SPECS)
+def test_covariate_count_that_is_a_nonnegative_integer(spec, q):
+    assert COVARIATE_SPECS[spec](q).q == q
