@@ -550,18 +550,25 @@ def test_unknown_key_is_named(capsys, tmp_path, field):
     assert err == f"error: {field}: unknown field\n"
 
 
-# A name key read as one of its allowed names: a list or an object family
+def put(doc: dict, field: str, value) -> bool:
+    """Set the dotted ``field`` of ``doc``; False where a parent is not an object."""
+    *parents, key = field.split(".")
+    for parent in parents:
+        doc = doc.get(parent)
+        if not isinstance(doc, dict):
+            return False
+    doc[key] = value
+    return True
+
+
+# A name key must be one of its allowed names: a list or an object family
 # raised TypeError (unhashable) from the membership test, with a traceback.
 @pytest.mark.parametrize("value", [["two_sample"], {"two_sample": 1}, 3, None],
                          ids=["list", "object", "number", "null"])
 @pytest.mark.parametrize("field", ["family", "objective", "design.covariance.structure"])
 def test_name_key_of_another_json_type_is_named(capsys, tmp_path, field, value):
     doc = json.loads(fixture_path("table6_ar1_q1_m4").read_text())
-    *parents, key = field.split(".")
-    block = doc
-    for parent in parents:
-        block = block[parent]
-    block[key] = value
+    assert put(doc, field, value)
     code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
     assert code == 2
     assert out == ""
@@ -749,13 +756,8 @@ def mutate(doc: dict, kind: str, value):
         return named
     if kind == "name":
         field, name = value
-        *parents, key = field.split(".")
-        block = doc
-        for parent in parents:
-            block = block.get(parent)
-            if not isinstance(block, dict):  # a fixture without a covariance structure
-                return None
-        block[key] = name
+        if not put(doc, field, name):  # a fixture without a covariance structure
+            return None
         return None if name in NAME_KEYS[field] else field
     index, number = value
     fields = [(doc, k) for k in ("alpha", "target_power") if k in doc]
