@@ -2,8 +2,10 @@
 
 Each cell is a design document written here.  ``size``, ``power --n`` and
 ``simulate --reps 1000`` print CSV that is pinned byte for byte in
-``EXPECTED``; ``n`` is the cell's inversion total (40 for ANCOVA
-noninferiority, the total at which its formula and simulation are compared).
+``EXPECTED``, and for the cells with an unequal allocation (gamma0 = 0.3)
+so does ``size --round nearest``; ``n`` is the cell's inversion total (40 for
+ANCOVA noninferiority, the total at which its formula and simulation are
+compared).
 For every cell and one fixture of each shipped family and objective, the
 ``size`` inversion must solve the family's exact power for the target.
 """
@@ -154,6 +156,19 @@ CELLS = {
         101,
         ["--margins=-0.8,0.8"],
     ),
+    "two_sample_welch_superiority_unequal_allocation": (
+        {
+            "family": "two_sample",
+            "design": {"mu0": 0.0, "mu1": 0.5, "sigma0_sq": 1.0, "sigma1_sq": 2.0, "gamma0": 0.3},
+        },
+        197,
+        [],
+    ),
+    "mmrm_superiority_unequal_allocation": (
+        {**_MMRM, "design": {**_MMRM["design"], "gamma0": 0.3}},
+        23,
+        [],
+    ),
 }
 COMMANDS = ("size", "power", "simulate")
 
@@ -162,6 +177,7 @@ def run_cell(name: str, command: str, path: str) -> tuple[int, str]:
     doc, n, extra = CELLS[name]
     argv = {
         "size": ["size"],
+        "size_nearest": ["size", "--round", "nearest"],
         "power": ["power", "--n", str(n)],
         "simulate": ["simulate", "--n", str(n), "--reps", "1000"],
     }[command]
@@ -383,6 +399,59 @@ EXPECTED = {
     ("two_sample_welch_superiority_margins_flag", "simulate"): (
         "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
         "51/50,1000,795,79.50,1.28,0,20240801\n"
+    ),
+    ("two_sample_welch_superiority_unequal_allocation", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "normal,194.35,195,59/136\n"
+        "g1,196.79,197,60/137\n"
+        "g2,196.82,197,60/137\n"
+        "two_step,196.90,197,60/137\n"
+        "inversion,196.86,197,60/137\n"
+    ),
+    ("two_sample_welch_superiority_unequal_allocation", "size_nearest"): (
+        "method,fractional,rounded_total,per_group\n"
+        "normal,194.35,194,59/135\n"
+        "g1,196.79,197,60/137\n"
+        "g2,196.82,197,60/137\n"
+        "two_step,196.90,197,60/137\n"
+        "inversion,196.86,197,60/137\n"
+    ),
+    ("two_sample_welch_superiority_unequal_allocation", "power"): (
+        "method,power_pct\n"
+        "two_sided,80.03\n"
+        "one_sided_approx,80.03\n"
+        "exact,80.03\n"
+    ),
+    ("two_sample_welch_superiority_unequal_allocation", "simulate"): (
+        "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
+        "60/137,1000,796,79.60,1.27,0,20240801\n"
+    ),
+    ("mmrm_superiority_unequal_allocation", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "normal_asymptotic,18.19,19,6/13\n"
+        "normal,20.03,21,7/14\n"
+        "g1,22.70,23,7/16\n"
+        "g2,23.01,24,8/16\n"
+        "two_step,23.33,24,8/16\n"
+        "inversion,23.00,23,7/16\n"
+    ),
+    ("mmrm_superiority_unequal_allocation", "size_nearest"): (
+        "method,fractional,rounded_total,per_group\n"
+        "normal_asymptotic,18.19,18,6/12\n"
+        "normal,20.03,20,6/14\n"
+        "g1,22.70,23,7/16\n"
+        "g2,23.01,23,7/16\n"
+        "two_step,23.33,23,7/16\n"
+        "inversion,23.00,23,7/16\n"
+    ),
+    ("mmrm_superiority_unequal_allocation", "power"): (
+        "method,power_pct\n"
+        "main,90.01\n"
+        "simple_approx,90.81\n"
+    ),
+    ("mmrm_superiority_unequal_allocation", "simulate"): (
+        "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
+        "7/16,1000,894,89.40,0.97,0,20240826\n"
     ),
 }
 
