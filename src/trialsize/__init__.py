@@ -10,7 +10,6 @@ every analytic formula empirically.
 from .ancova import AncovaSpec, ancova_power_approx, ancova_power_exact, ancova_sizing
 from .core import (
     PowerEstimate,
-    SizeEstimate,
     SizeModel,
     TestKernel,
     power_one_sided_approx,
@@ -66,7 +65,6 @@ __all__ = [
     "PowerEstimate",
     "ScenarioSpec",
     "SimReport",
-    "SizeEstimate",
     "SizeModel",
     "TestKernel",
     "TwoSampleSpec",

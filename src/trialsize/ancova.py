@@ -140,11 +140,11 @@ def ancova_sizing(s: AncovaSpec) -> SizeModel:
             raise DomainError(f"size {n:.3f} too small for the covariate correction")
         return n * (1.0 + q / (n - 2.0))
 
-    def quadratic(n_b: float) -> tuple[tuple[str, float], ...]:
+    def quadratic(n_b: float) -> dict[str, float]:
         # (n_b + q + 3)^2 - 12 n_b, written as a sum of squares so that it
         # cannot round below zero
         disc = (n_b + q - 3.0) ** 2 + 12.0 * q
-        return (("normal_quadratic", 0.5 * ((n_b + q + 3.0) + math.sqrt(disc))),)
+        return {"normal_quadratic": 0.5 * ((n_b + q + 3.0) + math.sqrt(disc))}
 
     k = ancova_kernel(s)
     return SizeModel(k.v, k.rho_at, k.df_at, k.min_n, k.allocation, correct, quadratic)

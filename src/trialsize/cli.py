@@ -9,6 +9,8 @@ Subcommands:
 * ``reproduce-table``  regenerate the deterministic columns of one of the six
                        reference tables as CSV
 
+The library's sizes are real numbers; ``size`` and ``simulate`` alone round a
+size and split it across the groups (:meth:`DesignConfig.rounded_sizes`).
 All numeric output uses fixed decimal places (sizes and power percentages to
 two), so repeated runs on the same inputs are byte-identical.
 """
@@ -106,12 +108,11 @@ def cmd_size(args) -> int:
     cfg, alpha = _design(args)
     power = args.power if args.power is not None else cfg.target_power
     rows = []
-    # --round none prints the fractional sizes of the default rounding
-    for name, est in cfg.size_rows(alpha, power, "up" if args.round == "none" else args.round):
-        row = {"method": name, "fractional": _fmt(est.fractional)}
+    for name, size in cfg.size_rows(alpha, power).items():
+        row = {"method": name, "fractional": _fmt(size)}
         if args.round != "none":
-            row["rounded_total"] = est.rounded_total
-            row["per_group"] = "/".join(str(v) for v in est.per_group)
+            row["rounded_total"], per_group = cfg.rounded_sizes(size, args.round)
+            row["per_group"] = "/".join(str(v) for v in per_group)
         rows.append(row)
     cols = ["method", "fractional"] + ([] if args.round == "none" else ["rounded_total", "per_group"])
     _emit(rows, cols, args.format)
@@ -122,7 +123,7 @@ def cmd_simulate(args) -> int:
     cfg, alpha = _design(args)
     if args.n is None:
         return _fail("simulate requires --n (total sample size)", 2)
-    per_group = cfg.split_total(args.n)
+    per_group = cfg.rounded_sizes(args.n)[1]
     report = simulate_power(
         cfg.scenario,
         per_group,

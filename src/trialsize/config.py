@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import core
-from .core import SizeEstimate, TestKernel
+from .core import TestKernel
 from .equivalence import BE_ALPHA, BE_MARGINS, Margins
 from .errors import ConfigError, DomainError
 from .families import FAMILIES, _choice, _integer, _number, _numbers, _Object
@@ -71,17 +71,15 @@ class DesignConfig:
         _, powers = FAMILIES[self.family].powers(self.design, self.decision_margins)
         return [(name, power(n, alpha).value) for name, power in powers.items()]
 
-    def size_rows(
-        self, alpha: float, power: float, rounding: str = "up"
-    ) -> list[tuple[str, SizeEstimate]]:
+    def size_rows(self, alpha: float, power: float) -> dict[str, float]:
         """The size chain, by method, ending with the inversion of the exact power."""
-        family, m = FAMILIES[self.family], self.decision_margins
-        return family.size_rows(self.design, m, alpha, power, rounding)
+        return FAMILIES[self.family].size_rows(self.design, self.decision_margins, alpha, power)
 
-    def split_total(self, total: int) -> tuple[int, ...]:
-        """The group sizes of a total, remainder to the first groups."""
+    def rounded_sizes(self, total: float, rounding: str = "up") -> tuple[int, tuple[int, ...]]:
+        """A size rounded by ``rounding`` and split across the groups of the
+        family's allocation (:func:`trialsize.core.rounded_sizes`)."""
         allocation = FAMILIES[self.family].sizing(self.design).allocation
-        return core.rounded_sizes(float(total), allocation, "up")[1]
+        return core.rounded_sizes(total, allocation, rounding)
 
 
 def _factor(value, path: str) -> FactorSpec:

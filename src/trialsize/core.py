@@ -15,13 +15,16 @@ C of the normal-approximation size (for covariates or retention; none for a
 plain t test), the information fraction ``rho_at(n) ~ df/n``, the two-step
 degrees of freedom ``df_at(n)``, the smallest admissible size and the
 allocation.  :func:`size_chain` is the one chain every design family and
-objective is sized by:
+objective is sized by, each size a real number:
 
 * normal approximation n_b = z^2 v / delta^2, corrected to ntilde = C(n_b),
 * first-order correction g1 = ntilde + z_{1-a/2}^2 / (2 rho(ntilde)), with
   the normal size's own z, and the conservative second-order correction g2,
 * two-step recomputation C(n_u) with t quantiles at d.f. f(ntilde),
 * numerical inversion of the family's exact power, started at g2.
+
+A size is rounded to a whole total and split across the groups only where it
+is printed, by :func:`rounded_sizes`.
 
 A :class:`TestKernel` is the size model of a t test of ``H0: tau = tau0``
 versus ``H1: tau = tau1``, tau0 being the margin under noninferiority; it
@@ -49,7 +52,6 @@ __all__ = [
     "TestKernel",
     "fixed_df_kernel",
     "PowerEstimate",
-    "SizeEstimate",
     "check_alpha",
     "check_allocation",
     "check_covariate_count",
@@ -87,7 +89,7 @@ class SizeModel:
     min_n: float
     allocation: tuple[float, ...] = (1.0,)
     correct: Callable[[float], float] | None = None
-    extra: Callable[[float], tuple[tuple[str, float], ...]] = lambda n_b: ()
+    extra: Callable[[float], dict[str, float]] = lambda n_b: {}
 
     def __post_init__(self):
         if not (self.v > 0.0 and math.isfinite(self.v)):
@@ -134,18 +136,7 @@ def fixed_df_kernel(
 class PowerEstimate:
     value: float
     method: str  # exact_two_sided | one_sided_approx | integral_exact | approx
-    n_used: float
     approximation_valid: bool | np.ndarray = True  # per entry for a batch
-
-
-@dataclass(frozen=True)
-class SizeEstimate:
-    fractional: float
-    rounded_total: int
-    per_group: tuple[int, ...]
-    method: str  # the size chain's row name: normal, g1, g2, two_step, inversion, ...
-    target_power: float
-    alpha: float
 
 
 def rounded_sizes(
@@ -165,24 +156,7 @@ def rounded_sizes(
         raise DomainError(f"unknown rounding policy {rounding!r}")
     shares = [math.floor(g * total + 1e-9) for g in allocation]
     short = total - sum(shares)
-    for i in range(len(shares)):
-        if short <= 0:
-            break
-        shares[i] += 1
-        short -= 1
-    return total, tuple(shares)
-
-
-def _estimate(
-    fractional: float,
-    method: str,
-    allocation: tuple[float, ...],
-    power: float,
-    alpha: float,
-    rounding: str,
-) -> SizeEstimate:
-    total, per_group = rounded_sizes(fractional, allocation, rounding)
-    return SizeEstimate(fractional, total, per_group, method, power, alpha)
+    return total, tuple(share + (i < short) for i, share in enumerate(shares))
 
 
 # the domain of a two-sided level; at 1 - alpha/2 = 1 the critical values are infinite
@@ -247,9 +221,9 @@ def expected_power(
         value = dist.integrate(lambda u: conditional(*given(u)), *outer)
     if method in _APPROXIMATIONS:
         valid = ~(np.asarray(value) < 0.0)
-        return PowerEstimate(value, method, n, valid if valid.ndim else bool(valid))
+        return PowerEstimate(value, method, valid if valid.ndim else bool(valid))
     # max(0.0, nan) is 0.0: a NaN is kept, not clipped to a power of 0
-    return PowerEstimate(value if np.isnan(value) else min(1.0, max(0.0, value)), method, n)
+    return PowerEstimate(value if np.isnan(value) else min(1.0, max(0.0, value)), method)
 
 
 def two_tailed(delta: float) -> Callable:
@@ -294,11 +268,11 @@ def size_chain(
     power: float,
     exact: Callable[[float], float] | None = None,
     target: float | None = None,
-    rounding: str = "up",
     two_step: bool = True,
-) -> list[tuple[str, SizeEstimate]]:
-    """The noniterative sizes for the effect ``delta``, by name, and with the
-    exact power ``exact(n)`` its inversion for ``power``, started at g2.
+) -> dict[str, float]:
+    """The noniterative sizes for the effect ``delta``, by name in the order
+    below, and with the exact power ``exact(n)`` its inversion for ``power``,
+    started at g2.
 
     The quantiles are taken at ``target`` (by default ``power``; equivalence
     sizes each one-sided test at (1 + power)/2):
@@ -310,9 +284,10 @@ def size_chain(
     inversion          the root of exact(n) = power
 
     Raises :class:`DomainError` for a target level that rounds to 1, for an
-    effect whose square is 0 or overflows, for an n_b that is not finite, and, for the
-    two-step row, for ntilde at or below ``model.min_n`` and for a
-    non-positive f(ntilde); C raises it for a size too small to correct.
+    effect whose square is 0 or overflows, for an n_b above the size cap
+    (before C and ``model.extra`` see it), and, for the two-step row, for
+    ntilde at or below ``model.min_n`` and for a non-positive f(ntilde); C
+    raises it for a size too small to correct.
     ``two_step=False`` leaves out the two-step row and its checks.
     """
     check_alpha(alpha)
@@ -330,10 +305,10 @@ def size_chain(
 
     z = dist.normal_quantile(1.0 - alpha / 2.0)
     n_b = base(z, dist.normal_quantile(target))
-    if not math.isfinite(n_b):
+    if not n_b <= _SIZE_CAP:
         raise DomainError(
-            f"normal-approximation size not finite: the effect {delta:g} is too small "
-            f"for the variance scale {model.v:g}"
+            f"normal-approximation size {n_b:.6g} is above the size cap {_SIZE_CAP:.0e}: "
+            f"the effect {delta:g} is too small for the variance scale {model.v:g}"
         )
     n_tilde = correct(n_b)
     if two_step and not n_tilde > model.min_n:
@@ -350,21 +325,17 @@ def size_chain(
     corr = z * z / (2.0 * rho)
     g1 = n_tilde + corr
     g2 = g1 + corr * corr / g1
-    sizes = [
-        *([("normal_asymptotic", n_b)] if model.correct else []),
-        ("normal", n_tilde),
-        *model.extra(n_b),
-        ("g1", g1),
-        ("g2", g2),
-        *([("two_step", correct(n_u))] if two_step else []),
-    ]
-    rows = [
-        (name, _estimate(n, name, model.allocation, power, alpha, rounding)) for name, n in sizes
-    ]
+    sizes = {
+        **({"normal_asymptotic": n_b} if model.correct else {}),
+        "normal": n_tilde,
+        **model.extra(n_b),
+        "g1": g1,
+        "g2": g2,
+        **({"two_step": correct(n_u)} if two_step else {}),
+    }
     if exact is not None:
-        inversion = size_invert(exact, power, g2, model.min_n, model.allocation, alpha, rounding)
-        rows.append(("inversion", inversion))
-    return rows
+        sizes["inversion"] = size_invert(exact, power, g2, model.min_n)
+    return sizes
 
 
 def size_invert(
@@ -372,10 +343,7 @@ def size_invert(
     target: float,
     bracket_hint: float,
     min_n: float = 0.0,
-    allocation: tuple[float, ...] = (1.0,),
-    alpha: float = float("nan"),
-    rounding: str = "up",
-) -> SizeEstimate:
+) -> float:
     """Smallest real n with ``power_fn(n) == target`` (to ``_SIZE_TOL``).
 
     ``power_fn`` must be nondecreasing in n past ``min_n``.  The bracket
@@ -409,5 +377,4 @@ def size_invert(
                 f"target power {target} not reachable below the size cap {_SIZE_CAP:.0e}"
             )
         lo, hi = hi, min(_SIZE_CAP, hi + 4.0 * (hi - lo))
-    root = dist.find_root(lambda n: power_at(n) - target, lo, hi, _SIZE_TOL)
-    return _estimate(root, "inversion", allocation, target, alpha, rounding)
+    return dist.find_root(lambda n: power_at(n) - target, lo, hi, _SIZE_TOL)

@@ -29,7 +29,7 @@ from scipy import special
 
 from . import core, dist
 from .ancova import AncovaSpec, adjusted_power
-from .core import PowerEstimate, SizeEstimate, SizeModel, TestKernel
+from .core import PowerEstimate, SizeModel, TestKernel
 from .designs import TwoSampleSpec, welch_power
 from .errors import DomainError
 
@@ -179,10 +179,10 @@ def symmetric_half_width(m: Margins, tau1: float) -> float:
 
 @dataclass(frozen=True)
 class EquivSizeBounds:
-    g1_lower: SizeEstimate
-    g1_upper: SizeEstimate
-    g2_lower: SizeEstimate
-    g2_upper: SizeEstimate
+    g1_lower: float
+    g1_upper: float
+    g2_lower: float
+    g2_upper: float
 
 
 def equiv_size_bounds(
@@ -190,7 +190,6 @@ def equiv_size_bounds(
     m: Margins,
     alpha: float,
     power: float,
-    rounding: str = "up",
     tau1: float | None = None,
 ) -> EquivSizeBounds:
     """Sample-size bounds for possibly asymmetric margins around the true
@@ -210,13 +209,9 @@ def equiv_size_bounds(
     _check_containment(m, tau1)
     du, dl = m.upper - tau1, tau1 - m.lower
 
-    def side(delta: float) -> tuple[SizeEstimate, SizeEstimate]:
+    def side(delta: float) -> tuple[float, float]:
         target = 0.5 * (1.0 + power)
-        rows = dict(
-            core.size_chain(
-                model, delta, alpha, power, target=target, rounding=rounding, two_step=False
-            )
-        )
+        rows = core.size_chain(model, delta, alpha, power, target=target, two_step=False)
         return rows["g1"], rows["g2"]
 
     g1_lo, g2_lo = side(max(du, dl))

@@ -418,9 +418,7 @@ class Family:
             for name, frame, exact in rows.rows
         }
 
-    def size_rows(
-        self, design, m: Margins, alpha: float, power: float, rounding: str = "up"
-    ) -> list[tuple[str, core.SizeEstimate]]:
+    def size_rows(self, design, m: Margins, alpha: float, power: float) -> dict[str, float]:
         """The size chain for the objective of ``m``, by name as ``size``
         prints it, ending with the inversion of the objective's exact power.
 
@@ -438,7 +436,7 @@ class Family:
         exact = powers[inverted]
         return core.size_chain(
             self.sizing(design), delta, alpha, power, lambda n: exact(n, alpha).value,
-            target=level, rounding=rounding,
+            target=level,
         )
 
 

@@ -8,8 +8,7 @@ of freedom have closed-form expectations, which drive the power at the last
 visit and the sample-size chain.
 
 All subject counts at the design stage (m_j = n * pooled retention) are kept
-fractional; rounding to integers happens only when a size estimate is
-reported.
+fractional; sizes are rounded to integers only where they are printed.
 
 The power formulas are plug-in values: the variance terms and d.f. are
 evaluated at these expected retained counts, not averaged over the random

@@ -606,29 +606,35 @@ def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, st
     return est, np.sqrt(n * sig_d / (4.0 * n0 * n1)), np.full(count, float(n - 2))
 
 
+def _arms(n_per_group, q_star: int):
+    """The first arm's size and the treatment column of a covariate-adjusted
+    trial, after rejecting a negative arm or a total of at most q*."""
+    n0, n1 = int(n_per_group[0]), int(n_per_group[1])
+    if min(n0, n1) < 0 or n0 + n1 <= q_star:
+        raise InsufficientDataError(
+            f"need nonnegative arms of more than {q_star} subjects in all, got {n0}/{n1}"
+        )
+    return n0, np.concatenate([np.zeros(n0), np.ones(n1)])
+
+
 def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
     design = sc.design
-    n0, n1 = int(n_per_group[0]), int(n_per_group[1])
-    k = design.q + 2
-    if n0 + n1 <= k:
-        raise InsufficientDataError(f"need more than {k} subjects, got {n0 + n1}")
-    g = np.concatenate([np.zeros(n0), np.ones(n1)])
+    n0, g = _arms(n_per_group, design.q_star)
     count = min(_CHUNK, stop - start)
     baseline = None if sc.baseline_effect is None else (sc.baseline_effect,)
     yall, wobs, xcov = _trials(
         sc, n0, g, seed, start, count, (sc.intercept,), baseline, (design.tau1,),
         np.array([[math.sqrt(design.sigma_sq)]]),
     )
-    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, k)
+    est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
     return est, se, df
 
 
 def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):
     design = sc.design
-    n0, n1 = int(n_per_group[0]), int(n_per_group[1])
-    n, p = n0 + n1, design.p
-    g = np.concatenate([np.zeros(n0), np.ones(n1)])
-    chunk = max(128, min(2048, int(1e6 / (n * p))))
+    n0, g = _arms(n_per_group, design.q_star)
+    p = design.p
+    chunk = max(128, min(2048, int(1e6 / (g.size * p))))
     count = min(chunk, stop - start)
     effects = np.zeros(p)
     if sc.visit_effects is not None:

@@ -55,7 +55,7 @@ def _sizes(cfg: DesignConfig, *normal: str) -> dict[str, float]:
     """The family's size chain as columns: ``exact`` (the inversion), the
     normal-approximation sizes under the names ``normal`` gives them, then
     two_step, g1 and g2."""
-    chain = {name: est.fractional for name, est in cfg.size_rows(cfg.alpha, cfg.target_power)}
+    chain = cfg.size_rows(cfg.alpha, cfg.target_power)
     labels = ("normal_asymptotic", "normal") if len(normal) == 2 else ("normal",)
     return {
         "exact": chain["inversion"],
@@ -102,8 +102,6 @@ def _table2() -> list[dict]:
                 cfg.target_power,
                 sizes["n_asy"],
                 float(s.q_star),
-                (s.gamma0, s.gamma1),
-                a,
             )
             per_arm = _ceil_half(sizes["exact"])
             normal = {column: sizes.pop(column) for column in ("exact", "n_asy", "n_approx")}
@@ -112,7 +110,7 @@ def _table2() -> list[dict]:
                     "q": q,
                     "effect": s.effect,
                     **normal,
-                    "asymptotic_t": asymptotic_t.fractional,
+                    "asymptotic_t": asymptotic_t,
                     **sizes,
                     "per_arm": per_arm,
                     "power_exact": 100.0 * ancova_power_exact(s, 2 * per_arm, a).value,

@@ -391,7 +391,7 @@ class TestCriterion6:
         ] + [designs.one_sample_kernel(0.7, 0.0, 1.0)]
         ok = True
         for k in kernels:
-            chain = {name: est.fractional for name, est in core.size_chain(k, k.effect, 0.05, 0.8)}
+            chain = core.size_chain(k, k.effect, 0.05, 0.8)
             ok &= chain["normal"] < chain["g1"] < chain["g2"]
         report(6, ok, "size ordering normal < g1 < g2")
         assert ok

@@ -25,7 +25,7 @@ def spec(tau, q, gamma0=0.5):
 
 def size_rows(s, alpha, power, margins=Margins.superiority()):
     """The ANCOVA size chain by row name, for the objective of ``margins``."""
-    return dict(FAMILIES["ancova"].size_rows(s, margins, alpha, power))
+    return FAMILIES["ancova"].size_rows(s, margins, alpha, power)
 
 
 class TestExactPower:
@@ -82,12 +82,12 @@ class TestApproxPowers:
             lambda n: ancova_power_asymptotic_t(spec(1.0, 1), n, ALPHA).value,
             POWER, 35.0, 3.0,
         )
-        assert abs(inv1.fractional - 33.50) < 0.02
+        assert abs(inv1 - 33.50) < 0.02
         inv3 = core.size_invert(
             lambda n: ancova_power_asymptotic_t(spec(1.0, 3), n, ALPHA).value,
             POWER, 35.0, 5.0,
         )
-        assert abs(inv3.fractional - 33.64) < 0.02
+        assert abs(inv3 - 33.64) < 0.02
 
     def test_asymptotic_t_equals_approx_at_q0(self):
         for n in (15, 44):
@@ -100,24 +100,24 @@ class TestApproxPowers:
 class TestSizeChain:
     def test_reference_row_q1(self):
         ch = size_rows(spec(1.0, 1), ALPHA, POWER)
-        assert abs(ch["normal_asymptotic"].fractional - 31.40) < 0.01
-        assert abs(ch["normal"].fractional - 32.46) < 0.01
-        assert abs(ch["g1"].fractional - 34.38) < 0.01
-        assert abs(ch["g2"].fractional - 34.49) < 0.01
-        assert abs(ch["two_step"].fractional - 34.65) < 0.01
-        assert abs(ch["inversion"].fractional - 34.50) < 0.01
+        assert abs(ch["normal_asymptotic"] - 31.40) < 0.01
+        assert abs(ch["normal"] - 32.46) < 0.01
+        assert abs(ch["g1"] - 34.38) < 0.01
+        assert abs(ch["g2"] - 34.49) < 0.01
+        assert abs(ch["two_step"] - 34.65) < 0.01
+        assert abs(ch["inversion"] - 34.50) < 0.01
 
     def test_reference_row_q3(self):
         ch = size_rows(spec(2.0, 3), ALPHA, POWER)
-        assert abs(ch["normal_asymptotic"].fractional - 7.85) < 0.01
-        assert abs(ch["normal"].fractional - 11.87) < 0.01
-        assert abs(ch["g2"].fractional - 14.06) < 0.01
+        assert abs(ch["normal_asymptotic"] - 7.85) < 0.01
+        assert abs(ch["normal"] - 11.87) < 0.01
+        assert abs(ch["g2"] - 14.06) < 0.01
 
     def test_quadratic_root_self_consistent(self):
         s = spec(1.0, 2)
         ch = size_rows(s, ALPHA, POWER)
-        n = ch["normal_quadratic"].fractional
-        n_asy = ch["normal_asymptotic"].fractional
+        n = ch["normal_quadratic"]
+        n_asy = ch["normal_asymptotic"]
         assert abs(n - n_asy * (1.0 + s.q / (n - s.q - 3.0))) < 1e-9
 
     @given(
@@ -133,7 +133,7 @@ class TestSizeChain:
     def test_round_trip(self):
         s = spec(1.3, 2)
         ch = size_rows(s, ALPHA, POWER)
-        assert abs(ancova_power_exact(s, ch["inversion"].fractional, ALPHA).value - POWER) < 1e-6
+        assert abs(ancova_power_exact(s, ch["inversion"], ALPHA).value - POWER) < 1e-6
 
     def test_null_effect_rejected(self):
         with pytest.raises(DomainError):
@@ -168,5 +168,5 @@ class TestSizeChain:
         assert list(ch) == [
             "normal_asymptotic", "normal", "normal_quadratic", "g1", "g2", "two_step", "inversion"
         ]
-        inversion = ch["inversion"].fractional
-        assert abs(ch["g2"].fractional - inversion) < 0.1
+        inversion = ch["inversion"]
+        assert abs(ch["g2"] - inversion) < 0.1

@@ -455,15 +455,36 @@ def test_noncentrality_beyond_scipy_range_exits_one(capsys, tmp_path, case):
     )
 
 
-def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path):
-    doc = json.loads(json.dumps(BASE_TWO_SAMPLE))
-    doc["design"].update(sigma0_sq=1e300, sigma1_sq=1e300, mu1=1e-140)
+# name -> (design document, design changes, the size, effect and variance
+# scale named); the ANCOVA sizes overflowed in its quadratic row before the
+# cap was checked
+NORMAL_SIZE_CASES = {
+    "two_sample_not_finite": (
+        BASE_TWO_SAMPLE, {"sigma0_sq": 1e300, "sigma1_sq": 1e300, "mu1": 1e-140},
+        "inf", "1e-140", "4e+300",
+    ),
+    "ancova_variance": (
+        json.loads(fixture_path("table2_q3_100").read_text()), {"sigma_sq": 1e300},
+        "3.13955e+301", "1", "4e+300",
+    ),
+    "ancova_effect": (
+        json.loads(fixture_path("table2_q3_100").read_text()), {"tau1": 1e-150},
+        "3.13955e+301", "1e-150", "4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NORMAL_SIZE_CASES)
+def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path, case):
+    base, design, size, effect, scale = NORMAL_SIZE_CASES[case]
+    doc = json.loads(json.dumps(base))
+    doc["design"].update(design)
     code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
     assert code == 1
     assert out == ""
     assert err.startswith(
-        "error: DomainError: normal-approximation size not finite: the effect 1e-140 is too "
-        "small for the variance scale 4e+300"
+        f"error: DomainError: normal-approximation size {size} is above the size cap 1e+07: "
+        f"the effect {effect} is too small for the variance scale {scale}"
     )
     assert "OverflowError" not in err
 
@@ -809,7 +830,7 @@ def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
 # a negative value reaches the program instead of argparse's option matching.
 # simulate keeps --n <= 2000 and --reps <= 50: its engines draw up to 4096
 # replicates of n values at once, and run every replicate asked for.
-FLAG_FIXTURES = ("table1_equal_050", "table2_q1_100", "table5_m_10")
+FLAG_FIXTURES = ("table1_equal_050", "table2_q1_100", "table5_m_10", "table6_ar1_q1_m4")
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2**128), "x", ""]
 
 
@@ -863,6 +884,8 @@ FLAG_ARGVS = st.sampled_from(sorted(FLAGS)).flatmap(
           "--reps=10", "--seed=-1"])
 @example(["simulate", "--design", str(fixture_path("table5_m_10")), "--n=10",
           "--reps=10", f"--seed={2**128}"])
+@example(["simulate", "--design", str(fixture_path("table6_ar1_q1_m4")), "--n=-1",
+          "--reps=50"])
 @settings(max_examples=80, deadline=None)
 def test_edge_flag_values_end_in_an_exit_status(argv):
     out, err = io.StringIO(), io.StringIO()

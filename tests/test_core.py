@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trialsize import ancova, core, designs, mmrm
+from trialsize import ancova, core, designs, equivalence, mmrm
 from trialsize.errors import BracketError, DomainError
 
 ALPHA = 0.05
@@ -20,7 +20,7 @@ def equal_kernel(tau: float) -> core.TestKernel:
 
 def sizes(k: core.TestKernel) -> dict[str, float]:
     """The kernel's noniterative sizes by name (no inversion)."""
-    return {name: est.fractional for name, est in core.size_chain(k, k.effect, ALPHA, POWER)}
+    return core.size_chain(k, k.effect, ALPHA, POWER)
 
 
 class TestPower:
@@ -182,10 +182,9 @@ class TestChain:
     def test_rows_end_with_the_inversion_of_the_exact_power(self):
         k = equal_kernel(0.5)
         exact = lambda n: core.power_two_sided(k, n, ALPHA).value
-        rows = dict(core.size_chain(k, k.effect, ALPHA, POWER, exact))
+        rows = core.size_chain(k, k.effect, ALPHA, POWER, exact)
         assert list(rows) == ["normal", "g1", "g2", "two_step", "inversion"]
-        assert abs(rows["inversion"].fractional - 127.53) < 5e-3
-        assert rows["g2"].per_group == (64, 64)
+        assert abs(rows["inversion"] - 127.53) < 5e-3
 
     def test_first_pass_size_at_the_minimum(self):
         k = designs.one_sample_kernel(2.2, 0.0, 1.0)  # normal size 1.62 <= min_n 2
@@ -196,6 +195,19 @@ class TestChain:
         k = equal_kernel(0.5)
         with pytest.raises(DomainError, match="the effect 1e\\+300 is too large"):
             core.size_chain(k, 1e300, ALPHA, POWER)
+
+    def test_normal_size_above_the_cap(self):
+        # refused before the correction and the extra rows see it, with or
+        # without an inversion, and in the equivalence bounds
+        def unreachable(n):
+            raise AssertionError(f"called at {n}")
+
+        k = dataclasses.replace(equal_kernel(0.5), correct=unreachable, extra=unreachable)
+        with pytest.raises(DomainError, match="above the size cap"):
+            core.size_chain(k, 1e-3, ALPHA, POWER)
+        margins = equivalence.Margins.equivalence(-1e-3, 1e-3)
+        with pytest.raises(DomainError, match="above the size cap"):
+            equivalence.equiv_size_bounds(equal_kernel(0.0), margins, ALPHA, POWER)
 
     def test_non_positive_two_step_df(self):
         k = dataclasses.replace(equal_kernel(0.5), df_at=lambda n: -1.0)
@@ -209,27 +221,27 @@ class TestInversion:
         est = core.size_invert(
             lambda n: core.power_two_sided(k, n, ALPHA).value, POWER, 160.0, k.min_n
         )
-        assert abs(est.fractional - 127.53) < 5e-3
+        assert abs(est - 127.53) < 5e-3
 
     def test_large_effect_reference(self):
         k = equal_kernel(1.5)
         est = core.size_invert(
             lambda n: core.power_two_sided(k, n, ALPHA).value, POWER, 18.0, k.min_n
         )
-        assert abs(est.fractional - 16.12) < 5e-3
+        assert abs(est - 16.12) < 5e-3
 
     def test_round_trip(self):
         k = equal_kernel(0.9)
         est = core.size_invert(
             lambda n: core.power_two_sided(k, n, ALPHA).value, POWER, 40.0, k.min_n
         )
-        assert abs(core.power_two_sided(k, est.fractional, ALPHA).value - POWER) < 1e-6
+        assert abs(core.power_two_sided(k, est, ALPHA).value - POWER) < 1e-6
 
     def test_bracket_widens_from_far_hints(self):
         k = equal_kernel(0.5)
         power_fn = lambda n: core.power_two_sided(k, n, ALPHA).value
         roots = [
-            core.size_invert(power_fn, POWER, hint, k.min_n).fractional
+            core.size_invert(power_fn, POWER, hint, k.min_n)
             for hint in (1.0, 127.5, 5e3)
         ]
         assert abs(roots[1] - 127.53) < 5e-3

@@ -37,7 +37,7 @@ def be_kernel(sigma_sq: float):
 
 def equivalence_sizes(spec, m: Margins, alpha: float, power: float = 0.8) -> dict[str, float]:
     """The design's equivalence size chain, by row name."""
-    return {name: est.fractional for name, est in family_of(spec).size_rows(spec, m, alpha, power)}
+    return family_of(spec).size_rows(spec, m, alpha, power)
 
 
 class TestMargins:
@@ -219,46 +219,46 @@ class TestSymmetricSizes:
         inv = core.size_invert(
             lambda n: ts_unequal_equiv_power(spec, m, n, 0.05).value, 0.8, 50.0, k.min_n
         )
-        assert abs(inv.fractional - 49.47) < 0.02
+        assert abs(inv - 49.47) < 0.02
 
 
 class TestSizeBounds:
     def test_symmetric_bounds_coincide(self):
         k, m, alpha = be_kernel(0.025)
         b = equiv_size_bounds(k, m, alpha, 0.8)
-        assert abs(b.g1_lower.fractional - b.g1_upper.fractional) < 1e-12
-        assert abs(b.g2_lower.fractional - b.g2_upper.fractional) < 1e-12
-        assert abs(b.g1_lower.fractional - 18.55) < 0.01
+        assert abs(b.g1_lower - b.g1_upper) < 1e-12
+        assert abs(b.g2_lower - b.g2_upper) < 1e-12
+        assert abs(b.g1_lower - 18.55) < 0.01
 
     def test_asymmetric_ordering_and_containment(self):
         spec = CrossoverSpec(0.0, 0.05, 0.05, 0.5)
         k, _, alpha = be_adapter(spec)
         m = Margins.equivalence(-BE_MARGIN, BE_MARGIN)  # effect 0.05 shifts toward upper
         b = equiv_size_bounds(k, m, alpha, 0.8)
-        assert b.g1_lower.fractional < b.g1_upper.fractional
-        assert b.g2_lower.fractional < b.g2_upper.fractional
+        assert b.g1_lower < b.g1_upper
+        assert b.g2_lower < b.g2_upper
         inv = core.size_invert(
             lambda n: equiv_power_exact(k, m, n, alpha).value, 0.8, 40.0, k.min_n
         )
-        assert b.g1_lower.fractional <= inv.fractional <= b.g1_upper.fractional
+        assert b.g1_lower <= inv <= b.g1_upper
 
     def test_larger_side_below_the_minimum_size(self):
         # the larger distance's normal size (1.7) is below the kernel's
         # minimum 3: the bounds take no two-step row and do not refuse it
         k, _, alpha = be_kernel(0.0125)
         b = equiv_size_bounds(k, Margins.equivalence(-0.1, 0.5), alpha, 0.8)
-        assert abs(b.g1_lower.fractional - 3.0655) < 1e-4
-        assert abs(b.g2_lower.fractional - 3.6625) < 1e-4
-        assert abs(b.g2_upper.fractional - 44.2134) < 1e-4
+        assert abs(b.g1_lower - 3.0655) < 1e-4
+        assert abs(b.g2_lower - 3.6625) < 1e-4
+        assert abs(b.g2_upper - 44.2134) < 1e-4
 
     def test_ancova_bounds_carry_the_covariate_correction(self):
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
         m = Margins.equivalence(-0.5, 0.5)
         b = equiv_size_bounds(family_of(s).sizing(s), m, 0.05, 0.8, tau1=s.tau1)
-        rows = dict(family_of(s).size_rows(s, m, 0.05, 0.8))
-        assert b.g1_lower.fractional == b.g1_upper.fractional == rows["g1"].fractional
-        assert b.g2_lower.fractional == b.g2_upper.fractional == rows["g2"].fractional
-        assert abs(b.g2_lower.fractional - 173.10) < 0.01
+        rows = family_of(s).size_rows(s, m, 0.05, 0.8)
+        assert b.g1_lower == b.g1_upper == rows["g1"]
+        assert b.g2_lower == b.g2_upper == rows["g2"]
+        assert abs(b.g2_lower - 173.10) < 0.01
 
 
     def test_size_model_without_tau1_asks_for_it(self):

@@ -520,7 +520,7 @@ FIXTURES = (
 @pytest.mark.parametrize("name", [*CELLS, *FIXTURES])
 def test_inversion_solves_the_family_exact_power(name):
     cfg = _cell_config(name) if name in CELLS else load_design(fixture_path(name))
-    root = dict(cfg.size_rows(cfg.alpha, cfg.target_power))["inversion"].fractional
+    root = cfg.size_rows(cfg.alpha, cfg.target_power)["inversion"]
     tol = 2.0 * core._SIZE_TOL
     below, above = (family_exact_power(cfg, root + s * tol) for s in (-1.0, 1.0))
     assert below <= cfg.target_power <= above
