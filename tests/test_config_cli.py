@@ -571,6 +571,33 @@ def test_unknown_key_is_named(capsys, tmp_path, field):
     assert err == f"error: {field}: unknown field\n"
 
 
+# A DomainError raised while an object of the file is read is named by that
+# object's path: the design block, the generator's factor, the simulation block.
+SCHEMA_DOMAIN_ERRORS = {
+    "design": (
+        lambda doc: doc["design"].update(sigma_sq=-1), "design: sigma_sq must be positive"
+    ),
+    "factor": (
+        lambda doc: doc["simulation"]["generator"]["factor"].update(probs=[0.5, 0.4, 0.2]),
+        "simulation.generator.factor: factor probabilities must be positive and sum to 1",
+    ),
+    "simulation": (
+        lambda doc: doc["simulation"]["generator"].pop("baseline_effect"),
+        "simulation: generator implies q=2 covariates but the design has q=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_DOMAIN_ERRORS)
+def test_domain_error_is_named_by_its_object(capsys, tmp_path, case):
+    edit, message = SCHEMA_DOMAIN_ERRORS[case]
+    doc = json.loads(fixture_path("table2_q3_100").read_text())
+    edit(doc)
+    code, out, err = run_cli(capsys, "size", "--design", write_design(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def put(doc: dict, field: str, value) -> bool:
     """Set the dotted ``field`` of ``doc``; False where a parent is not an object."""
     *parents, key = field.split(".")
