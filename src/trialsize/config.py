@@ -83,11 +83,8 @@ class DesignConfig:
 
 
 def _factor(value, path: str) -> FactorSpec:
-    try:
-        with _Object(value, path) as factor:
-            return FactorSpec(probs=factor("probs", _numbers), effects=factor("effects", _numbers))
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    with _Object(value, path) as factor:
+        return FactorSpec(probs=factor("probs", _numbers), effects=factor("effects", _numbers))
 
 
 # the reader of each generator key; a family's record names the keys it reads
@@ -130,11 +127,8 @@ def _parse(doc: _Object) -> DesignConfig:
     family = doc("family", _choice(FAMILIES))
     objective = doc("objective", _choice(_OBJECTIVES), "superiority")
     record = FAMILIES[family]
-    try:
-        with doc("design", _Object) as block:
-            design = record.parse(block)
-    except DomainError as exc:
-        raise ConfigError(f"design: {exc}") from None
+    with doc("design", _Object) as block:
+        design = record.parse(block)
     # a nonzero effect must have a normal square, since the size formulas
     # divide by it; a zero effect (a null or equivalence design) is allowed
     tau1 = record.tau1(design)
@@ -156,16 +150,10 @@ def _parse(doc: _Object) -> DesignConfig:
     margins = _margins(doc, objective, tau1)
 
     with doc("simulation", _Object, {}) as sim:
-        try:
-            with sim("generator", _Object, {}) as gen:
-                scenario = ScenarioSpec(
-                    design=design,
-                    replicates=sim("replicates", _integer, 0),
-                    seed=sim("seed", _integer, 20240801),
-                    **{key: gen(key, _GENERATOR[key]) for key in record.generator if key in gen},
-                )
-        except DomainError as exc:
-            raise ConfigError(f"simulation: {exc}") from None
+        replicates, seed = sim("replicates", _integer, 0), sim("seed", _integer, 20240801)
+        with sim("generator", _Object, {}) as gen:
+            extras = {key: gen(key, _GENERATOR[key]) for key in record.generator if key in gen}
+        scenario = ScenarioSpec(design=design, replicates=replicates, seed=seed, **extras)
 
     return DesignConfig(
         family=family,

@@ -90,19 +90,21 @@ class Margins:
     def superiority(cls) -> "Margins":
         return cls(lower=-math.inf, upper=math.inf)
 
+    def distances(self, tau1: float) -> tuple[float, float]:
+        """The distances (upper - tau1, tau1 - lower) of the true effect
+        ``tau1`` from the margins, which must hold it strictly inside."""
+        if not (self.lower < tau1 < self.upper):
+            raise DomainError(
+                f"true effect {tau1} must lie strictly inside the margins "
+                f"({self.lower}, {self.upper})"
+            )
+        return self.upper - tau1, tau1 - self.lower
+
 
 # Bioequivalence: the 0.80-1.25 limits on the ratio scale are +/- ln 1.25 on
 # the log scale, tested at alpha = 0.1.
 BE_MARGINS = Margins.equivalence(-math.log(1.25), math.log(1.25))
 BE_ALPHA = 0.1
-
-
-def _check_containment(m: Margins, tau1: float) -> None:
-    if not (m.lower < tau1 < m.upper):
-        raise DomainError(
-            f"true effect {tau1} must lie strictly inside the margins "
-            f"({m.lower}, {m.upper})"
-        )
 
 
 def _phillips_integral(a_up, b_low, scale, f: float):
@@ -131,16 +133,16 @@ def _phillips_integral(a_up, b_low, scale, f: float):
 
 
 def _conditional(m: Margins, tau1: float, exact: bool):
-    """The conditional equivalence power for margins ``m`` around the true
-    effect ``tau1``, and its method: the Phillips integral (exact) or the two
-    one-sided tests (approximate).  Requires tau1 strictly inside ``m``."""
-    _check_containment(m, tau1)
-    upper, lower = m.upper - tau1, m.lower - tau1
+    """The conditional power of the margin interval ``m`` around the true
+    effect ``tau1``, and its method: the Phillips integral (exact) or the
+    one-sided tests at its finite bounds (approximate; the one test of a
+    noninferiority margin).  Requires tau1 strictly inside ``m``."""
+    upper, below = m.distances(tau1)
     if not exact:
-        return core.one_sided_tests(upper, -lower), "approx"
+        return core.one_sided_tests(upper, below), "approx"
 
     def power(se, crit, f):
-        return _phillips_integral(upper / se, lower / se, crit, f)
+        return _phillips_integral(upper / se, -below / se, crit, f)
 
     return power, "integral_exact"
 
@@ -167,8 +169,7 @@ def symmetric_half_width(m: Margins, tau1: float) -> float:
     the effect the size chain is given for equivalence.  Raises for an
     effect outside the margins or off their centre; use
     :func:`equiv_size_bounds` for asymmetric margins."""
-    _check_containment(m, tau1)
-    du, dl = m.upper - tau1, tau1 - m.lower
+    du, dl = m.distances(tau1)
     if abs(du - dl) > 1e-9 * (abs(du) + abs(dl)):
         raise DomainError(
             "margins are not symmetric around the true effect; "
@@ -206,8 +207,7 @@ def equiv_size_bounds(
     if tau1 is None and not isinstance(model, TestKernel):
         raise DomainError("equiv_size_bounds needs tau1= for a size model without one")
     tau1 = model.tau1 if tau1 is None else tau1
-    _check_containment(m, tau1)
-    du, dl = m.upper - tau1, tau1 - m.lower
+    du, dl = m.distances(tau1)
 
     def side(delta: float) -> tuple[float, float]:
         target = 0.5 * (1.0 + power)

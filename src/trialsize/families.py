@@ -17,7 +17,8 @@ is the bioequivalence set-up of a kernel family.
 A design file is read, here and in :mod:`trialsize.config`, by one object
 reader ``_Object`` and the value readers (``_number``, finite only,
 ``_choice`` of allowed names, ...); a schema error is a :class:`ConfigError`
-naming the path of the key or value.  A covariance's order must be the
+naming the path of the key or value, or of the object in whose reading a
+:class:`DomainError` was raised.  A covariance's order must be the
 retention length; a structure's is checked before its matrix is built.
 """
 
@@ -74,11 +75,13 @@ class _Object(contextlib.AbstractContextManager):
     """The JSON object ``value`` at ``path`` ("" for the document).  Calling it
     reads a key through a value reader ``read(value, path)``, ``_Object`` itself
     for a nested object; the key is required unless it has a ``default``.
-    Leaving its ``with`` block without an error names any key left unread."""
+    Leaving its ``with`` block cleanly names a key left unread; a DomainError
+    leaves it as a ConfigError naming the object's path ("$": the document)."""
 
     def __init__(self, value, path: str):
+        self.path = path or "$"
         if not isinstance(value, dict):
-            raise ConfigError(f"{path or '$'}: expected an object, got {value!r}")
+            raise ConfigError(f"{self.path}: expected an object, got {value!r}")
         self.value, self.prefix, self.read = value, f"{path}." if path else "", set()
 
     def __call__(self, key: str, read: Callable = _number, default=None):
@@ -90,9 +93,11 @@ class _Object(contextlib.AbstractContextManager):
     def __contains__(self, key: str) -> bool:
         return key in self.value
 
-    def __exit__(self, error, *_) -> None:
+    def __exit__(self, kind, error, _) -> None:
+        if isinstance(error, DomainError):
+            raise ConfigError(f"{self.path}: {error}") from None
         unread = [key for key in self.value if key not in self.read]
-        if error is None and unread:
+        if kind is None and unread:
             raise ConfigError(f"{self.prefix}{unread[0]}: unknown field")
 
 
@@ -398,19 +403,19 @@ class Family:
 
         The objective gives the conditional powers once, for every family,
         as an (exact, approximate) pair: under superiority the two-sided
-        test of tau1 - tau0 and its one-sided approximation, under
-        noninferiority the one-sided test at the margin for both, and under
-        equivalence the Phillips integral and the two one-sided tests.  The
-        exact one is the power of ``simulate``'s rejection region.
+        test of tau1 - tau0 and its one-sided approximation, and for a
+        margin interval (noninferiority's has one infinite bound) its
+        one-sided tests for both, except that equivalence's exact one is the
+        Phillips integral.  The exact one is the power of ``simulate``'s
+        rejection region; a tau1 outside the margins raises DomainError.
         """
         tau1 = self.tau1(design)
-        if m.kind == "equivalence":
-            conditionals = [equivalence._conditional(m, tau1, exact)[0] for exact in (False, True)]
+        if m.kind == "superiority":
+            effect = tau1 - self.null(design)
+            conditionals = [core.one_sided_tests(abs(effect)), core.two_tailed(effect)]
         else:
-            effect = tau1 - self.null(design, m)
-            one_sided = core.one_sided_tests(abs(effect))
-            exact_conditional = core.two_tailed(effect) if m.kind == "superiority" else one_sided
-            conditionals = [one_sided, exact_conditional]
+            exacts = (False, m.kind == "equivalence")
+            conditionals = [equivalence._conditional(m, tau1, exact)[0] for exact in exacts]
         rows = self.rows(design)[m.kind == "equivalence"]
         methods = ("approx", "integral_exact")
         return rows.inverted, {

@@ -206,14 +206,12 @@ def _decide(
     objective: Margins,
     tau0: float,
 ) -> np.ndarray:
-    """Confidence-interval decision rule shared by all objectives."""
+    """Confidence-interval decision rule shared by all objectives: the interval
+    excludes tau0 (superiority) or lies inside the margins (noninferiority's
+    have one infinite bound)."""
     crit = special.stdtrit(df, 1.0 - alpha / 2.0)
     if objective.kind == "superiority":
         return np.abs(est - tau0) > crit * se
-    if objective.kind == "noninferiority":
-        if math.isfinite(objective.upper):
-            return est + crit * se < objective.upper
-        return est - crit * se > objective.lower
     return (est - crit * se > objective.lower) & (est + crit * se < objective.upper)
 
 

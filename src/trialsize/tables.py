@@ -8,7 +8,8 @@ the inversion and the powers come from the design's family record, as the
 command renders the output as CSV; the acceptance suite compares the values
 against the published reference figures.
 
-Integer evaluation sizes follow each table's stated convention: per-arm
+Integer evaluation sizes follow each table's stated convention, rounded by
+the rule ``size --round`` uses (:func:`trialsize.core.rounded_sizes`): per-arm
 ceiling for the t tests and covariate-adjusted designs, total-size ceiling
 of the conservative noniterative estimate for repeated measures, nearest
 integer per sequence/arm for the equivalence tables (their half-size stress
@@ -17,7 +18,6 @@ rows use the convention the reference figures imply).
 
 from __future__ import annotations
 
-import math
 from importlib import resources
 from pathlib import Path
 
@@ -43,12 +43,8 @@ def _load(name: str) -> DesignConfig:
     return load_design(fixture_path(name))
 
 
-def _ceil_half(total: float) -> int:
-    return math.ceil(total / 2.0 - 1e-9)
-
-
-def _nearest(x: float) -> int:
-    return math.floor(x + 0.5)
+def _rounded(size: float, policy: str) -> int:
+    return core.rounded_sizes(size, (1.0,), policy)[0]
 
 
 def _sizes(cfg: DesignConfig, *normal: str) -> dict[str, float]:
@@ -75,7 +71,7 @@ def _table1() -> list[dict]:
         for code in _T1_TAUS:
             cfg = _load(f"table1_{section}_{code}")
             sizes = _sizes(cfg, "normal")
-            per_arm = _ceil_half(sizes["exact"])
+            per_arm = _rounded(sizes["exact"] / 2.0, "up")
             rows.append(
                 {
                     "variances": section,
@@ -103,7 +99,7 @@ def _table2() -> list[dict]:
                 sizes["n_asy"],
                 float(s.q_star),
             )
-            per_arm = _ceil_half(sizes["exact"])
+            per_arm = _rounded(sizes["exact"] / 2.0, "up")
             normal = {column: sizes.pop(column) for column in ("exact", "n_asy", "n_approx")}
             rows.append(
                 {
@@ -127,7 +123,7 @@ def _table3() -> list[dict]:
             for m in ("12", "08", "04"):
                 cfg = _load(f"table3_{cov}_q{q}_m{m}")
                 sizes = _sizes(cfg, "n_a", "n_approx")
-                total = math.ceil(sizes["g2"] - 1e-9)
+                total = _rounded(sizes["g2"], "up")
                 powers = _powers(cfg, total)
                 rows.append(
                     {
@@ -149,8 +145,8 @@ def _table4() -> list[dict]:
         s2 = 0.0125 * k_idx
         cfg = _load(f"table4_s2_{int(s2 * 10000):04d}")
         sizes = _sizes(cfg, "normal")
-        per_seq = _nearest(sizes["exact"] / 2.0)
-        per_seq_half = math.ceil(sizes["exact"] / 4.0 - 1e-9)
+        per_seq = _rounded(sizes["exact"] / 2.0, "nearest")
+        per_seq_half = _rounded(sizes["exact"] / 4.0, "up")
         rows.append(
             {
                 "sigma_sq": s2,
@@ -169,8 +165,8 @@ def _table5() -> list[dict]:
     for code in ("05", "10", "15"):
         cfg = _load(f"table5_m_{code}")
         sizes = _sizes(cfg, "normal")
-        per_arm = _nearest(sizes["exact"] / 2.0)
-        per_arm_half = _nearest(sizes["exact"] / 4.0)
+        per_arm = _rounded(sizes["exact"] / 2.0, "nearest")
+        per_arm_half = _rounded(sizes["exact"] / 4.0, "nearest")
         rows.append(
             {
                 "margin": cfg.margins.upper,
@@ -191,7 +187,7 @@ def _table6() -> list[dict]:
             for mm in ("8", "4"):
                 cfg = _load(f"table6_{cov}_q{q}_m{mm}")
                 sizes = _sizes(cfg, "n_a", "n_approx")
-                total = math.ceil(sizes["g2"] - 1e-9)
+                total = _rounded(sizes["g2"], "up")
                 rows.append(
                     {
                         "covariance": cov,

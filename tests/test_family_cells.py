@@ -22,13 +22,15 @@ import pytest
 from trialsize import cli, core, mmrm
 from trialsize.ancova import adjusted_power, ancova_power_exact
 from trialsize.config import load_design, parse_design
-from trialsize.designs import moser_exact_power
+from trialsize.designs import OneSampleSpec, moser_exact_power
 from trialsize.equivalence import (
     Margins,
     ancova_equiv_power,
     equiv_power_exact,
     ts_unequal_equiv_power,
 )
+from trialsize.errors import DomainError
+from trialsize.families import family_of
 from trialsize.simulate import simulate_power
 from trialsize.tables import fixture_path
 
@@ -536,3 +538,17 @@ def test_ancova_noninferiority_power_matches_simulation():
     assert exact - superiority.exact_power(40, cfg.alpha) > 0.1
     report = simulate_power(cfg.scenario, (20, 20), cfg.alpha, cfg.margins, replicates=20_000)
     assert abs(report.power_hat - exact) <= 3.0 * report.std_error
+
+
+# A noninferiority margin on the wrong side of tau1 leaves no effect for the
+# one-sided test to detect: the simulator rejected 0 of 20,000 replicates
+# while the power rows read 50.82% at n = 100 and the inversion 198.15.
+@pytest.mark.parametrize("margins", [Margins(0.2, math.inf), Margins(-math.inf, -0.2)],
+                         ids=["lower", "upper"])
+def test_noninferiority_margin_on_the_wrong_side_raises(margins):
+    d = OneSampleSpec(mu=0.0, tau0=0.0, sigma_sq=1.0)
+    family = family_of(d)
+    with pytest.raises(DomainError, match="strictly inside the margins"):
+        family.powers(d, margins)[1]["two_sided"](100, 0.05)
+    with pytest.raises(DomainError, match="strictly inside the margins"):
+        family.size_rows(d, margins, 0.05, 0.8)
