@@ -5,13 +5,20 @@ Everything downstream (power formulas, sample-size inversion, equivalence
 integrals) is built on the routines in this module, and each of them is
 called by another module of the package.  The normal CDF the package needs
 is ``scipy.special.ndtr``; the F and scaled chi-square densities are only
-weights of the quadrature rule, as log densities.  Every noncentral tail is
-``scipy.stats.nct.sf``: the t CDF by reflection, Pr[t(f, lam) <= x] =
-Pr[t(f, -lam) > -x], and the F(1, f, lam^2) tail as the sum of the two t
-tails.  Where scipy's tail is NaN for arguments that are not (a noncentrality
-of 1e10 or more), both raise :class:`DomainError` naming it.
-``scipy.special.nctdtr`` (behind ``stats.nct.cdf``) is not used: it returns
-NaN on part of the (f, lam, x) range the power formulas reach.
+weights of the quadrature rule, as log densities.  The noncentral tails call
+Boost's ufuncs in ``scipy.special._ufuncs`` directly, without the argument
+parsing of ``scipy.stats``.  ``_nct_sf`` is the ufunc of that name clipped to
+[0, 1], with the limits 0 and 1 at x = +-inf: ``stats.nct.sf`` bit for bit.
+:func:`t_cdf` is its reflection, Pr[t(f, lam) <= x] = Pr[t(f, -lam) > -x].
+``_f_sf``, the power of every exact two-sided t test, is the one tail
+Pr[F(1, f, lam^2) > x] of ``_ncf_sf`` (the ufunc behind ``stats.ncf.sf``),
+within about 1e-13 of the sum of the two t tails at lam and -lam.  Boost's F
+tail is wrong at lam^2 = 0 exactly, where ``scipy.special.fdtrc`` gives the
+central tail instead, and NaN at x = inf, where the limit 0 is returned.
+Where a tail is NaN for arguments that are not (a noncentrality of 1e10 or
+more), both raise :class:`DomainError` naming it.  ``scipy.special.nctdtr``
+(behind ``stats.nct.cdf``) is not used: it returns NaN on part of the
+(f, lam, x) range the power formulas reach.
 
 Every integral the package computes is an expectation over a weight law, by
 one rule: 16 Gauss-Legendre nodes in the log variable on each panel between
@@ -27,7 +34,7 @@ positivity cutoff, for a whole batch of outer abscissae at once
 :func:`find_root` is ``scipy.optimize.brentq`` behind the package's errors.
 
 :func:`t_quantile`, :func:`t_cdf` and ``_f_sf`` broadcast over numpy arrays
-in every argument (one scipy call for the whole array, whose per-call
+in every argument (one ufunc call for the whole array, whose per-call
 overhead dwarfs the per-element cost) and return a float for scalar input.
 """
 
@@ -38,7 +45,8 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
+from scipy.special import _ufuncs
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -215,30 +223,42 @@ def t_quantile(p, f):
     return _scalar_or_array(special.stdtrit(f, p))
 
 
-_SIGNS = np.array([1.0, -1.0])
-
-
 def _f_sf(x, f, lam_sq):
     """Upper tail Pr[F(1, f, lam_sq) > x] = Pr[|t(f, lam)| > sqrt(x)], lam^2 = lam_sq.
 
-    The power of the two-sided t test at critical value sqrt(x).  Broadcasts
-    over ``x``, ``f`` and ``lam_sq`` with one ``nct.sf`` call; scalar
-    arguments give a float.
+    The power of the two-sided t test at critical value sqrt(x), as one call
+    of Boost's noncentral F tail (the ufunc behind ``stats.ncf.sf``).
+    Broadcasts over ``x``, ``f`` and ``lam_sq``; scalar arguments give a float.
     """
-    # the two tails, lam and -lam, on a trailing axis
-    lam = np.sqrt(lam_sq)[..., None] * _SIGNS
-    tails = _nct_sf(np.sqrt(x)[..., None], np.asarray(f)[..., None], lam).sum(axis=-1)
+    tails = _ufuncs._ncf_sf(x, 1.0, f, lam_sq)
+    central = np.equal(lam_sq, 0.0)
+    if central.any() or np.isnan(tails).any():
+        # Boost's tail is wrong at lam_sq = 0 exactly (-0.947 at x = 3.84,
+        # f = 100), and NaN at x = inf and x < 0
+        tails = np.where(central, special.fdtrc(1.0, f, x), tails)
+        tails = np.where(np.isposinf(x), 0.0, np.where(np.less(x, 0.0), 1.0, tails))
+        tails = _defined(tails, (x, f, lam_sq), np.sqrt(lam_sq))
     return _scalar_or_array(tails)
 
 
 def _nct_sf(x, f, lam):
-    """``stats.nct.sf(x, f, lam)``, raising :class:`DomainError` where it is
-    NaN though no argument is: scipy's tail is NaN once |lam| reaches about
-    1e10."""
-    tails = stats.nct.sf(x, f, lam)
-    if not np.isnan(tails).any():
-        return tails
-    undefined = np.isnan(tails) & ~(np.isnan(x) | np.isnan(f) | np.isnan(lam))
+    """Upper tail Pr[t(f, lam) > x]: the ufunc behind ``stats.nct.sf``,
+    clipped to [0, 1] as that does, with its limits 0 and 1 at x = +-inf."""
+    with np.errstate(over="ignore"):
+        tails = np.clip(_ufuncs._nct_sf(x, f, lam), 0.0, 1.0)
+    if np.isnan(tails).any():
+        limit = np.isinf(x) & np.greater(f, 0.0) & ~np.isnan(lam)
+        tails = _defined(np.where(limit, np.less(x, 0.0) * 1.0, tails), (x, f, lam), lam)
+    return tails
+
+
+def _defined(tails, args, lam):
+    """``tails``, raising :class:`DomainError` where a tail is NaN though no
+    argument is: scipy's noncentral tails are NaN once the noncentrality lam
+    reaches about 1e10 in magnitude."""
+    undefined = np.isnan(tails)
+    for arg in args:
+        undefined &= ~np.isnan(arg)
     if undefined.any():
         lam = np.broadcast_to(lam, undefined.shape)[undefined].flat[0]
         raise DomainError(

@@ -243,6 +243,46 @@ class TestBroadcasting:
             dist.t_cdf(np.array([1.0, np.nan]), 4.0)
 
 
+class TestScipyPins:
+    """The noncentral tails call scipy's ufuncs directly; these pin them to the
+    public ``scipy.stats`` functions they stand for, so that a scipy which
+    moves or changes the ufuncs fails here."""
+
+    X = np.array([-np.inf, -40.0, -3.0, -0.5, 0.0, 0.7, 2.5, 40.0, np.inf, np.nan])
+    F = np.array([0.5, 3.7, 30.0, 1e5, np.nan])
+    LAM = np.array([-3e9, -37.0, -1.5, -1e-3, 0.0, 1e-3, 1.5, 37.0, 3e9, np.nan])
+
+    def test_nct_sf_is_scipy_nct_sf_bit_for_bit(self):
+        x, f, lam = self.X[:, None, None], self.F[None, :, None], self.LAM
+        np.testing.assert_array_equal(dist._nct_sf(x, f, lam), stats.nct.sf(x, f, lam))
+
+    def test_nct_sf_raises_where_scipy_is_nan(self):
+        # scipy's tail at x = -40 is NaN from |lam| = 5e9 on
+        assert np.isnan(stats.nct.sf(-40.0, 30.0, 5e9))
+        with pytest.raises(DomainError, match="undefined at noncentrality 5e\\+09"):
+            dist._nct_sf(-40.0, 30.0, 5e9)
+
+    def test_f_sf_is_the_sum_of_two_t_tails(self):
+        rng = np.random.default_rng(22)
+        root_x = rng.uniform(0.0, 12.0, 20_000)
+        f = np.exp(rng.uniform(math.log(0.5), math.log(1e5), 20_000))
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), 20_000))
+        two_tails = stats.nct.sf(root_x, f, lam) + stats.nct.sf(root_x, f, -lam)
+        assert np.abs(dist._f_sf(root_x**2, f, lam**2) - two_tails).max() < 1e-13
+
+    def test_f_sf_is_the_central_tail_at_zero_noncentrality(self):
+        # Boost's noncentral tail reads -0.947 at (3.84, 100) with lam^2 = 0
+        x, f = self.X[4:-1, None] ** 2, self.F[:-1]
+        np.testing.assert_array_equal(dist._f_sf(x, f, 0.0), special.fdtrc(1.0, f, x))
+        assert dist._f_sf(3.84, 100.0, 0.0) == special.fdtrc(1.0, 100.0, 3.84)
+
+    def test_f_sf_limits_and_undefined_tail(self):
+        assert dist._f_sf(math.inf, 30.0, 4.0) == 0.0
+        assert dist._f_sf(0.0, 30.0, 4.0) == 1.0
+        with pytest.raises(DomainError, match="undefined at noncentrality 1e\\+10"):
+            dist._f_sf(4.0, 10.0, 1e20)
+
+
 class TestDensities:
     """The log densities that weight the quadrature rules, against scipy."""
 
