@@ -284,11 +284,6 @@ def _kernel(d, conditional, n, a, method):
     return family_of(d).kernel(d, 0.0).power(conditional, n, a, method)
 
 
-def _welch_clipped(d, conditional, n, a, method):
-    # Welch superiority's exact row: the one-sided conditional, clipped
-    return designs.welch_power(d, conditional, n, a)
-
-
 def _mean_imbalance(d, conditional, n, a, method):
     return ancova.adjusted_power(d, conditional, n, a, "approx", mean_imbalance=True)
 
@@ -306,7 +301,7 @@ _KERNEL_ROWS = (
     Rows("exact", (("exact", _kernel, True), ("approx", _kernel, False))),
 )
 _WELCH_ROWS = (
-    Rows("exact", (*_KERNEL_ROWS[0].rows, ("exact", _welch_clipped, False))),
+    Rows("exact", (*_KERNEL_ROWS[0].rows, ("exact", designs.welch_power, True))),
     Rows(
         "exact",
         (

@@ -22,7 +22,7 @@ import pytest
 from trialsize import cli, core, mmrm
 from trialsize.ancova import adjusted_power, ancova_power_exact
 from trialsize.config import load_design, parse_design
-from trialsize.designs import OneSampleSpec, moser_exact_power
+from trialsize.designs import OneSampleSpec, moser_exact_power, welch_power
 from trialsize.equivalence import (
     Margins,
     ancova_equiv_power,
@@ -486,7 +486,7 @@ def family_exact_power(cfg, n: float) -> float:
         if cfg.family == "ancova":
             return ancova_power_exact(d, n, a).value
         if cfg.family == "two_sample" and not d.equal_variance:
-            return moser_exact_power(d, 0.0, n, a).value
+            return welch_power(d, core.two_tailed(d.mu1 - d.mu0), n, a).value
         return core.power_two_sided(cfg.kernel(), n, a).value
     if m.kind == "equivalence":
         if cfg.family == "mmrm":
