@@ -19,7 +19,13 @@ to the last bit that ``tests/test_golden.py`` tolerates.
 Run from the repository root against the checkout to be recorded:
 
     PYTHONPATH=src python tests/golden/make_golden.py > tests/golden/cli.txt
-    PYTHONPATH=src python tests/golden/make_golden.py --powers > tests/golden/powers.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/make_golden.py --powers \
+        > tests/golden/powers.json
+
+The bytes of the power record depend on the machine (its CPU, BLAS and
+library builds) in the last bits: a run elsewhere may differ from the
+committed file by a few 1e-16, which ``tests/test_golden.py``'s tolerance of
+1e-12 absorbs.  Two runs on one machine print the same bytes.
 """
 
 from __future__ import annotations
