@@ -20,7 +20,7 @@ formulas.
 The design-stage quantities and the four power formulas are array
 operations over the visits, and they broadcast over a leading batch axis of
 retention schedules (``MmrmDesign.retention`` as a ``(B, 2, p)`` array): a
-batch costs one t-quantile and one noncentral-t call, and entries where the
+batch costs one t-quantile and one noncentral tail call, and entries where the
 formula is undefined come back NaN instead of raising.  The dropout average
 evaluates its points in such batches.
 """
@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import lapack
-from scipy.stats import qmc
+from scipy.special import _ufuncs
 
 from . import core, dist
 from .core import PowerEstimate, SizeModel
@@ -412,6 +411,8 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     for the finite-difference stencil and one per Sobol round, all
     scramblings together.
     """
+    from scipy.stats import qmc  # here, so that importing the CLI loads no scipy.stats
+
     n_g = tuple(int(v) for v in n_per_group)
     n = sum(n_g)
     d = replace(d, gamma0=n_g[0] / n)
@@ -475,7 +476,10 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
         for g in range(2):
             c = np.full((_SCRAMBLES, batch), float(n_g[g]))
             for j in range(p):
-                c = stats.binom.ppf(u[..., g, j], c, step_prob[g, j])
+                # stats.binom.ppf: its ufunc, and -1 at q = 0 (below the support)
+                q = u[..., g, j]
+                below = (q == 0.0) & (c >= 0.0)
+                c = np.where(below, -1.0, _ufuncs._binom_ppf(q, c, step_prob[g, j]))
                 retained[..., g, j] = c / n_g[g]
         retained = retained.reshape(-1, 2, p)
         scramble = np.repeat(np.arange(_SCRAMBLES), batch)

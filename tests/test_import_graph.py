@@ -1,6 +1,9 @@
-"""The package's modules import each other without a cycle."""
+"""The package's modules import each other without a cycle, and importing
+the CLI leaves out ``scipy.stats``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import trialsize
@@ -65,3 +68,15 @@ def test_no_import_cycle():
     assert {"core", "dist", "equivalence", "families", "mmrm"} <= set(graph)
     cycle = find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_the_cli_loads_no_scipy_stats():
+    # only the dropout average needs scipy.stats (its qmc module), and it
+    # imports it when called
+    code = "import sys, trialsize.cli; print('scipy.stats' in sys.modules)"
+    src = str(PACKAGE.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
