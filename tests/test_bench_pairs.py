@@ -38,3 +38,25 @@ def test_side_without_two_values_is_unresolved():
     record = bench_pairs.summarize(runs, BOUNDS)
     assert record["pass_s"]["change"]["median"] is None
     assert record["within_bounds"]["pass_s"] == "unresolved"
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    faster = [v - 0.2 for v in parent]
+    record = bench_pairs.summarize(
+        {"parent": [run(v) for v in parent], "change": [run(v) for v in faster]}, BOUNDS
+    )
+    claim = bench_pairs.judge_claim("reference-tables", record)
+    assert claim["met"] is True and claim["result"].startswith("met: change faster in 10 of 10")
+    # one pair lost of ten still meets the rule; two do not
+    for lost, met in ((1, True), (2, False)):
+        change = [run(1.1)] * lost + [run(v) for v in faster[lost:]]
+        record = bench_pairs.summarize({"parent": [run(v) for v in parent], "change": change},
+                                       BOUNDS)
+        assert bench_pairs.judge_claim("reference-tables", record)["met"] is met
+    # every pair won, by less than the parent's interquartile range
+    close = [v - 0.005 for v in parent]
+    record = bench_pairs.summarize(
+        {"parent": [run(v) for v in parent], "change": [run(v) for v in close]}, BOUNDS
+    )
+    assert bench_pairs.judge_claim("reference-tables", record)["met"] is False

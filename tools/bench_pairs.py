@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent and a changed revision, written as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --pr N [--change REV] [--pairs 10]
-        [--workload NAME ...] [--description TEXT] [--scratch DIR]
+        [--workload NAME ...] [--claim WORKLOAD] [--description TEXT] [--scratch DIR]
 
 Every run is ``python3 perfbench/run.py --workload NAME --trace 0`` in a fresh
 copy of its revision (``git archive`` into a new directory, removed after the
@@ -19,6 +19,11 @@ fewer than two runs with a value.  A failed run printed no result: its
 values are ``null``, it is left out of the quartiles and the pair
 comparison, and the workload is not ``correct``.
 The run length is perfbench's own.
+
+``--claim WORKLOAD`` claims a lower ``pass_s`` on that workload.  The claim
+is met when the change's ``pass_s`` is the lower one in at least nine tenths
+of the pairs (ties count for neither) and its median is below the parent's
+by more than the parent's interquartile range; the record says which.
 
 The perfbench tracer still reports a few per-layer metrics that read 0 on
 every revision since the program stopped having what they count; the record
@@ -127,6 +132,25 @@ def summarize(runs: dict[str, list[dict | None]], bounds: dict[str, float]) -> d
     return record
 
 
+def judge_claim(workload: str, record: dict) -> dict:
+    """The claim of a lower ``pass_s`` on ``workload``, judged on its record."""
+    pass_s = record["pass_s"]
+    parent, change = pass_s["parent"], pass_s["change"]
+    wins, pairs = record["change_faster_pass_s"], record["pairs"]
+    met = None not in (parent["median"], change["median"]) and (
+        wins >= 0.9 * pairs
+        and parent["median"] - change["median"] > parent["q3"] - parent["q1"]
+    )
+    return {
+        "workload": workload,
+        "metric": "pass_s",
+        "met": met,
+        "result": f"{'met' if met else 'not met'}: change faster in {wins} of {pairs} pairs, "
+                  f"median {parent['median']} -> {change['median']} s, parent interquartile "
+                  f"range {parent['q1']}-{parent['q3']} s",
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent revision")
@@ -134,11 +158,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, type=int, help="the number in BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--claim", choices=WORKLOADS, help="the workload of a claimed pass_s gain")
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--scratch", type=Path, default=Path(tempfile.gettempdir()))
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs needs at least 2 pairs for quartiles")
+    if args.claim and args.claim not in (args.workload or WORKLOADS):
+        parser.error("--claim names a workload that is not run")
 
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
@@ -180,14 +207,17 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(values, n=4), exclusive method",
             "written_by": "python3 tools/bench_pairs.py",
         },
-        "claim": {"workload": None, "metric": None, "result": "no gain claimed"},
+        "claim": (
+            judge_claim(args.claim, workloads[args.claim]) if args.claim
+            else {"workload": None, "metric": None, "result": "no gain claimed"}
+        ),
         "workloads": workloads,
         "dead_metrics": DEAD_METRICS,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
-    ok = all(
+    ok = record["claim"].get("met", True) and all(
         w["correct"] and all(v is True for v in w["within_bounds"].values())
         for w in workloads.values()
     )
