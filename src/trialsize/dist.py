@@ -14,8 +14,8 @@ parsing of ``scipy.stats``.  ``_nct_sf`` is the ufunc of that name clipped to
 Pr[F(1, f, lam^2) > x] of ``_ncf_sf`` (the ufunc behind ``stats.ncf.sf``),
 within about 1e-13 of the sum of the two t tails at lam and -lam.  Boost's F
 tail is wrong at lam^2 = 0 exactly, where ``scipy.special.fdtrc`` gives the
-central tail instead, and NaN at x = inf, where the limit 0 is returned.
-Where a tail is NaN for arguments that are not (a noncentrality of 1e10 or
+central tail instead, and NaN at x = inf and x < 0, where the tail is 0 and
+1.  Where a tail is NaN for arguments that are not (a noncentrality of 1e10 or
 more), both raise :class:`DomainError` naming it.  ``scipy.special.nctdtr``
 (behind ``stats.nct.cdf``) is not used: it returns NaN on part of the
 (f, lam, x) range the power formulas reach.
