@@ -276,11 +276,11 @@ class TestScipyPins:
         np.testing.assert_array_equal(dist._f_sf(x, f, 0.0), special.fdtrc(1.0, f, x))
         assert dist._f_sf(3.84, 100.0, 0.0) == special.fdtrc(1.0, 100.0, 3.84)
 
-    def test_f_sf_limits_and_undefined_tail(self):
+    def test_f_sf_limits(self):
+        # the undefined tail at lam^2 = 1e20 is
+        # TestFDistribution.test_noncentrality_beyond_scipy_range_is_named
         assert dist._f_sf(math.inf, 30.0, 4.0) == 0.0
         assert dist._f_sf(0.0, 30.0, 4.0) == 1.0
-        with pytest.raises(DomainError, match="undefined at noncentrality 1e\\+10"):
-            dist._f_sf(4.0, 10.0, 1e20)
 
 
 class TestDensities:
