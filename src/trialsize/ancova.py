@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, dist
-from .core import PowerEstimate, SizeModel, TestKernel
+from .core import PowerEstimate, TestKernel
 from .errors import DomainError
 
 __all__ = [
@@ -128,8 +128,8 @@ def ancova_power_asymptotic_t(
     return k.power(conditional or core.two_tailed(s.effect), n, alpha, "approx")
 
 
-def ancova_sizing(s: AncovaSpec) -> SizeModel:
-    """The size chain's model: the kernel's v, rho = 1 and f = n - q*, with the
+def ancova_sizing(s: AncovaSpec) -> TestKernel:
+    """The family's design-stage model: the ANCOVA kernel, with the
     normal-approximation size corrected for the covariates, n(1 + q/(n - 2)).
     Its extra row ``normal_quadratic`` is the explicit root of the
     self-consistent corrected size n = n_b (1 + q/(n - q - 3))."""
@@ -146,5 +146,4 @@ def ancova_sizing(s: AncovaSpec) -> SizeModel:
         disc = (n_b + q - 3.0) ** 2 + 12.0 * q
         return {"normal_quadratic": 0.5 * ((n_b + q + 3.0) + math.sqrt(disc))}
 
-    k = ancova_kernel(s)
-    return SizeModel(k.v, k.rho_at, k.df_at, k.min_n, k.allocation, correct, quadratic)
+    return replace(ancova_kernel(s), correct=correct, extra=quadratic)

@@ -173,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_design=True):
-        if need_design:
-            p.add_argument("--design", required=True, help="design file (JSON)")
+    def common(p):
+        p.add_argument("--design", required=True, help="design file (JSON)")
         p.add_argument("--alpha", type=float, default=None, help="two-sided significance level")
         p.add_argument("--margins", default=None, metavar="LO,HI", help="margin interval override")
         p.add_argument("--format", choices=("text", "csv"), default="text")

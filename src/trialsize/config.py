@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import core
@@ -54,12 +54,11 @@ class DesignConfig:
         return Margins.superiority() if self.margins is None else self.margins
 
     def kernel(self) -> TestKernel:
-        """Test kernel at the objective's null value, for the kernel-based
-        families (not defined for MMRM)."""
+        """The family's test kernel (:meth:`trialsize.families.Family.kernel`)
+        at the objective's null value."""
         family = FAMILIES[self.family]
-        if family.kernel is None:
-            raise ConfigError(f"family {self.family!r} does not lower to a single kernel")
-        return family.kernel(self.design, family.null(self.design, self.decision_margins))
+        null = family.null(self.design, self.decision_margins)
+        return replace(family.kernel(self.design), tau0=null)
 
     def exact_power(self, n: float, alpha: float) -> float:
         """The exact power, which the size chain's inversion solves for the target."""

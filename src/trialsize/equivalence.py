@@ -194,15 +194,17 @@ def equiv_size_bounds(
     tau1: float | None = None,
 ) -> EquivSizeBounds:
     """Sample-size bounds for possibly asymmetric margins around the true
-    effect ``tau1`` (by default ``model.tau1``, for a test kernel).
+    effect ``tau1``, which is needed only for a plain size model; a test
+    kernel's is ``model.tau1``.
 
     The lower bound replaces the effect by the larger margin distance, the
     upper bound by the smaller; each side is the g1 and g2 rows of the size
     chain of ``model`` at the equivalence target (1 + power)/2, without the
-    two-step row and its checks.  Given a design's own size model (its
-    family's ``sizing``, which carries ANCOVA's covariate correction), the
-    bounds for margins symmetric around ``tau1`` coincide with each other
-    and with the g1 and g2 rows of the design's equivalence size chain.
+    two-step row and its checks.  Given a design's own model (its family's
+    ``sizing``, or the kernel of ``be_adapter`` and ``DesignConfig.kernel``,
+    each with ANCOVA's covariate correction), the bounds for margins
+    symmetric around ``tau1`` coincide with each other and with the g1 and
+    g2 rows of the design's equivalence size chain.
     """
     if tau1 is None and not isinstance(model, TestKernel):
         raise DomainError("equiv_size_bounds needs tau1= for a size model without one")

@@ -3,9 +3,11 @@
 ``FAMILIES`` holds one record per design family, keyed by the design file's
 ``family`` name.  A record supplies everything that differs between the
 families: the design-block parser and the field that carries the effect,
-the test kernel (none for repeated measures), the size chain's model (with
-the allocation), the null value, the power rows, the simulator's engine,
-its default replicate count and the generator keys it reads.
+the one design-stage model (the size chain's, with the allocation), the null
+value, the power rows, the simulator's engine, its default replicate count
+and the generator keys it reads.  The model of a t-test family is its test
+kernel at the design's own null (:meth:`Family.kernel`); that of repeated
+measures is a plain size model, which lowers to no kernel.
 
 The objective is one :class:`~trialsize.equivalence.Margins`, applied once
 for every family: it gives an exact conditional power, that of the rejection
@@ -281,7 +283,7 @@ class Rows(NamedTuple):
 
 
 def _kernel(d, conditional, n, a, method):
-    return family_of(d).kernel(d, 0.0).power(conditional, n, a, method)
+    return family_of(d).kernel(d).power(conditional, n, a, method)
 
 
 def _mean_imbalance(d, conditional, n, a, method):
@@ -330,24 +332,6 @@ _MMRM_ROWS = (
 )
 
 
-def _one_sample_kernel(d, tau0):
-    return designs.one_sample_kernel(d.mu, tau0, d.sigma_sq)
-
-
-def _two_sample_kernel(d, tau0):
-    if d.equal_variance:
-        return designs.two_sample_equal_kernel(d, tau0)
-    return designs.two_sample_unequal_kernel(d, tau0)
-
-
-def _crossover_kernel(d, tau0):
-    return replace(designs.crossover_kernel(d), tau0=tau0)
-
-
-def _ancova_kernel(d, tau0):
-    return ancova.ancova_kernel(replace(d, tau0=tau0))
-
-
 # ---------------------------------------------------------------------------
 # the table
 
@@ -361,9 +345,10 @@ class Family:
     effect_field     the design field carrying the effect under the alternative
     tau1             design -> the effect under the alternative
     null_field       the design field holding the null value (None: it is 0)
-    kernel           (design, null) -> TestKernel; None for repeated measures
-    sizing           design -> the size chain's SizeModel (v, C, rho, f, the
-                     smallest size and the group allocation)
+    sizing           design -> the family's one design-stage model, the size
+                     chain's (v, C, rho, f, the smallest size and the group
+                     allocation): for a t-test family the TestKernel at the
+                     design's own null, a plain SizeModel for repeated measures
     rows             design -> its power ``Rows``: (tests, equivalence)
     engine           name of the ``simulate`` engine, looked up at call time
     replicates       the simulation's default replicate count
@@ -377,7 +362,6 @@ class Family:
     effect_field: str
     tau1: Callable
     null_field: str | None
-    kernel: Callable | None
     sizing: Callable
     rows: Callable
     engine: str
@@ -391,6 +375,14 @@ class Family:
         if m.kind == "noninferiority":
             return m.lower if math.isfinite(m.lower) else m.upper
         return getattr(design, self.null_field) if self.null_field else 0.0
+
+    def kernel(self, design) -> core.TestKernel:
+        """The design-stage model as a test kernel; a DomainError for a family
+        whose model is not one (repeated measures)."""
+        model = self.sizing(design)
+        if not isinstance(model, core.TestKernel):
+            raise DomainError(f"{type(design).__name__} does not lower to a single t-test kernel")
+        return model
 
     def powers(self, design, m: Margins) -> tuple[str, dict[str, Callable]]:
         """The name of the row the size chain inverts, and each power row for
@@ -443,33 +435,36 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "one_sample": Family(
         spec=designs.OneSampleSpec, parse=_one_sample, effect_field="mu", tau1=lambda d: d.mu,
-        null_field="tau0", kernel=_one_sample_kernel,
-        sizing=partial(_one_sample_kernel, tau0=0.0), rows=lambda d: _KERNEL_ROWS,
+        null_field="tau0", sizing=lambda d: designs.one_sample_kernel(d.mu, d.tau0, d.sigma_sq),
+        rows=lambda d: _KERNEL_ROWS,
         engine="_simulate_one_sample", replicates=100_000,
     ),
     "two_sample": Family(
         spec=designs.TwoSampleSpec, parse=_two_sample, effect_field="mu1",
-        tau1=lambda d: d.mu1 - d.mu0, null_field=None, kernel=_two_sample_kernel,
-        sizing=partial(_two_sample_kernel, tau0=0.0),
+        tau1=lambda d: d.mu1 - d.mu0, null_field=None,
+        sizing=lambda d: (
+            designs.two_sample_equal_kernel if d.equal_variance
+            else designs.two_sample_unequal_kernel
+        )(d, 0.0),
         rows=lambda d: _KERNEL_ROWS if d.equal_variance else _WELCH_ROWS,
         engine="_simulate_two_sample", replicates=100_000,
     ),
     "crossover": Family(
         spec=designs.CrossoverSpec, parse=_crossover, effect_field="mu_star_b",
-        tau1=lambda d: d.mu_star_b - d.mu_star_a, null_field=None, kernel=_crossover_kernel,
-        sizing=partial(_crossover_kernel, tau0=0.0), rows=lambda d: _KERNEL_ROWS,
+        tau1=lambda d: d.mu_star_b - d.mu_star_a, null_field=None,
+        sizing=designs.crossover_kernel, rows=lambda d: _KERNEL_ROWS,
         engine="_simulate_crossover", replicates=100_000, generator=("period_effect",),
     ),
     "ancova": Family(
         spec=ancova.AncovaSpec, parse=_ancova, effect_field="tau1", tau1=lambda d: d.tau1,
-        null_field="tau0", kernel=_ancova_kernel, sizing=ancova.ancova_sizing,
+        null_field="tau0", sizing=ancova.ancova_sizing,
         rows=lambda d: _ANCOVA_ROWS, engine="_simulate_ancova", replicates=100_000,
         generator=("intercept", "baseline_effect", "factor"),
         check_generator=_covariate_count("baseline_effect"),
     ),
     "mmrm": Family(
         spec=mmrm.MmrmDesign, parse=_mmrm, effect_field="tau_p1", tau1=lambda d: d.tau_p1,
-        null_field="tau_p0", kernel=None, sizing=mmrm.mmrm_sizing, rows=lambda d: _MMRM_ROWS,
+        null_field="tau_p0", sizing=mmrm.mmrm_sizing, rows=lambda d: _MMRM_ROWS,
         engine="_simulate_mmrm", replicates=40_000,
         generator=("factor", "visit_intercepts", "visit_baseline_effects", "visit_effects"),
         check_generator=_mmrm_generator,
@@ -489,9 +484,8 @@ def family_of(design) -> Family:
 
 def be_adapter(spec) -> tuple[core.TestKernel, Margins, float]:
     """Bioequivalence set-up of a design whose family lowers to a test kernel
-    (all but repeated measures): the kernel, +/- ln 1.25 margins and alpha =
-    0.1, the decision being CI containment, two one-sided tests at alpha/2."""
-    kernel = family_of(spec).kernel
-    if kernel is None:
-        raise DomainError(f"unsupported design for bioequivalence: {type(spec).__name__}")
-    return kernel(spec, 0.0), equivalence.BE_MARGINS, equivalence.BE_ALPHA
+    (all but repeated measures): the kernel at the null 0, +/- ln 1.25 margins
+    and alpha = 0.1, the decision being CI containment, two one-sided tests at
+    alpha/2."""
+    kernel = replace(family_of(spec).kernel(spec), tau0=0.0)
+    return kernel, equivalence.BE_MARGINS, equivalence.BE_ALPHA

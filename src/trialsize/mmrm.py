@@ -476,10 +476,9 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
         for g in range(2):
             c = np.full((_SCRAMBLES, batch), float(n_g[g]))
             for j in range(p):
-                # stats.binom.ppf: its ufunc, and -1 at q = 0 (below the support)
-                q = u[..., g, j]
-                below = (q == 0.0) & (c >= 0.0)
-                c = np.where(below, -1.0, _ufuncs._binom_ppf(q, c, step_prob[g, j]))
+                # the ufunc of stats.binom.ppf, which is 0 at q = 0 where
+                # binom.ppf is -1: either count drops the schedule below
+                c = _ufuncs._binom_ppf(u[..., g, j], c, step_prob[g, j])
                 retained[..., g, j] = c / n_g[g]
         retained = retained.reshape(-1, 2, p)
         scramble = np.repeat(np.arange(_SCRAMBLES), batch)

@@ -202,9 +202,11 @@ class TestCriterion5:
     shipped per-fixture seeds; type I error likewise at null/margin
     configurations.
 
-    The exact formulas behind the power columns of Tables 1, 2, 4 and 5 must
-    sit within three binomial standard errors (3SE) of the simulated rejection
-    rate.  The repeated-measures formulas of Tables 3 and 6 are approximations
+    Each row of Tables 1, 2, 4 and 5 is held to its family's exact power
+    (:meth:`~trialsize.config.DesignConfig.exact_power`, the power of the
+    simulator's rejection region), which must sit within three binomial
+    standard errors (3SE) of the simulated rejection rate.  The
+    repeated-measures formulas of Tables 3 and 6 are approximations
     evaluated at the expected retained counts, while the simulator draws
     dropout at random.  Their rows are held to the same 3SE against the
     simplified formula (first-order variance, observed-information d.f.),
@@ -219,13 +221,7 @@ class TestCriterion5:
             for kind, row in (("equal", TABLE1[i]), ("unequal", TABLE1[i + 8])):
                 cfg = load_design(fixture_path(f"table1_{kind}_{code}"))
                 per_arm = row[7]
-                k = cfg.kernel()
-                if kind == "equal":
-                    formula = core.power_two_sided(k, 2 * per_arm, cfg.alpha).value
-                else:
-                    formula = designs.moser_exact_power(
-                        cfg.design, 0.0, 2 * per_arm, cfg.alpha
-                    ).value
+                formula = cfg.exact_power(2 * per_arm, cfg.alpha)
                 _sim_check(
                     f"t-test {kind} effect {row[1]}", cfg, (per_arm, per_arm),
                     cfg.alpha, Margins.superiority(), formula, failures,
@@ -237,7 +233,7 @@ class TestCriterion5:
                 row = TABLE2[i if q == 1 else i + 5]
                 cfg = load_design(fixture_path(f"table2_q{q}_{code}"))
                 per_arm = row[9]
-                formula = ancova_power_exact(cfg.design, 2 * per_arm, cfg.alpha).value
+                formula = cfg.exact_power(2 * per_arm, cfg.alpha)
                 _sim_check(
                     f"covariate-adjusted q={q} effect {row[1]}", cfg,
                     (per_arm, per_arm), cfg.alpha, Margins.superiority(), formula, failures,
@@ -256,9 +252,8 @@ class TestCriterion5:
 
         for i, row in enumerate(TABLE4):
             cfg = load_design(fixture_path(f"table4_s2_{int(row[0] * 10000):04d}"))
-            k = cfg.kernel()
             for per_seq, label in ((row[6], "full"), (row[9], "half")):
-                formula = equiv_power_exact(k, cfg.margins, 2 * per_seq, cfg.alpha).value
+                formula = cfg.exact_power(2 * per_seq, cfg.alpha)
                 _sim_check(
                     f"crossover BE s2={row[0]} {label}", cfg, (per_seq, per_seq),
                     cfg.alpha, cfg.margins, formula, failures,
@@ -267,9 +262,7 @@ class TestCriterion5:
         for row in TABLE5:
             cfg = load_design(fixture_path(f"table5_m_{int(row[0] * 10):02d}"))
             for per_arm, label in ((row[6], "full"), (row[10], "half")):
-                formula = ts_unequal_equiv_power(
-                    cfg.design, cfg.margins, 2 * per_arm, cfg.alpha, exact=True
-                ).value
+                formula = cfg.exact_power(2 * per_arm, cfg.alpha)
                 _sim_check(
                     f"unequal equivalence margin {row[0]} {label}", cfg,
                     (per_arm, per_arm), cfg.alpha, cfg.margins, formula, failures,

@@ -261,11 +261,35 @@ class TestSizeBounds:
         assert abs(b.g2_lower - 173.10) < 0.01
 
 
-    def test_size_model_without_tau1_asks_for_it(self):
-        # a family's own size model is a plain SizeModel, which has no tau1
+    def test_be_adapter_kernel_carries_the_covariate_correction(self):
+        # the ANCOVA kernel handed out for bioequivalence is the family's own
+        # model, so its bounds are the family chain's rows, not the rows of
+        # the uncorrected kernel (170.04 and 170.06)
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
+        m = Margins.equivalence(-0.5, 0.5)
+        k, _, _ = be_adapter(s)
+        b = equiv_size_bounds(k, m, 0.05, 0.8)
+        rows = family_of(s).size_rows(s, m, 0.05, 0.8)
+        assert b.g1_lower == b.g1_upper == rows["g1"]
+        assert b.g2_lower == b.g2_upper == rows["g2"]
+        assert abs(b.g1_lower - 173.08) < 0.01
+        assert abs(b.g2_lower - 173.10) < 0.01
+
+    def test_size_model_without_tau1_asks_for_it(self):
+        # repeated measures' model is a plain SizeModel, which has no tau1
+        d = load_design(fixture_path("table3_ar1_q1_m04")).design
         with pytest.raises(DomainError, match="needs tau1="):
-            equiv_size_bounds(family_of(s).sizing(s), Margins.equivalence(-0.5, 0.5), 0.05, 0.8)
+            equiv_size_bounds(family_of(d).sizing(d), Margins.equivalence(-0.5, 0.5), 0.05, 0.8)
+
+    def test_repeated_measures_has_no_kernel(self):
+        # the one "does not lower to a kernel" error, from either entry point
+        cfg = load_design(fixture_path("table3_ar1_q1_m04"))
+        with pytest.raises(DomainError) as adapter:
+            be_adapter(cfg.design)
+        with pytest.raises(DomainError) as config:
+            cfg.kernel()
+        assert str(adapter.value) == str(config.value)
+        assert "MmrmDesign does not lower to a single t-test kernel" in str(config.value)
 
 
 class TestAncovaEquivalence:
