@@ -278,7 +278,10 @@ class TestDeterminism:
 # one-sample engine, both two-sample analyses at arms that differ by more than
 # one subject, both crossover analyses under a period effect, and an ANCOVA
 # whose three-level factor often leaves a level empty at 6 per arm (1438 of
-# the 5000 replicates drop an indicator column).
+# the 5000 replicates drop an indicator column).  The last three pin the
+# stream in seconds where otherwise only criterion 5 reaches it: the
+# repeated-measures engine with dropout, and the margin-interval decision
+# (``PIN_OBJECTIVES``; the others test superiority).
 ENGINE_PINS = {
     "one_sample": (OneSampleSpec(mu=0.6, tau0=0.0, sigma_sq=1.0), {}, (15,), (2920, 0)),
     "two_sample_pooled_unequal_arms": (
@@ -324,13 +327,36 @@ ENGINE_PINS = {
         (8, 8),
         (1689, 0),
     ),
+    "mmrm_dropout": (
+        ts.MmrmDesign(sigma=UN, retention=RET, gamma0=0.5, q=1, tau_p1=-8.0),
+        {
+            "visit_intercepts": (3.3, 2.7, 2.9, 1.0),
+            "visit_baseline_effects": (0.72, 0.69, 0.61, 0.67),
+            "visit_effects": (0.1, -1.5, -2.3),
+        },
+        (12, 11),
+        (3330, 0),
+    ),
+    "welch_equivalence": (ts.TwoSampleSpec(0.0, 0.1, 1.0, 3.0, 0.5, False), {}, (24, 16), (785, 0)),
+    "crossover_noninferiority": (
+        CrossoverSpec(0.0, 0.05, 0.6, period_effect_in_analysis=True),
+        {"period_effect": 0.3},
+        (8, 7),
+        (2303, 0),
+    ),
+}
+PIN_OBJECTIVES = {
+    "welch_equivalence": Margins.equivalence(-1.0, 1.1),
+    "crossover_noninferiority": Margins.noninferiority(-0.35, 0.05),
 }
 
 
-@pytest.mark.parametrize("design,generator,n_per_group,counts", ENGINE_PINS.values(), ids=ENGINE_PINS)
-def test_engine_counts_pinned(design, generator, n_per_group, counts):
+@pytest.mark.parametrize("name", ENGINE_PINS)
+def test_engine_counts_pinned(name):
+    design, generator, n_per_group, counts = ENGINE_PINS[name]
+    objective = PIN_OBJECTIVES.get(name, Margins.superiority())
     sc = ScenarioSpec(design=design, seed=11, **generator)
-    report = simulate_power(sc, n_per_group, 0.05, Margins.superiority(), replicates=5000)
+    report = simulate_power(sc, n_per_group, 0.05, objective, replicates=5000)
     assert (report.rejections, report.failures) == counts
 
 
