@@ -21,8 +21,9 @@ class ConvergenceError(RuntimeError):
 
 
 class SimulationFailureError(RuntimeError):
-    """Too many simulated replicates failed analysis for the rejection rate
-    to be trusted."""
+    """A simulated rejection rate cannot be trusted: too many replicates
+    failed analysis, or numpy's Philox state is not laid out as the
+    substream reset expects."""
 
 
 class DecompositionError(ValueError):

@@ -1,13 +1,17 @@
 """Seeded Monte Carlo trial simulator and analysis estimators.
 
 Every replicate draws from its own counter-based substream (Philox keyed by
-the scenario seed, counter = replicate_index << 128), so results are
-bit-identical for a fixed seed regardless of chunking or parallelism.  Each
-engine call builds one Philox and, per replicate, resets its state to that
-counter rather than building a new generator; the stream is the same.  Only
-the raw draws run per replicate, into chunk arrays; factor levels, dropout
-patterns, means and covariate columns are computed once per chunk.  Draw
-order within a replicate is fixed per design family:
+the scenario seed, counter = replicate_index << 128; Salmon et al. 2011,
+"Parallel random numbers: as easy as 1, 2, 3"), so results are bit-identical
+for a fixed seed regardless of chunking or parallelism.  Each engine call
+builds one Philox and, per replicate, writes that counter, the output-buffer
+position and the buffered-half flag into numpy's Philox state in place
+rather than building a new generator or assigning a state dict; the stream
+is the same.  Those writes go through ctypes views of the state struct, and
+the first engine call of a process checks the struct's layout before any
+write.  Only the raw draws run per replicate, into chunk arrays; factor
+levels, dropout patterns, means and covariate columns are computed once per
+chunk.  Draw order within a replicate is fixed per design family:
 
 * one-sample / two-sample / crossover:  one standard-normal block
 * covariate-adjusted and repeated measures:  baseline normals, factor
@@ -40,6 +44,7 @@ a nontrivial fraction of its Monte Carlo standard error.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from dataclasses import dataclass
@@ -68,6 +73,14 @@ __all__ = [
 _CHUNK = 4096
 _FAILURE_CAP = 1e-3
 _RANK_TOL = 1e-9
+
+# numpy's philox_state (numpy/random/src/philox/philox.h, since numpy 1.17):
+# a pointer to the four 64-bit counter words first, then the key pointer,
+# ``int buffer_pos`` at byte 16, the four buffered words and ``int
+# has_uint32`` at byte 56.  ``_check_layout`` confirms it once per process.
+_BUFFER_POS = 16
+_HAS_UINT32 = 56
+_layout_checked = False
 
 
 @dataclass(frozen=True)
@@ -167,11 +180,53 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _state_views(bit_generator: np.random.Philox):
+    """ctypes views of a Philox's four counter words, its output-buffer
+    position and its buffered-half flag, at the offsets of ``_BUFFER_POS``
+    and ``_HAS_UINT32``.  They read and write numpy's state in place, and
+    are valid while ``bit_generator`` lives."""
+    address = bit_generator.ctypes.state_address
+    counter = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    return (
+        counter,
+        ctypes.c_int.from_address(address + _BUFFER_POS),
+        ctypes.c_int.from_address(address + _HAS_UINT32),
+    )
+
+
+def _check_layout() -> None:
+    """Check once per process that the views read what numpy's state dict
+    sets: a probe Philox gets counter (1, 2, 3, 4), buffer position 3 and a
+    buffered half through its dict, and the views must read them back.
+    Raises ``SimulationFailureError`` naming numpy's version otherwise; it
+    writes nothing."""
+    global _layout_checked
+    if _layout_checked:
+        return
+    probe = np.random.Philox(key=0)
+    state = probe.state
+    state["state"]["counter"] = np.arange(1, 5, dtype=np.uint64)
+    state["buffer_pos"] = 3
+    state["has_uint32"] = 1
+    probe.state = state
+    counter, buffer_pos, has_uint32 = _state_views(probe)
+    read = (tuple(counter), buffer_pos.value, has_uint32.value)
+    if read != ((1, 2, 3, 4), 3, 1):
+        raise SimulationFailureError(
+            f"numpy {np.__version__} does not lay out its Philox state as the substream reset "
+            f"expects: counter, buffer position and buffered-half flag set to "
+            f"((1, 2, 3, 4), 3, 1) read back as {read}"
+        )
+    _layout_checked = True
+
+
 def _philox(seed: int):
-    """One engine call's bit generator, its ``Generator`` and its state dict,
-    which ``_substream`` repositions per replicate."""
+    """One engine call's bit generator, its ``Generator`` and the views of its
+    state (``_state_views``) that ``_substream`` writes per replicate, after
+    ``_check_layout``."""
+    _check_layout()
     bit_generator = np.random.Philox(key=seed)
-    return bit_generator, np.random.Generator(bit_generator), bit_generator.state
+    return bit_generator, np.random.Generator(bit_generator), *_state_views(bit_generator)
 
 
 def _substream(philox, index: int) -> np.random.Generator:
@@ -179,18 +234,17 @@ def _substream(philox, index: int) -> np.random.Generator:
     ``index << 128``, the stream of a fresh
     ``Generator(Philox(key=seed, counter=index << 128))``.
 
-    ``philox`` comes from ``_philox``.  The reset writes all four counter
-    words, because draws move the low word, and empties the output buffer
-    and the buffered 32-bit half.  The returned generator is the same object
-    for every index and is valid until the next reset.
+    ``philox`` comes from ``_philox``, whose layout check has passed.  The
+    reset writes all four counter words in place, because draws move the
+    low word, and empties the output buffer and the buffered 32-bit half.
+    The returned generator is the same object for every index and is valid
+    until the next reset.
     """
-    bit_generator, generator, state = philox
-    counter = state["state"]["counter"]
+    _, generator, counter, buffer_pos, has_uint32 = philox
     counter[0] = counter[1] = counter[3] = 0
     counter[2] = index
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    bit_generator.state = state
+    buffer_pos.value = 4
+    has_uint32.value = 0
     return generator
 
 
@@ -208,8 +262,10 @@ def _decide(
 ) -> np.ndarray:
     """Confidence-interval decision rule shared by all objectives: the interval
     excludes tau0 (superiority) or lies inside the margins (noninferiority's
-    have one infinite bound)."""
-    crit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    have one infinite bound).  The t quantile is evaluated once per distinct
+    d.f.: the t, pooled and crossover engines give one per chunk."""
+    values, inverse = np.unique(df, return_inverse=True)
+    crit = special.stdtrit(values, 1.0 - alpha / 2.0)[inverse]
     if objective.kind == "superiority":
         return np.abs(est - tau0) > crit * se
     return (est - crit * se > objective.lower) & (est + crit * se < objective.upper)
@@ -459,15 +515,17 @@ def _draw(seed: int, start: int, count: int, *blocks):
     A block is (name of a ``Generator`` method, shape per replicate) or
     None.  Each replicate draws its blocks in the order given from its own
     substream; the result holds one ``(count, *shape)`` array per block, None
-    for None.
+    for None.  ``_substream`` returns the one generator of ``philox``, so its
+    methods are bound once.
     """
     arrays = [None if b is None else np.empty((count, *b[1])) for b in blocks]
-    fills = [(arr, b[0]) for arr, b in zip(arrays, blocks) if b is not None]
     philox = _philox(seed)
+    generator = philox[1]
+    fills = [(arr, getattr(generator, b[0])) for arr, b in zip(arrays, blocks) if b is not None]
     for r in range(count):
-        gen = _substream(philox, start + r)
-        for arr, method in fills:
-            getattr(gen, method)(out=arr[r])
+        _substream(philox, start + r)
+        for arr, draw in fills:
+            draw(out=arr[r])
     return arrays
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -60,3 +61,35 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
         {"parent": [run(v) for v in parent], "change": [run(v) for v in close]}, BOUNDS
     )
     assert bench_pairs.judge_claim("reference-tables", record)["met"] is False
+
+
+LAYERS = {
+    "substream_us", "draw_two_sample_us_per_rep", "draw_mmrm_us_per_rep",
+    "decide_one_df_us_per_entry", "decide_distinct_df_us_per_entry", "fit_visits_us_per_rep",
+}
+
+
+def test_layer_probe_times_every_call_in_wall_and_cpu_time():
+    # a tiny run of the probe in a fresh process on this checkout
+    done = subprocess.run(bench_pairs.layer_command(1, repeat=1), cwd=bench_pairs.ROOT,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    layers = json.loads(done.stdout.strip().splitlines()[-1])
+    assert set(layers) == LAYERS
+    for times in layers.values():
+        assert set(times) == {"wall_us", "cpu_us"}
+        assert all(0.0 <= t < 1e5 for t in times.values())
+    assert layers["fit_visits_us_per_rep"]["wall_us"] > 0.0
+
+
+def test_layer_record_keeps_the_minimum_over_rounds_and_every_round():
+    def probe(scale):
+        return {"substream_us": {"wall_us": 0.3 * scale, "cpu_us": 0.29 * scale}}
+
+    record = bench_pairs.layer_record({"parent": [probe(2), probe(1.5)], "change": [probe(1)]})
+    assert record["parent"]["substream_us"]["wall_us"] == 0.45
+    assert record["parent"]["substream_us"]["cpu_us"] == 0.435
+    assert record["parent"]["substream_us"]["rounds"] == [
+        {"wall_us": 0.6, "cpu_us": 0.58}, {"wall_us": 0.45, "cpu_us": 0.435}
+    ]
+    assert record["change"]["substream_us"]["wall_us"] == 0.3
+    json.loads(json.dumps(record, allow_nan=False))

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import trialsize as ts
+from trialsize import cli
 from trialsize import simulate as sim
 from trialsize.config import load_design
 from trialsize.designs import CrossoverSpec, OneSampleSpec
@@ -402,11 +404,43 @@ class TestSubstream:
         philox = sim._philox(self.SEED)
         leftover(_substream(philox, 4))
         check(philox, 5)
-        # a state dict taken mid-stream: its low counter word, buffer position
-        # and buffered half are all stale, and the reset must overwrite each
-        bit_generator, gen, _ = philox
-        leftover(gen)
-        check((bit_generator, gen, bit_generator.state), 2**40 + 5)
+        # mid-stream, after a check's draws: the low counter word, the buffer
+        # position and the buffered half are all stale, and the reset must
+        # overwrite each, upward and back down to the first counter
+        for index in (2**40 + 5, 0):
+            leftover(philox[1])
+            check(philox, index)
+
+    def test_layout_check_trips_before_any_draw(self, monkeypatch, capsys):
+        # the buffer position read at the buffered-half flag's offset: the
+        # check reads 1 where it set 3, and no engine may write or draw
+        monkeypatch.setattr(sim, "_layout_checked", False)
+        monkeypatch.setattr(sim, "_BUFFER_POS", sim._HAS_UINT32)
+        resets = []
+        monkeypatch.setattr(sim, "_substream", lambda *args: resets.append(args))
+        sc = ScenarioSpec(design=ts.TwoSampleSpec(0.0, 0.5, 1.0, 1.0, 0.5, True), seed=3)
+        with pytest.raises(SimulationFailureError, match=f"numpy {np.__version__} does not lay out"):
+            simulate_power(sc, (5, 5), 0.05, Margins.superiority(), replicates=10)
+        assert resets == [] and sim._layout_checked is False
+        code = cli.main(["simulate", "--design", str(fixture_path("table1_equal_050")),
+                         "--n", "20", "--reps", "10"])
+        err = capsys.readouterr().err
+        assert code == 1 and resets == []
+        assert f"SimulationFailureError: numpy {np.__version__} does not lay out" in err
+        assert "Traceback" not in err
+
+
+def test_decide_takes_one_quantile_per_distinct_df():
+    # each critical value, bit for bit, is stdtrit at its own d.f.: est at
+    # that value is not beyond it and the next float up is; a NaN d.f. (a
+    # failed replicate) rejects nothing
+    df = np.array([12.0, 7.5, 12.0, np.nan, 40.0, 7.5, 12.0, 3.25, np.nan, 1e6])
+    crit = np.array([special.stdtrit(v, 0.975) for v in df])
+    one = np.ones_like(df)
+    at = np.where(np.isnan(crit), 1.0, crit)
+    for est, rejects in ((at, False), (np.nextafter(at, np.inf), True)):
+        dec = sim._decide(est, one, df, 0.05, Margins.superiority(), 0.0)
+        assert np.array_equal(dec, np.where(np.isnan(df), False, rejects))
 
 
 # One case per engine; at these sizes the ANCOVA and repeated-measures cases

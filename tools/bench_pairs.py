@@ -1,7 +1,8 @@
 """Paired benchmark runs of a parent and a changed revision, written as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --pr N [--change REV] [--pairs 10]
-        [--workload NAME ...] [--claim WORKLOAD] [--description TEXT] [--scratch DIR]
+        [--workload NAME ...] [--claim WORKLOAD] [--layers] [--description TEXT]
+        [--scratch DIR]
 
 Every run is ``python3 perfbench/run.py --workload NAME --trace 0`` in a fresh
 copy of its revision (``git archive`` into a new directory, removed after the
@@ -24,6 +25,28 @@ The run length is perfbench's own.
 is met when the change's ``pass_s`` is the lower one in at least nine tenths
 of the pairs (ties count for neither) and its median is below the parent's
 by more than the parent's interquartile range; the record says which.
+
+``--layers`` adds the simulator's layer timings under the record's
+``layers`` key.  In ``LAYER_ROUNDS`` rounds, alternating which revision goes
+first, a fresh process in a fresh copy of each revision times these calls
+with ``timeit``, in wall and in process CPU time, and keeps the minimum of
+``LAYER_REPEAT`` repeats:
+
+* ``substream_us``: ``simulate._substream``, per call;
+* ``draw_two_sample_us_per_rep``: ``simulate._draw`` per replicate on the
+  block of ``table1_equal_050`` at 64 + 64;
+* ``draw_mmrm_us_per_rep``: ``simulate._draw`` per replicate on the blocks of
+  ``table3_cs_q1_m04`` at 78 + 78;
+* ``decide_one_df_us_per_entry`` and ``decide_distinct_df_us_per_entry``:
+  ``simulate._decide`` per entry of a 4096-replicate chunk with one d.f. (the
+  t, pooled and crossover engines) and with a d.f. per entry (Welch and the
+  fitted analyses);
+* ``fit_visits_us_per_rep``: ``simulate._fit_visits`` per replicate on
+  ``table3_un_q3_m12`` at 12 + 12.
+
+The arguments of ``_draw`` and ``_fit_visits`` are those an engine chunk of
+the revision passes, caught on the way.  The record keeps, per revision and
+call, the minimum over the rounds and every round's value.
 
 The perfbench tracer still reports a few per-layer metrics that read 0 on
 every revision since the program stopped having what they count; the record
@@ -56,31 +79,113 @@ DEAD_METRICS = {
 }
 
 
+LAYER_ROUNDS = 3
+LAYER_NUMBER = 20
+LAYER_REPEAT = 5
+# Run as ``python -c LAYER_PROBE NUMBER REPEAT`` with the revision's ``src`` on
+# the path; prints one JSON object, per call {"wall_us": .., "cpu_us": ..}.
+# It calls the simulator only through signatures every revision since the
+# counter-per-replicate stream shares.
+LAYER_PROBE = """
+import json, sys, time, timeit
+import numpy as np
+from trialsize import simulate as sim
+from trialsize.config import load_design
+from trialsize.equivalence import Margins
+from trialsize.tables import fixture_path
+
+number, repeat = int(sys.argv[1]), int(sys.argv[2])
+
+
+def best(call, per, scale=1):
+    runs = number * scale
+    return {
+        name: min(timeit.repeat(call, timer=timer, number=runs, repeat=repeat)) / runs / per * 1e6
+        for name, timer in (("wall_us", time.perf_counter), ("cpu_us", time.process_time))
+    }
+
+
+def caught(name, engine, fixture, n_per_group, count):
+    calls, inner = [], getattr(sim, name)
+    setattr(sim, name, lambda *args: calls.append(args) or inner(*args))
+    try:
+        sc = load_design(fixture_path(fixture)).scenario
+        getattr(sim, engine)(sc, n_per_group, sc.seed, 0, count)
+    finally:
+        setattr(sim, name, inner)
+    return calls[0]
+
+
+philox = sim._philox(20240801)
+draw_t = caught("_draw", "_simulate_two_sample", "table1_equal_050", (64, 64), 256)
+draw_m = caught("_draw", "_simulate_mmrm", "table3_cs_q1_m04", (78, 78), 256)
+fit = caught("_fit_visits", "_simulate_mmrm", "table3_un_q3_m12", (12, 12), 256)
+rng = np.random.default_rng(1)
+est, se = rng.normal(0.5, 0.2, 4096), rng.uniform(0.1, 0.3, 4096)
+one_df, many_df = np.full(4096, 126.0), rng.uniform(60.0, 126.0, 4096)
+superiority = Margins.superiority()
+print(json.dumps({
+    "substream_us": best(lambda: sim._substream(philox, 123456), 1, 1000),
+    "draw_two_sample_us_per_rep": best(lambda: sim._draw(*draw_t), draw_t[2]),
+    "draw_mmrm_us_per_rep": best(lambda: sim._draw(*draw_m), draw_m[2]),
+    "decide_one_df_us_per_entry": best(
+        lambda: sim._decide(est, se, one_df, 0.05, superiority, 0.0), 4096, 10),
+    "decide_distinct_df_us_per_entry": best(
+        lambda: sim._decide(est, se, many_df, 0.05, superiority, 0.0), 4096, 10),
+    "fit_visits_us_per_rep": best(lambda: sim._fit_visits(*fit), len(fit[0])),
+}))
+"""
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], check=True, stdout=subprocess.PIPE, text=True
     ).stdout.strip()
 
 
-def run_once(rev: str, workload: str, scratch: Path) -> dict | None:
-    """One perfbench run of ``workload`` in a fresh copy of ``rev``: its last
-    output line, the result object, or None for a run that printed none."""
+def in_copy(rev: str, scratch: Path, command: list[str]) -> str:
+    """The standard output of ``command`` run in a fresh copy of ``rev``."""
     copy = Path(tempfile.mkdtemp(prefix="bench-", dir=scratch))
     try:
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
-            cwd=copy, stdout=subprocess.PIPE, text=True,
-        )
+        return subprocess.run(command, cwd=copy, stdout=subprocess.PIPE, text=True).stdout
     finally:
         shutil.rmtree(copy, ignore_errors=True)
+
+
+def run_once(rev: str, workload: str, scratch: Path) -> dict | None:
+    """One perfbench run of ``workload`` in a fresh copy of ``rev``: its last
+    output line, the result object, or None for a run that printed none."""
+    out = in_copy(rev, scratch, [sys.executable, "perfbench/run.py", "--workload", workload,
+                                 "--trace", "0"])
     try:
-        return json.loads(done.stdout.strip().splitlines()[-1])
+        return json.loads(out.strip().splitlines()[-1])
     except (IndexError, ValueError):
         return None
+
+
+def layer_command(number: int, repeat: int = LAYER_REPEAT) -> list[str]:
+    """The layer probe, run in a checkout's root with its ``src`` on the path."""
+    return [sys.executable, "-c", f"import sys; sys.path.insert(0, 'src')\n{LAYER_PROBE}",
+            str(number), str(repeat)]
+
+
+def layer_record(rounds: dict[str, list[dict]]) -> dict:
+    """Per revision and call: the minimum over the rounds, in wall and CPU
+    time, and every round's values."""
+    record = {}
+    for side, side_rounds in rounds.items():
+        record[side] = {
+            call: {
+                clock: round(min(r[call][clock] for r in side_rounds), 4)
+                for clock in ("wall_us", "cpu_us")
+            } | {"rounds": [{k: round(v, 4) for k, v in r[call].items()} for r in side_rounds]}
+            for call in side_rounds[0]
+        }
+    return record
 
 
 def value(run: dict | None, name: str) -> float | None:
@@ -159,6 +264,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--claim", choices=WORKLOADS, help="the workload of a claimed pass_s gain")
+    parser.add_argument("--layers", action="store_true",
+                        help="also record the simulator's layer timings")
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--scratch", type=Path, default=Path(tempfile.gettempdir()))
     args = parser.parse_args(argv)
@@ -183,6 +290,16 @@ def main(argv=None) -> int:
                 pass_s = value(runs[side][-1], "pass_s")
                 print(f"{workload} pair {i} {side}: pass_s {pass_s}", flush=True)
         workloads[workload] = summarize(runs, bounds)
+
+    layers = None
+    if args.layers:
+        rounds = {"parent": [], "change": []}
+        for i in range(1, LAYER_ROUNDS + 1):
+            for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                out = in_copy(revs[side], args.scratch, layer_command(LAYER_NUMBER))
+                rounds[side].append(json.loads(out.strip().splitlines()[-1]))
+                print(f"layers round {i} {side}: {rounds[side][-1]}", flush=True)
+        layers = layer_record(rounds)
 
     import numpy
     import scipy
@@ -214,6 +331,13 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "dead_metrics": DEAD_METRICS,
     }
+    if layers is not None:
+        record["layers"] = {
+            "command": "python3 tools/bench_pairs.py --layers (see its docstring)",
+            "rounds": LAYER_ROUNDS,
+            "timeit": {"number": LAYER_NUMBER, "repeat": LAYER_REPEAT, "statistic": "minimum"},
+            **layers,
+        }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
