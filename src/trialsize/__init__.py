@@ -31,7 +31,6 @@ from .equivalence import (
     Margins,
     equiv_power_approx,
     equiv_power_exact,
-    equiv_size_bounds,
     ts_unequal_equiv_power,
 )
 from .families import be_adapter
@@ -80,7 +79,6 @@ __all__ = [
     "dropout_averaged_power",
     "equiv_power_approx",
     "equiv_power_exact",
-    "equiv_size_bounds",
     "ldl_decompose",
     "mmrm_equiv_power",
     "mmrm_equiv_power_approx",

@@ -16,7 +16,9 @@ over the group variance ratio (:func:`trialsize.designs.welch_power`) and the
 covariate-adjusted design over the imbalance law
 (:func:`trialsize.ancova.adjusted_power`), which makes the exact forms
 double integrals.  :mod:`trialsize.mmrm` and :mod:`trialsize.families` are
-built on this module, which imports neither.
+built on this module, which imports neither.  Equivalence sizes, margins
+symmetric or not, are the family's size chain
+(:meth:`trialsize.families.Family.size_rows`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy import special
 
 from . import core, dist
 from .ancova import AncovaSpec, adjusted_power
-from .core import PowerEstimate, SizeModel, TestKernel
+from .core import PowerEstimate, TestKernel
 from .designs import TwoSampleSpec, welch_power
 from .errors import DomainError
 
@@ -37,9 +39,6 @@ __all__ = [
     "Margins",
     "equiv_power_exact",
     "equiv_power_approx",
-    "symmetric_half_width",
-    "equiv_size_bounds",
-    "EquivSizeBounds",
     "ancova_equiv_power",
     "ts_unequal_equiv_power",
 ]
@@ -162,63 +161,6 @@ def equiv_power_approx(k: TestKernel, m: Margins, n: float, alpha: float) -> Pow
     for very small n (returned as-is with approximation_valid=False)."""
     conditional, method = _conditional(m, k.tau1, False)
     return k.power(conditional, n, alpha, method)
-
-
-def symmetric_half_width(m: Margins, tau1: float) -> float:
-    """The half-width of margins symmetric around the true effect ``tau1``,
-    the effect the size chain is given for equivalence.  Raises for an
-    effect outside the margins or off their centre; use
-    :func:`equiv_size_bounds` for asymmetric margins."""
-    du, dl = m.distances(tau1)
-    if abs(du - dl) > 1e-9 * (abs(du) + abs(dl)):
-        raise DomainError(
-            "margins are not symmetric around the true effect; "
-            "use equiv_size_bounds for asymmetric margins"
-        )
-    return 0.5 * (m.upper - m.lower)
-
-
-@dataclass(frozen=True)
-class EquivSizeBounds:
-    g1_lower: float
-    g1_upper: float
-    g2_lower: float
-    g2_upper: float
-
-
-def equiv_size_bounds(
-    model: SizeModel,
-    m: Margins,
-    alpha: float,
-    power: float,
-    tau1: float | None = None,
-) -> EquivSizeBounds:
-    """Sample-size bounds for possibly asymmetric margins around the true
-    effect ``tau1``, which is needed only for a plain size model; a test
-    kernel's is ``model.tau1``.
-
-    The lower bound replaces the effect by the larger margin distance, the
-    upper bound by the smaller; each side is the g1 and g2 rows of the size
-    chain of ``model`` at the equivalence target (1 + power)/2, without the
-    two-step row and its checks.  Given a design's own model (its family's
-    ``sizing``, or the kernel of ``be_adapter`` and ``DesignConfig.kernel``,
-    each with ANCOVA's covariate correction), the bounds for margins
-    symmetric around ``tau1`` coincide with each other and with the g1 and
-    g2 rows of the design's equivalence size chain.
-    """
-    if tau1 is None and not isinstance(model, TestKernel):
-        raise DomainError("equiv_size_bounds needs tau1= for a size model without one")
-    tau1 = model.tau1 if tau1 is None else tau1
-    du, dl = m.distances(tau1)
-
-    def side(delta: float) -> tuple[float, float]:
-        target = 0.5 * (1.0 + power)
-        rows = core.size_chain(model, delta, alpha, power, target=target, two_step=False)
-        return rows["g1"], rows["g2"]
-
-    g1_lo, g2_lo = side(max(du, dl))
-    g1_hi, g2_hi = side(min(du, dl))
-    return EquivSizeBounds(g1_lower=g1_lo, g1_upper=g1_hi, g2_lower=g2_lo, g2_upper=g2_hi)
 
 
 def ancova_equiv_power(

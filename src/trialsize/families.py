@@ -13,8 +13,10 @@ The objective is one :class:`~trialsize.equivalence.Margins`, applied once
 for every family: it gives an exact conditional power, that of the rejection
 region of ``simulate``'s decision rule, and an approximate one, which the
 power rows put into the family's powers (:meth:`Family.powers`), and the
-size chain's effect and target (:meth:`Family.size_rows`).  :func:`be_adapter`
-is the bioequivalence set-up of a kernel family.
+size chain's effect and target (:meth:`Family.size_rows`), where equivalence
+margins off centre turn the chain into g1 and g2 bounds at the two margin
+distances.  :func:`be_adapter` is the bioequivalence set-up of a kernel
+family.
 
 A design file is read, here and in :mod:`trialsize.config`, by one object
 reader ``_Object`` and the value readers (``_number``, finite only,
@@ -418,18 +420,33 @@ class Family:
         effect is tau1 minus the null value (the margin, for noninferiority),
         and under equivalence the half-width of margins symmetric around
         tau1, whose two one-sided tests are each sized for (1 + power)/2.
+        Equivalence margins off centre (distances from tau1 that differ by
+        more than 1e-9 relative) give bounds in place of the chain:
+        ``g1_lower`` and ``g2_lower`` are its g1 and g2 rows at the larger
+        margin distance, ``g1_upper`` and ``g2_upper`` at the smaller (no
+        two-step row), and the inversion starts midway between the g2 bounds.
         """
         tau1 = self.tau1(design)
         if m.kind == "equivalence":
-            delta, level = equivalence.symmetric_half_width(m, tau1), 0.5 * (1.0 + power)
+            upper, below = m.distances(tau1)
+            delta, level = 0.5 * (m.upper - m.lower), 0.5 * (1.0 + power)
         else:
             delta, level = tau1 - self.null(design, m), power
         inverted, powers = self.powers(design, m)
-        exact = powers[inverted]
-        return core.size_chain(
-            self.sizing(design), delta, alpha, power, lambda n: exact(n, alpha).value,
-            target=level,
-        )
+        model = self.sizing(design)
+
+        def exact(n: float) -> float:
+            return powers[inverted](n, alpha).value
+
+        if m.kind != "equivalence" or abs(upper - below) <= 1e-9 * (abs(upper) + abs(below)):
+            return core.size_chain(model, delta, alpha, power, exact, target=level)
+        sides = {
+            side: core.size_chain(model, distance, alpha, power, target=level, two_step=False)
+            for side, distance in (("lower", max(upper, below)), ("upper", min(upper, below)))
+        }
+        rows = {f"{g}_{side}": sides[side][g] for g in ("g1", "g2") for side in sides}
+        middle = 0.5 * (rows["g2_lower"] + rows["g2_upper"])
+        return rows | {"inversion": core.size_invert(exact, power, middle, model.min_n)}
 
 
 FAMILIES: dict[str, Family] = {

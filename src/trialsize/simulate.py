@@ -255,17 +255,16 @@ def _se_hat(p: float, n: int) -> float:
 def _decide(
     est: np.ndarray,
     se: np.ndarray,
-    df: np.ndarray,
+    df: float | np.ndarray,
     alpha: float,
     objective: Margins,
     tau0: float,
 ) -> np.ndarray:
     """Confidence-interval decision rule shared by all objectives: the interval
     excludes tau0 (superiority) or lies inside the margins (noninferiority's
-    have one infinite bound).  The t quantile is evaluated once per distinct
-    d.f.: the t, pooled and crossover engines give one per chunk."""
-    values, inverse = np.unique(df, return_inverse=True)
-    crit = special.stdtrit(values, 1.0 - alpha / 2.0)[inverse]
+    have one infinite bound).  ``df`` is the engine's: one float, whose t
+    quantile is taken once, or one d.f. per replicate."""
+    crit = special.stdtrit(df, 1.0 - alpha / 2.0)
     if objective.kind == "superiority":
         return np.abs(est - tau0) > crit * se
     return (est - crit * se > objective.lower) & (est + crit * se < objective.upper)
@@ -590,14 +589,17 @@ def _trials(sc: ScenarioSpec, n0: int, g, seed, start, count, intercepts, baseli
 
 # Each engine draws and analyses one chunk of replicates, ``start`` onward and
 # at most up to ``stop``, and returns (est, se, df), est NaN for a replicate
-# whose analysis failed.  Draws are scaled and shifted in place (``z *= sd;
-# z += mu`` is ``mu + sd * z`` bit for bit) to keep the chunk's memory down.
+# whose analysis failed; df is one float where the chunk has one d.f. (the
+# one-sample, pooled and crossover tests, and ANCOVA unless a replicate
+# dropped a covariate column or failed), else an array.
+# Draws are scaled and shifted in place (``z *= sd; z += mu`` is
+# ``mu + sd * z`` bit for bit) to keep the chunk's memory down.
 
 
 def _one_sample_stats(y: np.ndarray):
-    """(est, se, df) of the one-sample t test on each row of ``y``."""
-    count, n = y.shape
-    return y.mean(axis=1), np.sqrt(y.var(axis=1, ddof=1) / n), np.full(count, float(n - 1))
+    """(est, se, df) of the one-sample t test on each row of ``y``, on one d.f."""
+    n = y.shape[1]
+    return y.mean(axis=1), np.sqrt(y.var(axis=1, ddof=1) / n), float(n - 1)
 
 
 def _pooled_variance(v0: np.ndarray, v1: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -635,7 +637,7 @@ def _simulate_two_sample(sc: ScenarioSpec, n_per_group, seed: int, start: int, s
     v1 = y1.var(axis=1, ddof=1)
     if design.equal_variance:
         se = np.sqrt(_pooled_variance(v0, v1, n0, n1) * (1.0 / n0 + 1.0 / n1))
-        return est, se, np.full(count, float(n0 + n1 - 2))
+        return est, se, float(n0 + n1 - 2)
     return est, np.sqrt(v0 / n0 + v1 / n1), satterthwaite_df(v0, v1, n0, n1)
 
 
@@ -659,7 +661,7 @@ def _simulate_crossover(sc: ScenarioSpec, n_per_group, seed: int, start: int, st
         return _one_sample_stats(d)
     est = 0.5 * (d0.mean(axis=1) + d1.mean(axis=1))
     sig_d = _pooled_variance(d0.var(axis=1, ddof=1), d1.var(axis=1, ddof=1), n0, n1)
-    return est, np.sqrt(n * sig_d / (4.0 * n0 * n1)), np.full(count, float(n - 2))
+    return est, np.sqrt(n * sig_d / (4.0 * n0 * n1)), float(n - 2)
 
 
 def _arms(n_per_group, q_star: int):
@@ -683,7 +685,9 @@ def _simulate_ancova(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop:
         np.array([[math.sqrt(design.sigma_sq)]]),
     )
     est, se, df, _ = _analyze_mmrm_chunk(yall, wobs, xcov, g, design.q_star)
-    return est, se, df
+    # n - rank is one d.f. for the chunk unless a replicate dropped a column
+    # or failed (NaN); one float saves a t quantile per replicate
+    return est, se, float(df[0]) if (df == df[0]).all() else df
 
 
 def _simulate_mmrm(sc: ScenarioSpec, n_per_group, seed: int, start: int, stop: int):

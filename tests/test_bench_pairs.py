@@ -93,3 +93,29 @@ def test_layer_record_keeps_the_minimum_over_rounds_and_every_round():
     ]
     assert record["change"]["substream_us"]["wall_us"] == 0.3
     json.loads(json.dumps(record, allow_nan=False))
+
+
+
+def traced(**calls) -> dict:
+    """A traced run's result with the given ``<layer>.calls`` counts and one timing."""
+    metrics = {f"{layer}.calls": {"value": v, "unit": "count"} for layer, v in calls.items()}
+    metrics["dist.t_cdf.us_per_call"] = {"value": 3.1, "unit": "us"}
+    return {"correct": True, "failed": 0, "metrics": metrics}
+
+
+def test_traced_record_names_every_workload_whose_counts_differ():
+    runs = {
+        "reference-tables": {"parent": traced(integrate=172, t_cdf=144),
+                             "change": traced(integrate=172, t_cdf=144)},
+        "simulate-exact": {"parent": traced(integrate=172, t_cdf=144),
+                           "change": traced(integrate=172, t_cdf=145)},
+        "simulate-mmrm": {"parent": traced(integrate=172), "change": None},  # no result line
+    }
+    record = bench_pairs.traced_record(runs)
+    assert record["counts_differ"] == ["simulate-exact", "simulate-mmrm"]
+    # only the count metrics are kept, by name
+    assert record["workloads"]["reference-tables"]["parent"] == {
+        "integrate.calls": 172, "t_cdf.calls": 144
+    }
+    assert record["workloads"]["simulate-mmrm"]["change"] is None
+    json.loads(json.dumps(record, allow_nan=False))

@@ -8,6 +8,7 @@ import pytest
 
 from trialsize import ancova, core, designs, equivalence, mmrm
 from trialsize.errors import BracketError, DomainError
+from trialsize.families import FAMILIES
 
 ALPHA = 0.05
 POWER = 0.80
@@ -198,16 +199,19 @@ class TestChain:
 
     def test_normal_size_above_the_cap(self):
         # refused before the correction and the extra rows see it, with or
-        # without an inversion, and in the equivalence bounds
+        # without an inversion, and in the bounds of off-centre equivalence
+        # margins, whose larger distance is refused first
         def unreachable(n):
             raise AssertionError(f"called at {n}")
 
         k = dataclasses.replace(equal_kernel(0.5), correct=unreachable, extra=unreachable)
         with pytest.raises(DomainError, match="above the size cap"):
             core.size_chain(k, 1e-3, ALPHA, POWER)
-        margins = equivalence.Margins.equivalence(-1e-3, 1e-3)
-        with pytest.raises(DomainError, match="above the size cap"):
-            equivalence.equiv_size_bounds(equal_kernel(0.0), margins, ALPHA, POWER)
+        design = designs.TwoSampleSpec(0.0, 0.0, 1.0, 1.0, 0.5, equal_variance=True)
+        family = dataclasses.replace(FAMILIES["two_sample"], sizing=lambda d: k)
+        margins = equivalence.Margins.equivalence(-1e-3, 1.5e-3)
+        with pytest.raises(DomainError, match="above the size cap 1e\\+07: the effect 0.0015"):
+            family.size_rows(design, margins, ALPHA, POWER)
 
     def test_non_positive_two_step_df(self):
         k = dataclasses.replace(equal_kernel(0.5), df_at=lambda n: -1.0)

@@ -13,7 +13,6 @@ from trialsize.equivalence import (
     ancova_equiv_power,
     equiv_power_approx,
     equiv_power_exact,
-    equiv_size_bounds,
     _phillips_integral,
     ts_unequal_equiv_power,
 )
@@ -206,12 +205,6 @@ class TestSymmetricSizes:
         m = Margins.equivalence(-1.5, 1.5)
         assert abs(equivalence_sizes(spec, m, 0.05)["g2"] - 49.45) < 0.01
 
-    def test_asymmetric_rejected(self):
-        _, _, alpha = be_kernel(0.0125)
-        m = Margins.equivalence(-0.1, 0.3)
-        with pytest.raises(DomainError, match="symmetric"):
-            equivalence_sizes(be_spec(0.0125), m, alpha)
-
     def test_inversion_round_trip(self):
         spec = TwoSampleSpec(0.0, 0.0, 1.0, 4.0, 0.5)
         m = Margins.equivalence(-1.5, 1.5)
@@ -223,63 +216,77 @@ class TestSymmetricSizes:
 
 
 class TestSizeBounds:
+    """Equivalence margins off centre: the chain's g1 and g2 rows at each
+    margin distance, and the inversion of the exact power."""
+
+    ROWS = ["g1_lower", "g1_upper", "g2_lower", "g2_upper", "inversion"]
+
     def test_symmetric_bounds_coincide(self):
-        k, m, alpha = be_kernel(0.025)
-        b = equiv_size_bounds(k, m, alpha, 0.8)
-        assert abs(b.g1_lower - b.g1_upper) < 1e-12
-        assert abs(b.g2_lower - b.g2_upper) < 1e-12
-        assert abs(b.g1_lower - 18.55) < 0.01
+        # margins 1e-8 off centre take the bounds; the smaller distance is
+        # the symmetric chain's half-width, so that side is its rows exactly
+        _, m, alpha = be_kernel(0.025)
+        chain = equivalence_sizes(be_spec(0.025), m, alpha)
+        b = equivalence_sizes(
+            be_spec(0.025), Margins.equivalence(-BE_MARGIN, BE_MARGIN * (1.0 + 1e-8)), alpha
+        )
+        assert list(b) == self.ROWS
+        assert b["g1_upper"] == chain["g1"] and b["g2_upper"] == chain["g2"]
+        assert abs(b["g1_lower"] - b["g1_upper"]) < 1e-6
+        assert abs(b["g2_lower"] - b["g2_upper"]) < 1e-6
+        assert abs(b["inversion"] - chain["inversion"]) < 1e-6
+        assert abs(b["g1_lower"] - 18.55) < 0.01
 
     def test_asymmetric_ordering_and_containment(self):
         spec = CrossoverSpec(0.0, 0.05, 0.05, 0.5)
-        k, _, alpha = be_adapter(spec)
-        m = Margins.equivalence(-BE_MARGIN, BE_MARGIN)  # effect 0.05 shifts toward upper
-        b = equiv_size_bounds(k, m, alpha, 0.8)
-        assert b.g1_lower < b.g1_upper
-        assert b.g2_lower < b.g2_upper
+        k, m, alpha = be_adapter(spec)  # effect 0.05 shifts toward the upper margin
+        b = equivalence_sizes(spec, m, alpha)
+        assert list(b) == self.ROWS
+        assert b["g1_lower"] < b["g1_upper"]
+        assert b["g2_lower"] < b["g2_upper"]
+        assert b["g1_lower"] <= b["inversion"] <= b["g1_upper"]
         inv = core.size_invert(
             lambda n: equiv_power_exact(k, m, n, alpha).value, 0.8, 40.0, k.min_n
         )
-        assert b.g1_lower <= inv <= b.g1_upper
+        assert abs(b["inversion"] - inv) < 1e-5
 
     def test_larger_side_below_the_minimum_size(self):
         # the larger distance's normal size (1.7) is below the kernel's
         # minimum 3: the bounds take no two-step row and do not refuse it
-        k, _, alpha = be_kernel(0.0125)
-        b = equiv_size_bounds(k, Margins.equivalence(-0.1, 0.5), alpha, 0.8)
-        assert abs(b.g1_lower - 3.0655) < 1e-4
-        assert abs(b.g2_lower - 3.6625) < 1e-4
-        assert abs(b.g2_upper - 44.2134) < 1e-4
+        _, _, alpha = be_kernel(0.0125)
+        b = equivalence_sizes(be_spec(0.0125), Margins.equivalence(-0.1, 0.5), alpha)
+        assert list(b) == self.ROWS
+        assert abs(b["g1_lower"] - 3.0655) < 1e-4
+        assert abs(b["g2_lower"] - 3.6625) < 1e-4
+        assert abs(b["g2_upper"] - 44.2134) < 1e-4
+        assert b["g2_lower"] < b["inversion"] < b["g2_upper"]
 
     def test_ancova_bounds_carry_the_covariate_correction(self):
+        # a side of the bounds is the family model's chain without the
+        # two-step row; at the symmetric half-width it is the family's chain
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
         m = Margins.equivalence(-0.5, 0.5)
-        b = equiv_size_bounds(family_of(s).sizing(s), m, 0.05, 0.8, tau1=s.tau1)
+        side = core.size_chain(family_of(s).sizing(s), 0.5, 0.05, 0.8, target=0.9, two_step=False)
         rows = family_of(s).size_rows(s, m, 0.05, 0.8)
-        assert b.g1_lower == b.g1_upper == rows["g1"]
-        assert b.g2_lower == b.g2_upper == rows["g2"]
-        assert abs(b.g2_lower - 173.10) < 0.01
-
+        assert side["g1"] == rows["g1"]
+        assert side["g2"] == rows["g2"]
+        assert abs(side["g2"] - 173.10) < 0.01
+        # and the smaller distance's side of off-centre margins
+        b = family_of(s).size_rows(s, Margins.equivalence(-0.5, 0.9), 0.05, 0.8)
+        assert b["g1_upper"] == rows["g1"] and b["g2_upper"] == rows["g2"]
 
     def test_be_adapter_kernel_carries_the_covariate_correction(self):
         # the ANCOVA kernel handed out for bioequivalence is the family's own
-        # model, so its bounds are the family chain's rows, not the rows of
+        # model, so its chain's rows are the family chain's, not the rows of
         # the uncorrected kernel (170.04 and 170.06)
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
         m = Margins.equivalence(-0.5, 0.5)
         k, _, _ = be_adapter(s)
-        b = equiv_size_bounds(k, m, 0.05, 0.8)
+        side = core.size_chain(k, 0.5, 0.05, 0.8, target=0.9, two_step=False)
         rows = family_of(s).size_rows(s, m, 0.05, 0.8)
-        assert b.g1_lower == b.g1_upper == rows["g1"]
-        assert b.g2_lower == b.g2_upper == rows["g2"]
-        assert abs(b.g1_lower - 173.08) < 0.01
-        assert abs(b.g2_lower - 173.10) < 0.01
-
-    def test_size_model_without_tau1_asks_for_it(self):
-        # repeated measures' model is a plain SizeModel, which has no tau1
-        d = load_design(fixture_path("table3_ar1_q1_m04")).design
-        with pytest.raises(DomainError, match="needs tau1="):
-            equiv_size_bounds(family_of(d).sizing(d), Margins.equivalence(-0.5, 0.5), 0.05, 0.8)
+        assert side["g1"] == rows["g1"]
+        assert side["g2"] == rows["g2"]
+        assert abs(side["g1"] - 173.08) < 0.01
+        assert abs(side["g2"] - 173.10) < 0.01
 
     def test_repeated_measures_has_no_kernel(self):
         # the one "does not lower to a kernel" error, from either entry point

@@ -5,7 +5,8 @@ Each cell is a design document written here.  ``size``, ``power --n`` and
 ``EXPECTED``, and for the cells with an unequal allocation (gamma0 = 0.3)
 so does ``size --round nearest``; ``n`` is the cell's inversion total (40 for
 ANCOVA noninferiority, the total at which its formula and simulation are
-compared).
+compared).  The cells of equivalence margins off centre are shipped fixtures
+with ``--margins``; only their ``size`` bounds are pinned.
 For every cell and one fixture of each shipped family and objective, the
 ``size`` inversion must solve the family's exact power for the target.
 """
@@ -35,9 +36,15 @@ from trialsize.simulate import simulate_power
 from trialsize.tables import fixture_path
 
 _ANCOVA_GENERATOR = {"intercept": 0.5, "baseline_effect": 0.5}
-_MMRM = json.loads(
-    (Path(__file__).parents[1] / "src/trialsize/fixtures/table3_un_q1_m12.json").read_text()
-)
+
+
+def _fixture(name: str) -> dict:
+    return json.loads(
+        (Path(__file__).parents[1] / f"src/trialsize/fixtures/{name}.json").read_text()
+    )
+
+
+_MMRM = _fixture("table3_un_q1_m12")
 
 # name -> (design document, total n for power and simulate, extra flags)
 CELLS = {
@@ -171,6 +178,15 @@ CELLS = {
         23,
         [],
     ),
+    # equivalence margins off centre, sized by bounds: Welch, crossover
+    # (bioequivalence's alpha), ANCOVA (tau1 = 1) and repeated measures
+    "table5_m_05_margins_off_centre": (_fixture("table5_m_05"), 882, ["--margins=-0.3,0.5"]),
+    "table5_m_05_margins_near_centre": (_fixture("table5_m_05"), 474, ["--margins=-0.45,0.5"]),
+    "table4_s2_0250_margins_off_centre": (
+        _fixture("table4_s2_0250"), 31, ["--margins=-0.15,0.223"]
+    ),
+    "table2_q3_100_margins_off_centre": (_fixture("table2_q3_100"), 131, ["--margins=-1,1.5"]),
+    "table6_cs_q1_m8_margins_off_centre": (_fixture("table6_cs_q1_m8"), 74, ["--margins=-6,8"]),
 }
 COMMANDS = ("size", "power", "simulate")
 
@@ -454,6 +470,46 @@ EXPECTED = {
     ("mmrm_superiority_unequal_allocation", "simulate"): (
         "per_group,replicates,rejections,power_pct,std_error_pct,failures,seed\n"
         "7/16,1000,894,89.40,0.97,0,20240826\n"
+    ),
+    ("table5_m_05_margins_off_centre", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "g1_lower,422.91,423,212/211\n"
+        "g1_upper,1170.10,1171,586/585\n"
+        "g2_lower,422.93,423,212/211\n"
+        "g2_upper,1170.11,1171,586/585\n"
+        "inversion,881.84,882,441/441\n"
+    ),
+    ("table5_m_05_margins_near_centre", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "g1_lower,422.91,423,212/211\n"
+        "g1_upper,521.50,522,261/261\n"
+        "g2_lower,422.93,423,212/211\n"
+        "g2_upper,521.51,522,261/261\n"
+        "inversion,473.76,474,237/237\n"
+    ),
+    ("table4_s2_0250_margins_off_centre", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "g1_lower,18.57,19,10/9\n"
+        "g1_upper,39.41,40,20/20\n"
+        "g2_lower,18.67,19,10/9\n"
+        "g2_upper,39.46,40,20/20\n"
+        "inversion,30.26,31,16/15\n"
+    ),
+    ("table2_q3_100_margins_off_centre", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "g1_lower,16.13,17,9/8\n"
+        "g1_upper,173.08,174,87/87\n"
+        "g2_lower,16.36,17,9/8\n"
+        "g2_upper,173.10,174,87/87\n"
+        "inversion,130.59,131,66/65\n"
+    ),
+    ("table6_cs_q1_m8_margins_off_centre", "size"): (
+        "method,fractional,rounded_total,per_group\n"
+        "g1_lower,51.26,52,26/26\n"
+        "g1_upper,87.41,88,44/44\n"
+        "g2_lower,51.38,52,26/26\n"
+        "g2_upper,87.48,88,44/44\n"
+        "inversion,73.59,74,37/37\n"
     ),
 }
 

@@ -242,9 +242,17 @@ class TestSizeChain:
         with pytest.raises(DomainError, match="too small"):
             size_chain(design(EXAMPLE_SIGMA, 1, -200.0), ALPHA, 0.90)
 
-    def test_asymmetric_margins_rejected(self):
-        with pytest.raises(DomainError, match="symmetric"):
-            size_chain(design(EXAMPLE_SIGMA, 1, 0.0), ALPHA, 0.90, Margins.equivalence(-8, 6))
+    def test_asymmetric_margins_give_bounds(self):
+        # the larger distance 8 is the half-width of the symmetric (-8, 8):
+        # the lower bounds are that chain's g1 and g2
+        d = design(EXAMPLE_SIGMA, 1, 0.0)
+        ch = size_chain(d, ALPHA, 0.90, Margins.equivalence(-8, 6))
+        assert list(ch) == ["g1_lower", "g1_upper", "g2_lower", "g2_upper", "inversion"]
+        symmetric = size_chain(d, ALPHA, 0.90, Margins.equivalence(-8, 8))
+        assert ch["g1_lower"] == symmetric["g1"] and ch["g2_lower"] == symmetric["g2"]
+        assert ch["g2_lower"] < ch["inversion"] < ch["g2_upper"]
+        power = mmrm.mmrm_equiv_power(d, Margins.equivalence(-8, 6), ch["inversion"], ALPHA)
+        assert abs(power.value - 0.90) < 1e-6
 
     def test_size_ordering(self):
         for sigma, q, tau in (

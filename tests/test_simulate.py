@@ -430,7 +430,7 @@ class TestSubstream:
         assert "Traceback" not in err
 
 
-def test_decide_takes_one_quantile_per_distinct_df():
+def test_decide_critical_value_is_stdtrit_at_each_df():
     # each critical value, bit for bit, is stdtrit at its own d.f.: est at
     # that value is not beyond it and the next float up is; a NaN d.f. (a
     # failed replicate) rejects nothing
@@ -441,6 +441,14 @@ def test_decide_takes_one_quantile_per_distinct_df():
     for est, rejects in ((at, False), (np.nextafter(at, np.inf), True)):
         dec = sim._decide(est, one, df, 0.05, Margins.superiority(), 0.0)
         assert np.array_equal(dec, np.where(np.isnan(df), False, rejects))
+    # one float d.f. for the chunk, as the one-d.f. engines give it, decides
+    # as that d.f. repeated per replicate
+    at = np.full(4, special.stdtrit(12.0, 0.975))
+    for est, rejects in ((at, False), (np.nextafter(at, np.inf), True)):
+        dec = sim._decide(est, np.ones(4), 12.0, 0.05, Margins.superiority(), 0.0)
+        assert dec.shape == (4,) and (dec == rejects).all()
+        assert np.array_equal(dec, sim._decide(est, np.ones(4), np.full(4, 12.0), 0.05,
+                                               Margins.superiority(), 0.0))
 
 
 # One case per engine; at these sizes the ANCOVA and repeated-measures cases
@@ -484,11 +492,22 @@ def test_replicates_do_not_depend_on_chunk_boundaries(engine, sc, n_per_group, m
     full = run(sc, n_per_group, sc.seed, 0, 40)
     tail = run(sc, n_per_group, sc.seed, 17, 40)
     assert len(full) == len(tail) == 3
+    # an engine with one d.f. per chunk returns it as one float
+    assert isinstance(full[2], float) == (engine in ("_simulate_one_sample", "_simulate_crossover"))
+    full, tail = ([np.broadcast_to(x, out[0].shape) for x in out] for out in (full, tail))
     for a, b in zip(full, tail):
         assert np.array_equal(a[17:], b, equal_nan=True)
     if engine in ("_simulate_ancova", "_simulate_mmrm"):
         qs = fits[-1].kept.shape[2]
         assert (fits[-1].rank < qs).any()
+
+
+def test_ancova_chunk_without_a_dropped_column_has_one_float_df():
+    # a baseline covariate only: every replicate is on n - 3 d.f.
+    sc = ScenarioSpec(design=ts.AncovaSpec(tau1=0.5, tau0=0.0, sigma_sq=1.0, q=1),
+                      baseline_effect=0.5, seed=3)
+    _, _, df = sim._simulate_ancova(sc, (20, 20), sc.seed, 0, 256)
+    assert isinstance(df, float) and df == 37.0
 
 
 def test_ancova_df_is_n_minus_rank():

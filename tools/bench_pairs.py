@@ -21,6 +21,12 @@ values are ``null``, it is left out of the quartiles and the pair
 comparison, and the workload is not ``correct``.
 The run length is perfbench's own.
 
+Per revision and workload, one traced run, ``perfbench/run.py --workload NAME
+--trace 1`` in a fresh copy, gives the workload's count metrics (those in the
+unit "count": ``*.calls``, ``*.evals`` and the like).  The record keeps them
+under its ``traced`` key and names every workload whose counts differ
+between the revisions (a failed traced run has none, which differs too).
+
 ``--claim WORKLOAD`` claims a lower ``pass_s`` on that workload.  The claim
 is met when the change's ``pass_s`` is the lower one in at least nine tenths
 of the pairs (ties count for neither) and its median is below the parent's
@@ -38,9 +44,9 @@ with ``timeit``, in wall and in process CPU time, and keeps the minimum of
 * ``draw_mmrm_us_per_rep``: ``simulate._draw`` per replicate on the blocks of
   ``table3_cs_q1_m04`` at 78 + 78;
 * ``decide_one_df_us_per_entry`` and ``decide_distinct_df_us_per_entry``:
-  ``simulate._decide`` per entry of a 4096-replicate chunk with one d.f. (the
-  t, pooled and crossover engines) and with a d.f. per entry (Welch and the
-  fitted analyses);
+  ``simulate._decide`` per entry of a 4096-replicate chunk with one float d.f.
+  (as the one-sample, pooled and crossover engines give it) and with a d.f.
+  per entry (Welch and the fitted analyses);
 * ``fit_visits_us_per_rep``: ``simulate._fit_visits`` per replicate on
   ``table3_un_q3_m12`` at 12 + 12.
 
@@ -122,7 +128,7 @@ draw_m = caught("_draw", "_simulate_mmrm", "table3_cs_q1_m04", (78, 78), 256)
 fit = caught("_fit_visits", "_simulate_mmrm", "table3_un_q3_m12", (12, 12), 256)
 rng = np.random.default_rng(1)
 est, se = rng.normal(0.5, 0.2, 4096), rng.uniform(0.1, 0.3, 4096)
-one_df, many_df = np.full(4096, 126.0), rng.uniform(60.0, 126.0, 4096)
+one_df, many_df = 126.0, rng.uniform(60.0, 126.0, 4096)
 superiority = Margins.superiority()
 print(json.dumps({
     "substream_us": best(lambda: sim._substream(philox, 123456), 1, 1000),
@@ -156,11 +162,11 @@ def in_copy(rev: str, scratch: Path, command: list[str]) -> str:
         shutil.rmtree(copy, ignore_errors=True)
 
 
-def run_once(rev: str, workload: str, scratch: Path) -> dict | None:
+def run_once(rev: str, workload: str, scratch: Path, trace: int = 0) -> dict | None:
     """One perfbench run of ``workload`` in a fresh copy of ``rev``: its last
     output line, the result object, or None for a run that printed none."""
     out = in_copy(rev, scratch, [sys.executable, "perfbench/run.py", "--workload", workload,
-                                 "--trace", "0"])
+                                 "--trace", str(trace)])
     try:
         return json.loads(out.strip().splitlines()[-1])
     except (IndexError, ValueError):
@@ -186,6 +192,24 @@ def layer_record(rounds: dict[str, list[dict]]) -> dict:
             for call in side_rounds[0]
         }
     return record
+
+
+def counts(run: dict | None) -> dict[str, float] | None:
+    """The count metrics of one traced run, by name; None for a failed run."""
+    if run is None:
+        return None
+    return {name: m["value"] for name, m in sorted(run["metrics"].items()) if m["unit"] == "count"}
+
+
+def traced_record(runs: dict[str, dict[str, dict | None]]) -> dict:
+    """From each workload's traced run per revision, the count metrics per
+    workload and revision, and the workloads whose counts differ."""
+    by_workload = {w: {side: counts(run) for side, run in sides.items()} for w, sides in runs.items()}
+    return {
+        "command": "python3 perfbench/run.py --workload WORKLOAD --trace 1",
+        "counts_differ": [w for w, c in by_workload.items() if c["parent"] != c["change"]],
+        "workloads": by_workload,
+    }
 
 
 def value(run: dict | None, name: str) -> float | None:
@@ -280,7 +304,7 @@ def main(argv=None) -> int:
             "change": git("rev-parse", "--short", args.change)}
     args.scratch.mkdir(parents=True, exist_ok=True)
 
-    workloads = {}
+    workloads, traced = {}, {}
     for workload in args.workload or WORKLOADS:
         runs = {"parent": [], "change": []}
         for i in range(1, args.pairs + 1):
@@ -290,6 +314,8 @@ def main(argv=None) -> int:
                 pass_s = value(runs[side][-1], "pass_s")
                 print(f"{workload} pair {i} {side}: pass_s {pass_s}", flush=True)
         workloads[workload] = summarize(runs, bounds)
+        traced[workload] = {side: run_once(revs[side], workload, args.scratch, trace=1)
+                            for side in ("parent", "change")}
 
     layers = None
     if args.layers:
@@ -329,6 +355,7 @@ def main(argv=None) -> int:
             else {"workload": None, "metric": None, "result": "no gain claimed"}
         ),
         "workloads": workloads,
+        "traced": traced_record(traced),
         "dead_metrics": DEAD_METRICS,
     }
     if layers is not None:
@@ -341,6 +368,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
+    print(f"traced counts differ on: {record['traced']['counts_differ'] or 'no workload'}")
     ok = record["claim"].get("met", True) and all(
         w["correct"] and all(v is True for v in w["within_bounds"].values())
         for w in workloads.values()
