@@ -347,10 +347,10 @@ def size_invert(
     """Smallest real n with ``power_fn(n) == target`` (to ``_SIZE_TOL``).
 
     ``power_fn`` must be nondecreasing in n past ``min_n``.  The bracket
-    starts at [bracket_hint - 2, bracket_hint + 2]; a noniterative size such
-    as g2 is usually within a fraction of a unit of the root.  A side without
-    a sign change is widened geometrically (the width grows fourfold per
-    step), downwards to ``min_n + 0.5`` and upwards to n = 1e7, before
+    starts at [bracket_hint - 0.5, bracket_hint + 0.5]; a noniterative size
+    such as g2 is usually within a fraction of a unit of the root.  A side
+    without a sign change is widened geometrically (the width grows fourfold
+    per step), downwards to ``min_n + 0.5`` and upwards to n = 1e7, before
     giving up; a hint at or beyond that cap raises at once.  Each n is
     evaluated once.
     """
@@ -362,8 +362,8 @@ def size_invert(
         )
     power_at = functools.cache(power_fn)
     floor = min_n + 0.5
-    lo = max(floor, bracket_hint - 2.0)
-    hi = max(lo, bracket_hint) + 2.0
+    lo = max(floor, bracket_hint - 0.5)
+    hi = max(lo, bracket_hint) + 0.5
     while (p_lo := power_at(lo)) >= target:
         if lo == floor:
             raise BracketError(

@@ -27,6 +27,7 @@ evaluates its points in such batches.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -384,6 +385,19 @@ _MAX_POINTS = 2**13
 _AVERAGE_SEED = 0
 
 
+@functools.cache
+def _scramblings(dim: int) -> tuple:
+    """The ``_SCRAMBLES`` scrambled Sobol engines of dimension ``dim`` from
+    ``_AVERAGE_SEED``, built once per dimension.  Callers draw from deep
+    copies, so these are never advanced."""
+    from scipy.stats import qmc  # here, so that importing the CLI loads no scipy.stats
+
+    return tuple(
+        qmc.Sobol(d=dim, scramble=True, rng=rng)
+        for rng in np.random.default_rng(_AVERAGE_SEED).spawn(_SCRAMBLES)
+    )
+
+
 def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAverage:
     """Expected value of the plug-in power ``power_at(design, n)`` over random
     monotone dropout in a trial with integer arms ``n_per_group``.
@@ -409,10 +423,11 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     which it returns an array of B powers, NaN where the formula is
     undefined.  The four MMRM power functions do both.  There is one batch
     for the finite-difference stencil and one per Sobol round, all
-    scramblings together.
+    scramblings together.  A round's batch holds each distinct schedule
+    once; its power is shared by every point that drew it.  The scrambled
+    engines depend only on the dimension 2p, so they are built once per
+    dimension and each call draws from fresh copies.
     """
-    from scipy.stats import qmc  # here, so that importing the CLI loads no scipy.stats
-
     n_g = tuple(int(v) for v in n_per_group)
     n = sum(n_g)
     d = replace(d, gamma0=n_g[0] / n)
@@ -462,10 +477,7 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
 
     # conditional retention probabilities pi_gj / pi_g,j-1
     step_prob = base / np.concatenate([np.ones((2, 1)), base[:, :-1]], axis=1)
-    samplers = [
-        qmc.Sobol(d=2 * p, scramble=True, rng=rng)
-        for rng in np.random.default_rng(_AVERAGE_SEED).spawn(_SCRAMBLES)
-    ]
+    samplers = copy.deepcopy(_scramblings(2 * p))
     sums = np.zeros(_SCRAMBLES)
     counts = np.zeros(_SCRAMBLES)
     batch, drawn = 16, 0
@@ -485,7 +497,11 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
         # a zero retained count is no schedule; an undefined formula is NaN
         kept = np.all(retained > 0.0, axis=(1, 2))
         retained, scramble = retained[kept], scramble[kept]
-        values = evaluate(retained)
+        # each distinct schedule once: its rows' bytes as one void scalar
+        rows = retained.reshape(len(retained), -1)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values = evaluate(retained[first])[inverse]
         ok = ~np.isnan(values)
         delta = retained[ok][:, arm, visit] - base[arm, visit]
         model = p0 + delta @ grad + 0.5 * np.einsum("mi,ij,mj->m", delta, hess, delta)

@@ -66,6 +66,7 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
 LAYERS = {
     "substream_us", "draw_two_sample_us_per_rep", "draw_mmrm_us_per_rep",
     "decide_one_df_us_per_entry", "decide_distinct_df_us_per_entry", "fit_visits_us_per_rep",
+    "dropout_average_ms_per_call",
 }
 
 
@@ -75,10 +76,12 @@ def test_layer_probe_times_every_call_in_wall_and_cpu_time():
                           stdout=subprocess.PIPE, text=True, check=True)
     layers = json.loads(done.stdout.strip().splitlines()[-1])
     assert set(layers) == LAYERS
-    for times in layers.values():
-        assert set(times) == {"wall_us", "cpu_us"}
+    for call, times in layers.items():
+        unit = "ms" if call == "dropout_average_ms_per_call" else "us"
+        assert set(times) == {f"wall_{unit}", f"cpu_{unit}"}
         assert all(0.0 <= t < 1e5 for t in times.values())
     assert layers["fit_visits_us_per_rep"]["wall_us"] > 0.0
+    assert layers["dropout_average_ms_per_call"]["wall_ms"] > 0.0
 
 
 def test_layer_record_keeps_the_minimum_over_rounds_and_every_round():

@@ -451,9 +451,10 @@ class TestBatchedSchedules:
 
 
 class TestDropoutAverageBatches:
-    # values of the one-call-per-pattern evaluation at criterion 5's
-    # allocations (ceil(n/2), floor(n/2)); the Sobol points are the same, so
-    # only rounding separates it from the batched one
+    # averages at criterion 5's allocations (ceil(n/2), floor(n/2)): the first
+    # two from the one-call-per-pattern evaluation (the Sobol points are the
+    # same, so only rounding separates it from the batched one), the costliest
+    # row (8 x 2048 points) from the batched one before distinct schedules
     PINNED = {
         "table3_toep_q1_m12": (
             (10, 9), 0.9112823593184648, 0.9242732930020159, -0.00937234350755075,
@@ -462,6 +463,10 @@ class TestDropoutAverageBatches:
         "table6_cs_q3_m8": (
             (28, 27), 0.8997020062517361, 0.9070075813139455, -0.006712790740844387,
             5.284422228013839e-05,
+        ),
+        "table3_un_q3_m12": (
+            (12, 12), 0.9164999737034197, 0.9279344266895121, -0.008767142487698968,
+            2.504521533307571e-05,
         ),
     }
 
@@ -501,6 +506,50 @@ class TestDropoutAverageBatches:
         assert 1 <= len(rounds) <= 1 + int(math.log2(mmrm._MAX_POINTS // 16))
         for i, size in enumerate(rounds):
             assert size <= 8 * 16 * 2 ** max(i - 1, 0)
+
+    def test_a_round_evaluates_each_schedule_once(self):
+        cfg = load_design(fixture_path("table3_un_q3_m12"))
+        formula = self.simplified(cfg)
+        batches = []
+
+        def power_at(d, n):
+            r = np.asarray(d.retention)
+            if r.ndim == 3:
+                batches.append(r.reshape(len(r), -1))
+            return formula(d, n)
+
+        mmrm.dropout_averaged_power(power_at, cfg.design, (12, 12))
+        rounds = batches[1:]  # after the stencil
+        for batch in rounds:
+            assert len(np.unique(batch, axis=0)) == len(batch)
+        # the last round drew 8 x 16 x 2**(rounds - 2) points, most of them
+        # a schedule drawn before in the round
+        assert len(rounds[-1]) < 8 * 16 * 2 ** (len(rounds) - 2) // 2
+
+    def test_scramblings_built_once_and_never_advanced(self, monkeypatch):
+        from scipy.stats import qmc
+
+        def fresh(dim):
+            return tuple(
+                qmc.Sobol(d=dim, scramble=True, rng=rng)
+                for rng in np.random.default_rng(mmrm._AVERAGE_SEED).spawn(mmrm._SCRAMBLES)
+            )
+
+        def power_at(dd, n):
+            return mmrm.mmrm_power_approx(dd, n, ALPHA).value
+
+        # 2p = 8, then 6 (a three-visit design), then 8 again
+        three = design(EXAMPLE_SIGMA[:3, :3], 1, -12.0,
+                       retention=((1.0, 0.9, 0.8), (1.0, 0.88, 0.81)))
+        calls = [design(EXAMPLE_SIGMA, 1, -12.0), three, design(EXAMPLE_SIGMA, 1, -12.0)]
+        mmrm._scramblings.cache_clear()
+        cached = [mmrm.dropout_averaged_power(power_at, d, (11, 10)) for d in calls]
+        assert mmrm._scramblings.cache_info().misses == 2
+        engines = mmrm._scramblings(8) + mmrm._scramblings(6)
+        assert len(engines) == 2 * mmrm._SCRAMBLES
+        assert all(e.num_generated == 0 for e in engines)
+        monkeypatch.setattr(mmrm, "_scramblings", fresh)
+        assert cached == [mmrm.dropout_averaged_power(power_at, d, (11, 10)) for d in calls]
 
     def test_full_retention_is_the_plug_in(self):
         d = design(EXAMPLE_SIGMA, 1, -12.0, retention=((1.0,) * 4, (1.0,) * 4))

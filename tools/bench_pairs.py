@@ -32,11 +32,11 @@ is met when the change's ``pass_s`` is the lower one in at least nine tenths
 of the pairs (ties count for neither) and its median is below the parent's
 by more than the parent's interquartile range; the record says which.
 
-``--layers`` adds the simulator's layer timings under the record's
-``layers`` key.  In ``LAYER_ROUNDS`` rounds, alternating which revision goes
-first, a fresh process in a fresh copy of each revision times these calls
-with ``timeit``, in wall and in process CPU time, and keeps the minimum of
-``LAYER_REPEAT`` repeats:
+``--layers`` adds the layer timings of the simulator and of the dropout
+average under the record's ``layers`` key.  In ``LAYER_ROUNDS`` rounds,
+alternating which revision goes first, a fresh process in a fresh copy of
+each revision times these calls with ``timeit``, in wall and in process CPU
+time, and keeps the minimum of ``LAYER_REPEAT`` repeats:
 
 * ``substream_us``: ``simulate._substream``, per call;
 * ``draw_two_sample_us_per_rep``: ``simulate._draw`` per replicate on the
@@ -48,7 +48,11 @@ with ``timeit``, in wall and in process CPU time, and keeps the minimum of
   (as the one-sample, pooled and crossover engines give it) and with a d.f.
   per entry (Welch and the fitted analyses);
 * ``fit_visits_us_per_rep``: ``simulate._fit_visits`` per replicate on
-  ``table3_un_q3_m12`` at 12 + 12.
+  ``table3_un_q3_m12`` at 12 + 12;
+* ``dropout_average_ms_per_call``: ``mmrm.dropout_averaged_power`` of the
+  simplified formula (``mmrm_power_approx``) on ``table3_un_q3_m12`` at
+  12 + 12, criterion 5's costliest average, in milliseconds (its clocks are
+  ``wall_ms`` and ``cpu_ms``).
 
 The arguments of ``_draw`` and ``_fit_visits`` are those an engine chunk of
 the revision passes, caught on the way.  The record keeps, per revision and
@@ -89,13 +93,15 @@ LAYER_ROUNDS = 3
 LAYER_NUMBER = 20
 LAYER_REPEAT = 5
 # Run as ``python -c LAYER_PROBE NUMBER REPEAT`` with the revision's ``src`` on
-# the path; prints one JSON object, per call {"wall_us": .., "cpu_us": ..}.
-# It calls the simulator only through signatures every revision since the
-# counter-per-replicate stream shares.
+# the path; prints one JSON object, per call {"wall_us": .., "cpu_us": ..}
+# ("wall_ms" and "cpu_ms" for the dropout average).  It calls the simulator
+# only through signatures every revision since the counter-per-replicate
+# stream shares, and the average as ``dropout_averaged_power(power_at,
+# design, n_per_group)``.
 LAYER_PROBE = """
 import json, sys, time, timeit
 import numpy as np
-from trialsize import simulate as sim
+from trialsize import mmrm, simulate as sim
 from trialsize.config import load_design
 from trialsize.equivalence import Margins
 from trialsize.tables import fixture_path
@@ -103,11 +109,12 @@ from trialsize.tables import fixture_path
 number, repeat = int(sys.argv[1]), int(sys.argv[2])
 
 
-def best(call, per, scale=1):
-    runs = number * scale
+def best(call, per, scale=1, unit="us"):
+    runs, factor = number * scale, 1e3 if unit == "ms" else 1e6
     return {
-        name: min(timeit.repeat(call, timer=timer, number=runs, repeat=repeat)) / runs / per * 1e6
-        for name, timer in (("wall_us", time.perf_counter), ("cpu_us", time.process_time))
+        f"{name}_{unit}": min(timeit.repeat(call, timer=timer, number=runs, repeat=repeat))
+        / runs / per * factor
+        for name, timer in (("wall", time.perf_counter), ("cpu", time.process_time))
     }
 
 
@@ -130,6 +137,8 @@ rng = np.random.default_rng(1)
 est, se = rng.normal(0.5, 0.2, 4096), rng.uniform(0.1, 0.3, 4096)
 one_df, many_df = 126.0, rng.uniform(60.0, 126.0, 4096)
 superiority = Margins.superiority()
+average = load_design(fixture_path("table3_un_q3_m12"))
+simplified = lambda d, n: mmrm.mmrm_power_approx(d, n, average.alpha).value
 print(json.dumps({
     "substream_us": best(lambda: sim._substream(philox, 123456), 1, 1000),
     "draw_two_sample_us_per_rep": best(lambda: sim._draw(*draw_t), draw_t[2]),
@@ -139,6 +148,8 @@ print(json.dumps({
     "decide_distinct_df_us_per_entry": best(
         lambda: sim._decide(est, se, many_df, 0.05, superiority, 0.0), 4096, 10),
     "fit_visits_us_per_rep": best(lambda: sim._fit_visits(*fit), len(fit[0])),
+    "dropout_average_ms_per_call": best(
+        lambda: mmrm.dropout_averaged_power(simplified, average.design, (12, 12)), 1, unit="ms"),
 }))
 """
 
@@ -181,13 +192,13 @@ def layer_command(number: int, repeat: int = LAYER_REPEAT) -> list[str]:
 
 def layer_record(rounds: dict[str, list[dict]]) -> dict:
     """Per revision and call: the minimum over the rounds, in wall and CPU
-    time, and every round's values."""
+    time (in the unit the probe gave), and every round's values."""
     record = {}
     for side, side_rounds in rounds.items():
         record[side] = {
             call: {
                 clock: round(min(r[call][clock] for r in side_rounds), 4)
-                for clock in ("wall_us", "cpu_us")
+                for clock in side_rounds[0][call]
             } | {"rounds": [{k: round(v, 4) for k, v in r[call].items()} for r in side_rounds]}
             for call in side_rounds[0]
         }
@@ -289,7 +300,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--claim", choices=WORKLOADS, help="the workload of a claimed pass_s gain")
     parser.add_argument("--layers", action="store_true",
-                        help="also record the simulator's layer timings")
+                        help="also record the simulator's and the dropout average's layer timings")
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--scratch", type=Path, default=Path(tempfile.gettempdir()))
     args = parser.parse_args(argv)
