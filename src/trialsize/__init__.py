@@ -7,12 +7,11 @@ bioequivalence objectives, plus a seeded Monte Carlo simulator that verifies
 every analytic formula empirically.
 """
 
-from .ancova import AncovaSpec, ancova_power_approx, ancova_power_exact, ancova_sizing
+from .ancova import AncovaSpec, ancova_power_exact, ancova_sizing
 from .core import (
     PowerEstimate,
     SizeModel,
     TestKernel,
-    power_one_sided_approx,
     power_two_sided,
     size_chain,
     size_invert,
@@ -27,12 +26,7 @@ from .designs import (
     two_sample_equal_kernel,
     two_sample_unequal_kernel,
 )
-from .equivalence import (
-    Margins,
-    equiv_power_approx,
-    equiv_power_exact,
-    ts_unequal_equiv_power,
-)
+from .equivalence import Margins, equiv_power_exact, ts_unequal_equiv_power
 from .families import be_adapter
 from .mmrm import (
     DropoutAverage,
@@ -42,9 +36,7 @@ from .mmrm import (
     compound_symmetry,
     dropout_averaged_power,
     ldl_decompose,
-    mmrm_equiv_power,
     mmrm_equiv_power_approx,
-    mmrm_power,
     mmrm_power_approx,
     mmrm_sizing,
     toeplitz,
@@ -69,7 +61,6 @@ __all__ = [
     "TwoSampleSpec",
     "analyze_ancova",
     "analyze_mmrm",
-    "ancova_power_approx",
     "ancova_power_exact",
     "ancova_sizing",
     "ar1",
@@ -77,17 +68,13 @@ __all__ = [
     "compound_symmetry",
     "crossover_kernel",
     "dropout_averaged_power",
-    "equiv_power_approx",
     "equiv_power_exact",
     "ldl_decompose",
-    "mmrm_equiv_power",
     "mmrm_equiv_power_approx",
-    "mmrm_power",
     "mmrm_power_approx",
     "mmrm_sizing",
     "moser_exact_power",
     "one_sample_kernel",
-    "power_one_sided_approx",
     "power_two_sided",
     "satterthwaite_df",
     "simulate_power",

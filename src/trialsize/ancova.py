@@ -26,7 +26,6 @@ __all__ = [
     "AncovaSpec",
     "adjusted_power",
     "ancova_power_exact",
-    "ancova_power_approx",
     "ancova_power_asymptotic_t",
     "ancova_sizing",
     "ancova_kernel",
@@ -112,20 +111,14 @@ def ancova_power_exact(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
     return adjusted_power(s, core.two_tailed(s.effect), n, alpha)
 
 
-def ancova_power_approx(s: AncovaSpec, n: float, alpha: float) -> PowerEstimate:
-    """Integration-free power: the imbalance term replaced by its expectation,
-    inflating the variance by 1 + q/(n - q - 3)."""
-    return adjusted_power(s, core.two_tailed(s.effect), n, alpha, "approx", mean_imbalance=True)
-
-
 def ancova_power_asymptotic_t(
-    s: AncovaSpec, n: float, alpha: float, conditional: Callable | None = None
+    s: AncovaSpec, n: float, alpha: float, conditional: Callable
 ) -> PowerEstimate:
     """t-distribution power with the asymptotic variance (no covariate
-    inflation): the ANCOVA kernel's power of ``conditional`` (by default the
-    two-sided test's), defined for n > q*."""
+    inflation): the ANCOVA kernel's power of ``conditional``, defined for
+    n > q*."""
     k = replace(ancova_kernel(s), min_n=float(s.q_star))
-    return k.power(conditional or core.two_tailed(s.effect), n, alpha, "approx")
+    return k.power(conditional, n, alpha, "approx")
 
 
 def ancova_sizing(s: AncovaSpec) -> TestKernel:

@@ -59,7 +59,6 @@ __all__ = [
     "two_tailed",
     "one_sided_tests",
     "power_two_sided",
-    "power_one_sided_approx",
     "size_chain",
     "size_invert",
     "rounded_sizes",
@@ -135,7 +134,7 @@ def fixed_df_kernel(
 @dataclass(frozen=True)
 class PowerEstimate:
     value: float
-    method: str  # exact_two_sided | one_sided_approx | integral_exact | approx
+    method: str  # exact_two_sided | integral_exact | approx
     approximation_valid: bool | np.ndarray = True  # per entry for a batch
 
 
@@ -182,11 +181,6 @@ def check_covariate_count(q) -> None:
         raise DomainError(f"covariate count q must be a nonnegative integer, got {q}")
 
 
-# methods whose value is an approximation: returned as computed, and flagged
-# when negative, instead of clipped to [0, 1]
-_APPROXIMATIONS = ("approx", "one_sided_approx")
-
-
 def expected_power(
     conditional: Callable,
     given: Callable,
@@ -206,9 +200,9 @@ def expected_power(
     (MMRM hands (se, f) to its own wrapper of a conditional).  Raises :class:`DomainError` for alpha
     outside ``ALPHA_DOMAIN`` and for n that is not finite, above the size cap
     or not above ``min_n``, before ``given`` is called.  An exact ``method`` is
-    clipped to [0, 1] (a NaN stays NaN); an approximation is returned as computed, with
-    ``approximation_valid`` False exactly where it is negative (a NaN entry
-    of a batch, undefined, is marked by its value).
+    clipped to [0, 1] (a NaN stays NaN); an approximation, ``method`` "approx",
+    is returned as computed, with ``approximation_valid`` False exactly where
+    it is negative (a NaN entry of a batch, undefined, is marked by its value).
     """
     check_alpha(alpha)
     if not n <= _SIZE_CAP:
@@ -219,7 +213,7 @@ def expected_power(
         value = conditional(*given(None))
     else:
         value = dist.integrate(lambda u: conditional(*given(u)), *outer)
-    if method in _APPROXIMATIONS:
+    if method == "approx":
         valid = ~(np.asarray(value) < 0.0)
         return PowerEstimate(value, method, valid if valid.ndim else bool(valid))
     # max(0.0, nan) is 0.0: a NaN is kept, not clipped to a power of 0
@@ -254,11 +248,6 @@ def one_sided_tests(*distances: float) -> Callable:
 def power_two_sided(k: TestKernel, n: float, alpha: float) -> PowerEstimate:
     """Power of the two-sided test: Pr[F(1, f, n*effect^2/v) > t_{f,1-a/2}^2]."""
     return k.power(two_tailed(k.effect), n, alpha, "exact_two_sided")
-
-
-def power_one_sided_approx(k: TestKernel, n: float, alpha: float) -> PowerEstimate:
-    """Upper-tail-only approximation: Pr[t(f, |effect|*sqrt(n/v)) > t_{f,1-a/2}]."""
-    return k.power(one_sided_tests(abs(k.effect)), n, alpha, "one_sided_approx")
 
 
 def size_chain(

@@ -64,6 +64,11 @@ class TwoSampleSpec:
         if self.sigma0_sq <= 0.0 or self.sigma1_sq <= 0.0:
             raise DomainError("group variances must be positive")
         core.check_allocation(self.gamma0)
+        if not (self.equal_variance or 0.0 < _welch_rho(self) < math.inf):
+            raise DomainError(
+                f"group variances ({self.sigma0_sq:g}, {self.sigma1_sq:g}) at allocation "
+                f"{self.gamma0:g} put the Welch d.f.'s information fraction out of float range"
+            )
 
     @property
     def gamma1(self) -> float:
@@ -116,12 +121,20 @@ def satterthwaite_df(v0: float, v1: float, n0: float, n1: float) -> float:
     return (a0 + a1) ** 2 / (a0 * a0 / (n0 - 1.0) + a1 * a1 / (n1 - 1.0))
 
 
+def _welch_rho(s: TwoSampleSpec) -> float:
+    """The Welch test's information fraction v^2 / (sigma0^4/gamma0^3 +
+    sigma1^4/gamma1^3), NaN where a square or cube leaves the float range."""
+    v = s.sigma0_sq / s.gamma0 + s.sigma1_sq / s.gamma1
+    try:
+        return v * v / (s.sigma0_sq**2 / s.gamma0**3 + s.sigma1_sq**2 / s.gamma1**3)
+    except (OverflowError, ZeroDivisionError):  # a square too large, a divisor underflowed to 0
+        return math.nan
+
+
 def two_sample_unequal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
     """Welch t test: v = sigma0^2/gamma0 + sigma1^2/gamma1, Satterthwaite f(n)."""
     v = s.sigma0_sq / s.gamma0 + s.sigma1_sq / s.gamma1
-    rho = v * v / (
-        s.sigma0_sq**2 / s.gamma0**3 + s.sigma1_sq**2 / s.gamma1**3
-    )
+    rho = _welch_rho(s)
     g0, g1 = s.gamma0, s.gamma1
     sig0, sig1 = s.sigma0_sq, s.sigma1_sq
     return TestKernel(

@@ -14,10 +14,11 @@ which is flagged rather than clamped).
 The kernels use either as it is.  The unequal-variance design averages it
 over the group variance ratio (:func:`trialsize.designs.welch_power`) and the
 covariate-adjusted design over the imbalance law
-(:func:`trialsize.ancova.adjusted_power`), which makes the exact forms
-double integrals.  :mod:`trialsize.mmrm` and :mod:`trialsize.families` are
-built on this module, which imports neither.  Equivalence sizes, margins
-symmetric or not, are the family's size chain
+(:func:`trialsize.ancova.adjusted_power`), which makes the exact forms double
+integrals, as the family's power rows (:meth:`trialsize.families.Family.powers`)
+use them.  This module imports none of :mod:`trialsize.ancova`,
+:mod:`trialsize.mmrm` and :mod:`trialsize.families`.  Equivalence sizes,
+margins symmetric or not, are the family's size chain
 (:meth:`trialsize.families.Family.size_rows`).
 """
 
@@ -30,7 +31,6 @@ import numpy as np
 from scipy import special
 
 from . import core, dist
-from .ancova import AncovaSpec, adjusted_power
 from .core import PowerEstimate, TestKernel
 from .designs import TwoSampleSpec, welch_power
 from .errors import DomainError
@@ -38,8 +38,6 @@ from .errors import DomainError
 __all__ = [
     "Margins",
     "equiv_power_exact",
-    "equiv_power_approx",
-    "ancova_equiv_power",
     "ts_unequal_equiv_power",
 ]
 
@@ -154,32 +152,6 @@ def equiv_power_exact(k: TestKernel, m: Margins, n: float, alpha: float) -> Powe
     """
     conditional, method = _conditional(m, k.tau1, True)
     return k.power(conditional, n, alpha, method)
-
-
-def equiv_power_approx(k: TestKernel, m: Margins, n: float, alpha: float) -> PowerEstimate:
-    """Integration-free equivalence power; underestimates, and may be negative
-    for very small n (returned as-is with approximation_valid=False)."""
-    conditional, method = _conditional(m, k.tau1, False)
-    return k.power(conditional, n, alpha, method)
-
-
-def ancova_equiv_power(
-    s: AncovaSpec,
-    m: Margins,
-    n: float,
-    alpha: float,
-    exact: bool = True,
-) -> PowerEstimate:
-    """Equivalence power under covariate adjustment, averaged over the
-    covariate-imbalance law.
-
-    The exact form is then a double integral (exact for normal covariates);
-    the approximate form a single one, which underestimates like every
-    integration-free equivalence formula.  Without covariates both are the
-    ANCOVA kernel's equivalence powers.
-    """
-    conditional, method = _conditional(m, s.tau1, exact)
-    return adjusted_power(s, conditional, n, alpha, method)
 
 
 def ts_unequal_equiv_power(

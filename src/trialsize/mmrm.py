@@ -17,11 +17,12 @@ count-averaged power sits below the plug-in value in small samples;
 :func:`dropout_averaged_power` computes that average for any of the power
 formulas.
 
-The design-stage quantities and the four power formulas are array
-operations over the visits, and they broadcast over a leading batch axis of
-retention schedules (``MmrmDesign.retention`` as a ``(B, 2, p)`` array): a
-batch costs one t-quantile and one noncentral tail call, and entries where the
-formula is undefined come back NaN instead of raising.  The dropout average
+The design-stage quantities and the power formulas (:func:`_last_visit_power`,
+the body of the family's power rows and of the two simplified formulas) are
+array operations over the visits, and they broadcast over a leading batch
+axis of retention schedules (``MmrmDesign.retention`` as a ``(B, 2, p)``
+array): a batch costs one t-quantile and one noncentral tail call, and
+entries where the formula is undefined come back NaN instead of raising.  The dropout average
 evaluates its points in such batches.
 """
 
@@ -47,9 +48,7 @@ __all__ = [
     "MmrmDerived",
     "ldl_decompose",
     "mmrm_derived",
-    "mmrm_power",
     "mmrm_power_approx",
-    "mmrm_equiv_power",
     "mmrm_equiv_power_approx",
     "DropoutAverage",
     "dropout_averaged_power",
@@ -321,37 +320,23 @@ def _last_visit_power(
     return core.expected_power(power, given, n, alpha=alpha, method="approx")
 
 
-def mmrm_power(d: MmrmDesign, n: float, alpha: float) -> PowerEstimate:
-    """The paper's power of the two-sided last-visit Wald test, with the
-    expected small-sample variance and Satterthwaite d.f. (a plug-in
-    approximation, see :func:`_last_visit_power`)."""
-    return _last_visit_power(d, core.two_tailed(d.effect), n, alpha)
-
-
 def mmrm_power_approx(d: MmrmDesign, n: float, alpha: float) -> PowerEstimate:
-    """Simplified power using the first-order variance and the observed-information
-    fraction d.f.; only slightly less accurate than :func:`mmrm_power`.
-    Batches as :func:`mmrm_power` does."""
+    """Simplified power of the two-sided last-visit test, using the
+    first-order variance and the observed-information fraction d.f.; only
+    slightly less accurate than the paper's main formula (the family's
+    ``main`` row).  Batches as :func:`_last_visit_power` does."""
     return _last_visit_power(d, core.two_tailed(d.effect), n, alpha, first_order=True)
-
-
-def mmrm_equiv_power(d: MmrmDesign, margins, n: float, alpha: float) -> PowerEstimate:
-    """Equivalence power at the last visit: both one-sided tests must reject.
-    May be negative in very small samples (flagged, not clamped), like every
-    integration-free equivalence approximation."""
-    conditional, _ = _equivalence(margins, d.tau_p1, False)
-    return _last_visit_power(d, conditional, n, alpha)
 
 
 def mmrm_equiv_power_approx(d: MmrmDesign, margins, n: float, alpha: float) -> PowerEstimate:
     """Equivalence power with the first-order variance and the
     observed-information fraction d.f., the counterpart of
-    :func:`mmrm_power_approx`.
+    :func:`mmrm_power_approx`: both one-sided tests must reject.
 
     With every subject retained both reduce to the last-visit covariate
     adjusted t test (variance sigma_pp * E[v_x], n - q* d.f.), which the
-    expected small-sample variance and d.f. of :func:`mmrm_equiv_power` do
-    not.
+    expected small-sample variance and d.f. of the family's ``equivalence``
+    row do not.
     """
     conditional, _ = _equivalence(margins, d.tau_p1, False)
     return _last_visit_power(d, conditional, n, alpha, first_order=True)
@@ -421,7 +406,8 @@ def dropout_averaged_power(power_at, d: MmrmDesign, n_per_group) -> DropoutAvera
     value (an undefined design raises there), and otherwise with a batch:
     a design whose ``retention`` is a ``(B, 2, p)`` array of schedules, for
     which it returns an array of B powers, NaN where the formula is
-    undefined.  The four MMRM power functions do both.  There is one batch
+    undefined.  The family's MMRM power rows, each bound anew to the design
+    it is passed, and the simplified formulas do both.  There is one batch
     for the finite-difference stencil and one per Sobol round, all
     scramblings together.  A round's batch holds each distinct schedule
     once; its power is shared by every point that drew it.  The scrambled

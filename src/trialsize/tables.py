@@ -22,8 +22,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import core
-from .ancova import ancova_power_approx, ancova_power_asymptotic_t, ancova_power_exact
 from .config import DesignConfig, load_design
+from .families import family_of
 
 __all__ = ["build_table", "fixture_path", "TABLE_NUMBERS"]
 
@@ -90,11 +90,12 @@ def _table2() -> list[dict]:
         for code in _T2_TAUS:
             cfg = _load(f"table2_q{q}_{code}")
             s, a = cfg.design, cfg.alpha
+            powers = family_of(s).powers(s, cfg.decision_margins)[1]
             sizes = _sizes(cfg, "n_asy", "n_approx")
             # the size at which the t-distribution power without the
             # covariate inflation reaches the target
             asymptotic_t = core.size_invert(
-                lambda n: ancova_power_asymptotic_t(s, n, a).value,
+                lambda n: powers["asymptotic_t"](n, a).value,
                 cfg.target_power,
                 sizes["n_asy"],
                 float(s.q_star),
@@ -109,8 +110,8 @@ def _table2() -> list[dict]:
                     "asymptotic_t": asymptotic_t,
                     **sizes,
                     "per_arm": per_arm,
-                    "power_exact": 100.0 * ancova_power_exact(s, 2 * per_arm, a).value,
-                    "power_approx": 100.0 * ancova_power_approx(s, 2 * per_arm, a).value,
+                    "power_exact": 100.0 * powers["exact"](2 * per_arm, a).value,
+                    "power_approx": 100.0 * powers["approx"](2 * per_arm, a).value,
                 }
             )
     return rows

@@ -23,16 +23,11 @@ from reference_values import (
 )
 
 import trialsize as ts
-from trialsize import core, designs, dist, mmrm
-from trialsize.ancova import AncovaSpec, ancova_power_approx, ancova_power_exact
+from trialsize import ancova, core, designs, dist, mmrm
+from trialsize.ancova import AncovaSpec, ancova_power_exact
 from trialsize.config import load_design
-from trialsize.equivalence import (
-    Margins,
-    ancova_equiv_power,
-    equiv_power_approx,
-    equiv_power_exact,
-    ts_unequal_equiv_power,
-)
+from trialsize.equivalence import Margins, equiv_power_exact, ts_unequal_equiv_power
+from trialsize.families import family_of
 from trialsize.simulate import simulate_power
 from trialsize.tables import build_table, fixture_path
 
@@ -179,16 +174,18 @@ def _sim_check(label, cfg, n_per_group, alpha, objective, formula, failures, not
     return rep
 
 
-def _mmrm_check(label, cfg, total, objective, paper_at, simple_at, failures):
+def _mmrm_check(label, cfg, total, objective, simple_at, failures):
     """MMRM rows, at the simulated allocation (n0, n1) = (ceil(n/2), floor(n/2)).
 
     The simulation is held to the simplified formula averaged over random
-    dropout; the paper's formula is evaluated at the expected retained counts
-    only for the report.  Returns |sim - paper formula| and 3SE.
+    dropout; the paper's formula, the family's exact row (``main`` or
+    ``equivalence``), is evaluated at the expected retained counts only for
+    the report.  Returns |sim - paper formula| and 3SE.
     """
     n0 = total - total // 2
     averaged = mmrm.dropout_averaged_power(simple_at, cfg.design, (n0, total - n0))
-    paper = paper_at(dataclasses.replace(cfg.design, gamma0=n0 / total), total)
+    design = dataclasses.replace(cfg.design, gamma0=n0 / total)
+    paper = dataclasses.replace(cfg, design=design).exact_power(total, cfg.alpha)
     note = (f"; simplified formula {averaged.plug_in:.4f}, dropout term "
             f"{averaged.value - averaged.plug_in:+.4f} (SE {averaged.std_error:.5f}), "
             f"paper formula {paper:.4f}")
@@ -245,7 +242,6 @@ class TestCriterion5:
             mmrm_gaps.append(_mmrm_check(
                 f"repeated-measures {cov} q={q} effect {tau}", cfg, TABLE3[idx][9],
                 Margins.superiority(),
-                lambda d, n: mmrm.mmrm_power(d, n, cfg.alpha).value,
                 lambda d, n: mmrm.mmrm_power_approx(d, n, cfg.alpha).value,
                 failures,
             ))
@@ -273,7 +269,6 @@ class TestCriterion5:
             mmrm_gaps.append(_mmrm_check(
                 f"repeated-measures equivalence {cov} q={q} margin {margin}", cfg,
                 TABLE6[idx][9], cfg.margins,
-                lambda d, n: mmrm.mmrm_equiv_power(d, cfg.margins, n, cfg.alpha).value,
                 lambda d, n: mmrm.mmrm_equiv_power_approx(d, cfg.margins, n, cfg.alpha).value,
                 failures,
             ))
@@ -433,10 +428,11 @@ class TestCriterion6:
             sigma=np.array([[1.0]]), retention=((1.0,), (1.0,)), gamma0=0.5, q=1, tau_p1=1.0
         )
         s1 = AncovaSpec(tau1=1.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=1)
-        d2 = max(
-            abs(mmrm.mmrm_power(dsg, n, 0.05).value - ancova_power_approx(s1, n, 0.05).value)
-            for n in (20, 50)
+        main = lambda n: mmrm._last_visit_power(dsg, core.two_tailed(dsg.effect), n, 0.05)
+        mean_imbalance = lambda n: ancova.adjusted_power(
+            s1, core.two_tailed(s1.effect), n, 0.05, "approx", mean_imbalance=True
         )
+        d2 = max(abs(main(n).value - mean_imbalance(n).value) for n in (20, 50))
         # one-sided margin pair reduces the equivalence integral to the Welch power
         spec = ts.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)
         mm = Margins(lower=0.0, upper=math.inf)
@@ -452,20 +448,15 @@ class TestCriterion6:
         assert ok
 
     def test_exact_dominates_approximations(self):
-        k = designs.crossover_kernel(ts.CrossoverSpec(0.0, 0.0, 0.05, 0.5))
-        m = Margins.equivalence(-math.log(1.25), math.log(1.25))
+        cross = ts.CrossoverSpec(0.0, 0.0, 0.05, 0.5)
+        be = Margins.equivalence(-math.log(1.25), math.log(1.25))
+        rows = family_of(cross).powers(cross, be)[1]
         ok = True
         for n in (4, 6, 10, 18, 40):
-            ok &= (
-                equiv_power_exact(k, m, n, 0.1).value
-                >= equiv_power_approx(k, m, n, 0.1).value - 1e-10
-            )
+            ok &= rows["exact"](n, 0.1).value >= rows["approx"](n, 0.1).value - 1e-10
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
-        ma = Margins.equivalence(-0.8, 0.8)
+        rows = family_of(s).powers(s, Margins.equivalence(-0.8, 0.8))[1]
         for n in (10, 18, 40):
-            ok &= (
-                ancova_equiv_power(s, ma, n, 0.05, exact=True).value
-                >= ancova_equiv_power(s, ma, n, 0.05, exact=False).value - 1e-9
-            )
+            ok &= rows["exact"](n, 0.05).value >= rows["approx"](n, 0.05).value - 1e-9
         report(6, ok, "exact equivalence power dominates the integration-free forms")
         assert ok

@@ -8,15 +8,24 @@ import pytest
 
 from trialsize import ancova, core, designs, equivalence, mmrm
 from trialsize.errors import BracketError, DomainError
-from trialsize.families import FAMILIES
+from trialsize.families import FAMILIES, family_of
 
 ALPHA = 0.05
 POWER = 0.80
 
 
+def equal_spec(tau: float) -> designs.TwoSampleSpec:
+    return designs.TwoSampleSpec(0.0, tau, 1.0, 1.0, 0.5, equal_variance=True)
+
+
 def equal_kernel(tau: float) -> core.TestKernel:
-    spec = designs.TwoSampleSpec(0.0, tau, 1.0, 1.0, 0.5, equal_variance=True)
-    return designs.two_sample_equal_kernel(spec, 0.0)
+    return designs.two_sample_equal_kernel(equal_spec(tau), 0.0)
+
+
+def row(design, name: str, margins=equivalence.Margins.superiority()):
+    """The power row ``name`` of the design's family for the objective of
+    ``margins``, a function of (n, alpha)."""
+    return family_of(design).powers(design, margins)[1][name]
 
 
 def sizes(k: core.TestKernel) -> dict[str, float]:
@@ -50,13 +59,13 @@ class TestPower:
             k = equal_kernel(tau)
             for n in (8, 20, 60):
                 p2 = core.power_two_sided(k, n, ALPHA).value
-                p1 = core.power_one_sided_approx(k, n, ALPHA).value
+                p1 = row(equal_spec(tau), "one_sided_approx")(n, ALPHA).value
                 assert p2 >= p1 - 1e-12
                 assert p1 >= p2 - ALPHA
 
     def test_one_sided_reference(self):
-        k = equal_kernel(0.5)
-        assert abs(core.power_one_sided_approx(k, 128, ALPHA).value - 0.8015) < 1e-4
+        one_sided = row(equal_spec(0.5), "one_sided_approx")
+        assert abs(one_sided(128, ALPHA).value - 0.8015) < 1e-4
 
     def test_small_effect_vs_two_term_oracle(self):
         # oracle: sum the two noncentral tails directly from the CDF engine
@@ -100,17 +109,18 @@ class TestMethod:
             gamma0=0.5, q=1, tau_p1=0.6,
         )
         margins = equivalence.Margins.equivalence(-0.5, 0.5)
+        one_sample = designs.OneSampleSpec(mu=0.1, tau0=0.0, sigma_sq=1.0)
         kernel = designs.one_sample_kernel(0.1, 0.0, 1.0)
         # the paper's MMRM formula is a plug-in value, not an exact power
         pinned = [
             (core.power_two_sided(equal_kernel(1.0), 30, ALPHA), "exact_two_sided"),
-            (core.power_one_sided_approx(equal_kernel(1.0), 30, ALPHA), "one_sided_approx"),
+            (row(equal_spec(1.0), "one_sided_approx")(30, ALPHA), "approx"),
             (designs.moser_exact_power(welch, 0.0, 60, ALPHA), "integral_exact"),
             (ancova.ancova_power_exact(adjusted, 60, ALPHA), "integral_exact"),
-            (ancova.ancova_power_approx(adjusted, 60, ALPHA), "approx"),
+            (row(adjusted, "approx")(60, ALPHA), "approx"),
             (equivalence.equiv_power_exact(kernel, margins, 40, ALPHA), "integral_exact"),
-            (equivalence.equiv_power_approx(kernel, margins, 40, ALPHA), "approx"),
-            (mmrm.mmrm_power(repeated, 120, ALPHA), "approx"),
+            (row(one_sample, "approx", margins)(40, ALPHA), "approx"),
+            (row(repeated, "main")(120, ALPHA), "approx"),
         ]
         assert [est.method for est, _ in pinned] == [method for _, method in pinned]
 

@@ -55,6 +55,17 @@ class TestTwoSampleKernels:
         assert abs(k.v - 10.0) < 1e-12
         assert abs(k.rho_at(50.0) - 100.0 / 136.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "sigma0_sq,sigma1_sq,gamma0", [(1e300, 4.0, 0.5), (1e-200, 1e-200, 0.5), (1.0, 4.0, 1e-110)]
+    )
+    def test_welch_information_fraction_out_of_float_range(self, sigma0_sq, sigma1_sq, gamma0):
+        # the Welch rho squares each variance and cubes each allocation
+        # fraction; the pooled test uses neither
+        with pytest.raises(DomainError, match="Welch d.f.'s information fraction"):
+            designs.TwoSampleSpec(0.0, 1.0, sigma0_sq, sigma1_sq, gamma0)
+        if sigma0_sq == sigma1_sq:
+            designs.TwoSampleSpec(0.0, 1.0, sigma0_sq, sigma1_sq, gamma0, equal_variance=True)
+
     def test_satterthwaite_reduces_to_pooled(self):
         # equal variances and equal group sizes: f equals n - 2 exactly
         for n in (10.0, 23.0, 81.0):

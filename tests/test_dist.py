@@ -15,13 +15,9 @@ from scipy import integrate, special, stats
 from trialsize import designs, dist
 from trialsize.ancova import AncovaSpec, ancova_power_exact
 from trialsize.designs import TwoSampleSpec
-from trialsize.equivalence import (
-    Margins,
-    _phillips_integral,
-    ancova_equiv_power,
-    ts_unequal_equiv_power,
-)
+from trialsize.equivalence import Margins, _phillips_integral, ts_unequal_equiv_power
 from trialsize.errors import BracketError, ConvergenceError, DomainError
+from trialsize.families import family_of
 
 Z_975 = 1.9599639845400545
 Z_90 = 1.2815515655446004
@@ -409,10 +405,10 @@ def ancova_case(kind, q, n, alpha=0.05):
         value = ancova_power_exact(spec, n, alpha).value
         g = lambda u: stats.ncf.sf(crit**2, 1.0, f, (spec.tau1 / se(u)) ** 2)
     elif kind == "ancova_equiv_exact":
-        value = ancova_equiv_power(spec, margins, n, alpha, exact=True).value
+        value = family_of(spec).powers(spec, margins)[1]["exact"](n, alpha).value
         g = lambda u: _phillips_integral(a_up(u), b_low(u), crit, f)
     else:
-        value = ancova_equiv_power(spec, margins, n, alpha, exact=False).value
+        value = family_of(spec).powers(spec, margins)[1]["approx"](n, alpha).value
         g = lambda u: 1.0 - stats.nct.sf(-crit, f, -a_up(u)) - stats.nct.sf(-crit, f, b_low(u))
     return value, f_law_expectation(g, float(q), f2)
 

@@ -10,8 +10,6 @@ from trialsize import core, designs
 from trialsize.designs import CrossoverSpec, TwoSampleSpec
 from trialsize.equivalence import (
     Margins,
-    ancova_equiv_power,
-    equiv_power_approx,
     equiv_power_exact,
     _phillips_integral,
     ts_unequal_equiv_power,
@@ -32,6 +30,19 @@ def be_spec(sigma_sq: float) -> CrossoverSpec:
 def be_kernel(sigma_sq: float):
     k, m, alpha = be_adapter(be_spec(sigma_sq))
     return k, m, alpha
+
+
+def row(spec, m: Margins, name: str):
+    """The design family's power row ``name`` for the objective of ``m``,
+    a function of (n, alpha)."""
+    return family_of(spec).powers(spec, m)[1][name]
+
+
+def be_approx(sigma_sq: float, n: float):
+    """The bioequivalence crossover's integration-free power (its ``approx`` row)."""
+    spec = be_spec(sigma_sq)
+    _, m, alpha = be_adapter(spec)
+    return row(spec, m, "approx")(n, alpha)
 
 
 def equivalence_sizes(spec, m: Margins, alpha: float, power: float = 0.8) -> dict[str, float]:
@@ -155,18 +166,15 @@ class TestExactEquivalencePower:
 
 class TestApproxEquivalencePower:
     def test_reference(self):
-        k, m, alpha = be_kernel(0.0125)
-        assert abs(equiv_power_approx(k, m, 10, alpha).value * 100 - 78.10) < 0.02
+        assert abs(be_approx(0.0125, 10).value * 100 - 78.10) < 0.02
 
     def test_documented_underestimate(self):
-        k, m, alpha = be_kernel(0.0125)
-        est = equiv_power_approx(k, m, 6, alpha)
+        est = be_approx(0.0125, 6)
         assert abs(est.value * 100 - 28.74) < 0.02
         assert est.approximation_valid
 
     def test_negative_flagged_not_clamped(self):
-        k, m, alpha = be_kernel(0.075)
-        est = equiv_power_approx(k, m, 4, alpha)
+        est = be_approx(0.075, 4)
         assert est.value < 0.0
         assert not est.approximation_valid
 
@@ -175,7 +183,7 @@ class TestApproxEquivalencePower:
             k, m, alpha = be_kernel(s2)
             for n in (4, 6, 10, 20, 40):
                 ex = equiv_power_exact(k, m, n, alpha).value
-                ap = equiv_power_approx(k, m, n, alpha).value
+                ap = be_approx(s2, n).value
                 assert ex >= ap - 1e-10
 
     def test_power_small_near_min_n_then_grows(self):
@@ -306,7 +314,7 @@ class TestAncovaEquivalence:
         k = designs.two_sample_equal_kernel(ts, 0.0)
         m = Margins.equivalence(-1.0, 1.0)
         for n in (12, 30):
-            a = ancova_equiv_power(s, m, n, 0.05, exact=True).value
+            a = row(s, m, "exact")(n, 0.05).value
             b = equiv_power_exact(k, m, n, 0.05).value
             assert abs(a - b) < 1e-8
 
@@ -314,19 +322,20 @@ class TestAncovaEquivalence:
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
         m = Margins.equivalence(-0.8, 0.8)
         for n in (10, 16, 30, 60):
-            ex = ancova_equiv_power(s, m, n, 0.05, exact=True).value
-            ap = ancova_equiv_power(s, m, n, 0.05, exact=False).value
+            ex = row(s, m, "exact")(n, 0.05).value
+            ap = row(s, m, "approx")(n, 0.05).value
             assert ex >= ap - 1e-9
 
     def test_approx_one_sided_margin_is_far_margin_limit(self):
         # an infinite margin contributes a tail of exactly 0, the limit of a
-        # margin moved far away
+        # margin moved far away: the one-sided margin's exact row is the
+        # equivalence approx row's one-sided tests over the same imbalance law
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=2)
         one_sided = Margins(lower=-0.8, upper=math.inf)
         far = Margins.equivalence(-0.8, 1e3)
         for n in (16, 40):
-            a = ancova_equiv_power(s, one_sided, n, 0.05, exact=False).value
-            b = ancova_equiv_power(s, far, n, 0.05, exact=False).value
+            a = row(s, one_sided, "exact")(n, 0.05).value
+            b = row(s, far, "approx")(n, 0.05).value
             assert math.isfinite(a)
             assert abs(a - b) < 1e-12
 
@@ -335,7 +344,7 @@ class TestAncovaEquivalence:
 
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=1)
         m = Margins.equivalence(-0.8, 0.8)
-        exact = ancova_equiv_power(s, m, 40, 0.05, exact=True).value
+        exact = row(s, m, "exact")(40, 0.05).value
         sc = ScenarioSpec(design=s, seed=404, baseline_effect=0.5)
         rep = simulate_power(sc, (20, 20), 0.05, m, replicates=20000)
         assert abs(rep.power_hat - exact) <= 3.0 * rep.std_error

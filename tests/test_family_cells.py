@@ -20,16 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from trialsize import cli, core, mmrm
+from trialsize import cli, core, equivalence, mmrm
 from trialsize.ancova import adjusted_power, ancova_power_exact
 from trialsize.config import load_design, parse_design
 from trialsize.designs import OneSampleSpec, moser_exact_power, welch_power
-from trialsize.equivalence import (
-    Margins,
-    ancova_equiv_power,
-    equiv_power_exact,
-    ts_unequal_equiv_power,
-)
+from trialsize.equivalence import Margins, equiv_power_exact, ts_unequal_equiv_power
 from trialsize.errors import DomainError
 from trialsize.families import family_of
 from trialsize.simulate import simulate_power
@@ -532,13 +527,14 @@ def _cell_config(name: str):
 
 def family_exact_power(cfg, n: float) -> float:
     """The exact power of the design's family and objective, written out from
-    the library's power functions: the power ``size`` must invert.  Under
-    noninferiority it is the family's one-sided power at the margin, the
-    rejection region of the simulator's decision."""
+    the library's power functions and conditional powers, not its power rows:
+    the power ``size`` must invert.  Under noninferiority it is the family's
+    one-sided power at the margin, the rejection region of the simulator's
+    decision."""
     d, m, a = cfg.design, cfg.margins, cfg.alpha
     if m is None:
         if cfg.family == "mmrm":
-            return mmrm.mmrm_power(d, n, a).value
+            return mmrm._last_visit_power(d, core.two_tailed(d.effect), n, a).value
         if cfg.family == "ancova":
             return ancova_power_exact(d, n, a).value
         if cfg.family == "two_sample" and not d.equal_variance:
@@ -546,9 +542,10 @@ def family_exact_power(cfg, n: float) -> float:
         return core.power_two_sided(cfg.kernel(), n, a).value
     if m.kind == "equivalence":
         if cfg.family == "mmrm":
-            return mmrm.mmrm_equiv_power(d, m, n, a).value
+            approx, _ = equivalence._conditional(m, d.tau_p1, False)
+            return mmrm._last_visit_power(d, approx, n, a).value
         if cfg.family == "ancova":
-            return ancova_equiv_power(d, m, n, a, exact=True).value
+            return adjusted_power(d, equivalence._conditional(m, d.tau1, True)[0], n, a).value
         if cfg.family == "two_sample" and not d.equal_variance:
             return ts_unequal_equiv_power(d, m, n, a, exact=True).value
         return equiv_power_exact(cfg.kernel(), m, n, a).value
@@ -560,7 +557,8 @@ def family_exact_power(cfg, n: float) -> float:
         return adjusted_power(d, core.one_sided_tests(abs(d.tau1 - margin)), n, a).value
     if cfg.family == "two_sample" and not d.equal_variance:
         return moser_exact_power(d, margin, n, a).value
-    return core.power_one_sided_approx(cfg.kernel(), n, a).value
+    k = cfg.kernel()
+    return k.power(core.one_sided_tests(abs(k.effect)), n, a, "approx").value
 
 
 # one fixture of each family and objective the shipped tables cover

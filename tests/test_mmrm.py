@@ -34,6 +34,12 @@ def design(sigma, q, tau, retention=RETENTION):
     return mmrm.MmrmDesign(sigma=sigma, retention=retention, gamma0=0.5, q=q, tau_p1=tau)
 
 
+def row(name, margins=Margins.superiority()):
+    """The family's power row ``name`` for the objective of ``margins`` as
+    power_at(design, n) at ALPHA, bound to each design it is passed."""
+    return lambda d, n: family_of(d).powers(d, margins)[1][name](n, ALPHA)
+
+
 def size_chain(d, alpha, power, margins=None):
     """A design's size chain by row name: superiority, or equivalence within ``margins``."""
     return family_of(d).size_rows(d, margins or Margins.superiority(), alpha, power)
@@ -190,15 +196,15 @@ def test_derived_matches_visit_loops(p, seed):
 class TestPower:
     def test_reference_un_q1(self):
         d = design(EXAMPLE_SIGMA, 1, -12.0)
-        assert abs(mmrm.mmrm_power(d, 21, ALPHA).value * 100 - 91.32) < 0.02
+        assert abs(row("main")(d, 21).value * 100 - 91.32) < 0.02
 
     def test_reference_cs_q3(self):
         d = design(mmrm.compound_symmetry(4, 45, 15), 3, -8.0)
-        assert abs(mmrm.mmrm_power(d, 46, ALPHA).value * 100 - 90.42) < 0.02
+        assert abs(row("main")(d, 46).value * 100 - 90.42) < 0.02
 
     def test_null_gives_alpha(self):
         d = design(EXAMPLE_SIGMA, 1, 0.0)
-        assert abs(mmrm.mmrm_power(d, 30, ALPHA).value - ALPHA) < 1e-9
+        assert abs(row("main")(d, 30).value - ALPHA) < 1e-9
 
     def test_approx_references(self):
         d = design(EXAMPLE_SIGMA, 1, -12.0)
@@ -214,7 +220,7 @@ class TestPower:
             q=1,
             tau_p1=1.2,
         )
-        a = mmrm.mmrm_power(d, 28, ALPHA).value
+        a = row("main")(d, 28).value
         b = mmrm.mmrm_power_approx(d, 28, ALPHA).value
         assert abs(a - b) < 1e-4
 
@@ -251,7 +257,7 @@ class TestSizeChain:
         symmetric = size_chain(d, ALPHA, 0.90, Margins.equivalence(-8, 8))
         assert ch["g1_lower"] == symmetric["g1"] and ch["g2_lower"] == symmetric["g2"]
         assert ch["g2_lower"] < ch["inversion"] < ch["g2_upper"]
-        power = mmrm.mmrm_equiv_power(d, Margins.equivalence(-8, 6), ch["inversion"], ALPHA)
+        power = row("equivalence", Margins.equivalence(-8, 6))(d, ch["inversion"])
         assert abs(power.value - 0.90) < 1e-6
 
     def test_size_ordering(self):
@@ -280,8 +286,8 @@ class TestSizeChain:
             assert abs(chain_m[key] - chain_a[key]) < 1e-6
         for n in (20, 40):
             assert abs(
-                mmrm.mmrm_power(d, n, ALPHA).value
-                - anc.ancova_power_approx(s, n, ALPHA).value
+                row("main")(d, n).value
+                - row("approx")(s, n).value
             ) < 1e-6
 
 
@@ -289,22 +295,22 @@ class TestEquivPower:
     def test_reference_un_q1(self):
         d = design(EXAMPLE_SIGMA, 1, 0.0)
         m = Margins.equivalence(-8, 8)
-        assert abs(mmrm.mmrm_equiv_power(d, m, 47, ALPHA).value * 100 - 90.42) < 0.02
+        assert abs(row("equivalence", m)(d, 47).value * 100 - 90.42) < 0.02
 
     def test_reference_cs_q3(self):
         d = design(mmrm.compound_symmetry(4, 45, 15), 3, 0.0)
         m = Margins.equivalence(-8, 8)
-        assert abs(mmrm.mmrm_equiv_power(d, m, 55, ALPHA).value * 100 - 90.61) < 0.02
+        assert abs(row("equivalence", m)(d, 55).value * 100 - 90.61) < 0.02
 
     def test_wide_margins_power_one(self):
         d = design(EXAMPLE_SIGMA, 1, 0.0)
         m = Margins.equivalence(-500, 500)
-        assert mmrm.mmrm_equiv_power(d, m, 30, ALPHA).value > 0.999999
+        assert row("equivalence", m)(d, 30).value > 0.999999
 
     def test_effect_outside_margins(self):
         d = design(EXAMPLE_SIGMA, 1, -12.0)
         with pytest.raises(DomainError):
-            mmrm.mmrm_equiv_power(d, Margins.equivalence(-8, 8), 40, ALPHA)
+            row("equivalence", Margins.equivalence(-8, 8))(d, 40)
         with pytest.raises(DomainError):
             mmrm.mmrm_equiv_power_approx(d, Margins.equivalence(-8, 8), 40, ALPHA)
 
@@ -313,7 +319,7 @@ class TestEquivPower:
             sigma=np.array([[5.0]]), retention=((1.0,), (1.0,)), gamma0=0.5, q=1, tau_p1=0.3
         )
         m = Margins.equivalence(-1.5, 1.5)
-        a = mmrm.mmrm_equiv_power(d, m, 28, ALPHA).value
+        a = row("equivalence", m)(d, 28).value
         b = mmrm.mmrm_equiv_power_approx(d, m, 28, ALPHA).value
         assert abs(a - b) < 1e-9
 
@@ -322,7 +328,7 @@ class TestEquivPower:
         # larger, so the simplified power is the higher of the two
         d = design(EXAMPLE_SIGMA, 1, 0.0)
         m = Margins.equivalence(-8, 8)
-        main = mmrm.mmrm_equiv_power(d, m, 47, ALPHA).value
+        main = row("equivalence", m)(d, 47).value
         simple = mmrm.mmrm_equiv_power_approx(d, m, 47, ALPHA).value
         assert main < simple < main + 0.01
 
@@ -384,12 +390,11 @@ class TestBatchedSchedules:
     UNDEFINED = 3
     MARGINS = Margins.equivalence(-8, 8)
 
+    # the paper's main formulas are the family's rows, under their former names
     FORMULAS = {
-        "mmrm_power": (-12.0, lambda d, n: mmrm.mmrm_power(d, n, ALPHA)),
+        "mmrm_power": (-12.0, row("main")),
         "mmrm_power_approx": (-12.0, lambda d, n: mmrm.mmrm_power_approx(d, n, ALPHA)),
-        "mmrm_equiv_power": (
-            0.5, lambda d, n: mmrm.mmrm_equiv_power(d, TestBatchedSchedules.MARGINS, n, ALPHA)
-        ),
+        "mmrm_equiv_power": (0.5, row("equivalence", MARGINS)),
         "mmrm_equiv_power_approx": (
             0.5,
             lambda d, n: mmrm.mmrm_equiv_power_approx(d, TestBatchedSchedules.MARGINS, n, ALPHA),
@@ -417,7 +422,7 @@ class TestBatchedSchedules:
         # the second schedule is undefined at n = 30: its NaN value marks it
         schedules = np.array([RETENTION, ((1.0, 0.2, 0.1, 0.05),) * 2])
         d = design(EXAMPLE_SIGMA, 1, 0.0, retention=schedules)
-        est = mmrm.mmrm_equiv_power(d, Margins.equivalence(-2, 2), 30, ALPHA)
+        est = row("equivalence", Margins.equivalence(-2, 2))(d, 30)
         assert est.value[0] < 0.0 and math.isnan(est.value[1])
         assert est.approximation_valid.tolist() == [False, True]
         est = mmrm.mmrm_power_approx(dataclasses.replace(d, tau_p1=-4.0), 30, ALPHA)
