@@ -491,16 +491,23 @@ def test_normal_size_that_is_not_finite_names_the_effect(capsys, tmp_path, case)
 
 # The Welch d.f.'s information fraction squares each variance and cubes each
 # allocation fraction.  Out of float range it ended every command in an error
-# that named no input (exit 1): OverflowError for a variance of 1e300,
-# ZeroDivisionError for variances of 1e-200 or an allocation of 1e-110, and a
-# BracketError on a NaN size at a variance of 1e154 with an effect to match.
+# that named no input (exit 1): OverflowError for a variance of 1e300 (also in
+# the Welch equivalence design), ZeroDivisionError for variances of 1e-200 or
+# an allocation of 1e-110, and a BracketError on a NaN size at a variance of
+# 1e154 with an effect to match.
 WELCH_OUT_OF_RANGE = {
-    "variance_1e300": ({"sigma0_sq": 1e300}, "(1e+300, 4) at allocation 0.5"),
-    "variance_1e154": ({"sigma0_sq": 1e154, "mu1": 1e76}, "(1e+154, 4) at allocation 0.5"),
-    "variances_1e-200": (
-        {"sigma0_sq": 1e-200, "sigma1_sq": 1e-200}, "(1e-200, 1e-200) at allocation 0.5"
+    "variance_1e300": ("table1_unequal_050", {"sigma0_sq": 1e300}, "(1e+300, 4) at allocation 0.5"),
+    "variance_1e154": (
+        "table1_unequal_050", {"sigma0_sq": 1e154, "mu1": 1e76}, "(1e+154, 4) at allocation 0.5"
     ),
-    "allocation_1e-110": ({"gamma0": 1e-110}, "(1, 4) at allocation 1e-110"),
+    "variances_1e-200": (
+        "table1_unequal_050", {"sigma0_sq": 1e-200, "sigma1_sq": 1e-200},
+        "(1e-200, 1e-200) at allocation 0.5",
+    ),
+    "allocation_1e-110": ("table1_unequal_050", {"gamma0": 1e-110}, "(1, 4) at allocation 1e-110"),
+    "equivalence_variance_1e300": (
+        "table5_m_05", {"sigma1_sq": 1e300}, "(1, 1e+300) at allocation 0.5"
+    ),
 }
 WELCH_COMMANDS = {
     "size": ["size"], "power": ["power", "--n", "40"],
@@ -511,8 +518,8 @@ WELCH_COMMANDS = {
 @pytest.mark.parametrize("command", WELCH_COMMANDS)
 @pytest.mark.parametrize("case", WELCH_OUT_OF_RANGE)
 def test_welch_information_fraction_out_of_float_range_exits_two(capsys, tmp_path, case, command):
-    design, named = WELCH_OUT_OF_RANGE[case]
-    doc = json.loads(fixture_path("table1_unequal_050").read_text())
+    name, design, named = WELCH_OUT_OF_RANGE[case]
+    doc = json.loads(fixture_path(name).read_text())
     doc["design"].update(design)
     argv = WELCH_COMMANDS[command]
     code, out, err = run_cli(capsys, argv[0], "--design", write_design(tmp_path, doc), *argv[1:])
