@@ -257,14 +257,13 @@ def size_chain(
     power: float,
     exact: Callable[[float], float] | None = None,
     target: float | None = None,
-    two_step: bool = True,
 ) -> dict[str, float]:
     """The noniterative sizes for the effect ``delta``, by name in the order
     below, and with the exact power ``exact(n)`` its inversion for ``power``,
     started at g2.
 
     The quantiles are taken at ``target`` (by default ``power``; equivalence
-    sizes each one-sided test at (1 + power)/2):
+    sizes the nearer margin's one-sided test at its own level):
 
     normal_asymptotic  n_b = (z_{1-a/2} + z_target)^2 v / delta^2, where C corrects it
     normal             ntilde = C(n_b), followed by ``model.extra(n_b)``
@@ -277,7 +276,6 @@ def size_chain(
     (before C and ``model.extra`` see it), and, for the two-step row, for
     ntilde at or below ``model.min_n`` and for a non-positive f(ntilde); C
     raises it for a size too small to correct.
-    ``two_step=False`` leaves out the two-step row and its checks.
     """
     check_alpha(alpha)
     target = power if target is None else target
@@ -300,18 +298,16 @@ def size_chain(
             f"the effect {delta:g} is too small for the variance scale {model.v:g}"
         )
     n_tilde = correct(n_b)
-    if two_step and not n_tilde > model.min_n:
+    if not n_tilde > model.min_n:
         raise DomainError(
             f"two-step size undefined: first-pass size {n_tilde:.3f} does not exceed "
             f"the minimum {model.min_n}"
         )
-    rho = model.rho_at(n_tilde)
-    if two_step:
-        f = model.df_at(n_tilde)
-        if not f > 0.0:
-            raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
-        n_u = base(dist.t_quantile(1.0 - alpha / 2.0, f), dist.t_quantile(target, f))
-    corr = z * z / (2.0 * rho)
+    corr = z * z / (2.0 * model.rho_at(n_tilde))
+    f = model.df_at(n_tilde)
+    if not f > 0.0:
+        raise DomainError(f"two-step d.f. non-positive at first-pass size {n_tilde:.3f}")
+    n_u = base(dist.t_quantile(1.0 - alpha / 2.0, f), dist.t_quantile(target, f))
     g1 = n_tilde + corr
     g2 = g1 + corr * corr / g1
     sizes = {
@@ -320,7 +316,7 @@ def size_chain(
         **model.extra(n_b),
         "g1": g1,
         "g2": g2,
-        **({"two_step": correct(n_u)} if two_step else {}),
+        "two_step": correct(n_u),
     }
     if exact is not None:
         sizes["inversion"] = size_invert(exact, power, g2, model.min_n)

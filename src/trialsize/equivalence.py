@@ -129,6 +129,22 @@ def _phillips_integral(a_up, b_low, scale, f: float):
     return float(val) if val.ndim == 0 else val
 
 
+def _near_level(alpha: float, power: float, r: float) -> float:
+    """The level gamma of the nearer margin's one-sided test, the margin
+    distances in the ratio r = far/near >= 1: the root on [power, (1 + power)/2]
+    of gamma - Phi(z - r (z + z_gamma)) = power, z = z_{1-a/2}, to float
+    resolution; (1 + power)/2 at r = 1, where rounding may leave no sign change."""
+    core.check_alpha(alpha)
+    z, symmetric = dist.normal_quantile(1.0 - alpha / 2.0), 0.5 * (1.0 + power)
+
+    def excess(gamma: float) -> float:
+        return gamma - special.ndtr(z - r * (z + dist.normal_quantile(gamma))) - power
+
+    if not 0.0 < power < symmetric < 1.0 or excess(symmetric) <= 0.0:
+        return symmetric  # a power outside (0, 1) is named by the size chain
+    return dist.find_root(excess, power, symmetric, 1e-15)
+
+
 def _conditional(m: Margins, tau1: float, exact: bool):
     """The conditional power of the margin interval ``m`` around the true
     effect ``tau1``, and its method: the Phillips integral (exact) or the

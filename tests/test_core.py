@@ -209,8 +209,8 @@ class TestChain:
 
     def test_normal_size_above_the_cap(self):
         # refused before the correction and the extra rows see it, with or
-        # without an inversion, and in the bounds of off-centre equivalence
-        # margins, whose larger distance is refused first
+        # without an inversion, and for equivalence margins off centre, whose
+        # chain is at the nearer distance
         def unreachable(n):
             raise AssertionError(f"called at {n}")
 
@@ -220,7 +220,7 @@ class TestChain:
         design = designs.TwoSampleSpec(0.0, 0.0, 1.0, 1.0, 0.5, equal_variance=True)
         family = dataclasses.replace(FAMILIES["two_sample"], sizing=lambda d: k)
         margins = equivalence.Margins.equivalence(-1e-3, 1.5e-3)
-        with pytest.raises(DomainError, match="above the size cap 1e\\+07: the effect 0.0015"):
+        with pytest.raises(DomainError, match="above the size cap 1e\\+07: the effect 0.001 "):
             family.size_rows(design, margins, ALPHA, POWER)
 
     def test_non_positive_two_step_df(self):

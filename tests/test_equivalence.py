@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from trialsize import core, designs
+from trialsize import core, designs, equivalence
 from trialsize.designs import CrossoverSpec, TwoSampleSpec
 from trialsize.equivalence import (
     Margins,
@@ -224,34 +224,48 @@ class TestSymmetricSizes:
 
 
 class TestSizeBounds:
-    """Equivalence margins off centre: the chain's g1 and g2 rows at each
-    margin distance, and the inversion of the exact power."""
+    """Equivalence margins off centre: the one chain at the nearer margin
+    distance, sized for the level gamma(r), and the inversion of the exact
+    power.  The symmetric chains at the two margin distances bound it."""
 
-    ROWS = ["g1_lower", "g1_upper", "g2_lower", "g2_upper", "inversion"]
+    ROWS = ["normal", "g1", "g2", "two_step", "inversion"]
 
     def test_symmetric_bounds_coincide(self):
-        # margins 1e-8 off centre take the bounds; the smaller distance is
-        # the symmetric chain's half-width, so that side is its rows exactly
+        # margins 1e-8 off centre take gamma(r): the nearer distance is the
+        # symmetric chain's half-width and gamma within 1e-8 of its level
         _, m, alpha = be_kernel(0.025)
         chain = equivalence_sizes(be_spec(0.025), m, alpha)
         b = equivalence_sizes(
             be_spec(0.025), Margins.equivalence(-BE_MARGIN, BE_MARGIN * (1.0 + 1e-8)), alpha
         )
-        assert list(b) == self.ROWS
-        assert b["g1_upper"] == chain["g1"] and b["g2_upper"] == chain["g2"]
-        assert abs(b["g1_lower"] - b["g1_upper"]) < 1e-6
-        assert abs(b["g2_lower"] - b["g2_upper"]) < 1e-6
-        assert abs(b["inversion"] - chain["inversion"]) < 1e-6
-        assert abs(b["g1_lower"] - 18.55) < 0.01
+        assert list(b) == list(chain) == self.ROWS
+        assert all(abs(b[name] - chain[name]) < 1e-6 for name in self.ROWS)
+        assert abs(b["g1"] - 18.55) < 0.01
+        # margins 1e-10 off centre are symmetric: the half-width at (1 + power)/2
+        lo, hi = -BE_MARGIN, BE_MARGIN * (1.0 + 1e-10)
+        b = equivalence_sizes(be_spec(0.025), Margins.equivalence(lo, hi), alpha)
+        model = family_of(be_spec(0.025)).sizing(be_spec(0.025))
+        written_out = core.size_chain(model, 0.5 * (hi - lo), alpha, 0.8, target=0.9)
+        assert {name: b[name] for name in written_out} == written_out
 
     def test_asymmetric_ordering_and_containment(self):
         spec = CrossoverSpec(0.0, 0.05, 0.05, 0.5)
         k, m, alpha = be_adapter(spec)  # effect 0.05 shifts toward the upper margin
         b = equivalence_sizes(spec, m, alpha)
         assert list(b) == self.ROWS
-        assert b["g1_lower"] < b["g1_upper"]
-        assert b["g2_lower"] < b["g2_upper"]
-        assert b["g1_lower"] <= b["inversion"] <= b["g1_upper"]
+        near, far = sorted(m.distances(0.05))
+        lower, upper = (
+            equivalence_sizes(spec, Margins.equivalence(0.05 - d, 0.05 + d), alpha)
+            for d in (far, near)
+        )
+        assert lower["g1"] < b["g1"] < upper["g1"]
+        assert lower["g2"] < b["g2"] < upper["g2"]
+        assert lower["g1"] <= b["inversion"] <= upper["g1"]
+        # at n = 12 g2 falls 0.118 short, as the paper's symmetric chains do
+        # at these sizes (0.091 at the nearer distance, 0.226 at the farther)
+        assert 0.0 < b["inversion"] - b["g2"] < 0.15
+        assert 0.0 < upper["inversion"] - upper["g2"] < b["inversion"] - b["g2"]
+        assert abs(equiv_power_exact(k, m, b["inversion"], alpha).value - 0.8) < 1e-6
         inv = core.size_invert(
             lambda n: equiv_power_exact(k, m, n, alpha).value, 0.8, 40.0, k.min_n
         )
@@ -259,28 +273,41 @@ class TestSizeBounds:
 
     def test_larger_side_below_the_minimum_size(self):
         # the larger distance's normal size (1.7) is below the kernel's
-        # minimum 3: the bounds take no two-step row and do not refuse it
-        _, _, alpha = be_kernel(0.0125)
+        # minimum 3, so its symmetric chain is refused; the chain at the
+        # smaller distance is not, and lies above that side's g1 and g2
+        k, _, alpha = be_kernel(0.0125)
+        with pytest.raises(DomainError, match="first-pass size 1.713"):
+            equivalence_sizes(be_spec(0.0125), Margins.equivalence(-0.5, 0.5), alpha)
+        z = special.ndtri(1.0 - alpha / 2.0)
+        g1 = (z + special.ndtri(0.9)) ** 2 * k.v / 0.25 + z * z / 2.0
+        assert abs(g1 - 3.0655) < 1e-4
+        assert abs(g1 + (z * z / 2.0) ** 2 / g1 - 3.6625) < 1e-4
         b = equivalence_sizes(be_spec(0.0125), Margins.equivalence(-0.1, 0.5), alpha)
         assert list(b) == self.ROWS
-        assert abs(b["g1_lower"] - 3.0655) < 1e-4
-        assert abs(b["g2_lower"] - 3.6625) < 1e-4
-        assert abs(b["g2_upper"] - 44.2134) < 1e-4
-        assert b["g2_lower"] < b["inversion"] < b["g2_upper"]
+        upper = equivalence_sizes(be_spec(0.0125), Margins.equivalence(-0.1, 0.1), alpha)
+        assert abs(upper["g2"] - 44.2134) < 1e-4
+        assert 3.6625 < b["inversion"] < upper["g2"]
+        assert abs(b["g2"] - b["inversion"]) < 0.1
+        power = row(be_spec(0.0125), Margins.equivalence(-0.1, 0.5), "exact")
+        assert abs(power(b["inversion"], alpha).value - 0.8) < 1e-6
 
     def test_ancova_bounds_carry_the_covariate_correction(self):
-        # a side of the bounds is the family model's chain without the
-        # two-step row; at the symmetric half-width it is the family's chain
+        # the family's chain is its model's, covariate correction included;
+        # at the symmetric half-width it is sized for (1 + power)/2
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
         m = Margins.equivalence(-0.5, 0.5)
-        side = core.size_chain(family_of(s).sizing(s), 0.5, 0.05, 0.8, target=0.9, two_step=False)
+        model = family_of(s).sizing(s)
+        side = core.size_chain(model, 0.5, 0.05, 0.8, target=0.9)
         rows = family_of(s).size_rows(s, m, 0.05, 0.8)
         assert side["g1"] == rows["g1"]
         assert side["g2"] == rows["g2"]
         assert abs(side["g2"] - 173.10) < 0.01
-        # and the smaller distance's side of off-centre margins
+        # and off centre at the smaller distance, sized for gamma(r)
         b = family_of(s).size_rows(s, Margins.equivalence(-0.5, 0.9), 0.05, 0.8)
-        assert b["g1_upper"] == rows["g1"] and b["g2_upper"] == rows["g2"]
+        near = core.size_chain(model, 0.5, 0.05, 0.8, target=equivalence._near_level(0.05, 0.8, 1.8))
+        assert b["g1"] == near["g1"] and b["g2"] == near["g2"]
+        assert b["normal"] == model.correct(b["normal_asymptotic"]) > b["normal_asymptotic"]
+        assert abs(b["g2"] - b["inversion"]) < 0.1
 
     def test_be_adapter_kernel_carries_the_covariate_correction(self):
         # the ANCOVA kernel handed out for bioequivalence is the family's own
@@ -289,7 +316,7 @@ class TestSizeBounds:
         s = AncovaSpec(tau1=0.0, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=3)
         m = Margins.equivalence(-0.5, 0.5)
         k, _, _ = be_adapter(s)
-        side = core.size_chain(k, 0.5, 0.05, 0.8, target=0.9, two_step=False)
+        side = core.size_chain(k, 0.5, 0.05, 0.8, target=0.9)
         rows = family_of(s).size_rows(s, m, 0.05, 0.8)
         assert side["g1"] == rows["g1"]
         assert side["g2"] == rows["g2"]
@@ -305,6 +332,52 @@ class TestSizeBounds:
             cfg.kernel()
         assert str(adapter.value) == str(config.value)
         assert "MmrmDesign does not lower to a single t-test kernel" in str(config.value)
+
+
+class TestNearLevel:
+    """gamma(r), the level of the nearer margin's one-sided test."""
+
+    LEVELS = [(0.05, 0.8), (0.05, 0.9), (0.1, 0.8), (0.01, 0.95), (0.2, 0.5), (0.05, 0.99)]
+
+    @pytest.mark.parametrize("alpha,power", LEVELS)
+    def test_from_the_symmetric_level_down_to_power(self, alpha, power):
+        gamma = equivalence._near_level
+        assert abs(gamma(alpha, power, 1.0) - 0.5 * (1.0 + power)) < 1e-12
+        levels = [gamma(alpha, power, r) for r in np.geomspace(1.0 + 1e-6, 100.0, 200)]
+        assert 0.5 * (1.0 + power) > levels[0]
+        # strictly decreasing until the far test's type-II error is below half
+        # an ulp of power (from r = 2.4 to 7.5 on here), then power itself
+        assert all(b < a or b == a == power for a, b in zip(levels, levels[1:]))
+        assert levels[-1] == power and levels[30] > power  # r = 2.0
+        assert abs(gamma(alpha, power, 1e6) - power) < 1e-6
+
+    @pytest.mark.parametrize("alpha,power", LEVELS)
+    def test_solves_its_equation(self, alpha, power):
+        z = special.ndtri(1.0 - alpha / 2.0)
+        for r in (1.02, 1.3, 2.0):
+            g = equivalence._near_level(alpha, power, r)
+            assert abs(g - special.ndtr(z - r * (z + special.ndtri(g))) - power) < 1e-14
+
+
+# ROADMAP item 2's eight margin pairs off centre: fixture, (lower, upper)
+OFF_CENTRE = [
+    ("table5_m_05", (-0.3, 0.5)),
+    ("table5_m_05", (-0.45, 0.5)),
+    ("table5_m_05", (-0.49, 0.5)),
+    ("table4_s2_0250", (-0.15, 0.223)),
+    ("table4_s2_0250", (-0.2, 0.223)),
+    ("table2_q3_100", (-1.0, 1.5)),
+    ("table6_cs_q1_m8", (-6.0, 8.0)),
+    ("table6_cs_q1_m8", (-7.5, 8.0)),
+]
+
+
+@pytest.mark.parametrize("name,margins", OFF_CENTRE, ids=[f"{n}{m}" for n, m in OFF_CENTRE])
+def test_off_centre_g2_is_near_the_inversion(name, margins):
+    cfg = load_design(fixture_path(name))
+    rows = equivalence_sizes(cfg.design, Margins.equivalence(*margins), cfg.alpha, cfg.target_power)
+    assert [r for r in rows if r in TestSizeBounds.ROWS] == TestSizeBounds.ROWS
+    assert abs(rows["g2"] - rows["inversion"]) < 0.1
 
 
 class TestAncovaEquivalence:

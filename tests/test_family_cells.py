@@ -6,7 +6,7 @@ Each cell is a design document written here.  ``size``, ``power --n`` and
 so does ``size --round nearest``; ``n`` is the cell's inversion total (40 for
 ANCOVA noninferiority, the total at which its formula and simulation are
 compared).  The cells of equivalence margins off centre are shipped fixtures
-with ``--margins``; only their ``size`` bounds are pinned.
+with ``--margins``; only their ``size`` chains are pinned.
 For every cell and one fixture of each shipped family and objective, the
 ``size`` inversion must solve the family's exact power for the target.
 """
@@ -173,7 +173,7 @@ CELLS = {
         23,
         [],
     ),
-    # equivalence margins off centre, sized by bounds: Welch, crossover
+    # equivalence margins off centre, sized at the nearer margin: Welch, crossover
     # (bioequivalence's alpha), ANCOVA (tau1 = 1) and repeated measures
     "table5_m_05_margins_off_centre": (_fixture("table5_m_05"), 882, ["--margins=-0.3,0.5"]),
     "table5_m_05_margins_near_centre": (_fixture("table5_m_05"), 474, ["--margins=-0.45,0.5"]),
@@ -468,42 +468,45 @@ EXPECTED = {
     ),
     ("table5_m_05_margins_off_centre", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "g1_lower,422.91,423,212/211\n"
-        "g1_upper,1170.10,1171,586/585\n"
-        "g2_lower,422.93,423,212/211\n"
-        "g2_upper,1170.11,1171,586/585\n"
+        "normal,879.22,880,440/440\n"
+        "g1,881.84,882,441/441\n"
+        "g2,881.84,882,441/441\n"
+        "two_step,881.89,882,441/441\n"
         "inversion,881.84,882,441/441\n"
     ),
     ("table5_m_05_margins_near_centre", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "g1_lower,422.91,423,212/211\n"
-        "g1_upper,521.50,522,261/261\n"
-        "g2_lower,422.93,423,212/211\n"
-        "g2_upper,521.51,522,261/261\n"
+        "normal,471.14,472,236/236\n"
+        "g1,473.75,474,237/237\n"
+        "g2,473.76,474,237/237\n"
+        "two_step,473.81,474,237/237\n"
         "inversion,473.76,474,237/237\n"
     ),
     ("table4_s2_0250_margins_off_centre", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "g1_lower,18.57,19,10/9\n"
-        "g1_upper,39.41,40,20/20\n"
-        "g2_lower,18.67,19,10/9\n"
-        "g2_upper,39.46,40,20/20\n"
+        "normal,28.80,29,15/14\n"
+        "g1,30.16,31,16/15\n"
+        "g2,30.22,31,16/15\n"
+        "two_step,30.51,31,16/15\n"
         "inversion,30.26,31,16/15\n"
     ),
     ("table2_q3_100_margins_off_centre", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "g1_lower,16.13,17,9/8\n"
-        "g1_upper,173.08,174,87/87\n"
-        "g2_lower,16.36,17,9/8\n"
-        "g2_upper,173.10,174,87/87\n"
+        "normal_asymptotic,125.58,126,63/63\n"
+        "normal,128.63,129,65/64\n"
+        "normal_quadratic,128.65,129,65/64\n"
+        "g1,130.55,131,66/65\n"
+        "g2,130.58,131,66/65\n"
+        "two_step,130.64,131,66/65\n"
         "inversion,130.59,131,66/65\n"
     ),
     ("table6_cs_q1_m8_margins_off_centre", "size"): (
         "method,fractional,rounded_total,per_group\n"
-        "g1_lower,51.26,52,26/26\n"
-        "g1_upper,87.41,88,44/44\n"
-        "g2_lower,51.38,52,26/26\n"
-        "g2_upper,87.48,88,44/44\n"
+        "normal_asymptotic,68.95,69,35/34\n"
+        "normal,71.00,72,36/36\n"
+        "g1,73.46,74,37/37\n"
+        "g2,73.54,74,37/37\n"
+        "two_step,73.67,74,37/37\n"
         "inversion,73.59,74,37/37\n"
     ),
 }

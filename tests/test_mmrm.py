@@ -249,14 +249,16 @@ class TestSizeChain:
             size_chain(design(EXAMPLE_SIGMA, 1, -200.0), ALPHA, 0.90)
 
     def test_asymmetric_margins_give_bounds(self):
-        # the larger distance 8 is the half-width of the symmetric (-8, 8):
-        # the lower bounds are that chain's g1 and g2
+        # the chain at the smaller distance 6, which the symmetric chains at
+        # the two distances, (-8, 8) and (-6, 6), bound
         d = design(EXAMPLE_SIGMA, 1, 0.0)
         ch = size_chain(d, ALPHA, 0.90, Margins.equivalence(-8, 6))
-        assert list(ch) == ["g1_lower", "g1_upper", "g2_lower", "g2_upper", "inversion"]
         symmetric = size_chain(d, ALPHA, 0.90, Margins.equivalence(-8, 8))
-        assert ch["g1_lower"] == symmetric["g1"] and ch["g2_lower"] == symmetric["g2"]
-        assert ch["g2_lower"] < ch["inversion"] < ch["g2_upper"]
+        assert list(ch) == list(symmetric)
+        near = size_chain(d, ALPHA, 0.90, Margins.equivalence(-6, 6))
+        assert symmetric["g1"] < ch["g1"] < near["g1"]
+        assert symmetric["g2"] < ch["inversion"] < near["g2"]
+        assert abs(ch["g2"] - ch["inversion"]) < 0.1
         power = row("equivalence", Margins.equivalence(-8, 6))(d, ch["inversion"])
         assert abs(power.value - 0.90) < 1e-6
 
