@@ -230,11 +230,12 @@ def _f_sf(x, f, lam_sq):
     of Boost's noncentral F tail (the ufunc behind ``stats.ncf.sf``).
     Broadcasts over ``x``, ``f`` and ``lam_sq``; scalar arguments give a float.
     """
-    tails = _ufuncs._ncf_sf(x, 1.0, f, lam_sq)
-    central = np.equal(lam_sq, 0.0)
+    # below 1e-16 the tail is the central one to double precision; Boost's
+    # is wrong at lam_sq = 0 (-0.947 at x = 3.84, f = 100) and from about
+    # 1e-150 down (-0.30 at 1e-200, f = 1), and NaN at x = inf and x < 0
+    central = np.less(lam_sq, 1e-16)
+    tails = _ufuncs._ncf_sf(x, 1.0, f, np.where(central, 1.0, lam_sq))
     if central.any() or np.isnan(tails).any():
-        # Boost's tail is wrong at lam_sq = 0 exactly (-0.947 at x = 3.84,
-        # f = 100), and NaN at x = inf and x < 0
         tails = np.where(central, special.fdtrc(1.0, f, x), tails)
         tails = np.where(np.isposinf(x), 0.0, np.where(np.less(x, 0.0), 1.0, tails))
         tails = _defined(tails, (x, f, lam_sq), np.sqrt(lam_sq))

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from trialsize import designs, dist
@@ -498,6 +498,11 @@ class TestProperties:
         lam=st.floats(min_value=0.0, max_value=5.0),
         c=st.floats(min_value=0.05, max_value=4.0),
     )
+    # Boost's noncentral F tail at a tiny noncentrality: 1.3e-5 off, and a
+    # series that did not converge (a RuntimeWarning), at lam^2 = 8.7e-319
+    @example(f=2.0, lam=9.321689473004277e-160, c=1.0)
+    @example(f=1.0, lam=9.321689473004277e-160, c=1.0)
+    @example(f=1.0, lam=1e-100, c=1.96)
     @settings(max_examples=25, deadline=None)
     def test_t_f_identity(self, f, lam, c):
         lhs = dist._f_sf(c * c, f, lam * lam)
