@@ -52,6 +52,12 @@ class AncovaSpec:
             raise DomainError("sigma_sq must be positive")
         core.check_allocation(self.gamma0)
         core.check_covariate_count(self.q)
+        v = self.sigma_sq / (self.gamma0 * self.gamma1)
+        if not math.isfinite(v * v):  # the simulator's Satterthwaite d.f. squares it
+            raise DomainError(
+                f"sigma_sq {self.sigma_sq:g} at allocation {self.gamma0:g} puts the "
+                "variance scale's square out of float range"
+            )
 
     @property
     def gamma1(self) -> float:

@@ -220,7 +220,7 @@ def _ancova(design: _Object) -> ancova.AncovaSpec:
 def _mmrm(design: _Object) -> mmrm.MmrmDesign:
     retention = design("retention", _retention)
     try:
-        return mmrm.MmrmDesign(
+        d = mmrm.MmrmDesign(
             sigma=design("covariance", _covariance(len(retention[0]))),
             retention=retention,
             gamma0=design("gamma0", _allocation, 0.5),
@@ -230,6 +230,14 @@ def _mmrm(design: _Object) -> mmrm.MmrmDesign:
         )
     except DecompositionError as exc:
         raise ConfigError(f"design.covariance: {exc}") from None
+    # checked here, not by the class, which is rebuilt for every retention batch
+    v = mmrm.mmrm_sizing(d).v
+    if not math.isfinite(d.effect * d.effect / v):
+        raise DomainError(
+            f"the effect tau_p1 - tau_p0 = {d.effect:g} squared over the variance scale {v:g} "
+            "is out of float range"
+        )
+    return d
 
 
 # ---------------------------------------------------------------------------

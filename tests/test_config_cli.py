@@ -464,8 +464,8 @@ NORMAL_SIZE_CASES = {
         "inf", "1e-140", "4e+300",
     ),
     "ancova_variance": (
-        json.loads(fixture_path("table2_q3_100").read_text()), {"sigma_sq": 1e300},
-        "3.13955e+301", "1", "4e+300",
+        json.loads(fixture_path("table2_q3_100").read_text()), {"sigma_sq": 1e150},
+        "3.13955e+151", "1", "4e+150",
     ),
     "ancova_effect": (
         json.loads(fixture_path("table2_q3_100").read_text()), {"tau1": 1e-150},
@@ -528,6 +528,40 @@ def test_welch_information_fraction_out_of_float_range_exits_two(capsys, tmp_pat
         f"error: design: group variances {named} put the Welch d.f.'s information "
         "fraction out of float range\n"
     )
+
+
+# A repeated-measures effect whose square over the variance scale, and an
+# ANCOVA variance scale whose square, leaves the float range.  Past the
+# size chain's own check they ended power and simulate in a FloatingPointError
+# that named no input (exit 1): the square in the two-sided power and the
+# simulator's Gram matmul, and its Satterthwaite d.f.'s kr0**2; the ANCOVA
+# power printed 5.00.
+SCALE_OUT_OF_RANGE = {
+    "mmrm_effect_1e200": (
+        "table3_un_q1_m12", {"tau_p1": 1e200},
+        "the effect tau_p1 - tau_p0 = 1e+200 squared over the variance scale 208.801 "
+        "is out of float range",
+    ),
+    "ancova_variance_1e300": (
+        "table2_q3_100", {"sigma_sq": 1e300},
+        "sigma_sq 1e+300 at allocation 0.5 puts the variance scale's square out of float range",
+    ),
+    "ancova_variance_1e154_allocation": (
+        "table2_q3_100", {"sigma_sq": 1e154, "gamma0": 0.1},
+        "sigma_sq 1e+154 at allocation 0.1 puts the variance scale's square out of float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", WELCH_COMMANDS)
+@pytest.mark.parametrize("case", SCALE_OUT_OF_RANGE)
+def test_design_scale_out_of_float_range_exits_two(capsys, tmp_path, case, command):
+    name, design, message = SCALE_OUT_OF_RANGE[case]
+    doc = json.loads(fixture_path(name).read_text())
+    doc["design"].update(design)
+    argv = WELCH_COMMANDS[command]
+    code, out, err = run_cli(capsys, argv[0], "--design", write_design(tmp_path, doc), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: design: {message}\n")
 
 
 # One fixture per design family (and the Welch and equivalence powers).  A
@@ -874,6 +908,8 @@ def mutate(doc: dict, kind: str, value):
 @example("table1_unequal_100", ("name", ("family", ["two_sample"])), ["size"])  # unhashable
 @example("table6_ar1_q1_m4", ("name", ("design.covariance.structure", {})), ["size"])
 @example("table6_ar1_q1_m4", ("number", (2, 1e-158)), ["power", "--n", "14"])  # gamma0: overflow
+@example("table3_un_q1_m12", ("number", (5, 1e200)), ["power", "--n", "40"])  # tau_p1: overflow
+@example("table2_q3_100", ("number", (4, 1e300)), ["simulate", "--n", "40", "--reps", "40"])  # sigma_sq
 @settings(max_examples=60, deadline=None)
 def test_mutated_design_files_end_in_an_exit_status(fixture, mutation, command):
     doc = json.loads(fixture_path(fixture).read_text())
