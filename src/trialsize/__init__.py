@@ -23,11 +23,9 @@ from .designs import (
     moser_exact_power,
     one_sample_kernel,
     satterthwaite_df,
-    two_sample_equal_kernel,
-    two_sample_unequal_kernel,
+    two_sample_kernel,
 )
 from .equivalence import Margins, equiv_power_exact, ts_unequal_equiv_power
-from .families import be_adapter
 from .mmrm import (
     DropoutAverage,
     LdlFactors,
@@ -64,7 +62,6 @@ __all__ = [
     "ancova_power_exact",
     "ancova_sizing",
     "ar1",
-    "be_adapter",
     "compound_symmetry",
     "crossover_kernel",
     "dropout_averaged_power",
@@ -82,6 +79,5 @@ __all__ = [
     "size_invert",
     "toeplitz",
     "ts_unequal_equiv_power",
-    "two_sample_equal_kernel",
-    "two_sample_unequal_kernel",
+    "two_sample_kernel",
 ]

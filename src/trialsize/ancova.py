@@ -28,7 +28,6 @@ __all__ = [
     "ancova_power_exact",
     "ancova_power_asymptotic_t",
     "ancova_sizing",
-    "ancova_kernel",
 ]
 
 

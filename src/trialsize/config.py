@@ -128,14 +128,15 @@ def _parse(doc: _Object) -> DesignConfig:
     record = FAMILIES[family]
     with doc("design", _Object) as block:
         design = record.parse(block)
-    # a nonzero effect must have a normal square, since the size formulas
-    # divide by it; a zero effect (a null or equivalence design) is allowed
+    # a nonzero effect must have a normal, finite square, since the size
+    # formulas divide by it and the powers and the simulator square it; a zero
+    # effect (a null or equivalence design) is allowed
     tau1 = record.tau1(design)
-    if tau1 != 0.0 and tau1 * tau1 < sys.float_info.min:
-        raise ConfigError(
-            f"design.{record.effect_field}: the effect {tau1!r} is so small "
-            "that its square underflows"
-        )
+    if tau1 != 0.0 and not sys.float_info.min <= tau1 * tau1 <= sys.float_info.max:
+        flow = "small that its square underflows"
+        if abs(tau1) > 1.0:
+            flow = "large that its square overflows"
+        raise ConfigError(f"design.{record.effect_field}: the effect {tau1!r} is so {flow}")
 
     alpha = doc("alpha", default=BE_ALPHA if objective == "bioequivalence" else 0.05)
     try:
@@ -148,11 +149,12 @@ def _parse(doc: _Object) -> DesignConfig:
 
     margins = _margins(doc, objective, tau1)
 
+    # only the keys the file has, so that ScenarioSpec's defaults are the only ones
     with doc("simulation", _Object, {}) as sim:
-        replicates, seed = sim("replicates", _integer, 0), sim("seed", _integer, 20240801)
+        given = {key: sim(key, _integer) for key in ("replicates", "seed") if key in sim}
         with sim("generator", _Object, {}) as gen:
             extras = {key: gen(key, _GENERATOR[key]) for key in record.generator if key in gen}
-        scenario = ScenarioSpec(design=design, replicates=replicates, seed=seed, **extras)
+        scenario = ScenarioSpec(design=design, **given, **extras)
 
     return DesignConfig(
         family=family,

@@ -1,9 +1,12 @@
 """Lowering of the classical designs to test kernels.
 
-Covers the one-sample t test, the two-sample t tests with equal and unequal
-variances (Welch/Satterthwaite), and the 2x2 crossover with or without a
-period effect in the analysis; all but Welch's are
-:func:`trialsize.core.fixed_df_kernel`.  Also provides the exact unequal-variance
+Each design's kernel, the family's design-stage model, is a function of its
+spec alone: :func:`one_sample_kernel`, :func:`two_sample_kernel` (the pooled
+or the Welch/Satterthwaite test by ``equal_variance``) and
+:func:`crossover_kernel` (with or without a period effect in the analysis by
+``period_effect_in_analysis``).  All but Welch's are
+:func:`trialsize.core.fixed_df_kernel`, and each tests the design's own null
+(the one-sample ``tau0``, else 0).  Also provides the exact unequal-variance
 powers (:func:`welch_power`): given the observed variance ratio the Welch
 statistic is a noncentral t with n - 2 d.f. against a ratio-dependent
 critical value (Moser, Stevens & Watts 1989), and the ratio is integrated
@@ -27,8 +30,7 @@ __all__ = [
     "TwoSampleSpec",
     "CrossoverSpec",
     "one_sample_kernel",
-    "two_sample_equal_kernel",
-    "two_sample_unequal_kernel",
+    "two_sample_kernel",
     "crossover_kernel",
     "moser_exact_power",
     "welch_power",
@@ -95,21 +97,9 @@ class CrossoverSpec:
         return 1.0 - self.gamma0
 
 
-def one_sample_kernel(mu: float, tau0: float, sigma_sq: float) -> TestKernel:
+def one_sample_kernel(s: OneSampleSpec) -> TestKernel:
     """One-sample t test: v = sigma^2, f = n - 1, rho = 1."""
-    if sigma_sq <= 0.0:
-        raise DomainError("sigma_sq must be positive")
-    return fixed_df_kernel(tau0, mu, sigma_sq, 1)
-
-
-def two_sample_equal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
-    """Pooled t test: v = sigma^2/(gamma0*gamma1), f = n - 2, rho = 1."""
-    if not s.equal_variance:
-        raise DomainError("two_sample_equal_kernel requires equal_variance to be set")
-    if s.sigma0_sq != s.sigma1_sq:
-        raise DomainError("equal-variance kernel requires sigma0_sq == sigma1_sq")
-    v = s.sigma0_sq / (s.gamma0 * s.gamma1)
-    return fixed_df_kernel(tau0, s.mu1 - s.mu0, v, 2, (s.gamma0, s.gamma1))
+    return fixed_df_kernel(s.tau0, s.mu, s.sigma_sq, 1)
 
 
 def satterthwaite_df(v0: float, v1: float, n0: float, n1: float) -> float:
@@ -131,16 +121,21 @@ def _welch_rho(s: TwoSampleSpec) -> float:
         return math.nan
 
 
-def two_sample_unequal_kernel(s: TwoSampleSpec, tau0: float) -> TestKernel:
-    """Welch t test: v = sigma0^2/gamma0 + sigma1^2/gamma1, Satterthwaite f(n)."""
-    v = s.sigma0_sq / s.gamma0 + s.sigma1_sq / s.gamma1
-    rho = _welch_rho(s)
+def two_sample_kernel(s: TwoSampleSpec) -> TestKernel:
+    """The pooled t test if ``s.equal_variance`` (v = sigma^2/(gamma0*gamma1),
+    f = n - 2, rho = 1), else Welch's (v = sigma0^2/gamma0 + sigma1^2/gamma1,
+    Satterthwaite f(n))."""
     g0, g1 = s.gamma0, s.gamma1
     sig0, sig1 = s.sigma0_sq, s.sigma1_sq
+    if s.equal_variance:
+        if sig0 != sig1:
+            raise DomainError("equal-variance kernel requires sigma0_sq == sigma1_sq")
+        return fixed_df_kernel(0.0, s.mu1 - s.mu0, sig0 / (g0 * g1), 2, (g0, g1))
+    rho = _welch_rho(s)
     return TestKernel(
-        tau0=tau0,
+        tau0=0.0,
         tau1=s.mu1 - s.mu0,
-        v=v,
+        v=sig0 / g0 + sig1 / g1,
         rho_at=lambda n: rho,
         df_at=lambda n: satterthwaite_df(sig0, sig1, g0 * n, g1 * n),
         min_n=1.0 / min(g0, g1),

@@ -5,9 +5,12 @@
 families: the design-block parser and the field that carries the effect,
 the one design-stage model (the size chain's, with the allocation), the null
 value, the power rows, the simulator's engine, its default replicate count
-and the generator keys it reads.  The model of a t-test family is its test
-kernel at the design's own null (:meth:`Family.kernel`); that of repeated
-measures is a plain size model, which lowers to no kernel.
+and the generator keys it reads.  The model is built by one public function
+of the design alone (``designs.one_sample_kernel``, ``two_sample_kernel``,
+``crossover_kernel``, ``ancova.ancova_sizing``, ``mmrm.mmrm_sizing``).  That
+of a t-test family is its test kernel at the design's own null
+(:meth:`Family.kernel`); that of repeated measures is a plain size model,
+which lowers to no kernel.
 
 The objective is one :class:`~trialsize.equivalence.Margins`, applied once
 for every family: it gives an exact conditional power, that of the rejection
@@ -15,7 +18,8 @@ region of ``simulate``'s decision rule, and an approximate one, which the
 power rows put into the family's powers (:meth:`Family.powers`), and the
 size chain's effect and target (:meth:`Family.size_rows`), which extends
 the paper's chain to equivalence margins off centre (``equivalence._near_level``).
-:func:`be_adapter` is the bioequivalence set-up of a kernel family.
+Bioequivalence is the design file's objective, with the margins
+``equivalence.BE_MARGINS`` and the alpha ``BE_ALPHA`` by default.
 
 A design file is read, here and in :mod:`trialsize.config`, by one object
 reader ``_Object`` and the value readers (``_number``, finite only,
@@ -30,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -40,7 +44,7 @@ from . import ancova, core, designs, equivalence, mmrm
 from .equivalence import Margins
 from .errors import ConfigError, DecompositionError, DomainError
 
-__all__ = ["FAMILIES", "Family", "Rows", "be_adapter", "family_of"]
+__all__ = ["FAMILIES", "Family", "Rows", "family_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +360,9 @@ class Family:
     null_field       the design field holding the null value (None: it is 0)
     sizing           design -> the family's one design-stage model, the size
                      chain's (v, C, rho, f, the smallest size and the group
-                     allocation): for a t-test family the TestKernel at the
-                     design's own null, a plain SizeModel for repeated measures
+                     allocation), a public function of the design alone: for
+                     a t-test family the TestKernel at the design's own null,
+                     a plain SizeModel for repeated measures
     rows             design -> its power ``Rows``: (tests, equivalence)
     engine           name of the ``simulate`` engine, looked up at call time
     replicates       the simulation's default replicate count
@@ -447,17 +452,14 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "one_sample": Family(
         spec=designs.OneSampleSpec, parse=_one_sample, effect_field="mu", tau1=lambda d: d.mu,
-        null_field="tau0", sizing=lambda d: designs.one_sample_kernel(d.mu, d.tau0, d.sigma_sq),
+        null_field="tau0", sizing=designs.one_sample_kernel,
         rows=lambda d: _KERNEL_ROWS,
         engine="_simulate_one_sample", replicates=100_000,
     ),
     "two_sample": Family(
         spec=designs.TwoSampleSpec, parse=_two_sample, effect_field="mu1",
         tau1=lambda d: d.mu1 - d.mu0, null_field=None,
-        sizing=lambda d: (
-            designs.two_sample_equal_kernel if d.equal_variance
-            else designs.two_sample_unequal_kernel
-        )(d, 0.0),
+        sizing=designs.two_sample_kernel,
         rows=lambda d: _KERNEL_ROWS if d.equal_variance else _WELCH_ROWS,
         engine="_simulate_two_sample", replicates=100_000,
     ),
@@ -493,11 +495,3 @@ def family_of(design) -> Family:
         raise DomainError(f"unsupported design type {type(design).__name__}")
     return family
 
-
-def be_adapter(spec) -> tuple[core.TestKernel, Margins, float]:
-    """Bioequivalence set-up of a design whose family lowers to a test kernel
-    (all but repeated measures): the kernel at the null 0, +/- ln 1.25 margins
-    and alpha = 0.1, the decision being CI containment, two one-sided tests at
-    alpha/2."""
-    kernel = replace(family_of(spec).kernel(spec), tau0=0.0)
-    return kernel, equivalence.BE_MARGINS, equivalence.BE_ALPHA

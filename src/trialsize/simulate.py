@@ -280,7 +280,8 @@ class _VisitFits(NamedTuple):
     Per replicate and visit: ``m`` completers, ``rank`` kept covariate
     columns, ``kept`` which of them (intercept, covariates, treatment) and
     ``history`` whether every earlier visit's pivot was kept.  ``est``, its
-    variance ``kr`` and ``df`` are NaN where ``ok`` is False.  The fields
+    variance ``kr`` and ``df`` are NaN where ``ok`` is False, and where the
+    variance or d.f. is not a positive finite number.  The fields
     after ``history`` hold the ``ok`` replicates only; visit j's coefficients
     on its kept covariate columns and on y_1 .. y_{j-1} are
     ``coef[:, j, :qs + j]`` at the kept positions.
@@ -336,8 +337,10 @@ def _fit_visits(yall, wobs, xcov, g, qs: int) -> _VisitFits:
     kept columns.  The (g, g) entry then gives v_xj.  After the earlier visits'
     pivots, y_j's column holds the coefficients and its diagonal the
     residual sum of squares, on m_j - r_j d.f.  A replicate fails if its
-    treatment or an earlier visit's pivot is skipped, or if m_j <= r_j + j.
-    ANCOVA is the case p = 1.
+    treatment or an earlier visit's pivot is skipped, if m_j <= r_j + j, or
+    if its variance or d.f. is not a positive finite number (cancellation in
+    the sweep, with outcomes far above the residual scale, can leave either
+    so).  ANCOVA is the case p = 1.
     """
     count, n, p = yall.shape
     a = np.empty((count, n, qs + p))
@@ -401,6 +404,8 @@ def _fit_visits(yall, wobs, xcov, g, qs: int) -> _VisitFits:
 
     est, kr_all, df = np.full((3, count), np.nan)
     est[ok], kr_all[ok], df[ok] = tau_hat, kr, sat
+    failed = ~((0.0 < kr_all) & (kr_all < math.inf) & (0.0 < df) & (df < math.inf))
+    est[failed] = kr_all[failed] = df[failed] = math.nan
     return _VisitFits(
         ok, est, kr_all, df, m_j, rank, kept, history, coef, sigma_sq, v_xj, l_hat, a_j, a_quad
     )
@@ -487,6 +492,11 @@ def analyze_mmrm(
             raise DomainError(f"visit {j + 1}: singular design matrix (collinear covariates)")
         if not fits.history[0, j]:
             raise DomainError(f"visit {j + 1}: earlier outcomes are collinear; no analyzable fit")
+    if math.isnan(fits.est[0]):
+        raise DomainError(
+            "the small-sample variance or its d.f. is not a positive finite number; "
+            "no analyzable fit"
+        )
     return MmrmFit(
         theta=tuple(
             fits.coef[0, j, : qs + j][np.concatenate([fits.kept[0, j], np.ones(j, dtype=bool)])]

@@ -150,7 +150,7 @@ class TestCriterion4:
         # the single-group analysis variant of the crossover rows
         for i, want in enumerate(TABLE4_ONE_SAMPLE_POWERS):
             s2 = 0.0125 * (i + 1)
-            k = designs.one_sample_kernel(0.0, 0.0, 4.0 * s2)
+            k = designs.one_sample_kernel(designs.OneSampleSpec(0.0, 0.0, 4.0 * s2))
             m = Margins.equivalence(-math.log(1.25), math.log(1.25))
             n_full = 2 * TABLE4[i][6]
             got = equiv_power_exact(k, m, n_full, 0.1).value * 100.0
@@ -369,14 +369,14 @@ class TestCriterion6:
 
     def test_size_ordering(self):
         kernels = [
-            designs.two_sample_equal_kernel(
-                ts.TwoSampleSpec(0.0, tau, 1.0, 1.0, 0.5, equal_variance=True), 0.0
+            designs.two_sample_kernel(
+                ts.TwoSampleSpec(0.0, tau, 1.0, 1.0, 0.5, equal_variance=True)
             )
             for tau in (0.3, 0.8, 1.6)
         ] + [
-            designs.two_sample_unequal_kernel(ts.TwoSampleSpec(0.0, tau, 1.0, 4.0, 0.3), 0.0)
+            designs.two_sample_kernel(ts.TwoSampleSpec(0.0, tau, 1.0, 4.0, 0.3))
             for tau in (0.5, 1.4)
-        ] + [designs.one_sample_kernel(0.7, 0.0, 1.0)]
+        ] + [designs.one_sample_kernel(designs.OneSampleSpec(0.7, 0.0, 1.0))]
         ok = True
         for k in kernels:
             chain = core.size_chain(k, k.effect, 0.05, 0.8)
@@ -413,8 +413,8 @@ class TestCriterion6:
     def test_degeneracy_reductions(self):
         # covariate-free adjusted analysis equals the pooled t test
         s0 = AncovaSpec(tau1=0.8, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=0)
-        kk = designs.two_sample_equal_kernel(
-            ts.TwoSampleSpec(0.0, 0.8, 1.0, 1.0, 0.5, equal_variance=True), 0.0
+        kk = designs.two_sample_kernel(
+            ts.TwoSampleSpec(0.0, 0.8, 1.0, 1.0, 0.5, equal_variance=True)
         )
         d1 = max(
             abs(

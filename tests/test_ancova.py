@@ -41,7 +41,7 @@ class TestExactPower:
 
     def test_q0_reduces_to_two_sample(self):
         ts = designs.TwoSampleSpec(0.0, 0.9, 1.0, 1.0, 0.5, equal_variance=True)
-        k = designs.two_sample_equal_kernel(ts, 0.0)
+        k = designs.two_sample_kernel(ts)
         for n in (12, 26, 50):
             assert abs(
                 ancova_power_exact(spec(0.9, 0), n, ALPHA).value

@@ -530,25 +530,43 @@ def test_welch_information_fraction_out_of_float_range_exits_two(capsys, tmp_pat
     )
 
 
-# A repeated-measures effect whose square over the variance scale, and an
-# ANCOVA variance scale whose square, leaves the float range.  Past the
-# size chain's own check they ended power and simulate in a FloatingPointError
+# A square out of float range: a repeated-measures effect's over the variance
+# scale, an ANCOVA variance scale's, an effect's.  Past the size chain's own
+# check they ended power and simulate in a FloatingPointError or OverflowError
 # that named no input (exit 1): the square in the two-sided power and the
 # simulator's Gram matmul, and its Satterthwaite d.f.'s kr0**2; the ANCOVA
-# power printed 5.00.
+# power printed 5.00.  size named the effect's square in a DomainError (exit 1).
 SCALE_OUT_OF_RANGE = {
     "mmrm_effect_1e200": (
         "table3_un_q1_m12", {"tau_p1": 1e200},
-        "the effect tau_p1 - tau_p0 = 1e+200 squared over the variance scale 208.801 "
+        "design: the effect tau_p1 - tau_p0 = 1e+200 squared over the variance scale 208.801 "
         "is out of float range",
     ),
     "ancova_variance_1e300": (
         "table2_q3_100", {"sigma_sq": 1e300},
-        "sigma_sq 1e+300 at allocation 0.5 puts the variance scale's square out of float range",
+        "design: sigma_sq 1e+300 at allocation 0.5 puts the variance scale's square out of "
+        "float range",
     ),
     "ancova_variance_1e154_allocation": (
         "table2_q3_100", {"sigma_sq": 1e154, "gamma0": 0.1},
-        "sigma_sq 1e+154 at allocation 0.1 puts the variance scale's square out of float range",
+        "design: sigma_sq 1e+154 at allocation 0.1 puts the variance scale's square out of "
+        "float range",
+    ),
+    "two_sample_effect_1e160": (
+        "table1_equal_050", {"mu1": 1e160},
+        "design.mu1: the effect 1e+160 is so large that its square overflows",
+    ),
+    "two_sample_effect_1e200": (
+        "table1_equal_050", {"mu1": 1e200},
+        "design.mu1: the effect 1e+200 is so large that its square overflows",
+    ),
+    "crossover_equivalence_effect_1e200": (
+        "table4_s2_0250", {"mu_star_b": 1e200},
+        "design.mu_star_b: the effect 1e+200 is so large that its square overflows",
+    ),
+    "ancova_effect_1e200": (
+        "table2_q3_100", {"tau1": 1e200},
+        "design.tau1: the effect 1e+200 is so large that its square overflows",
     ),
 }
 
@@ -561,7 +579,20 @@ def test_design_scale_out_of_float_range_exits_two(capsys, tmp_path, case, comma
     doc["design"].update(design)
     argv = WELCH_COMMANDS[command]
     code, out, err = run_cli(capsys, argv[0], "--design", write_design(tmp_path, doc), *argv[1:])
-    assert (code, out, err) == (2, "", f"error: design: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("tau_p1", [1e9, 1e20])
+def test_variance_lost_to_cancellation_exits_one(capsys, tmp_path, tau_p1):
+    # a negative small-sample variance ended simulate in an unnamed
+    # FloatingPointError in the se's square root; it fails its replicate
+    doc = json.loads(fixture_path("table3_un_q1_m12").read_text())
+    doc["design"]["tau_p1"] = tau_p1
+    path = write_design(tmp_path, doc)
+    code, out, err = run_cli(capsys, "simulate", "--design", path, "--n", "40", "--reps", "2000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: SimulationFailureError: ")
+    assert "replicates failed analysis" in err
 
 
 # One fixture per design family (and the Welch and equivalence powers).  A

@@ -19,7 +19,7 @@ def equal_spec(tau: float) -> designs.TwoSampleSpec:
 
 
 def equal_kernel(tau: float) -> core.TestKernel:
-    return designs.two_sample_equal_kernel(equal_spec(tau), 0.0)
+    return designs.two_sample_kernel(equal_spec(tau))
 
 
 def row(design, name: str, margins=equivalence.Margins.superiority()):
@@ -51,7 +51,7 @@ class TestPower:
 
     def test_one_sample_oracle(self):
         # oracle: noncentral t tails of the defining mixture at 40-digit precision
-        k = designs.one_sample_kernel(1.0, 0.0, 1.0)
+        k = designs.one_sample_kernel(designs.OneSampleSpec(1.0, 0.0, 1.0))
         assert abs(core.power_two_sided(k, 10, ALPHA).value - 0.8030968566327216) < 1e-9
 
     def test_one_sided_sandwich(self):
@@ -110,7 +110,7 @@ class TestMethod:
         )
         margins = equivalence.Margins.equivalence(-0.5, 0.5)
         one_sample = designs.OneSampleSpec(mu=0.1, tau0=0.0, sigma_sq=1.0)
-        kernel = designs.one_sample_kernel(0.1, 0.0, 1.0)
+        kernel = designs.one_sample_kernel(designs.OneSampleSpec(0.1, 0.0, 1.0))
         # the paper's MMRM formula is a plug-in value, not an exact power
         pinned = [
             (core.power_two_sided(equal_kernel(1.0), 30, ALPHA), "exact_two_sided"),
@@ -128,9 +128,7 @@ class TestMethod:
 class TestSizes:
     def test_normal_reference(self):
         assert abs(sizes(equal_kernel(0.5))["normal"] - 125.58) < 5e-3
-        uneq = designs.two_sample_unequal_kernel(
-            designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5), 0.0
-        )
+        uneq = designs.two_sample_kernel(designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5))
         assert abs(sizes(uneq)["normal"] - 78.49) < 5e-3
 
     def test_scaling_law(self):
@@ -140,9 +138,7 @@ class TestSizes:
 
     def test_g1_reference(self):
         assert abs(sizes(equal_kernel(0.5))["g1"] - 127.50) < 5e-3
-        uneq = designs.two_sample_unequal_kernel(
-            designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5), 0.0
-        )
+        uneq = designs.two_sample_kernel(designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5))
         assert abs(sizes(uneq)["g1"] - 81.10) < 5e-3
 
     def test_g1_correction_constant(self):
@@ -152,18 +148,14 @@ class TestSizes:
 
     def test_g2_reference(self):
         assert abs(sizes(equal_kernel(2.0))["g2"] - 10.15) < 5e-3
-        uneq = designs.two_sample_unequal_kernel(
-            designs.TwoSampleSpec(0.0, 2.25, 1.0, 4.0, 0.5), 0.0
-        )
+        uneq = designs.two_sample_kernel(designs.TwoSampleSpec(0.0, 2.25, 1.0, 4.0, 0.5))
         assert abs(sizes(uneq)["g2"] - 18.49) < 5e-3
 
     def test_ordering(self):
         for tau in (0.4, 0.9, 1.7, 2.4):
             for k in (
                 equal_kernel(tau),
-                designs.two_sample_unequal_kernel(
-                    designs.TwoSampleSpec(0.0, tau, 1.0, 4.0, 0.4), 0.0
-                ),
+                designs.two_sample_kernel(designs.TwoSampleSpec(0.0, tau, 1.0, 4.0, 0.4)),
             ):
                 chain = sizes(k)
                 assert chain["normal"] < chain["g1"] < chain["g2"]
@@ -198,7 +190,8 @@ class TestChain:
         assert abs(rows["inversion"] - 127.53) < 5e-3
 
     def test_first_pass_size_at_the_minimum(self):
-        k = designs.one_sample_kernel(2.2, 0.0, 1.0)  # normal size 1.62 <= min_n 2
+        # normal size 1.62 <= min_n 2
+        k = designs.one_sample_kernel(designs.OneSampleSpec(2.2, 0.0, 1.0))
         with pytest.raises(DomainError, match="first-pass size"):
             sizes(k)
 

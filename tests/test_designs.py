@@ -13,24 +13,24 @@ ALPHA = 0.05
 
 class TestOneSampleKernel:
     def test_fields(self):
-        k = designs.one_sample_kernel(1.0, 0.0, 2.5)
+        k = designs.one_sample_kernel(designs.OneSampleSpec(1.0, 0.0, 2.5))
         assert k.v == 2.5
         assert k.df_at(10) == 9
         assert k.rho_at(123.0) == 1.0
         assert k.min_n == 2
 
     def test_null_power_alpha(self):
-        k = designs.one_sample_kernel(0.0, 0.0, 1.0)
+        k = designs.one_sample_kernel(designs.OneSampleSpec(0.0, 0.0, 1.0))
         assert abs(core.power_two_sided(k, 12, ALPHA).value - ALPHA) < 1e-9
 
     def test_bad_variance(self):
         with pytest.raises(DomainError):
-            designs.one_sample_kernel(1.0, 0.0, 0.0)
+            designs.OneSampleSpec(1.0, 0.0, 0.0)
 
     def test_crossover_no_period_matches_one_sample(self):
         cs = designs.CrossoverSpec(0.0, 0.4, 0.05, 0.5, period_effect_in_analysis=False)
         k = designs.crossover_kernel(cs)
-        k1 = designs.one_sample_kernel(0.4, 0.0, 0.05)
+        k1 = designs.one_sample_kernel(designs.OneSampleSpec(0.4, 0.0, 0.05))
         assert k.v == k1.v
         assert k.df_at(9) == k1.df_at(9)
 
@@ -38,20 +38,20 @@ class TestOneSampleKernel:
 class TestTwoSampleKernels:
     def test_equal_variance_half(self):
         s = designs.TwoSampleSpec(0.0, 1.0, 2.0, 2.0, 0.5, equal_variance=True)
-        assert designs.two_sample_equal_kernel(s, 0.0).v == 8.0
+        assert designs.two_sample_kernel(s).v == 8.0
 
     def test_equal_variance_quarter(self):
         s = designs.TwoSampleSpec(0.0, 1.0, 1.0, 1.0, 0.25, equal_variance=True)
-        assert abs(designs.two_sample_equal_kernel(s, 0.0).v - 1.0 / (0.25 * 0.75)) < 1e-12
+        assert abs(designs.two_sample_kernel(s).v - 1.0 / (0.25 * 0.75)) < 1e-12
 
-    def test_flag_required(self):
-        s = designs.TwoSampleSpec(0.0, 1.0, 1.0, 1.0, 0.5, equal_variance=False)
-        with pytest.raises(DomainError):
-            designs.two_sample_equal_kernel(s, 0.0)
+    def test_pooled_needs_equal_variances(self):
+        s = designs.TwoSampleSpec(0.0, 1.0, 1.0, 2.0, 0.5, equal_variance=True)
+        with pytest.raises(DomainError, match="requires sigma0_sq == sigma1_sq"):
+            designs.two_sample_kernel(s)
 
     def test_unequal_fields(self):
         s = designs.TwoSampleSpec(0.0, 1.0, 1.0, 4.0, 0.5)
-        k = designs.two_sample_unequal_kernel(s, 0.0)
+        k = designs.two_sample_kernel(s)
         assert abs(k.v - 10.0) < 1e-12
         assert abs(k.rho_at(50.0) - 100.0 / 136.0) < 1e-12
 
@@ -98,7 +98,7 @@ class TestMoserExactPower:
         # test's random d.f.) vanishes as n grows
         s_eq = designs.TwoSampleSpec(0.0, 1.0, 1.5, 1.5, 0.5, equal_variance=True)
         s_un = designs.TwoSampleSpec(0.0, 1.0, 1.5, 1.5, 0.5)
-        k = designs.two_sample_equal_kernel(s_eq, 0.0)
+        k = designs.two_sample_kernel(s_eq)
         gaps = []
         for n in (20, 40, 60, 82, 120):
             pooled = core.power_two_sided(k, n, ALPHA).value

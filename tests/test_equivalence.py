@@ -9,6 +9,8 @@ from scipy import integrate, special
 from trialsize import core, designs, equivalence
 from trialsize.designs import CrossoverSpec, TwoSampleSpec
 from trialsize.equivalence import (
+    BE_ALPHA,
+    BE_MARGINS,
     Margins,
     equiv_power_exact,
     _phillips_integral,
@@ -17,7 +19,7 @@ from trialsize.equivalence import (
 from trialsize.ancova import AncovaSpec
 from trialsize.config import load_design
 from trialsize.errors import DomainError
-from trialsize.families import be_adapter, family_of
+from trialsize.families import family_of
 from trialsize.tables import fixture_path
 
 BE_MARGIN = math.log(1.25)
@@ -25,6 +27,12 @@ BE_MARGIN = math.log(1.25)
 
 def be_spec(sigma_sq: float) -> CrossoverSpec:
     return CrossoverSpec(0.0, 0.0, 4.0 * sigma_sq, 0.5, period_effect_in_analysis=True)
+
+
+def be_adapter(spec):
+    """The bioequivalence set-up of a design whose family lowers to a test
+    kernel: the family's kernel, margins of +/- ln 1.25 and alpha 0.1."""
+    return family_of(spec).kernel(spec), BE_MARGINS, BE_ALPHA
 
 
 def be_kernel(sigma_sq: float):
@@ -141,7 +149,7 @@ class TestExactEquivalencePower:
         expected = [79.31, 78.00, 81.52, 80.30, 79.53, 80.99]
         for i, (n, want) in enumerate(zip(sizes, expected)):
             s2 = 0.0125 * (i + 1)
-            k = designs.one_sample_kernel(0.0, 0.0, 4.0 * s2)
+            k = designs.one_sample_kernel(designs.OneSampleSpec(0.0, 0.0, 4.0 * s2))
             m = Margins.equivalence(-BE_MARGIN, BE_MARGIN)
             assert abs(equiv_power_exact(k, m, n, 0.1).value * 100 - want) < 0.02
 
@@ -216,7 +224,7 @@ class TestSymmetricSizes:
     def test_inversion_round_trip(self):
         spec = TwoSampleSpec(0.0, 0.0, 1.0, 4.0, 0.5)
         m = Margins.equivalence(-1.5, 1.5)
-        k = designs.two_sample_unequal_kernel(spec, 0.0)
+        k = designs.two_sample_kernel(spec)
         inv = core.size_invert(
             lambda n: ts_unequal_equiv_power(spec, m, n, 0.05).value, 0.8, 50.0, k.min_n
         )
@@ -326,11 +334,11 @@ class TestSizeBounds:
     def test_repeated_measures_has_no_kernel(self):
         # the one "does not lower to a kernel" error, from either entry point
         cfg = load_design(fixture_path("table3_ar1_q1_m04"))
-        with pytest.raises(DomainError) as adapter:
-            be_adapter(cfg.design)
+        with pytest.raises(DomainError) as family:
+            family_of(cfg.design).kernel(cfg.design)
         with pytest.raises(DomainError) as config:
             cfg.kernel()
-        assert str(adapter.value) == str(config.value)
+        assert str(family.value) == str(config.value)
         assert "MmrmDesign does not lower to a single t-test kernel" in str(config.value)
 
 
@@ -384,7 +392,7 @@ class TestAncovaEquivalence:
     def test_q0_reduces_to_kernel_formula(self):
         s = AncovaSpec(tau1=0.1, tau0=0.0, sigma_sq=1.0, gamma0=0.5, q=0)
         ts = TwoSampleSpec(0.0, 0.1, 1.0, 1.0, 0.5, equal_variance=True)
-        k = designs.two_sample_equal_kernel(ts, 0.0)
+        k = designs.two_sample_kernel(ts)
         m = Margins.equivalence(-1.0, 1.0)
         for n in (12, 30):
             a = row(s, m, "exact")(n, 0.05).value

@@ -1,6 +1,7 @@
 """The package's modules import each other without a cycle, importing the
-CLI leaves out ``scipy.stats``, and every public power function has a caller
-outside the tests."""
+CLI leaves out ``scipy.stats``, every public power function and model
+constructor has a caller outside the tests, and every family's model is one
+of those constructors."""
 
 import ast
 import importlib
@@ -10,11 +11,15 @@ import sys
 from pathlib import Path
 
 import trialsize
+from trialsize.families import FAMILIES
 
 PACKAGE = Path(trialsize.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
 # the modules whose public power functions must each have a caller
 POWER_MODULES = ("core", "designs", "ancova", "equivalence", "mmrm")
+# the modules whose public model constructors (*_kernel, *_sizing) must each
+# have a caller
+MODEL_MODULES = ("designs", "ancova", "mmrm")
 
 
 def relative_imports(source: str) -> set[str]:
@@ -101,16 +106,42 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def public_powers() -> dict[str, str]:
-    """Every function named ``*power*`` in the ``__all__`` of ``POWER_MODULES``,
-    by name, with its module."""
-    powers = {}
-    for module_name in POWER_MODULES:
+def public_functions(modules, named) -> dict[str, str]:
+    """Every function in the ``__all__`` of ``modules`` whose name passes
+    ``named``, by name, with its module."""
+    found = {}
+    for module_name in modules:
         module = importlib.import_module(f"trialsize.{module_name}")
         for name in module.__all__:
-            if "power" in name and inspect.isfunction(getattr(module, name)):
-                powers[name] = module_name
-    return powers
+            if named(name) and inspect.isfunction(getattr(module, name)):
+                found[name] = module_name
+    return found
+
+
+def public_powers() -> dict[str, str]:
+    """Every function named ``*power*`` in the ``__all__`` of ``POWER_MODULES``."""
+    return public_functions(POWER_MODULES, lambda name: "power" in name)
+
+
+def public_models() -> dict[str, str]:
+    """Every function named ``*_kernel`` or ``*_sizing`` in the ``__all__`` of
+    ``MODEL_MODULES``."""
+    return public_functions(MODEL_MODULES, lambda name: name.endswith(("_kernel", "_sizing")))
+
+
+def uncalled(functions: dict[str, str]) -> list[str]:
+    """The ``module.name`` of each of ``functions`` that no other package
+    module (the package's ``__init__`` only re-exports), perfbench or tool
+    names."""
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(REPO / "perfbench").rglob("*.py"), *(REPO / "tools").rglob("*.py")]
+    used = {path: referenced_names(path.read_text()) for path in sources}
+    missing = []
+    for name, module in functions.items():
+        others = [names for path, names in used.items() if path != PACKAGE / f"{module}.py"]
+        if not any(name in names for names in others):
+            missing.append(f"{module}.{name}")
+    return missing
 
 
 def test_the_reader_sees_names_attributes_and_imports():
@@ -120,17 +151,27 @@ def test_the_reader_sees_names_attributes_and_imports():
 
 def test_every_public_power_function_has_a_caller_outside_the_tests():
     # a power that only the tests call is a second entry point beside the
-    # family's power rows (Family.powers), free to drift from them; the
-    # package's __init__ only re-exports
-    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    sources += [*(REPO / "perfbench").rglob("*.py"), *(REPO / "tools").rglob("*.py")]
-    used = {path: referenced_names(path.read_text()) for path in sources}
-    uncalled = []
-    for name, module in public_powers().items():
-        others = [names for path, names in used.items() if path != PACKAGE / f"{module}.py"]
-        if not any(name in names for names in others):
-            uncalled.append(f"{module}.{name}")
-    assert not uncalled, f"no package module, perfbench or tool calls {uncalled}"
+    # family's power rows (Family.powers), free to drift from them
+    missing = uncalled(public_powers())
+    assert not missing, f"no package module, perfbench or tool calls {missing}"
+
+
+def test_every_public_model_constructor_has_a_caller_outside_the_tests():
+    # a model that only the tests build is a second way into a family's
+    # design-stage model (Family.sizing), free to drift from it
+    assert {"one_sample_kernel", "two_sample_kernel", "mmrm_sizing"} <= set(public_models())
+    missing = uncalled(public_models())
+    assert not missing, f"no package module, perfbench or tool calls {missing}"
+
+
+def test_every_family_model_is_a_public_constructor_of_the_design_alone():
+    models = public_models()
+    for family_name, family in FAMILIES.items():
+        sizing = family.sizing
+        assert sizing.__name__ in models, f"{family_name}: {sizing!r} is no public constructor"
+        module = importlib.import_module(f"trialsize.{models[sizing.__name__]}")
+        assert getattr(module, sizing.__name__) is sizing, family_name
+        assert len(inspect.signature(sizing).parameters) == 1, family_name
 
 
 def test_the_tables_take_every_power_from_the_family_rows():

@@ -2,6 +2,7 @@
 determinism, the substream reset, batched-vs-scalar agreement, and type-I
 calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,14 @@ class TestAnalyzeAncova:
         fit = analyze_ancova(y, g, x, strict=False)
         assert math.isfinite(fit.tau_hat)
         assert fit.df == 4  # intercept + treatment only
+
+    def test_variance_lost_to_cancellation_raises(self):
+        # outcomes near 1e9 against a unit residual SD: the sweep's residual
+        # sum of squares cancels to a negative number, which the fit returned
+        g = np.repeat([0.0, 1.0], 20)
+        y = np.random.default_rng(0).standard_normal(40) + 1e9 * g
+        with pytest.raises(DomainError, match="small-sample variance or its d.f. is not"):
+            analyze_ancova(y, g, None)
 
 
 class TestAnalyzeMmrm:
@@ -627,6 +636,18 @@ class TestCalibration:
         cfg = load_design(fixture_path("table3_cs_q3_m08"))
         with pytest.raises(SimulationFailureError, match="failed analysis"):
             simulate_power(cfg.scenario, (7, 6), 0.05, Margins.superiority(), replicates=300, seed=9)
+
+    @pytest.mark.parametrize("tau_p1,failures", [(1e9, 807), (1e20, 1993)])
+    def test_variance_lost_to_cancellation_is_a_failure(self, tau_p1, failures):
+        # outcomes near tau_p1 against a residual SD near 7: cancellation in
+        # the sweep leaves a negative or NaN small-sample variance, whose NaN
+        # se was read as "not rejected" (powers 0.5965 and 0.0035, where the
+        # true power is 1, with no failures)
+        cfg = load_design(fixture_path("table3_un_q1_m12"))
+        design = dataclasses.replace(cfg.design, tau_p1=tau_p1)
+        sc = dataclasses.replace(cfg.scenario, design=design)
+        with pytest.raises(SimulationFailureError, match=f"^{failures} of 2000 replicates failed"):
+            simulate_power(sc, (20, 20), cfg.alpha, Margins.superiority(), replicates=2000)
 
 
 class TestScenarioValidation:
